@@ -14,7 +14,7 @@
 //	divbench -list               # list the experiment catalog
 //	divbench -cache-replay       # result cache vs a zipfian statement replay
 //	divbench -cache-replay -requests 2000 -shapes 16 -zipf-s 1.3
-//	divbench -plane-regimes      # plane storage regimes vs n (matrix/tiles/index/memo)
+//	divbench -plane-regimes      # plane storage regimes vs n (matrix/index/memo)
 //	divbench -plane-regimes -regime-max-n 20000
 //	divbench -cluster            # sharded coreset merge vs a single engine
 //	divbench -cluster -cluster-max-n 10000
@@ -41,7 +41,7 @@ func main() {
 		budget = flag.Duration("budget", 2*time.Second, "per-size time budget for sweeps")
 		list   = flag.Bool("list", false, "list the experiment catalog and exit")
 
-		planeRegimes = flag.Bool("plane-regimes", false, "sweep the score plane's storage regimes (matrix/tiles/index/memo) over growing point sets")
+		planeRegimes = flag.Bool("plane-regimes", false, "sweep the score plane's storage regimes (matrix/index/memo) over growing point sets")
 		regimeMaxN   = flag.Int("regime-max-n", 100_000, "plane-regimes: largest point count in the sweep")
 
 		clusterSweep = flag.Bool("cluster", false, "benchmark the sharded coreset-merge cluster against a single engine")

@@ -56,14 +56,13 @@ type planeAutoChoice struct {
 // guard, it builds the plane store, runs greedy FMS and FMM over it, and
 // records wall times plus the plane's estimated resident bytes. The sweep
 // is the evidence for the regime-selection rule: the matrix wins small n,
-// the tiles stretch the guard ~2x, and the metric index is the only store
-// whose bytes stay O(n) at 10^5 and beyond.
+// and the metric index is the only store whose bytes stay O(n) at 10^5 and
+// beyond.
 func runPlaneRegimes(maxN int, seed int64) {
 	const dim, k, lambda = 2, 10, 0.5
 	sizes := []int{2_000, 5_000, 20_000, 100_000}
 	regimes := []objective.Regime{
-		objective.RegimeMaterialized, objective.RegimeTiled,
-		objective.RegimeIndexed, objective.RegimeMemoized,
+		objective.RegimeMaterialized, objective.RegimeIndexed, objective.RegimeMemoized,
 	}
 	rep := planeRegimesReport{Dim: dim, K: k, Lambda: lambda, Seed: seed, MaxN: maxN}
 

@@ -28,8 +28,8 @@ func TestLargeNIndexedRegime(t *testing.T) {
 	if plane == nil {
 		t.Fatal("no plane")
 	}
-	// Auto must resolve to the index here: the matrix needs ~40 GB and the
-	// tile store ~20 GB against a 64 MiB guard.
+	// Auto must resolve to the index here: the matrix needs ~40 GB against
+	// a 64 MiB guard.
 	if got := plane.Regime(); got != objective.RegimeIndexed {
 		t.Fatalf("auto regime at n=%d is %v, want indexed", plane.Len(), got)
 	}

@@ -1,10 +1,9 @@
-// Differential tests for the plane regimes: the tiled and indexed regimes
-// must reproduce the materialized plane's greedy selections — byte-identical
-// sets, values and step counts for greedy max-min (the tentpole guarantee),
-// byte-identical selections for greedy max-sum under the LAESA bounds, and
-// float32-exact equality for the tiled regime whenever δdis is
-// integer-valued. Rebase must land on the same plane a cold build at the new
-// generation would produce, in every regime.
+// Differential tests for the plane regimes: the indexed regime must
+// reproduce the materialized plane's greedy selections — byte-identical
+// sets, values and step counts for greedy max-min and for greedy max-sum
+// under the LAESA bounds, on real-valued and tie-heavy integer distances.
+// Rebase must land on the same plane a cold build at the new generation
+// would produce, in every regime and across the matrix↔index boundary.
 package approx_test
 
 import (
@@ -40,7 +39,7 @@ func regimePoints(rng *rand.Rand, n, dim, side int) []relation.Tuple {
 // regimeInstance builds an identity-query instance over pts with the given
 // distance, forcing the requested plane regime and building its store (an
 // instance-level plane is lazy by default; without EnsureReadyContext the
-// matrix and tile regimes would silently serve from the memo cache and the
+// matrix regime would silently serve from the memo cache and the
 // differential tests would compare nothing).
 func regimeInstance(t *testing.T, pts []relation.Tuple, dim int, dis objective.Distance, kind objective.Kind, lambda float64, k int, regime objective.Regime) *core.Instance {
 	t.Helper()
@@ -123,10 +122,10 @@ func TestIndexedGreedyMaxSumByteIdentical(t *testing.T) {
 	}
 }
 
-func TestTiledGreedyByteIdenticalOnIntegerDistances(t *testing.T) {
-	// Hamming distances are small integers, exactly representable in
-	// float32, so the tiled regime's rounding is the identity and both
-	// greedy procedures must be bit-equal to the materialized plane.
+func TestIndexedGreedyByteIdenticalOnIntegerDistances(t *testing.T) {
+	// Hamming distances over a small alphabet are small integers, so most
+	// candidate scores tie: the index's pruned scans must still break every
+	// tie exactly as the materialized plane's full scans do.
 	rng := rand.New(rand.NewSource(93))
 	for trial := 0; trial < 6; trial++ {
 		n := 80 + 40*trial
@@ -136,46 +135,56 @@ func TestTiledGreedyByteIdenticalOnIntegerDistances(t *testing.T) {
 		pts := regimePoints(rng, n, dim, 5)
 		ham := objective.HammingDistance()
 		flatSum := GreedyMaxSum(regimeInstance(t, pts, dim, ham, objective.MaxSum, lambda, k, objective.RegimeMaterialized))
-		tileSum := GreedyMaxSum(regimeInstance(t, pts, dim, ham, objective.MaxSum, lambda, k, objective.RegimeTiled))
-		assertSameResult(t, "max-sum tiled", flatSum, tileSum)
+		idxSum := GreedyMaxSum(regimeInstance(t, pts, dim, ham, objective.MaxSum, lambda, k, objective.RegimeIndexed))
+		assertSameResult(t, "max-sum indexed", flatSum, idxSum)
 		flatMin := GreedyMaxMin(regimeInstance(t, pts, dim, ham, objective.MaxMin, lambda, k, objective.RegimeMaterialized))
-		tileMin := GreedyMaxMin(regimeInstance(t, pts, dim, ham, objective.MaxMin, lambda, k, objective.RegimeTiled))
-		assertSameResult(t, "max-min tiled", flatMin, tileMin)
+		idxMin := GreedyMaxMin(regimeInstance(t, pts, dim, ham, objective.MaxMin, lambda, k, objective.RegimeIndexed))
+		assertSameResult(t, "max-min indexed", flatMin, idxMin)
 	}
 }
 
-func TestTiledGreedyEuclideanWithinBound(t *testing.T) {
-	// Real-valued distances round to float32 in the tile store: the
-	// selection may legitimately differ on near-ties, but the achieved
-	// objective value must stay within float32 relative error of the
-	// materialized plane's (the documented bound for the tiled regime).
-	rng := rand.New(rand.NewSource(94))
-	for trial := 0; trial < 6; trial++ {
-		n := 100 + 60*trial
-		const dim = 3
-		lambda := 0.6
-		k := 5
-		pts := regimePoints(rng, n, dim, 1000)
-		flat := GreedyMaxSum(regimeInstance(t, pts, dim, objective.EuclideanDistance(), objective.MaxSum, lambda, k, objective.RegimeMaterialized))
-		tile := GreedyMaxSum(regimeInstance(t, pts, dim, objective.EuclideanDistance(), objective.MaxSum, lambda, k, objective.RegimeTiled))
-		diff := flat.Value - tile.Value
-		if diff < 0 {
-			diff = -diff
+// assertRebaseMatchesCold requires a rebased plane to resolve the regime a
+// cold build over its answers resolves, and to drive greedy max-min and
+// max-sum to bit-identical results.
+func assertRebaseMatchesCold(t *testing.T, label string, rebased *objective.Plane, dim, k int, regime objective.Regime) {
+	t.Helper()
+	ctx := context.Background()
+	answers := rebased.Answers()
+	for _, kind := range []objective.Kind{objective.MaxMin, objective.MaxSum} {
+		cold := regimeInstance(t, answers, dim, objective.EuclideanDistance(), kind, 0.5, k, regime)
+		coldPlane, err := cold.PlaneContext(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if bound := 1e-5 * (1 + flat.Value); diff > bound {
-			t.Fatalf("trial %d: tiled value %v vs materialized %v differ by %v > %v",
-				trial, tile.Value, flat.Value, diff, bound)
+		if got, want := rebased.Regime(), coldPlane.Regime(); got != want {
+			t.Fatalf("%s: rebased regime %v != cold %v", label, got, want)
 		}
+		warm := regimeInstance(t, answers, dim, objective.EuclideanDistance(), kind, 0.5, k, regime)
+		warm.SetAnswers(answers)
+		warm.SetPlane(rebased)
+		solve := GreedyMaxMinContext
+		if kind == objective.MaxSum {
+			solve = GreedyMaxSumContext
+		}
+		want, err := solve(ctx, cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := solve(ctx, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, label+" "+kind.String(), want, got)
 	}
 }
 
 // TestRebaseEquivalentToColdBuildPerRegime: after insert and delete
 // batches, a rebased plane must drive the greedy solvers to the exact
 // results of a plane built cold over the merged answer set — in each of the
-// four non-streaming regimes.
+// three non-streaming regimes.
 func TestRebaseEquivalentToColdBuildPerRegime(t *testing.T) {
 	for _, regime := range []objective.Regime{
-		objective.RegimeMaterialized, objective.RegimeTiled, objective.RegimeIndexed, objective.RegimeMemoized,
+		objective.RegimeMaterialized, objective.RegimeIndexed, objective.RegimeMemoized,
 	} {
 		rng := rand.New(rand.NewSource(95))
 		const n, dim, k = 240, 3, 7
@@ -201,44 +210,56 @@ func TestRebaseEquivalentToColdBuildPerRegime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// The cold arm: an instance over exactly the rebased answer set.
-		cold := regimeInstance(t, rebased.Answers(), dim, objective.EuclideanDistance(), objective.MaxMin, 0.5, k, regime)
-		coldPlane, err := cold.PlaneContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := rebased.Regime(), coldPlane.Regime(); got != want {
-			t.Fatalf("%v: rebased regime %v != cold %v", regime, got, want)
-		}
-
-		// The rebased arm: same answers, the rebased plane injected.
-		warm := regimeInstance(t, rebased.Answers(), dim, objective.EuclideanDistance(), objective.MaxMin, 0.5, k, regime)
-		warm.SetAnswers(rebased.Answers())
-		warm.SetPlane(rebased)
-
-		coldMin, err := GreedyMaxMinContext(context.Background(), cold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warmMin, err := GreedyMaxMinContext(context.Background(), warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResult(t, "rebase "+regime.String()+" max-min", coldMin, warmMin)
-
-		inSum := regimeInstance(t, rebased.Answers(), dim, objective.EuclideanDistance(), objective.MaxSum, 0.5, k, regime)
-		inSum.SetAnswers(rebased.Answers())
-		inSum.SetPlane(rebased)
-		coldSum := regimeInstance(t, rebased.Answers(), dim, objective.EuclideanDistance(), objective.MaxSum, 0.5, k, regime)
-		a, err := GreedyMaxSumContext(context.Background(), coldSum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := GreedyMaxSumContext(context.Background(), inSum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResult(t, "rebase "+regime.String()+" max-sum", a, b)
+		assertRebaseMatchesCold(t, "rebase "+regime.String(), rebased, dim, k, regime)
 	}
+}
+
+// TestRebaseAcrossMatrixIndexBoundary walks a plane across the default
+// guard: the matrix holds n = 4096 answers, so extending by a few tips auto
+// over to the metric index and retiring back re-materializes — each step
+// resolving and solving exactly like a cold build at the new size.
+func TestRebaseAcrossMatrixIndexBoundary(t *testing.T) {
+	ctx := context.Background()
+	const limit, dim, k = objective.IndexedMinN, 2, 8
+	rng := rand.New(rand.NewSource(96))
+	point := func(x int) relation.Tuple { return relation.Ints(int64(x), rng.Int63n(1000)) }
+	pts := make([]relation.Tuple, limit)
+	for i := range pts {
+		pts[i] = point(i)
+	}
+	in := regimeInstance(t, pts, dim, objective.EuclideanDistance(), objective.MaxMin, 0.5, k, objective.RegimeAuto)
+	base, err := in.PlaneContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Regime() != objective.RegimeMaterialized || !base.Materialized() {
+		t.Fatalf("n=%d: regime %v (materialized=%v), want a filled matrix", base.Len(), base.Regime(), base.Materialized())
+	}
+
+	added := []relation.Tuple{point(limit), point(limit + 1), point(limit + 2)}
+	grown, err := base.Extend(ctx, added)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := grown.EnsureReadyContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if grown.Regime() != objective.RegimeIndexed {
+		t.Fatalf("n=%d: rebased regime %v, want indexed", grown.Len(), grown.Regime())
+	}
+	assertRebaseMatchesCold(t, "extend over guard", grown, dim, k, objective.RegimeAuto)
+
+	// Retire the added answers plus one original: n = 4095.
+	retired := []int{0, limit, limit + 1, limit + 2}
+	shrunk, err := grown.Retire(ctx, retired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shrunk.EnsureReadyContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if shrunk.Regime() != objective.RegimeMaterialized || !shrunk.Materialized() {
+		t.Fatalf("n=%d: rebased regime %v (materialized=%v), want a filled matrix", shrunk.Len(), shrunk.Regime(), shrunk.Materialized())
+	}
+	assertRebaseMatchesCold(t, "retire under guard", shrunk, dim, k, objective.RegimeAuto)
 }

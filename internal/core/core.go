@@ -80,7 +80,7 @@ type Instance struct {
 	// from the plane's sharded memoizing cache instead.
 	PlaneMaxBytes int64
 	// PlaneRegime requests a distance-storage regime for the plane
-	// (materialized matrix, float32 tiles, metric index, or memo cache);
+	// (materialized matrix, metric index, or memo cache);
 	// the zero value (objective.RegimeAuto) resolves from the answer count
 	// and PlaneMaxBytes.
 	PlaneRegime objective.Regime

@@ -1,12 +1,11 @@
 // The interned score plane: answer tuples are interned into dense int IDs
 // at prepare time, the relevance vector δrel is precomputed per ID, and the
-// symmetric pairwise distance matrix δdis is served under one of four
+// symmetric pairwise distance matrix δdis is served under one of three
 // regimes (see regime.go): materialized as a packed triangular []float64
-// (filled in parallel across GOMAXPROCS workers), block-tiled as float32
-// (tiles.go), indexed by a vantage-point tree with O(n) memory (index.go),
-// or — when nothing else fits the memory guard — from a sharded,
-// entry-capped memoizing cache. Every solver then runs on IDs and
-// contiguous float loads instead of interface dispatch plus Tuple.Key()
+// (filled in parallel across GOMAXPROCS workers), indexed by a
+// vantage-point tree with O(n) memory (index.go), or — when neither fits —
+// from a sharded, entry-capped memoizing cache. Every solver then runs on
+// IDs and contiguous float loads instead of interface dispatch plus Tuple.Key()
 // string hashing per lookup: the same compute-shared-subexpressions-once
 // discipline that factorised databases (Bakibayev et al., FDB) apply to
 // query plans, applied here to scoring — and, in the indexed regime, the
@@ -41,9 +40,9 @@ const memoShards = 64
 
 // PlaneOptions tune plane construction.
 type PlaneOptions struct {
-	// MaxMatrixBytes caps the pair stores (matrix or tiles); 0 means
+	// MaxMatrixBytes caps the distance matrix; 0 means
 	// DefaultMaxMatrixBytes. Materialize refuses (and the plane falls back
-	// per its regime) when the store would exceed it.
+	// per its regime) when the matrix would exceed it.
 	MaxMatrixBytes int64
 	// Regime requests a distance-storage strategy; RegimeAuto (the zero
 	// value) resolves from n and MaxMatrixBytes. See resolveRegime for the
@@ -80,9 +79,6 @@ type Plane struct {
 
 	triReady atomic.Bool
 	tri      []float64 // packed lower triangle, index(i<j) = j(j-1)/2 + i
-
-	tilesReady atomic.Bool
-	tiles      []float32 // blocked lower triangle, see tiles.go
 
 	idx atomic.Pointer[MetricIndex] // lazily built in RegimeIndexed
 
@@ -204,9 +200,6 @@ func (p *Plane) MaxRel() float64 { return p.maxRel }
 // Materialized reports whether the packed distance matrix is filled.
 func (p *Plane) Materialized() bool { return p.triReady.Load() }
 
-// Tiled reports whether the blocked float32 tile store is filled.
-func (p *Plane) Tiled() bool { return p.tilesReady.Load() }
-
 // Regime reports the plane's resolved serving regime.
 func (p *Plane) Regime() Regime { return p.regime }
 
@@ -223,7 +216,7 @@ func (p *Plane) MemoStats() (entries, evictions int64) {
 }
 
 // MemoryFootprint estimates the plane's resident bytes: the per-answer
-// score state plus whatever the regime stores (matrix, tiles, index, memo
+// score state plus whatever the regime stores (matrix, index, memo
 // entries at ~48 bytes each with map overhead). An estimate for operators
 // and planners, not an allocator-exact accounting.
 func (p *Plane) MemoryFootprint() int64 {
@@ -235,9 +228,6 @@ func (p *Plane) MemoryFootprint() int64 {
 	}
 	if p.triReady.Load() {
 		b += int64(len(p.tri)) * 8
-	}
-	if p.tilesReady.Load() {
-		b += int64(len(p.tiles)) * 4
 	}
 	if ix := p.idx.Load(); ix != nil {
 		b += ix.Bytes()
@@ -270,8 +260,8 @@ func (p *Plane) rawDis(i, j int) float64 {
 func triIndex(i, j int) int { return j*(j-1)/2 + i }
 
 // Dis returns δdis between the answers interned as i and j: a contiguous
-// float load when a pair store (matrix or tiles) is filled, a memoized
-// evaluation otherwise, and 0 on the diagonal.
+// float load when the matrix is filled, a memoized evaluation otherwise, and
+// 0 on the diagonal.
 func (p *Plane) Dis(i, j int) float64 {
 	if i == j {
 		return 0
@@ -281,9 +271,6 @@ func (p *Plane) Dis(i, j int) float64 {
 	}
 	if p.triReady.Load() {
 		return p.tri[triIndex(i, j)]
-	}
-	if p.tilesReady.Load() {
-		return float64(p.tiles[tileIndex(i, j)])
 	}
 	return p.memoDis(i, j)
 }
@@ -327,57 +314,39 @@ func (p *Plane) Materialize() bool {
 	return ok
 }
 
-// MaterializeContext fills the plane's pair store — the packed triangular
-// float64 matrix or, in the tiled regime, the blocked float32 triangle — in
-// parallel across GOMAXPROCS workers. Planes whose regime keeps no pair
-// store (indexed, memoized, streaming) report false and keep serving on
-// demand. It is idempotent and safe under concurrent readers: until the
-// fill completes, Dis keeps answering from the cache.
+// MaterializeContext fills the packed triangular float64 matrix in parallel
+// across GOMAXPROCS workers. Planes whose regime keeps no matrix (indexed,
+// memoized, streaming) report false and keep serving on demand. It is
+// idempotent and safe under concurrent readers: until the fill completes,
+// Dis keeps answering from the cache.
 func (p *Plane) MaterializeContext(ctx context.Context) (bool, error) {
-	n := len(p.answers)
-	switch p.regime {
-	case RegimeMaterialized:
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.triReady.Load() {
-			return true, nil
-		}
-		tri := make([]float64, n*(n-1)/2)
-		maxDis, err := p.fillParallel(ctx, tri)
-		if err != nil {
-			return false, err
-		}
-		p.tri = tri
-		p.maxDis, p.haveMaxDis, p.maxDisN = maxDis, true, n
-		p.triReady.Store(true)
-		return true, nil
-	case RegimeTiled:
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.tilesReady.Load() {
-			return true, nil
-		}
-		tiles := make([]float32, tiledBytes(n)/4)
-		maxDis, err := p.fillTilesParallel(ctx, tiles)
-		if err != nil {
-			return false, err
-		}
-		p.tiles = tiles
-		p.maxDis, p.haveMaxDis, p.maxDisN = maxDis, true, n
-		p.tilesReady.Store(true)
-		return true, nil
-	default:
+	if p.regime != RegimeMaterialized {
 		return false, nil
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.triReady.Load() {
+		return true, nil
+	}
+	n := len(p.answers)
+	tri := make([]float64, n*(n-1)/2)
+	maxDis, err := p.fillParallel(ctx, tri)
+	if err != nil {
+		return false, err
+	}
+	p.tri = tri
+	p.maxDis, p.haveMaxDis, p.maxDisN = maxDis, true, n
+	p.triReady.Store(true)
+	return true, nil
 }
 
 // EnsureReadyContext builds whatever the plane's regime serves from — the
-// matrix, the tile store, or the metric index — so prepare-time eager
-// construction pays the build cost once instead of on the first solve.
-// Memoized (and streaming) planes have nothing to build.
+// matrix or the metric index — so prepare-time eager construction pays the
+// build cost once instead of on the first solve. Memoized (and streaming)
+// planes have nothing to build.
 func (p *Plane) EnsureReadyContext(ctx context.Context) error {
 	switch p.regime {
-	case RegimeMaterialized, RegimeTiled:
+	case RegimeMaterialized:
 		_, err := p.MaterializeContext(ctx)
 		return err
 	case RegimeIndexed:
@@ -505,8 +474,8 @@ func (p *Plane) MaxDisContext(ctx context.Context) (float64, error) {
 }
 
 // MaxDisBoundContext returns an admissible upper bound on the maximum
-// pairwise δdis: the exact maximum where it is already known or cheap (a
-// filled pair store computes it during the fill), and in the indexed regime
+// pairwise δdis: the exact maximum where it is already known or cheap (the
+// matrix fill computes it), and in the indexed regime
 // the O(n) triangle-inequality bound 2·max δdis(pivot₀, ·) — so the exact
 // search's optimistic bound never pays the O(n²) scan a large indexed plane
 // exists to avoid. A looser bound only weakens pruning, never correctness.
@@ -544,7 +513,7 @@ func (p *Plane) RowSums() []float64 {
 	p.mu.Unlock()
 	p.MaterializeContext(context.Background())
 	dis := p.Dis
-	if !p.triReady.Load() && !p.tilesReady.Load() {
+	if !p.triReady.Load() {
 		dis = func(i, j int) float64 {
 			if i == j {
 				return 0
@@ -637,9 +606,9 @@ func (p *Plane) Retire(ctx context.Context, retired []int) (*Plane, error) {
 // Rebase builds the plane for an incrementally maintained answer set: the
 // current answers minus the retired IDs, merged with the added tuples in
 // canonical order. Score state is carried over instead of recomputed —
-// relevance values and keys are copied for surviving IDs, and when a pair
-// store is filled (matrix or tiles, with the regime re-resolved at the new
-// size) every surviving pair is a float copy, so only the O(n·|added|)
+// relevance values and keys are copied for surviving IDs, and when the
+// matrix is filled (with the regime re-resolved at the new size) every
+// surviving pair is a float copy, so only the O(n·|added|)
 // pairs touching a new tuple evaluate δdis. In the memoized and indexed
 // regimes nothing is precomputed, exactly as on a cold build — the metric
 // index rebuilds lazily over the merged answers — and the cache entries of
@@ -762,49 +731,15 @@ func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []in
 		q.triReady.Store(true)
 		return q, nil
 	}
-	if q.regime == RegimeTiled && p.tilesReady.Load() {
-		// Tiles → tiles: the float32 roundings of surviving pairs are
-		// copied verbatim — float32(rawDis) for a pure δdis is the same
-		// bits a cold fill would store — and only pairs touching an added
-		// tuple evaluate δdis.
-		tiles := make([]float32, tiledBytes(m)/4)
-		maxDis := 0.0
-		for b := 1; b < m; b++ {
-			if poll.Stop() {
-				return nil, poll.Err()
-			}
-			ob := fromOld[b]
-			for a := 0; a < b; a++ {
-				var d float32
-				if oa := fromOld[a]; oa >= 0 && ob >= 0 {
-					oi, oj := oa, ob
-					if oi > oj {
-						oi, oj = oj, oi
-					}
-					d = p.tiles[tileIndex(oi, oj)]
-				} else {
-					d = float32(q.rawDis(a, b))
-				}
-				tiles[tileIndex(a, b)] = d
-				if fd := float64(d); fd > maxDis {
-					maxDis = fd
-				}
-			}
-		}
-		q.tiles = tiles
-		q.maxDis, q.haveMaxDis, q.maxDisN = maxDis, true, m
-		q.tilesReady.Store(true)
-		return q, nil
-	}
-	// No pair store to carry (indexed and memoized regimes, or a store
-	// whose source wasn't filled): distances stay on demand and — in the
+	// No matrix to carry (indexed and memoized regimes, or a matrix whose
+	// source wasn't filled): distances stay on demand and — in the
 	// indexed regime — the index rebuilds lazily on first use, which is
 	// trivially identical to a cold build since it is a pure function of
 	// the merged answer set. Carry cached pairs of surviving IDs across
 	// under their new IDs so the memo warmth survives the rebase, holding
 	// the new plane's per-shard cap (no evictions during carry: cold pairs
 	// just stay uncarried).
-	if !p.triReady.Load() && !p.tilesReady.Load() {
+	if !p.triReady.Load() {
 		old2new := make([]int, n)
 		for k := range old2new {
 			old2new[k] = -1

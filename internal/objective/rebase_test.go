@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/relation"
@@ -52,14 +53,15 @@ func checkPlaneEqual(t *testing.T, name string, got, want *Plane) {
 }
 
 // countingDistance wraps EuclideanDistance counting evaluations, to assert
-// the rebase recomputes only delta pairs.
+// the rebase recomputes only delta pairs. The counter is atomic because the
+// parallel matrix fill calls Dis from several workers.
 type countingDistance struct {
 	inner Distance
-	calls int
+	calls atomic.Int64
 }
 
 func (c *countingDistance) Dis(s, t relation.Tuple) float64 {
-	c.calls++
+	c.calls.Add(1)
 	return c.inner.Dis(s, t)
 }
 
@@ -201,7 +203,7 @@ func TestRebaseRecomputesOnlyDeltaPairs(t *testing.T) {
 	o := New(MaxSum, ConstRelevance(1), cd, 0.5)
 	p := NewPlane(o, base, PlaneOptions{})
 	p.Materialize()
-	built := cd.calls
+	built := int(cd.calls.Load())
 	if built != n*(n-1)/2 {
 		t.Fatalf("cold build evaluated %d pairs, want %d", built, n*(n-1)/2)
 	}
@@ -210,7 +212,7 @@ func TestRebaseRecomputesOnlyDeltaPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := cd.calls - built
+	delta := int(cd.calls.Load()) - built
 	if delta != n {
 		t.Errorf("extend by one tuple evaluated %d pairs, want exactly %d", delta, n)
 	}

@@ -11,19 +11,14 @@ type Regime int
 
 const (
 	// RegimeAuto picks from n and the memory guard: the materialized
-	// float64 triangle when it fits, the float32 tile store when that fits
-	// instead, the metric index above both (for n >= IndexedMinN), and the
-	// memoizing cache for small answer sets whose guard is tighter than
-	// either store.
+	// float64 triangle when it fits, the metric index above it (for
+	// n >= IndexedMinN), and the memoizing cache for small answer sets
+	// whose guard is tighter than the triangle.
 	RegimeAuto Regime = iota
 	// RegimeMaterialized is the packed triangular []float64 filled in
 	// parallel — O(n²) memory, O(1) exact lookups. Falls back to
 	// RegimeMemoized when the triangle would exceed the memory guard.
 	RegimeMaterialized
-	// RegimeTiled is the block-tiled []float32 store: half the bytes per
-	// pair (doubling the guard's effective ceiling), distances rounded to
-	// float32 on store. Falls back to RegimeMemoized above the guard.
-	RegimeTiled
 	// RegimeIndexed stores no pairs at all: a vantage-point tree plus a
 	// pivot table (O(n) memory) serve the greedy solvers through exact
 	// triangle-inequality pruning, and everything else evaluates pairs on
@@ -50,8 +45,6 @@ func (r Regime) String() string {
 		return "auto"
 	case RegimeMaterialized:
 		return "materialized"
-	case RegimeTiled:
-		return "tiled"
 	case RegimeIndexed:
 		return "indexed"
 	case RegimeMemoized:
@@ -69,8 +62,6 @@ func ParseRegime(s string) (Regime, error) {
 		return RegimeAuto, nil
 	case "materialized":
 		return RegimeMaterialized, nil
-	case "tiled":
-		return RegimeTiled, nil
 	case "indexed":
 		return RegimeIndexed, nil
 	case "memoized":
@@ -81,40 +72,31 @@ func ParseRegime(s string) (Regime, error) {
 }
 
 // resolveRegime turns a requested regime into the one that will actually
-// serve, holding the memory guard: an explicit materialized/tiled request
-// that does not fit degrades to memoized (matching Materialize's historical
-// refusal), streaming planes always memoize (IDs grow, stores cannot), and
-// auto walks materialized → tiled → indexed by footprint, keeping small
-// answer sets on the assumption-free memo cache.
+// serve, holding the memory guard. Streaming planes always memoize (IDs grow,
+// the matrix cannot); an explicit materialized request that does not fit
+// degrades to memoized (matching Materialize's historical refusal); auto
+// takes the matrix when its 8·n(n−1)/2 bytes fit the guard, the metric index
+// above it, and keeps small answer sets on the assumption-free memo cache.
 func resolveRegime(want Regime, n int, maxBytes int64, streaming bool) Regime {
 	if streaming {
 		return RegimeMemoized
 	}
-	pairs := int64(n) * int64(n-1) / 2
+	fits := int64(n)*int64(n-1)/2*8 <= maxBytes
 	switch want {
 	case RegimeMaterialized:
-		if pairs*8 <= maxBytes {
+		if fits {
 			return RegimeMaterialized
 		}
 		return RegimeMemoized
-	case RegimeTiled:
-		if tiledBytes(n) <= maxBytes {
-			return RegimeTiled
-		}
-		return RegimeMemoized
-	case RegimeIndexed:
-		return RegimeIndexed
-	case RegimeMemoized:
-		return RegimeMemoized
+	case RegimeIndexed, RegimeMemoized:
+		return want
 	}
-	if pairs*8 <= maxBytes {
+	switch {
+	case fits:
 		return RegimeMaterialized
-	}
-	if n >= IndexedMinN {
-		if tiledBytes(n) <= maxBytes {
-			return RegimeTiled
-		}
+	case n >= IndexedMinN:
 		return RegimeIndexed
+	default:
+		return RegimeMemoized
 	}
-	return RegimeMemoized
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRegimeStringParseRoundTrip(t *testing.T) {
-	for _, r := range []Regime{RegimeAuto, RegimeMaterialized, RegimeTiled, RegimeIndexed, RegimeMemoized} {
+	for _, r := range []Regime{RegimeAuto, RegimeMaterialized, RegimeIndexed, RegimeMemoized} {
 		got, err := ParseRegime(r.String())
 		if err != nil || got != r {
 			t.Fatalf("round-trip %v: got %v, %v", r, got, err)
@@ -15,8 +15,10 @@ func TestRegimeStringParseRoundTrip(t *testing.T) {
 	if r, err := ParseRegime(""); err != nil || r != RegimeAuto {
 		t.Fatalf("empty string: got %v, %v, want auto", r, err)
 	}
-	if _, err := ParseRegime("bogus"); err == nil {
-		t.Fatal("ParseRegime accepted an unknown name")
+	for _, name := range []string{"bogus", "tiled"} {
+		if _, err := ParseRegime(name); err == nil {
+			t.Fatalf("ParseRegime accepted %q", name)
+		}
 	}
 	if s := Regime(99).String(); s != "Regime(99)" {
 		t.Fatalf("out-of-range String() = %q", s)
@@ -37,13 +39,13 @@ func TestResolveRegime(t *testing.T) {
 	}{
 		{"streaming always memoizes", RegimeMaterialized, 100, guard, true, RegimeMemoized},
 		{"auto small n fits matrix", RegimeAuto, 1000, guard, false, RegimeMaterialized},
-		{"auto tiled band", RegimeAuto, 5000, guard, false, RegimeTiled},
-		{"auto indexed above tiles", RegimeAuto, 20000, guard, false, RegimeIndexed},
+		{"auto largest matrix under guard", RegimeAuto, 4096, guard, false, RegimeMaterialized},
+		{"auto indexed just over guard", RegimeAuto, 4097, guard, false, RegimeIndexed},
+		{"auto indexed n=5000", RegimeAuto, 5000, guard, false, RegimeIndexed},
+		{"auto indexed n=20000", RegimeAuto, 20000, guard, false, RegimeIndexed},
 		{"auto small n tight guard memoizes", RegimeAuto, 100, 8, false, RegimeMemoized},
 		{"explicit matrix fits", RegimeMaterialized, 1000, guard, false, RegimeMaterialized},
 		{"explicit matrix over guard degrades", RegimeMaterialized, 5000, guard, false, RegimeMemoized},
-		{"explicit tiles fit", RegimeTiled, 1000, guard, false, RegimeTiled},
-		{"explicit tiles over guard degrade", RegimeTiled, 20000, guard, false, RegimeMemoized},
 		{"explicit index honored below IndexedMinN", RegimeIndexed, 100, guard, false, RegimeIndexed},
 		{"explicit memo honored", RegimeMemoized, 1000, guard, false, RegimeMemoized},
 	}
@@ -51,40 +53,6 @@ func TestResolveRegime(t *testing.T) {
 		if got := resolveRegime(c.want, c.n, c.maxBytes, c.streaming); got != c.expect {
 			t.Fatalf("%s: resolveRegime(%v, n=%d, guard=%d, streaming=%v) = %v, want %v",
 				c.name, c.want, c.n, c.maxBytes, c.streaming, got, c.expect)
-		}
-	}
-}
-
-func TestTiledBytesAndIndex(t *testing.T) {
-	if b := tiledBytes(0); b != 0 {
-		t.Fatalf("tiledBytes(0) = %d", b)
-	}
-	if b := tiledBytes(1); b != 0 {
-		t.Fatalf("tiledBytes(1) = %d", b)
-	}
-	// One 128-wide block row: a single diagonal block.
-	if b, want := tiledBytes(128), int64(tileCells*4); b != want {
-		t.Fatalf("tiledBytes(128) = %d, want %d", b, want)
-	}
-	// 129 points span two block rows: 3 blocks of the lower triangle.
-	if b, want := tiledBytes(129), int64(3*tileCells*4); b != want {
-		t.Fatalf("tiledBytes(129) = %d, want %d", b, want)
-	}
-	// Every canonical pair must land on a distinct cell, and tileIndex must
-	// stay inside the tiledBytes allocation.
-	const n = 300
-	cells := int(tiledBytes(n) / 4)
-	seen := make(map[int64]bool)
-	for j := 1; j < n; j++ {
-		for i := 0; i < j; i++ {
-			c := tileIndex(i, j)
-			if c < 0 || c >= int64(cells) {
-				t.Fatalf("tileIndex(%d,%d) = %d out of [0,%d)", i, j, c, cells)
-			}
-			if seen[c] {
-				t.Fatalf("tileIndex(%d,%d) = %d collides", i, j, c)
-			}
-			seen[c] = true
 		}
 	}
 }
@@ -129,32 +97,5 @@ func TestIndexedMaxDisBound(t *testing.T) {
 	}
 	if exact != trueMax {
 		t.Fatalf("materialized max-dis bound %v != true max %v", exact, trueMax)
-	}
-}
-
-// TestTiledPlaneServesFloat32 pins the tile store's contract directly at
-// the objective layer: after EnsureReady, Dis returns float64(float32(d))
-// for every pair, and the footprint includes the tile bytes.
-func TestTiledPlaneServesFloat32(t *testing.T) {
-	const n = 200
-	answers := planeAnswers(n)
-	o := planeObjective(n)
-	p := NewPlane(o, answers, PlaneOptions{Regime: RegimeTiled})
-	if err := p.EnsureReadyContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Tiled() {
-		t.Fatal("tiles not ready after EnsureReadyContext")
-	}
-	for j := 1; j < n; j++ {
-		for i := 0; i < j; i++ {
-			want := float64(float32(o.Dis.Dis(answers[i], answers[j])))
-			if got := p.Dis(i, j); got != want {
-				t.Fatalf("Dis(%d,%d) = %v, want float32-rounded %v", i, j, got, want)
-			}
-		}
-	}
-	if foot := p.MemoryFootprint(); foot < tiledBytes(n) {
-		t.Fatalf("footprint %d < tile bytes %d", foot, tiledBytes(n))
 	}
 }

@@ -3,6 +3,7 @@ package reduction
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/objective"
@@ -23,9 +24,14 @@ import (
 // coincides with suffix-QBF truth — is verified by the package tests
 // against sat.QBF evaluation. Figure 2 is this function instantiated at
 // m = 4.
+//
+// Dis is safe for concurrent use: the parallel matrix fill calls it from
+// several workers.
 type PrefixDistance struct {
-	qbf  *sat.QBF
-	m    int
+	qbf *sat.QBF
+	m   int
+
+	mu   sync.Mutex // guards memo; the recursion runs outside it
 	memo map[string]bool
 }
 
@@ -53,7 +59,10 @@ func (pd *PrefixDistance) Dis(s, t relation.Tuple) float64 {
 // differing at position l+1.
 func (pd *PrefixDistance) delta(p []bool) bool {
 	key := prefixKey(p)
-	if v, ok := pd.memo[key]; ok {
+	pd.mu.Lock()
+	v, ok := pd.memo[key]
+	pd.mu.Unlock()
+	if ok {
 		return v
 	}
 	l := len(p)
@@ -79,7 +88,11 @@ func (pd *PrefixDistance) delta(p []bool) bool {
 			out = one || zero
 		}
 	}
+	// A racing worker may have stored the same key meanwhile; delta is a
+	// pure function of p, so both wrote the same value.
+	pd.mu.Lock()
 	pd.memo[key] = out
+	pd.mu.Unlock()
 	return out
 }
 

@@ -3,6 +3,7 @@ package reduction
 import (
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/query/parse"
@@ -252,6 +253,33 @@ func TestLemma53DistanceEqualsSuffixTruth(t *testing.T) {
 		}
 		walk(nil)
 	}
+}
+
+// TestPrefixDistanceConcurrentDis calls Dis from several goroutines at once,
+// as the parallel matrix fill does, on a fresh memo: under -race it pins
+// the memo's locking, and every answer must match a sequential evaluation.
+func TestPrefixDistanceConcurrentDis(t *testing.T) {
+	ref := NewPrefixDistance(Figure2QBF())
+	want := make(map[[2]int]float64)
+	for i := 1; i <= 16; i++ {
+		for j := 1; j <= 16; j++ {
+			want[[2]int{i, j}] = ref.Dis(Figure2Tuple(i), Figure2Tuple(j))
+		}
+	}
+	pd := NewPrefixDistance(Figure2QBF())
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pair, d := range want {
+				if got := pd.Dis(Figure2Tuple(pair[0]), Figure2Tuple(pair[1])); got != d {
+					t.Errorf("concurrent δ(t%d,t%d) = %v, want %v", pair[0], pair[1], got, d)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // --- Figure 2: the worked example distance table ---

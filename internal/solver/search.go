@@ -128,8 +128,8 @@ func newSearch(ctx context.Context, in *core.Instance, cutoff float64, strict bo
 	switch o.Kind {
 	case objective.MaxSum, objective.MaxMin:
 		if plane != nil {
-			// The plane builds its pair store here (matrix or tiles, when
-			// the regime has one) and hands back the max distance as a
+			// The plane builds its matrix here (when the regime has one)
+			// and hands back the max distance as a
 			// byproduct; the walk then reads distances as contiguous float
 			// loads. Indexed planes return the O(n) triangle-inequality
 			// bound instead of scanning all pairs — an admissible (≥ true

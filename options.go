@@ -133,16 +133,13 @@ type PlaneRegime int
 
 const (
 	// PlaneAuto resolves the regime from n and the memory limit: the
-	// float64 matrix when it fits, otherwise float32 tiles when those fit,
-	// otherwise the metric index for large metric candidate sets, with the
-	// sharded memo cache as the small-n fallback.
+	// float64 matrix when it fits, otherwise the metric index for large
+	// metric candidate sets, with the sharded memo cache as the small-n
+	// fallback.
 	PlaneAuto PlaneRegime = iota
 	// PlaneMaterialized forces the full float64 triangular matrix — exact,
 	// O(n²) memory.
 	PlaneMaterialized
-	// PlaneTiled forces the float32 block-tiled matrix — half the memory
-	// of the matrix, distances rounded to float32.
-	PlaneTiled
 	// PlaneIndexed forces the metric (vantage-point) index — O(n) memory,
 	// exact distances computed on demand with index-pruned greedy scans.
 	PlaneIndexed
@@ -158,8 +155,6 @@ func (r PlaneRegime) String() string {
 		return "auto"
 	case PlaneMaterialized:
 		return "materialized"
-	case PlaneTiled:
-		return "tiled"
 	case PlaneIndexed:
 		return "indexed"
 	case PlaneMemoized:
@@ -171,7 +166,7 @@ func (r PlaneRegime) String() string {
 
 func (r PlaneRegime) valid() bool {
 	switch r {
-	case PlaneAuto, PlaneMaterialized, PlaneTiled, PlaneIndexed, PlaneMemoized:
+	case PlaneAuto, PlaneMaterialized, PlaneIndexed, PlaneMemoized:
 		return true
 	default:
 		return false
@@ -190,8 +185,6 @@ func ParsePlaneRegime(s string) (PlaneRegime, error) {
 		return PlaneAuto, nil
 	case "materialized":
 		return PlaneMaterialized, nil
-	case "tiled":
-		return PlaneTiled, nil
 	case "indexed":
 		return PlaneIndexed, nil
 	case "memoized":
@@ -363,11 +356,11 @@ func WithPlaneMemoryLimit(bytes int64) Option {
 
 // WithPlaneRegime overrides the score plane's distance-storage regime. The
 // default PlaneAuto picks from the answer count and the memory limit:
-// materialized matrix when n(n-1)/2 float64 entries fit, float32 tiles when
-// those fit and n is large, the metric index for large metric candidate
-// sets, and the memo cache otherwise. Forcing PlaneMaterialized or
-// PlaneTiled above the memory limit degrades to PlaneMemoized;
-// PlaneIndexed and PlaneMemoized are always honored.
+// materialized matrix when n(n-1)/2 float64 entries fit, the metric index
+// above it for large candidate sets (which assumes a metric δdis), and the
+// memo cache otherwise. Forcing PlaneMaterialized above the memory limit
+// degrades to PlaneMemoized; PlaneIndexed and PlaneMemoized are always
+// honored.
 func WithPlaneRegime(r PlaneRegime) Option {
 	return func(s *settings) {
 		s.planeRegime = r

@@ -417,14 +417,12 @@ func degradeChain(base, abandoned string) string {
 	return base + "→" + abandoned
 }
 
-// planeRegime names how a plane serves distances: which of the four storage
+// planeRegime names how a plane serves distances: which of the three storage
 // regimes the planner resolved for it.
 func planeRegime(p *objective.Plane) string {
 	switch p.Regime() {
 	case objective.RegimeMaterialized:
 		return "materialized matrix"
-	case objective.RegimeTiled:
-		return "tiled float32 matrix"
 	case objective.RegimeIndexed:
 		return "metric index"
 	default:

@@ -511,23 +511,32 @@ func TestPreparedPlaneRegime(t *testing.T) {
 	}
 }
 
-// TestPlaneRegimeParseAndValidate pins the enum round-trip and the typed
-// rejection of out-of-range values.
+// TestPlaneRegimeParseAndValidate pins the enum round-trip, the value-for-
+// value mirror of the objective package's Regime that toObjective relies on,
+// and the typed rejection of unknown names and out-of-range values.
 func TestPlaneRegimeParseAndValidate(t *testing.T) {
-	for _, r := range []PlaneRegime{PlaneAuto, PlaneMaterialized, PlaneTiled, PlaneIndexed, PlaneMemoized} {
+	for _, r := range []PlaneRegime{PlaneAuto, PlaneMaterialized, PlaneIndexed, PlaneMemoized} {
 		got, err := ParsePlaneRegime(r.String())
 		if err != nil || got != r {
 			t.Fatalf("round-trip %v: got %v, %v", r, got, err)
+		}
+		if o := r.toObjective(); o.String() != r.String() {
+			t.Fatalf("%v lowers to objective regime %v", r, o)
 		}
 	}
 	if r, err := ParsePlaneRegime(""); err != nil || r != PlaneAuto {
 		t.Fatalf("empty string should parse as auto, got %v, %v", r, err)
 	}
-	if _, err := ParsePlaneRegime("bogus"); err == nil {
-		t.Fatal("ParsePlaneRegime accepted an unknown name")
+	var argErr *ArgError
+	for _, name := range []string{"bogus", "tiled"} {
+		if _, err := ParsePlaneRegime(name); !errors.As(err, &argErr) || argErr.Field != "plane-regime" {
+			t.Fatalf("ParsePlaneRegime(%q) = %v, want a plane-regime ArgError", name, err)
+		}
+	}
+	if _, err := objective.ParseRegime("tiled"); err == nil {
+		t.Fatal(`objective.ParseRegime accepted "tiled"`)
 	}
 	_, p := preparedPlaneEngine(t)
-	var argErr *ArgError
 	if _, err := p.Diversify(context.Background(), WithPlaneRegime(PlaneRegime(99))); !errors.As(err, &argErr) || argErr.Field != "plane-regime" {
 		t.Fatalf("invalid regime not rejected as a plane-regime ArgError: %v", err)
 	}
@@ -582,7 +591,6 @@ func TestExplainFormatting(t *testing.T) {
 		want   string
 	}{
 		{objective.RegimeMaterialized, "materialized matrix"},
-		{objective.RegimeTiled, "tiled float32 matrix"},
 		{objective.RegimeIndexed, "metric index"},
 		{objective.RegimeMemoized, "memoized cache"},
 	} {

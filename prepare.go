@@ -530,8 +530,8 @@ func (p *Prepared) planeFor(ctx context.Context, snap *snapshot, s *settings) (*
 		return nil, err
 	}
 	// Build the regime's store eagerly: a Prepared handle exists to be
-	// solved against many times, so the fill (parallel matrix or tiles, or
-	// the O(n log n) metric index) is paid once here rather than per solve.
+	// solved against many times, so the fill (the parallel matrix or the
+	// O(n log n) metric index) is paid once here rather than per solve.
 	if err := pl.EnsureReadyContext(ctx); err != nil {
 		return nil, err
 	}
