@@ -24,6 +24,8 @@
 // Routes:
 //
 //	POST /v1/query/{name}    run a query request against a statement
+//	POST /v1/coreset/{name}  extract a shard-local k′-coreset (not served
+//	                         by a coordinator)
 //	POST /v1/refresh/{name}  refresh a statement's caches
 //	POST /v1/insert/{table}  insert rows into a table
 //	POST /v1/delete/{table}  delete rows from a table

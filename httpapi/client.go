@@ -122,9 +122,9 @@ var sharedHTTPClient = &http.Client{Transport: sharedTransport}
 // The zero HTTPClient means a shared tuned transport (see sharedTransport);
 // BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 //
-// Resilience: idempotent calls (Query, Refresh, Metrics, Healthz) are
-// retried per Retry with capped exponential backoff plus jitter, honoring
-// the server's Retry-After on 429/503. Mutations (Insert, Delete,
+// Resilience: idempotent calls (Query, Coreset, Refresh, Metrics, Health)
+// are retried per Retry with capped exponential backoff plus jitter,
+// honoring the server's Retry-After on 429/503. Mutations (Insert, Delete,
 // Snapshot) retry only failures that prove the request was never applied —
 // a refused connection, or a 429/503 rejection — keeping applied-counts
 // exact. Setting HedgePercentile additionally hedges slow idempotent
@@ -429,7 +429,7 @@ func (c *Client) Coreset(ctx context.Context, name string, cr CoresetRequest) (*
 	if err := c.do(ctx, http.MethodPost, "/v1/coreset/"+name, cr, &cs, true); err != nil {
 		return nil, err
 	}
-	rows, err := NormalizeRows(cs.Rows)
+	rows, err := decodeSet(cs.Rows)
 	if err != nil {
 		return nil, err
 	}
@@ -478,17 +478,4 @@ func (c *Client) Health(ctx context.Context) (HealthBody, error) {
 	var h HealthBody
 	err := c.do(ctx, http.MethodGet, "/healthz", nil, &h, true)
 	return h, err
-}
-
-// Healthz reports whether the server answers its liveness probe with full
-// (writable) health; a degraded server is an error carrying its status.
-func (c *Client) Healthz(ctx context.Context) error {
-	h, err := c.Health(ctx)
-	if err != nil {
-		return err
-	}
-	if h.Status != "ok" {
-		return fmt.Errorf("httpapi: health status %q", h.Status)
-	}
-	return nil
 }

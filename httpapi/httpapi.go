@@ -1,6 +1,7 @@
 // Package httpapi is the JSON-over-HTTP facade of the diversification
-// service: the wire request/response types, an http.Handler serving them
-// from a diversification.Service, and a small Go client. The protocol:
+// service: the wire request/response types, one http.Handler serving them
+// from a Backend — a single-engine diversification.Service or a cluster
+// coordinator — and a small Go client. The protocol:
 //
 //	POST /v1/query/{name}     run a Request against a registered statement
 //	POST /v1/coreset/{name}   extract a shard-local k′-coreset for cluster merge
@@ -11,11 +12,14 @@
 //	GET  /healthz             liveness
 //	GET  /metrics             service counters (admission, traffic, WAL)
 //
+// The coreset route is mounted only on backends that produce coresets (a
+// single engine serving as a shard); a coordinator answers it with 404.
 // Responses are the library's own JSON forms (diversification.Response,
 // RefreshInfo, Metrics, SnapshotInfo). Errors are {"error": ..., "field":
 // ...} with the status mapping: invalid arguments 400, unknown statement
 // or table 404, snapshot of a non-durable engine 409, no candidate set
-// 422, admission queue full 429, deadline exceeded 504, anything else 500.
+// 422, admission queue full 429, deadline exceeded 504, anything else 500;
+// a shard failure forwarded by a coordinator keeps the shard's status.
 package httpapi
 
 import (
@@ -138,16 +142,6 @@ func (cr CoresetRequest) ToSpec() (diversification.CoresetSpec, error) {
 		spec.Objective = &obj
 	}
 	return spec, nil
-}
-
-// NormalizeRows applies the wire scalar normalization to JSON-decoded rows
-// of attribute values: json.Number and exactly-integral float64 values
-// become int64 under the library's single int/float boundary rule. A
-// cluster coordinator uses it to restore shard coreset rows to the value
-// types the engine stores, so re-inserted rows compare equal to the
-// originals.
-func NormalizeRows(rows [][]interface{}) ([][]interface{}, error) {
-	return decodeSet(rows)
 }
 
 // decodeSet normalizes JSON-decoded candidate rows: json.Number values

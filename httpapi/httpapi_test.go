@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/big"
 	"net/http"
 	"net/http/httptest"
@@ -67,8 +68,8 @@ func TestEndToEndQuery(t *testing.T) {
 	client, _ := testClient(t)
 	ctx := context.Background()
 
-	if err := client.Healthz(ctx); err != nil {
-		t.Fatal(err)
+	if h, err := client.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("health = %+v, %v; want ok", h, err)
 	}
 
 	resp, err := client.Query(ctx, "catalog", QueryRequest{})
@@ -185,15 +186,25 @@ func TestErrorMapping(t *testing.T) {
 }
 
 func TestWriteErrorStatuses(t *testing.T) {
-	// The mappings not reachable deterministically over a live server.
+	// The mappings not reachable deterministically over a live server, and
+	// the shard failures a coordinator forwards. A zero body means the
+	// response must carry err.Error().
+	unknown := ErrorBody{Error: `diversification: unknown statement: "nope"`}
+	readOnly := ErrorBody{Error: "diversification: engine is read-only"}
 	cases := []struct {
-		err  error
-		code int
+		err        error
+		code       int
+		retryAfter string
+		body       ErrorBody
 	}{
-		{diversification.ErrOverloaded, http.StatusTooManyRequests},
-		{context.DeadlineExceeded, http.StatusGatewayTimeout},
-		{context.Canceled, http.StatusGatewayTimeout},
-		{errors.New("boom"), http.StatusInternalServerError},
+		{diversification.ErrOverloaded, http.StatusTooManyRequests, "1", ErrorBody{}},
+		{context.DeadlineExceeded, http.StatusGatewayTimeout, "", ErrorBody{}},
+		{context.Canceled, http.StatusGatewayTimeout, "", ErrorBody{}},
+		{errors.New("boom"), http.StatusInternalServerError, "", ErrorBody{}},
+		{&StatusError{Code: http.StatusNotFound, Body: unknown}, http.StatusNotFound, "", unknown},
+		{fmt.Errorf("cluster: shard[0]: %w", &StatusError{Code: http.StatusServiceUnavailable, Body: readOnly, RetryAfter: 2 * time.Second}),
+			http.StatusServiceUnavailable, "1", readOnly},
+		{&StatusError{Code: http.StatusBadGateway}, http.StatusBadGateway, "", ErrorBody{}},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -201,8 +212,16 @@ func TestWriteErrorStatuses(t *testing.T) {
 		if rec.Code != tc.code {
 			t.Errorf("writeError(%v) = %d, want %d", tc.err, rec.Code, tc.code)
 		}
-		if !strings.Contains(rec.Body.String(), "error") {
-			t.Errorf("writeError(%v) body %q lacks an error field", tc.err, rec.Body.String())
+		if got := rec.Header().Get("Retry-After"); got != tc.retryAfter {
+			t.Errorf("writeError(%v) Retry-After %q, want %q", tc.err, got, tc.retryAfter)
+		}
+		want := tc.body
+		if want == (ErrorBody{}) {
+			want = ErrorBody{Error: tc.err.Error()}
+		}
+		var got ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got != want {
+			t.Errorf("writeError(%v) body %q, want %+v", tc.err, rec.Body.String(), want)
 		}
 	}
 }

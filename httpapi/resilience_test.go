@@ -240,7 +240,4 @@ func TestHealthReportsDegraded(t *testing.T) {
 	if h.Status != "degraded" || !h.ReadOnly {
 		t.Fatalf("Health = %+v, want degraded/read-only", h)
 	}
-	if err := client.Healthz(context.Background()); err == nil {
-		t.Fatal("Healthz on a degraded server returned nil")
-	}
 }

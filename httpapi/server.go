@@ -21,89 +21,87 @@ const maxBodyBytes = 1 << 20
 // have no small-message guarantee.
 const maxResponseBytes = 64 << 20
 
+// Backend is what the wire protocol is served from: a single-engine
+// Service (NewHandler adapts one) or a cluster coordinator. It lives here —
+// not in internal/cluster — so the coordinator can depend on httpapi for
+// its shard clients without an import cycle: cluster implements this
+// interface, cmd/divserve wires the two together.
+//
+// Do answers a wire query, Refresh/Mutate/Snapshot are the control plane
+// (Mutate receives rows already normalized by the wire scalar rule),
+// Metrics reports the backend's counters and Health its liveness.
+type Backend interface {
+	Do(ctx context.Context, name string, qr QueryRequest) (*diversification.Response, error)
+	Refresh(ctx context.Context, name string) (diversification.RefreshInfo, error)
+	Mutate(ctx context.Context, table string, rows [][]interface{}, del bool) (MutateBody, error)
+	Snapshot(ctx context.Context) (diversification.SnapshotInfo, error)
+	Metrics() diversification.Metrics
+	Health(ctx context.Context) HealthBody
+}
+
+// coresetBackend is the optional capability behind POST /v1/coreset/{name}.
+// A single engine (a shard) produces coresets; a coordinator consumes them
+// and, lacking the method, answers the route with 404.
+type coresetBackend interface {
+	Coreset(ctx context.Context, name string, cr CoresetRequest) (*diversification.Coreset, error)
+}
+
 // NewHandler serves the diversification wire protocol from svc. Routing
 // uses the standard library mux only, so the facade composes under any
 // outer middleware stack.
-func NewHandler(svc *diversification.Service) http.Handler {
+func NewHandler(svc *diversification.Service) http.Handler { return newHandler(service{svc}) }
+
+// NewClusterHandler serves the same wire protocol from a cluster
+// coordinator, so clients (cmd/divquery, httpapi.Client) talk to a
+// coordinator and a single engine identically.
+func NewClusterHandler(b Backend) http.Handler { return newHandler(b) }
+
+func newHandler(b Backend) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := HealthBody{Status: "ok"}
-		if svc.Engine().ReadOnly() {
-			// Still alive and serving queries — degraded says "stop
-			// sending writes", not "take me out of rotation".
-			h = HealthBody{Status: "degraded", ReadOnly: true}
-		}
-		writeJSON(w, http.StatusOK, h)
+		writeJSON(w, http.StatusOK, b.Health(r.Context()))
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, svc.Metrics())
+		writeJSON(w, http.StatusOK, b.Metrics())
 	})
 	mux.HandleFunc("POST /v1/query/{name}", func(w http.ResponseWriter, r *http.Request) {
 		var qr QueryRequest
 		if !readJSON(w, r, &qr) {
 			return
 		}
-		req, err := qr.ToRequest()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
 		ctx, cancel := requestContext(r.Context(), qr.TimeoutMillis)
 		defer cancel()
-		resp, err := svc.Do(ctx, r.PathValue("name"), req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+		resp, err := b.Do(ctx, r.PathValue("name"), qr)
+		reply(w, resp, err)
 	})
-	mux.HandleFunc("POST /v1/coreset/{name}", func(w http.ResponseWriter, r *http.Request) {
-		var cr CoresetRequest
-		if !readJSON(w, r, &cr) {
-			return
-		}
-		spec, err := cr.ToSpec()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		ctx, cancel := requestContext(r.Context(), cr.TimeoutMillis)
-		defer cancel()
-		cs, err := svc.Coreset(ctx, r.PathValue("name"), spec)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, cs)
-	})
+	if cb, ok := b.(coresetBackend); ok {
+		mux.HandleFunc("POST /v1/coreset/{name}", func(w http.ResponseWriter, r *http.Request) {
+			var cr CoresetRequest
+			if !readJSON(w, r, &cr) {
+				return
+			}
+			ctx, cancel := requestContext(r.Context(), cr.TimeoutMillis)
+			defer cancel()
+			cs, err := cb.Coreset(ctx, r.PathValue("name"), cr)
+			reply(w, cs, err)
+		})
+	}
 	mux.HandleFunc("POST /v1/refresh/{name}", func(w http.ResponseWriter, r *http.Request) {
-		info, err := svc.Refresh(r.Context(), r.PathValue("name"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
+		info, err := b.Refresh(r.Context(), r.PathValue("name"))
+		reply(w, info, err)
 	})
-	mux.HandleFunc("POST /v1/insert/{table}", mutateHandler(svc, false))
-	mux.HandleFunc("POST /v1/delete/{table}", mutateHandler(svc, true))
+	mux.HandleFunc("POST /v1/insert/{table}", mutateHandler(b, false))
+	mux.HandleFunc("POST /v1/delete/{table}", mutateHandler(b, true))
 	mux.HandleFunc("POST /v1/admin/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		info, err := svc.Snapshot(r.Context())
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
+		info, err := b.Snapshot(r.Context())
+		reply(w, info, err)
 	})
 	return mux
 }
 
-// mutateHandler serves the insert/delete routes: decode rows, apply them
-// through the engine (each batch row is one engine mutation — WAL-logged
-// and journal-stamped before the loop moves on), and report the applied
-// count plus the generation the batch ended at. A bad row aborts the batch
-// mid-way; rows before it are already committed, which the generation in
-// the error-free prefix semantics makes observable rather than hidden.
-func mutateHandler(svc *diversification.Service, del bool) http.HandlerFunc {
+// mutateHandler serves the insert/delete routes: decode the rows through
+// the wire scalar rule and hand the batch to the backend.
+func mutateHandler(b Backend, del bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var mr MutateRequest
 		if !readJSON(w, r, &mr) {
@@ -118,23 +116,64 @@ func mutateHandler(svc *diversification.Service, del bool) http.HandlerFunc {
 			writeError(w, err)
 			return
 		}
-		eng := svc.Engine()
-		table := r.PathValue("table")
-		before := eng.Generation()
-		for _, row := range rows {
-			if del {
-				_, err = eng.Delete(table, row...)
-			} else {
-				err = eng.Insert(table, row...)
-			}
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-		}
-		after := eng.Generation()
-		writeJSON(w, http.StatusOK, MutateBody{Applied: int(after - before), Generation: after})
+		mb, err := b.Mutate(r.Context(), r.PathValue("table"), rows, del)
+		reply(w, mb, err)
 	}
+}
+
+// service adapts a single-engine Service to Backend: the wire forms lower
+// onto the library's typed Request and CoresetSpec, a mutation batch runs
+// through the engine, and health reflects read-only mode. Refresh,
+// Snapshot and Metrics are the Service's own.
+type service struct{ *diversification.Service }
+
+func (s service) Do(ctx context.Context, name string, qr QueryRequest) (*diversification.Response, error) {
+	req, err := qr.ToRequest()
+	if err != nil {
+		return nil, err
+	}
+	return s.Service.Do(ctx, name, req)
+}
+
+func (s service) Coreset(ctx context.Context, name string, cr CoresetRequest) (*diversification.Coreset, error) {
+	spec, err := cr.ToSpec()
+	if err != nil {
+		return nil, err
+	}
+	return s.Service.Coreset(ctx, name, spec)
+}
+
+// Mutate applies the batch row by row — each row is one engine mutation,
+// WAL-logged and journal-stamped before the loop moves on — and reports the
+// applied count plus the generation the batch ended at. A bad row aborts the
+// batch mid-way; rows before it are already committed, which the generation
+// in the error-free prefix semantics makes observable rather than hidden.
+func (s service) Mutate(_ context.Context, table string, rows [][]interface{}, del bool) (MutateBody, error) {
+	eng := s.Engine()
+	before := eng.Generation()
+	for _, row := range rows {
+		var err error
+		if del {
+			_, err = eng.Delete(table, row...)
+		} else {
+			err = eng.Insert(table, row...)
+		}
+		if err != nil {
+			return MutateBody{}, err
+		}
+	}
+	after := eng.Generation()
+	return MutateBody{Applied: int(after - before), Generation: after}, nil
+}
+
+// Health reports a read-only engine as degraded: still alive and serving
+// queries — degraded says "stop sending writes", not "take me out of
+// rotation".
+func (s service) Health(context.Context) HealthBody {
+	if s.Engine().ReadOnly() {
+		return HealthBody{Status: "degraded", ReadOnly: true}
+	}
+	return HealthBody{Status: "ok"}
 }
 
 // requestContext applies the wire-level per-request timeout, if any.
@@ -167,15 +206,36 @@ func readJSON(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 	return true
 }
 
-// writeError maps a service/library error onto the wire: typed argument
-// errors and their field to 400, unknown statements and tables to 404,
-// snapshotting a non-durable engine to 409, "no candidate set" to 422,
+// reply writes v as a 200, or err through writeError.
+func reply(w http.ResponseWriter, v interface{}, err error) {
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
+// writeError maps a backend error onto the wire. A shard failure forwarded
+// by a coordinator keeps the shard's status and body — an unknown
+// statement is 404 whether one engine or eight said so. Otherwise: typed
+// argument errors and their field to 400, unknown statements and tables to
+// 404, snapshotting a non-durable engine to 409, "no candidate set" to 422,
 // admission rejection to 429 (with Retry-After), a read-only degraded
 // engine to 503 (with Retry-After — the recovery probe usually restores
 // write mode within seconds), deadlines to 504, everything else to 500.
 func writeError(w http.ResponseWriter, err error) {
+	var serr *StatusError
 	var argErr *diversification.ArgError
 	switch {
+	case errors.As(err, &serr):
+		if serr.RetryAfter > 0 {
+			w.Header().Set("Retry-After", "1")
+		}
+		body := serr.Body
+		if body.Error == "" {
+			body.Error = err.Error()
+		}
+		writeJSON(w, serr.Code, body)
 	case errors.As(err, &argErr):
 		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Field: argErr.Field})
 	case errors.Is(err, diversification.ErrUnknownStatement),

@@ -3,10 +3,16 @@ package cluster
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -422,5 +428,95 @@ func TestShardOfDeterministicAndCovering(t *testing.T) {
 	b := []interface{}{"x", "c1", int64(42)}
 	if ShardOf(a, 8) != ShardOf(b, 8) || RowKey(a) != RowKey(b) {
 		t.Fatal("int and int64 spellings of a row must route to the same shard")
+	}
+}
+
+// TestClusterMutateReportsEveryAppliedShard pins the partial-failure
+// report of a routed mutation: with one row bound for each of two shards
+// and shard 0 down, shard 1 still applies its row, and the error counts
+// it — the applied total covers every shard that succeeded, not only the
+// ones before the failure in index order.
+func TestClusterMutateReportsEveryAppliedShard(t *testing.T) {
+	coord, servers := newCluster(t, testRows(10), 2, 0, testOpts(3, 0.5, diversification.MaxSum))
+	var batch [][]interface{}
+	for i, owner := 0, 0; owner < 2; i++ {
+		row := []interface{}{fmt.Sprintf("new-%d", i), "c0", int64(1)}
+		if ShardOf(row, 2) == owner {
+			batch = append(batch, row)
+			owner++
+		}
+	}
+	servers[0].Close()
+	_, err := coord.Mutate(context.Background(), "pts", batch, false)
+	if err == nil || !strings.Contains(err.Error(), "(1 rows applied on other shards)") {
+		t.Fatalf("mutate with shard 0 down: %v, want the error to count shard 1's applied row", err)
+	}
+}
+
+// updateWire regenerates the coordinator wire transcript:
+//
+//	go test ./internal/cluster -run TestClusterWireGolden -update
+var updateWire = flag.Bool("update", false, "rewrite testdata/golden/wire.txt from the coordinator's current responses")
+
+// TestClusterWireGolden pins the coordinator's wire protocol byte for
+// byte: status codes, Retry-After and bodies (elapsed_ns scrubbed) for a
+// healthy merge, the typed and forwarded error paths, routed mutations,
+// the control-plane fan-out and the routes a coordinator does not serve.
+func TestClusterWireGolden(t *testing.T) {
+	coord, _ := newCluster(t, testRows(30), 3, 0, testOpts(3, 0.5, diversification.MaxSum))
+	srv := httptest.NewServer(httpapi.NewClusterHandler(coord))
+	defer srv.Close()
+	steps := []struct{ method, path, body string }{
+		{"GET", "/healthz", ""},
+		{"POST", "/v1/query/pts", `{}`},
+		{"POST", "/v1/query/nope", `{}`},
+		{"POST", "/v1/query/pts", `{"problem":"count"}`},
+		{"POST", "/v1/query/pts", `{"k":`},
+		{"POST", "/v1/coreset/pts", `{}`},
+		{"POST", "/v1/insert/pts", `{"rows":[]}`},
+		{"POST", "/v1/insert/pts", `{"rows":[["id-star","c9",10000000]]}`},
+		{"POST", "/v1/query/pts", `{"k":2}`},
+		{"POST", "/v1/delete/pts", `{"rows":[["id-star","c9",10000000]]}`},
+		{"POST", "/v1/refresh/pts", ""},
+		{"POST", "/v1/refresh/nope", ""},
+		{"POST", "/v1/admin/snapshot", ""},
+		{"GET", "/v1/query/pts", ""},
+	}
+	elapsed := regexp.MustCompile(`"elapsed_ns":[0-9]+`)
+	var transcript strings.Builder
+	for _, s := range steps {
+		req, err := http.NewRequest(s.method, srv.URL+s.path, strings.NewReader(s.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", s.method, s.path, err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := elapsed.ReplaceAllString(strings.TrimSpace(string(raw)), `"elapsed_ns":0`)
+		fmt.Fprintf(&transcript, "$ %s %s %s\n%d retry-after=%q %s\n",
+			s.method, s.path, s.body, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	golden := filepath.Join("testdata", "golden", "wire.txt")
+	if *updateWire {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(transcript.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file %s (run `go test ./internal/cluster -run TestClusterWireGolden -update`): %v", golden, err)
+	}
+	if string(want) != transcript.String() {
+		t.Errorf("coordinator transcript diverged from %s\n--- want ---\n%s\n--- got ---\n%s", golden, want, transcript.String())
 	}
 }

@@ -49,7 +49,7 @@ type shardState struct {
 	lastCoreset atomic.Int64
 }
 
-func (sh *shardState) observe(elapsed time.Duration, err error, coresetRows int) {
+func (sh *shardState) observe(elapsed time.Duration, err error) {
 	sh.requests.Add(1)
 	ns := elapsed.Nanoseconds()
 	sh.lastLatency.Store(ns)
@@ -61,15 +61,13 @@ func (sh *shardState) observe(elapsed time.Duration, err error, coresetRows int)
 	}
 	if err != nil {
 		sh.errors.Add(1)
-		return
 	}
-	sh.lastCoreset.Store(int64(coresetRows))
 }
 
 // Coordinator fans diversify requests out to the cluster's shards, merges
 // their k′-coresets and solves over the union on a local plane. It
-// implements httpapi.ClusterBackend, so cmd/divserve serves it over the
-// same wire protocol as a single engine.
+// implements httpapi.Backend, so cmd/divserve serves it over the same wire
+// protocol as a single engine.
 type Coordinator struct {
 	cfg    Config
 	shards []*shardState
@@ -104,11 +102,39 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// shardResult is one shard's fan-out outcome.
-type shardResult struct {
-	cs      *diversification.Coreset
+// shardResult is one shard's outcome in a fan-out.
+type shardResult[T any] struct {
+	val     T
 	err     error
 	elapsed time.Duration
+}
+
+// fan calls call on every shard that skip does not exclude (nil skips
+// none), all concurrently, and waits for them. Each call's latency and
+// outcome land on its shard's counters, and a failure counts in
+// fan_out_errors. Results are indexed by shard; a skipped shard's is zero.
+func fan[T any](c *Coordinator, skip func(i int) bool, call func(i int, sh *shardState) (T, error)) []shardResult[T] {
+	out := make([]shardResult[T], len(c.shards))
+	var wg sync.WaitGroup
+	for i, sh := range c.shards {
+		if skip != nil && skip(i) {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, sh *shardState) {
+			defer wg.Done()
+			t0 := time.Now()
+			v, err := call(i, sh)
+			elapsed := time.Since(t0)
+			sh.observe(elapsed, err)
+			if err != nil {
+				c.fanErrs.Add(1)
+			}
+			out[i] = shardResult[T]{val: v, err: err, elapsed: elapsed}
+		}(i, sh)
+	}
+	wg.Wait()
+	return out
 }
 
 // Do fans the diversify request to every shard, merges the returned
@@ -153,14 +179,14 @@ func (c *Coordinator) do(ctx context.Context, name string, qr httpapi.QueryReque
 
 // validateClusterRequest rejects request shapes that do not distribute.
 func validateClusterRequest(qr httpapi.QueryRequest) error {
-	problem, err := diversification.ParseProblem(qr.Problem)
+	req, err := qr.ToRequest()
 	if err != nil {
 		return err
 	}
-	if problem != diversification.ProblemDiversify {
-		return &diversification.ArgError{Field: "problem", Reason: fmt.Sprintf("%s does not distribute: it interrogates the full answer set, which no shard holds; the cluster coordinator serves diversify only", problem)}
+	if req.Problem != diversification.ProblemDiversify {
+		return &diversification.ArgError{Field: "problem", Reason: fmt.Sprintf("%s does not distribute: it interrogates the full answer set, which no shard holds; the cluster coordinator serves diversify only", req.Problem)}
 	}
-	if qr.Set != nil {
+	if req.Set != nil {
 		return &diversification.ArgError{Field: "set", Reason: "per-request candidate sets are not supported in cluster mode"}
 	}
 	if len(qr.Constraints) > 0 {
@@ -169,58 +195,32 @@ func validateClusterRequest(qr httpapi.QueryRequest) error {
 	if qr.RelevanceAttr != "" || qr.DistanceAttr != "" {
 		return &diversification.ArgError{Field: "relevance_attr", Reason: "per-request scoring overrides are not supported in cluster mode (shards ship scores under their prepared bindings)"}
 	}
-	if qr.Bound != nil || qr.Rank != nil {
+	if req.Bound != nil || req.Rank != nil {
 		return &diversification.ArgError{Field: "bound", Reason: "bound/rank apply to decide/count/in-top-r/rank, which do not distribute"}
 	}
-	if qr.Objective != nil {
-		obj, err := diversification.ParseObjective(*qr.Objective)
-		if err != nil {
-			return err
-		}
-		if obj == diversification.Mono {
-			return &diversification.ArgError{Field: "objective", Reason: "mono objective is not coreset-mergeable (its value depends on all of Q(D), which no shard holds)"}
-		}
+	if req.Objective != nil && *req.Objective == diversification.Mono {
+		return &diversification.ArgError{Field: "objective", Reason: "mono objective is not coreset-mergeable (its value depends on all of Q(D), which no shard holds)"}
 	}
-	if qr.Algorithm != nil {
-		alg, err := diversification.ParseAlgorithm(*qr.Algorithm)
-		if err != nil {
-			return err
-		}
-		if alg != diversification.Auto && alg != diversification.Greedy {
-			return &diversification.ArgError{Field: "algorithm", Reason: fmt.Sprintf("%s is not available in cluster mode: the coreset merge's 2-approximation holds for the greedy composition only", alg)}
-		}
+	if alg := req.Algorithm; alg != nil && *alg != diversification.Auto && *alg != diversification.Greedy {
+		return &diversification.ArgError{Field: "algorithm", Reason: fmt.Sprintf("%s is not available in cluster mode: the coreset merge's 2-approximation holds for the greedy composition only", *alg)}
 	}
 	return nil
 }
 
 // fanOut issues the coreset request to every shard concurrently.
-func (c *Coordinator) fanOut(ctx context.Context, name string, qr httpapi.QueryRequest) []shardResult {
+func (c *Coordinator) fanOut(ctx context.Context, name string, qr httpapi.QueryRequest) []shardResult[*diversification.Coreset] {
 	cr := httpapi.CoresetRequest{K: qr.K, Lambda: qr.Lambda, Objective: qr.Objective, TimeoutMillis: qr.TimeoutMillis}
 	if c.cfg.Slack >= 0 {
 		slack := c.cfg.Slack
 		cr.Slack = &slack
 	}
-	out := make([]shardResult, len(c.shards))
-	var wg sync.WaitGroup
-	for i, sh := range c.shards {
-		wg.Add(1)
-		go func(i int, sh *shardState) {
-			defer wg.Done()
-			t0 := time.Now()
-			cs, err := sh.client.Coreset(ctx, name, cr)
-			elapsed := time.Since(t0)
-			rows := 0
-			if cs != nil {
-				rows = len(cs.Rows)
-			}
-			sh.observe(elapsed, err, rows)
-			if err != nil {
-				c.fanErrs.Add(1)
-			}
-			out[i] = shardResult{cs: cs, err: err, elapsed: elapsed}
-		}(i, sh)
-	}
-	wg.Wait()
+	out := fan(c, nil, func(_ int, sh *shardState) (*diversification.Coreset, error) {
+		cs, err := sh.client.Coreset(ctx, name, cr)
+		if err == nil {
+			sh.lastCoreset.Store(int64(len(cs.Rows)))
+		}
+		return cs, err
+	})
 	c.fanOuts.Add(1)
 	return out
 }
@@ -249,7 +249,7 @@ type mergedCoresets struct {
 // deterministic choice. Rows come out in canonical key order, which fixes
 // the coordinator plane's ID order. Shard failures become degradation
 // notes unless every shard failed, which is an error.
-func (c *Coordinator) merge(results []shardResult) (*mergedCoresets, error) {
+func (c *Coordinator) merge(results []shardResult[*diversification.Coreset]) (*mergedCoresets, error) {
 	m := &mergedCoresets{scores: make(map[string]float64)}
 	var firstErr error
 	seen := make(map[string][]interface{})
@@ -263,7 +263,7 @@ func (c *Coordinator) merge(results []shardResult) (*mergedCoresets, error) {
 			m.notes = append(m.notes, fmt.Sprintf("shard[%d] %s: %v", i, c.shards[i].addr, r.err))
 			continue
 		}
-		cs := r.cs
+		cs := r.val
 		if !settingsSet {
 			m.schema = cs.Schema
 			m.k = cs.K
@@ -366,7 +366,7 @@ func (c *Coordinator) solveMerged(ctx context.Context, m *mergedCoresets, explai
 // explain — a cluster trailer records the per-shard coreset sizes and the
 // slowest shard, keeping the report truthful about where the answer came
 // from.
-func (c *Coordinator) decorate(resp *diversification.Response, m *mergedCoresets, results []shardResult, explain bool) {
+func (c *Coordinator) decorate(resp *diversification.Response, m *mergedCoresets, results []shardResult[*diversification.Coreset], explain bool) {
 	resp.Generation = m.generation
 	resp.Cached = resp.Cached || m.cached
 	if m.degraded || m.anyDown {
@@ -391,7 +391,7 @@ func (c *Coordinator) decorate(resp *diversification.Response, m *mergedCoresets
 		if r.err != nil {
 			sizes[i] = "-"
 		} else {
-			sizes[i] = fmt.Sprintf("%d", len(r.cs.Rows))
+			sizes[i] = fmt.Sprintf("%d", len(r.val.Rows))
 		}
 		if slowest < 0 || r.elapsed > results[slowest].elapsed {
 			slowest = i
@@ -420,30 +420,17 @@ func (c *Coordinator) decorate(resp *diversification.Response, m *mergedCoresets
 // call whose caller needs to know the whole cluster is current.
 func (c *Coordinator) Refresh(ctx context.Context, name string) (diversification.RefreshInfo, error) {
 	c.requests.Add(1)
-	infos := make([]diversification.RefreshInfo, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i, sh := range c.shards {
-		wg.Add(1)
-		go func(i int, sh *shardState) {
-			defer wg.Done()
-			t0 := time.Now()
-			infos[i], errs[i] = sh.client.Refresh(ctx, name)
-			sh.observe(time.Since(t0), errs[i], int(sh.lastCoreset.Load()))
-			if errs[i] != nil {
-				c.fanErrs.Add(1)
-			}
-		}(i, sh)
-	}
-	wg.Wait()
+	results := fan(c, nil, func(_ int, sh *shardState) (diversification.RefreshInfo, error) {
+		return sh.client.Refresh(ctx, name)
+	})
 	var merged diversification.RefreshInfo
 	rank := map[string]int{"": 0, "warm": 1, "delta": 2, "rebuild": 3}
-	for i, err := range errs {
-		if err != nil {
+	for i, r := range results {
+		if r.err != nil {
 			c.failures.Add(1)
-			return diversification.RefreshInfo{}, fmt.Errorf("cluster: refresh shard[%d] %s: %w", i, c.shards[i].addr, err)
+			return diversification.RefreshInfo{}, fmt.Errorf("cluster: refresh shard[%d] %s: %w", i, c.shards[i].addr, r.err)
 		}
-		info := infos[i]
+		info := r.val
 		if rank[info.Mode] > rank[merged.Mode] {
 			merged.Mode = info.Mode
 		}
@@ -459,9 +446,9 @@ func (c *Coordinator) Refresh(ctx context.Context, name string) (diversification
 // applies the per-shard batches concurrently. Applied counts sum; the
 // reported generation is the sum of the touched shards' post-batch
 // generations (an advisory watermark, not the full cluster's). A shard
-// failure aborts with an error — rows routed to healthy shards in the same
-// batch may already be applied, which the per-shard applied counts in the
-// error make observable rather than hidden.
+// failure is an error naming the first failed shard; the other shards'
+// batches still apply, and the error reports their summed applied count,
+// making the partial batch observable rather than hidden.
 func (c *Coordinator) Mutate(ctx context.Context, table string, rows [][]interface{}, del bool) (httpapi.MutateBody, error) {
 	c.requests.Add(1)
 	batches := make([][][]interface{}, len(c.shards))
@@ -469,39 +456,28 @@ func (c *Coordinator) Mutate(ctx context.Context, table string, rows [][]interfa
 		i := ShardOf(row, len(c.shards))
 		batches[i] = append(batches[i], row)
 	}
-	bodies := make([]httpapi.MutateBody, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i, batch := range batches {
-		if len(batch) == 0 {
+	results := fan(c, func(i int) bool { return len(batches[i]) == 0 }, func(i int, sh *shardState) (httpapi.MutateBody, error) {
+		if del {
+			return sh.client.Delete(ctx, table, batches[i])
+		}
+		return sh.client.Insert(ctx, table, batches[i])
+	})
+	var out httpapi.MutateBody
+	failed := -1
+	for i, r := range results {
+		if r.err != nil {
+			if failed < 0 {
+				failed = i
+			}
 			continue
 		}
-		wg.Add(1)
-		go func(i int, batch [][]interface{}) {
-			defer wg.Done()
-			sh := c.shards[i]
-			t0 := time.Now()
-			if del {
-				bodies[i], errs[i] = sh.client.Delete(ctx, table, batch)
-			} else {
-				bodies[i], errs[i] = sh.client.Insert(ctx, table, batch)
-			}
-			sh.observe(time.Since(t0), errs[i], int(sh.lastCoreset.Load()))
-			if errs[i] != nil {
-				c.fanErrs.Add(1)
-			}
-		}(i, batch)
+		out.Applied += r.val.Applied
+		out.Generation += r.val.Generation
 	}
-	wg.Wait()
-	var out httpapi.MutateBody
-	for i, err := range errs {
-		if err != nil {
-			c.failures.Add(1)
-			return out, fmt.Errorf("cluster: mutate shard[%d] %s (%d rows applied on other shards): %w",
-				i, c.shards[i].addr, out.Applied, err)
-		}
-		out.Applied += bodies[i].Applied
-		out.Generation += bodies[i].Generation
+	if failed >= 0 {
+		c.failures.Add(1)
+		return out, fmt.Errorf("cluster: mutate shard[%d] %s (%d rows applied on other shards): %w",
+			failed, c.shards[failed].addr, out.Applied, results[failed].err)
 	}
 	return out, nil
 }
@@ -511,29 +487,16 @@ func (c *Coordinator) Mutate(ctx context.Context, table string, rows [][]interfa
 // not a snapshot.
 func (c *Coordinator) Snapshot(ctx context.Context) (diversification.SnapshotInfo, error) {
 	c.requests.Add(1)
-	infos := make([]diversification.SnapshotInfo, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i, sh := range c.shards {
-		wg.Add(1)
-		go func(i int, sh *shardState) {
-			defer wg.Done()
-			t0 := time.Now()
-			infos[i], errs[i] = sh.client.Snapshot(ctx)
-			sh.observe(time.Since(t0), errs[i], int(sh.lastCoreset.Load()))
-			if errs[i] != nil {
-				c.fanErrs.Add(1)
-			}
-		}(i, sh)
-	}
-	wg.Wait()
+	results := fan(c, nil, func(_ int, sh *shardState) (diversification.SnapshotInfo, error) {
+		return sh.client.Snapshot(ctx)
+	})
 	var out diversification.SnapshotInfo
-	for i, err := range errs {
-		if err != nil {
+	for i, r := range results {
+		if r.err != nil {
 			c.failures.Add(1)
-			return diversification.SnapshotInfo{}, fmt.Errorf("cluster: snapshot shard[%d] %s: %w", i, c.shards[i].addr, err)
+			return diversification.SnapshotInfo{}, fmt.Errorf("cluster: snapshot shard[%d] %s: %w", i, c.shards[i].addr, r.err)
 		}
-		out.Generation += infos[i].Generation
+		out.Generation += r.val.Generation
 	}
 	return out, nil
 }
