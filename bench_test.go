@@ -510,10 +510,10 @@ func BenchmarkFacade_EndToEnd(b *testing.B) {
 	}
 }
 
-// scorePlaneInstance builds an identity-query instance over n tuples whose
+// planeBenchInstance builds an identity-query instance over n tuples whose
 // δrel/δdis are table-backed — the workload where per-lookup Tuple.Key()
 // string building dominates and the interned score plane pays off most.
-func scorePlaneInstance(n, k int, kind objective.Kind, lambda float64) *core.Instance {
+func planeBenchInstance(n, k int, kind objective.Kind, lambda float64) *core.Instance {
 	rng := rand.New(rand.NewSource(42))
 	in := workload.Points(rng, n, 2, 1<<20, kind, lambda, k)
 	answers := in.Answers()
@@ -530,13 +530,12 @@ func scorePlaneInstance(n, k int, kind objective.Kind, lambda float64) *core.Ins
 	return in
 }
 
-// BenchmarkScorePlane tracks the interned score plane: build cost, the
-// solve-time gap with and without it, and the memoized fallback regime
-// above the materialization threshold. The plane/direct pairs are the
-// before/after numbers quoted in README's Performance section.
+// BenchmarkScorePlane tracks the interned score plane: build cost, solve
+// time on the materialized matrix, and the memoized fallback regime above
+// the materialization threshold.
 func BenchmarkScorePlane(b *testing.B) {
 	b.Run("build-materialized-n1000", func(b *testing.B) {
-		in := scorePlaneInstance(1000, 8, objective.MaxSum, 0.5)
+		in := planeBenchInstance(1000, 8, objective.MaxSum, 0.5)
 		answers := in.Answers()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -547,18 +546,15 @@ func BenchmarkScorePlane(b *testing.B) {
 		}
 	})
 	b.Run("greedy-fms-n200", func(b *testing.B) {
-		for _, mode := range []string{"plane", "memo-fallback", "direct"} {
+		for _, mode := range []string{"plane", "memo-fallback"} {
 			b.Run(mode, func(b *testing.B) {
-				in := scorePlaneInstance(200, 10, objective.MaxSum, 0.5)
-				switch mode {
-				case "plane":
+				in := planeBenchInstance(200, 10, objective.MaxSum, 0.5)
+				if mode == "plane" {
 					in.Plane().Materialize()
-				case "memo-fallback":
+				} else {
 					// Too small for the n=200 matrix (~156 KiB), so the
 					// plane serves from the capped sharded cache.
 					in.PlaneMaxBytes = 64 << 10
-				case "direct":
-					in.PlaneOff = true
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -570,45 +566,29 @@ func BenchmarkScorePlane(b *testing.B) {
 		}
 	})
 	b.Run("exact-fms-n200-k3", func(b *testing.B) {
-		for _, mode := range []string{"plane", "direct"} {
-			b.Run(mode, func(b *testing.B) {
-				in := scorePlaneInstance(200, 3, objective.MaxSum, 0.5)
-				if mode == "direct" {
-					in.PlaneOff = true
-				} else {
-					in.Plane().Materialize()
-				}
-				best := solver.QRDBest(in)
-				in.B = best.Value + 1 // refutation: the search must prove it
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if res := solver.QRDExact(in); res.Exists {
-						b.Fatal("refutation instance admitted a witness")
-					}
-				}
-			})
+		in := planeBenchInstance(200, 3, objective.MaxSum, 0.5)
+		in.Plane().Materialize()
+		best := solver.QRDBest(in)
+		in.B = best.Value + 1 // refutation: the search must prove it
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res := solver.QRDExact(in); res.Exists {
+				b.Fatal("refutation instance admitted a witness")
+			}
 		}
 	})
 	b.Run("mono-ptime-n1000", func(b *testing.B) {
-		for _, mode := range []string{"plane", "direct"} {
-			b.Run(mode, func(b *testing.B) {
-				in := scorePlaneInstance(1000, 10, objective.Mono, 0.5)
-				in.B = 1
-				if mode == "direct" {
-					in.PlaneOff = true
-				} else {
-					in.Plane() // warm: row sums cache on first solve
-					if _, err := solver.QRDMonoPTime(in); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := solver.QRDMonoPTime(in); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+		in := planeBenchInstance(1000, 10, objective.Mono, 0.5)
+		in.B = 1
+		// Warm: the row sums cache on the first solve.
+		if _, err := solver.QRDMonoPTime(in); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := solver.QRDMonoPTime(in); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

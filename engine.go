@@ -110,24 +110,9 @@ func (e *Engine) MustCreateTable(name string, attrs ...string) {
 func (e *Engine) Insert(table string, values ...interface{}) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.degraded.Load() {
-		return ErrReadOnly
-	}
-	r := e.db.Relation(table)
-	if r == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownTable, table)
-	}
-	if len(values) != r.Schema().Arity() {
-		return argErrorf("values", "table %q expects %d values, got %d",
-			table, r.Schema().Arity(), len(values))
-	}
-	t := make(relation.Tuple, len(values))
-	for i, v := range values {
-		cv, err := toValue(v)
-		if err != nil {
-			return argErrorf("values", "%v", err)
-		}
-		t[i] = cv
+	r, t, err := e.mutationRow(table, values)
+	if err != nil {
+		return err
 	}
 	if r.Insert(t) {
 		return e.afterMutation()
@@ -149,29 +134,40 @@ func (e *Engine) MustInsert(table string, values ...interface{}) {
 func (e *Engine) Delete(table string, values ...interface{}) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	r, t, err := e.mutationRow(table, values)
+	if err != nil {
+		return false, err
+	}
+	if r.Delete(t) {
+		return true, e.afterMutation()
+	}
+	return false, nil
+}
+
+// mutationRow is the shared front half of Insert and Delete, run under the
+// write lock: it refuses writes in read-only mode, resolves the table, and
+// converts values into a tuple of the table's arity.
+func (e *Engine) mutationRow(table string, values []interface{}) (*relation.Relation, relation.Tuple, error) {
 	if e.degraded.Load() {
-		return false, ErrReadOnly
+		return nil, nil, ErrReadOnly
 	}
 	r := e.db.Relation(table)
 	if r == nil {
-		return false, fmt.Errorf("%w: %q", ErrUnknownTable, table)
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownTable, table)
 	}
 	if len(values) != r.Schema().Arity() {
-		return false, argErrorf("values", "table %q expects %d values, got %d",
+		return nil, nil, argErrorf("values", "table %q expects %d values, got %d",
 			table, r.Schema().Arity(), len(values))
 	}
 	t := make(relation.Tuple, len(values))
 	for i, v := range values {
 		cv, err := toValue(v)
 		if err != nil {
-			return false, argErrorf("values", "%v", err)
+			return nil, nil, argErrorf("values", "%v", err)
 		}
 		t[i] = cv
 	}
-	if r.Delete(t) {
-		return true, e.afterMutation()
-	}
-	return false, nil
+	return r, t, nil
 }
 
 // SetJournalBound caps the database's change journal at n entries (values

@@ -335,3 +335,66 @@ func TestDegradedQueryGolden(t *testing.T) {
 			golden, want, transcript.String())
 	}
 }
+
+// goldenSections is a golden file made of named sections, one per subtest:
+// each section opens with a "== name ==" line. A subtest diffs only its
+// own section, so a failure names its cell and -run can select a subset;
+// -update rewrites the sections that ran and keeps the others.
+type goldenSections struct {
+	path  string
+	order []string
+	text  map[string]string
+}
+
+// loadGoldenSections reads testdata/golden/<name>; under -update it also
+// registers the rewrite to run once the calling test's subtests finish.
+func loadGoldenSections(t *testing.T, name string) *goldenSections {
+	t.Helper()
+	g := &goldenSections{path: filepath.Join("testdata", "golden", name), text: map[string]string{}}
+	data, err := os.ReadFile(g.path)
+	if err != nil && !(*updateGolden && os.IsNotExist(err)) {
+		t.Fatalf("missing golden file %s (run `go test -run %s -update .`): %v", g.path, t.Name(), err)
+	}
+	section := ""
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if strings.HasPrefix(line, "== ") && strings.HasSuffix(line, " ==\n") {
+			section = strings.TrimSuffix(strings.TrimPrefix(line, "== "), " ==\n")
+			g.order = append(g.order, section)
+			continue
+		}
+		g.text[section] += line
+	}
+	if *updateGolden {
+		t.Cleanup(func() {
+			var b strings.Builder
+			for _, s := range g.order {
+				fmt.Fprintf(&b, "== %s ==\n%s", s, g.text[s])
+			}
+			if err := os.WriteFile(g.path, []byte(b.String()), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	return g
+}
+
+// check diffs the calling subtest's output against the section named after
+// it (its name below the top-level test), or records it under -update.
+func (g *goldenSections) check(t *testing.T, got string) {
+	t.Helper()
+	name := t.Name()[strings.Index(t.Name(), "/")+1:]
+	want, ok := g.text[name]
+	if *updateGolden {
+		if !ok {
+			g.order = append(g.order, name)
+		}
+		g.text[name] = got
+		return
+	}
+	if !ok {
+		t.Fatalf("%s has no section %q (run with -update)", g.path, name)
+	}
+	if got != want {
+		t.Errorf("section %q diverged from %s\n--- want ---\n%s\n--- got ---\n%s", name, g.path, want, got)
+	}
+}

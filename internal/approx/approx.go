@@ -10,17 +10,17 @@
 //   - GreedyMaxMin — Gonzalez-style farthest-point greedy for max-min
 //     dispersion: start from the most relevant tuple and repeatedly add the
 //     tuple maximizing the minimum weighted distance/relevance to the chosen
-//     set. A 2-approximation for metric distances.
-//   - MMR — Maximal Marginal Relevance, the classic trade-off heuristic:
-//     each step picks argmax (1-λ)·δrel(t) + λ·min over chosen δdis(t, ·).
+//     set (the Maximal Marginal Relevance trade-off rule). A
+//     2-approximation for metric distances.
 //   - LocalSearchSwap — hill climbing by single-tuple swaps from any seed,
 //     for any objective, the paper's "heuristic algorithms" workhorse.
 //
-// All run in polynomial time; Quality measures their objective ratio
-// against the exact optimum for ablation experiments. Every procedure has a
-// Context variant that polls a cancellation context along its scan loops —
-// the heuristics are polynomial but still quadratic-or-worse in |Q(D)|, so
-// a production caller wants them interruptible too.
+// All run in polynomial time over the instance's interned score plane;
+// Quality measures their objective ratio against the exact optimum for
+// ablation experiments. Every procedure has a Context variant that polls a
+// cancellation context along its scan loops — the heuristics are
+// polynomial but still quadratic-or-worse in |Q(D)|, so a production
+// caller wants them interruptible too.
 package approx
 
 import (
@@ -47,65 +47,21 @@ func GreedyMaxSum(in *core.Instance) Result {
 	return res
 }
 
-// GreedyMaxSumContext is GreedyMaxSum under a cancellation context.
+// GreedyMaxSumContext is GreedyMaxSum under a cancellation context. It
+// maintains each candidate's running marginal gain on the score plane, so a
+// round is one O(n) array scan plus an O(n) gain update against the newly
+// chosen ID. Gains accumulate in chosen order, matching MaxSumDelta
+// bit-for-bit.
 func GreedyMaxSumContext(ctx context.Context, in *core.Instance) (Result, error) {
 	var res Result
-	answers, err := in.AnswersContext(ctx)
-	if err != nil {
+	p, ix, ok, err := greedyPlane(ctx, in)
+	if !ok {
 		return res, err
-	}
-	k := in.K
-	if k <= 0 || k > len(answers) {
-		return res, nil
 	}
 	c := ctxpoll.New(ctx)
-	if p, err := in.PlaneContext(ctx); err != nil {
-		return res, err
-	} else if p != nil {
-		// In the indexed regime the plane serves the greedy loops through
-		// its metric index (nil for every other regime).
-		if ix, err := p.IndexContext(ctx); err != nil {
-			return res, err
-		} else if ix != nil {
-			return greedyMaxSumIndexed(c, in, p, ix)
-		}
-		return greedyMaxSumPlane(c, in, p)
+	if ix != nil {
+		return greedyMaxSumIndexed(c, in, p, ix)
 	}
-	chosen := make([]relation.Tuple, 0, k)
-	used := make([]bool, len(answers))
-	for len(chosen) < k {
-		bestIdx, bestGain := -1, math.Inf(-1)
-		for i, t := range answers {
-			if used[i] {
-				continue
-			}
-			if c.Stop() {
-				return res, c.Err()
-			}
-			res.Steps++
-			g := in.Obj.MaxSumDelta(chosen, t, k)
-			if g > bestGain {
-				bestGain, bestIdx = g, i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		used[bestIdx] = true
-		chosen = append(chosen, answers[bestIdx])
-	}
-	res.Set = chosen
-	res.Value = in.Eval(chosen)
-	return res, nil
-}
-
-// greedyMaxSumPlane is the interned-ID variant of the max-sum greedy: it
-// maintains each candidate's running marginal gain, so a round is one O(n)
-// array scan plus an O(n) gain update against the newly chosen ID, instead
-// of the O(n·k) re-scoring of the interface path. Gains accumulate in
-// chosen order, matching MaxSumDelta bit-for-bit.
-func greedyMaxSumPlane(c *ctxpoll.Poller, in *core.Instance, p *objective.Plane) (Result, error) {
-	var res Result
 	o := in.Obj
 	n := p.Len()
 	k := in.K
@@ -145,6 +101,30 @@ func greedyMaxSumPlane(c *ctxpoll.Poller, in *core.Instance, p *objective.Plane)
 	return res, nil
 }
 
+// planeFor returns the instance's score plane for a heuristic selecting k
+// answers. ok is false, with a nil error, when k is outside [1, |Q(D)|]:
+// no k-set exists and the heuristic returns the empty Result.
+func planeFor(ctx context.Context, in *core.Instance, k int) (p *objective.Plane, ok bool, err error) {
+	answers, err := in.AnswersContext(ctx)
+	if err != nil || k <= 0 || k > len(answers) {
+		return nil, false, err
+	}
+	p, err = in.PlaneContext(ctx)
+	return p, err == nil, err
+}
+
+// greedyPlane is planeFor for the greedy loops over in.K answers, plus the
+// plane's metric index: in the indexed regime the loops run through it
+// (it is nil for every other regime).
+func greedyPlane(ctx context.Context, in *core.Instance) (*objective.Plane, *objective.MetricIndex, bool, error) {
+	p, ok, err := planeFor(ctx, in, in.K)
+	if !ok {
+		return nil, nil, false, err
+	}
+	ix, err := p.IndexContext(ctx)
+	return p, ix, err == nil, err
+}
+
 // planeTuples materializes the tuples interned as ids.
 func planeTuples(p *objective.Plane, ids []int) []relation.Tuple {
 	out := make([]relation.Tuple, len(ids))
@@ -162,77 +142,20 @@ func GreedyMaxMin(in *core.Instance) Result {
 	return res
 }
 
-// GreedyMaxMinContext is GreedyMaxMin under a cancellation context.
+// GreedyMaxMinContext is GreedyMaxMin under a cancellation context. It
+// maintains each candidate's running min-distance to the chosen set on the
+// score plane, so a round is an O(n) scan plus an O(n) min update against
+// the new member.
 func GreedyMaxMinContext(ctx context.Context, in *core.Instance) (Result, error) {
 	var res Result
-	answers, err := in.AnswersContext(ctx)
-	if err != nil {
+	p, ix, ok, err := greedyPlane(ctx, in)
+	if !ok {
 		return res, err
-	}
-	k := in.K
-	if k <= 0 || k > len(answers) {
-		return res, nil
 	}
 	c := ctxpoll.New(ctx)
-	o := in.Obj
-	if p, err := in.PlaneContext(ctx); err != nil {
-		return res, err
-	} else if p != nil {
-		if ix, err := p.IndexContext(ctx); err != nil {
-			return res, err
-		} else if ix != nil {
-			return greedyMaxMinIndexed(c, in, p, ix)
-		}
-		return greedyMaxMinPlane(c, in, p)
+	if ix != nil {
+		return greedyMaxMinIndexed(c, in, p, ix)
 	}
-	used := make([]bool, len(answers))
-	seed, seedRel := -1, math.Inf(-1)
-	for i, t := range answers {
-		res.Steps++
-		if r := o.Rel.Rel(t); r > seedRel {
-			seedRel, seed = r, i
-		}
-	}
-	chosen := []relation.Tuple{answers[seed]}
-	used[seed] = true
-	for len(chosen) < k {
-		bestIdx, bestScore := -1, math.Inf(-1)
-		for i, t := range answers {
-			if used[i] {
-				continue
-			}
-			if c.Stop() {
-				return res, c.Err()
-			}
-			res.Steps++
-			minDis := math.Inf(1)
-			for _, s := range chosen {
-				if d := o.Dis.Dis(s, t); d < minDis {
-					minDis = d
-				}
-			}
-			score := (1-o.Lambda)*o.Rel.Rel(t) + o.Lambda*minDis
-			if score > bestScore {
-				bestScore, bestIdx = score, i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		used[bestIdx] = true
-		chosen = append(chosen, answers[bestIdx])
-	}
-	res.Set = chosen
-	res.Value = in.Eval(chosen)
-	return res, nil
-}
-
-// greedyMaxMinPlane is the interned-ID variant of the farthest-point
-// greedy: it maintains each candidate's running min-distance to the chosen
-// set, so a round is an O(n) scan plus an O(n) min update against the new
-// member instead of an O(n·k) rescan through the interfaces.
-func greedyMaxMinPlane(c *ctxpoll.Poller, in *core.Instance, p *objective.Plane) (Result, error) {
-	var res Result
 	o := in.Obj
 	n := p.Len()
 	k := in.K
@@ -286,21 +209,12 @@ func greedyMaxMinPlane(c *ctxpoll.Poller, in *core.Instance, p *objective.Plane)
 	return res, nil
 }
 
-// MMR is Maximal Marginal Relevance: identical selection loop to
-// GreedyMaxMin but seeded by pure relevance and scoring candidates with the
-// classic MMR formula. Kept separate because benchmarks compare both.
-func MMR(in *core.Instance) Result {
-	// MMR and the farthest-point greedy share their iteration structure;
-	// the distinction in the literature is the seeding and that MMR is
-	// usually stated for max-marginal relevance over a similarity rather
-	// than distance. With δdis as dissimilarity they coincide.
-	return GreedyMaxMin(in)
-}
-
 // LocalSearchSwap improves a seed set by hill climbing: repeatedly apply the
 // single best swap (one chosen tuple out, one unchosen in) while the
 // objective strictly improves. Works for all three objectives; for Fmono it
-// converges to the optimum because the objective is modular.
+// converges to the optimum because the objective is modular. The seed must
+// be drawn from Q(D): an empty seed, one larger than Q(D), or one holding a
+// tuple outside Q(D) returns the empty Result.
 func LocalSearchSwap(in *core.Instance, seed []relation.Tuple) Result {
 	res, _ := LocalSearchSwapContext(context.Background(), in, seed)
 	return res
@@ -309,91 +223,21 @@ func LocalSearchSwap(in *core.Instance, seed []relation.Tuple) Result {
 // LocalSearchSwapContext is LocalSearchSwap under a cancellation context; a
 // cancelled climb returns the best set reached so far along with ctx's
 // error (hill climbing is anytime, so the partial set is still a valid —
-// just possibly non-local-optimal — selection).
+// just possibly non-local-optimal — selection). Membership tests are a
+// bool-slice load and every candidate evaluation is EvalIDs over the plane.
 func LocalSearchSwapContext(ctx context.Context, in *core.Instance, seed []relation.Tuple) (Result, error) {
 	var res Result
-	answers, err := in.AnswersContext(ctx)
-	if err != nil {
+	p, ok, err := planeFor(ctx, in, len(seed))
+	if !ok {
 		return res, err
 	}
-	if len(seed) == 0 || len(seed) > len(answers) {
+	current, ok := internSeed(in, seed)
+	if !ok {
 		return res, nil
 	}
 	c := ctxpoll.New(ctx)
-	if p, err := in.PlaneContext(ctx); err != nil {
-		return res, err
-	} else if p != nil {
-		if ids, ok := internSeed(in, seed); ok {
-			return localSearchSwapPlane(c, in, p, ids)
-		}
-	}
-	current := append([]relation.Tuple(nil), seed...)
-	chosenKeys := make(map[string]bool, len(current))
-	for _, t := range current {
-		chosenKeys[t.Key()] = true
-	}
-	cur := in.Eval(current)
-	improved := true
-	for improved {
-		improved = false
-		bestVal := cur
-		bestI, bestJ := -1, -1
-		for i := range current {
-			for j, t := range answers {
-				if chosenKeys[t.Key()] {
-					continue
-				}
-				if c.Stop() {
-					res.Set = current
-					res.Value = cur
-					return res, c.Err()
-				}
-				res.Steps++
-				old := current[i]
-				current[i] = t
-				if v := in.Eval(current); v > bestVal {
-					bestVal, bestI, bestJ = v, i, j
-				}
-				current[i] = old
-			}
-		}
-		if bestI >= 0 {
-			delete(chosenKeys, current[bestI].Key())
-			current[bestI] = answers[bestJ]
-			chosenKeys[current[bestI].Key()] = true
-			cur = bestVal
-			improved = true
-		}
-	}
-	res.Set = current
-	res.Value = cur
-	return res, nil
-}
-
-// internSeed maps a seed set onto answer IDs via the instance's memoized
-// key index; a seed tuple outside Q(D) (legal for the public API) reports
-// false, sending the caller down the direct-interface path.
-func internSeed(in *core.Instance, seed []relation.Tuple) ([]int, bool) {
-	idx := in.AnswerIndex()
-	ids := make([]int, len(seed))
-	for i, t := range seed {
-		id, ok := idx[t.Key()]
-		if !ok {
-			return nil, false
-		}
-		ids[i] = id
-	}
-	return ids, true
-}
-
-// localSearchSwapPlane is the interned-ID variant of the swap hill climb:
-// membership tests are a bool-slice load and every candidate evaluation is
-// EvalIDs over the plane instead of an Eval through the interfaces.
-func localSearchSwapPlane(c *ctxpoll.Poller, in *core.Instance, p *objective.Plane, seed []int) (Result, error) {
-	var res Result
 	o := in.Obj
 	n := p.Len()
-	current := append([]int(nil), seed...)
 	inSet := make([]bool, n)
 	for _, id := range current {
 		inSet[id] = true
@@ -436,6 +280,21 @@ func localSearchSwapPlane(c *ctxpoll.Poller, in *core.Instance, p *objective.Pla
 	return res, nil
 }
 
+// internSeed maps a seed set onto answer IDs via the instance's memoized
+// key index; a seed tuple outside Q(D) reports false.
+func internSeed(in *core.Instance, seed []relation.Tuple) ([]int, bool) {
+	idx := in.AnswerIndex()
+	ids := make([]int, len(seed))
+	for i, t := range seed {
+		id, ok := idx[t.Key()]
+		if !ok {
+			return nil, false
+		}
+		ids[i] = id
+	}
+	return ids, true
+}
+
 // Greedy picks the heuristic matched to the instance's objective kind:
 // GreedyMaxSum for FMS, GreedyMaxMin for FMM, and exact top-k scores for
 // Fmono (optimal thanks to modularity).
@@ -460,23 +319,11 @@ func GreedyContext(ctx context.Context, in *core.Instance) (Result, error) {
 // the modular objective.
 func monoTopK(ctx context.Context, in *core.Instance) (Result, error) {
 	var res Result
-	answers, err := in.AnswersContext(ctx)
-	if err != nil {
+	p, ok, err := planeFor(ctx, in, in.K)
+	if !ok {
 		return res, err
 	}
-	if in.K <= 0 || in.K > len(answers) {
-		return res, nil
-	}
-	var scores []float64
-	plane, err := in.PlaneContext(ctx)
-	if err != nil {
-		return res, err
-	}
-	if plane != nil {
-		scores = in.Obj.MonoScoresPlane(plane)
-	} else {
-		scores = in.Obj.MonoScores(answers)
-	}
+	scores := in.Obj.MonoScoresPlane(p)
 	type pair struct {
 		idx   int
 		score float64
@@ -496,18 +343,12 @@ func monoTopK(ctx context.Context, in *core.Instance) (Result, error) {
 		}
 		ps[i], ps[best] = ps[best], ps[i]
 	}
-	set := make([]relation.Tuple, in.K)
 	ids := make([]int, in.K)
-	for i := 0; i < in.K; i++ {
-		set[i] = answers[ps[i].idx]
+	for i := range ids {
 		ids[i] = ps[i].idx
 	}
-	res.Set = set
-	if plane != nil {
-		res.Value = in.Obj.EvalIDs(plane, ids)
-	} else {
-		res.Value = in.Eval(set)
-	}
+	res.Set = planeTuples(p, ids)
+	res.Value = in.Obj.EvalIDs(p, ids)
 	return res, nil
 }
 

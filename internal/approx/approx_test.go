@@ -78,14 +78,6 @@ func TestGreedyMaxMinSeedsWithMostRelevant(t *testing.T) {
 	}
 }
 
-func TestMMRMatchesGreedyMaxMin(t *testing.T) {
-	in := pointsInstance(testPoints, objective.MaxMin, 0.5, 3)
-	a, b := MMR(in), GreedyMaxMin(in)
-	if a.Value != b.Value {
-		t.Errorf("MMR %v != farthest-point %v", a.Value, b.Value)
-	}
-}
-
 func TestLocalSearchImprovesSeed(t *testing.T) {
 	in := pointsInstance(testPoints, objective.MaxSum, 1, 3)
 	answers := in.Answers()
@@ -154,6 +146,11 @@ func TestEdgeCases(t *testing.T) {
 	}
 	if res := LocalSearchSwap(in, nil); len(res.Set) != 0 {
 		t.Error("empty seed should return empty result")
+	}
+	in4 := pointsInstance(testPoints, objective.MaxSum, 0.5, 2)
+	outside := []relation.Tuple{in4.Answers()[0], relation.Ints(99, 99)}
+	if res := LocalSearchSwap(in4, outside); len(res.Set) != 0 || res.Steps != 0 {
+		t.Errorf("seed outside Q(D) should return empty result, got %+v", res)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Indexed-regime variants of the greedy heuristics: the same selection
-// loops as the plane variants in approx.go, with the O(n) per-round work
+// loops as the flat plane scans in approx.go, with the O(n) per-round work
 // routed through the plane's metric index instead of stored pairs. Both are
 // engineered to reproduce the flat scans' results bit for bit — the index
 // only skips work it can prove is a no-op (max-min) or cannot win the
@@ -16,10 +16,10 @@ import (
 	"repro/internal/objective"
 )
 
-// greedyMaxSumIndexed is greedyMaxSumPlane with LAESA-style gain bounds:
-// instead of updating every candidate's running gain after each pick
-// (Θ(n·k) distance evaluations), candidates lag behind and each round's
-// scan first asks the index for an upper bound on what a lagging
+// greedyMaxSumIndexed is GreedyMaxSum's flat scan with LAESA-style gain
+// bounds: instead of updating every candidate's running gain after each
+// pick (Θ(n·k) distance evaluations), candidates lag behind and each
+// round's scan first asks the index for an upper bound on what a lagging
 // candidate's gain could be; only candidates whose bound beats the round's
 // incumbent are refined (replaying their missed updates in pick order, so
 // refined gains are bit-identical to the flat loop's). Selection therefore
@@ -69,9 +69,9 @@ func greedyMaxSumIndexed(c *ctxpoll.Poller, in *core.Instance, p *objective.Plan
 	return res, nil
 }
 
-// greedyMaxMinIndexed is greedyMaxMinPlane with the min-distance update
-// routed through the vantage-point tree: Take folds the new center into
-// every unchosen candidate's minDis, pruning subtrees the triangle
+// greedyMaxMinIndexed is GreedyMaxMin's flat scan with the min-distance
+// update routed through the vantage-point tree: Take folds the new center
+// into every unchosen candidate's minDis, pruning subtrees the triangle
 // inequality proves unaffected. The maintained minDis array — and with it
 // every score, comparison and tie-break of the selection scan — is
 // bit-identical to the flat variant's.

@@ -89,7 +89,6 @@ func TestPropertyHeuristicNeverBeatsExact(t *testing.T) {
 		greedy := Greedy(in)
 		check("greedy", greedy)
 		check("local-search", LocalSearchSwap(in, greedy.Set))
-		check("mmr", MMR(in))
 	}
 }
 

@@ -53,6 +53,12 @@ func testOpts(k int, lambda float64, obj diversification.Objective) []diversific
 // HTTP handler — exactly what a shard process serves.
 func newShardServer(t *testing.T, rows [][]interface{}, opts []diversification.Option) (*httptest.Server, *diversification.Service) {
 	t.Helper()
+	return newShardServerStmt(t, testStmt, rows, opts)
+}
+
+// newShardServerStmt is newShardServer registering stmt as "pts".
+func newShardServerStmt(t *testing.T, stmt string, rows [][]interface{}, opts []diversification.Option) (*httptest.Server, *diversification.Service) {
+	t.Helper()
 	e := diversification.NewEngine()
 	if err := e.CreateTable("pts", "id", "cat", "rel"); err != nil {
 		t.Fatal(err)
@@ -63,7 +69,7 @@ func newShardServer(t *testing.T, rows [][]interface{}, opts []diversification.O
 		}
 	}
 	svc := diversification.NewService(e, diversification.ServiceConfig{})
-	if err := svc.Register("pts", testStmt, opts...); err != nil {
+	if err := svc.Register("pts", stmt, opts...); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(httpapi.NewHandler(svc))
@@ -115,6 +121,30 @@ func selectionKeys(resp *diversification.Response) []string {
 		keys[i] = RowKey(r.Values())
 	}
 	return keys
+}
+
+// TestMergeRejectsRenamedSchema: a shard whose statement renames an answer
+// attribute (cat → kind, same arity) is settings drift. The merge must fail
+// with both schemas in the error rather than read that shard's rows under
+// the other shards' attribute names.
+func TestMergeRejectsRenamedSchema(t *testing.T) {
+	rows := testRows(20)
+	good, _ := newShardServer(t, rows[:10], testOpts(3, 0.6, diversification.MaxSum))
+	renamedOpts := append(testOpts(3, 0.6, diversification.MaxSum), diversification.WithDistance(diversification.AttrDistance("kind")))
+	renamed, _ := newShardServerStmt(t, "Q(id, kind, rel) :- pts(id, kind, rel)", rows[10:], renamedOpts)
+	coord, err := New(Config{Shards: []string{good.URL, renamed.URL}, DistanceAttr: "cat"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := coord.Do(context.Background(), "pts", httpapi.QueryRequest{})
+	if err == nil {
+		t.Fatalf("renamed shard merged silently: %d rows", len(resp.Selection.Rows))
+	}
+	for _, want := range []string{"settings drift", "schema=[id kind rel]", "schema=[id cat rel]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("drift error %q lacks %q", err, want)
+		}
+	}
 }
 
 // TestCoresetMergeDifferential is the acceptance suite: across FMS/FMM ×

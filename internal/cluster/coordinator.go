@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -274,12 +275,13 @@ func (c *Coordinator) merge(results []shardResult[*diversification.Coreset]) (*m
 			}
 			m.objective = obj
 			settingsSet = true
-		} else if len(cs.Schema) != len(m.schema) || cs.K != m.k || cs.Lambda != m.lambda || cs.Objective != m.objective.String() {
+		} else if !slices.Equal(cs.Schema, m.schema) || cs.K != m.k || cs.Lambda != m.lambda || cs.Objective != m.objective.String() {
 			// Shards echo their effective settings precisely so drift (a
-			// misdeployed shard with different bindings) is an error, not a
+			// misdeployed shard with different bindings, or a statement
+			// whose answer attributes are renamed) is an error, not a
 			// silently wrong merge.
-			return nil, fmt.Errorf("cluster: shard[%d] %s settings drift: (k=%d λ=%g %s |schema|=%d) vs (k=%d λ=%g %s |schema|=%d)",
-				i, c.shards[i].addr, cs.K, cs.Lambda, cs.Objective, len(cs.Schema), m.k, m.lambda, m.objective, len(m.schema))
+			return nil, fmt.Errorf("cluster: shard[%d] %s settings drift: (k=%d λ=%g %s schema=%v) vs (k=%d λ=%g %s schema=%v)",
+				i, c.shards[i].addr, cs.K, cs.Lambda, cs.Objective, cs.Schema, m.k, m.lambda, m.objective, m.schema)
 		}
 		m.generation += cs.Generation
 		m.degraded = m.degraded || cs.Degraded

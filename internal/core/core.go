@@ -71,10 +71,6 @@ type Instance struct {
 	// from |Q(D)| and the worker count.
 	ParallelDepth int
 
-	// PlaneOff disables the interned score plane: solvers fall back to
-	// scoring through the Relevance/Distance interfaces directly. Used by
-	// differential tests and the before/after benchmarks.
-	PlaneOff bool
 	// PlaneMaxBytes caps the plane's materialized distance matrix; 0 means
 	// the objective package default. Above the cap, distances are served
 	// from the plane's sharded memoizing cache instead.
@@ -141,7 +137,7 @@ func (in *Instance) ResetAnswers() {
 
 // Plane returns the interned score plane over Answers(), building it lazily
 // on first use (the one-shot path; Prepared handles inject a cached plane
-// via SetPlane instead). Returns nil when PlaneOff disables it.
+// via SetPlane instead). Every solver scores through it.
 func (in *Instance) Plane() *objective.Plane {
 	p, _ := in.PlaneContext(context.Background())
 	return p
@@ -153,9 +149,6 @@ func (in *Instance) Plane() *objective.Plane {
 // relevance-only consumers stay O(n); the exact search materializes the
 // matrix itself when the memory guard allows.
 func (in *Instance) PlaneContext(ctx context.Context) (*objective.Plane, error) {
-	if in.PlaneOff || in.Obj == nil {
-		return nil, nil
-	}
 	if in.plane != nil {
 		return in.plane, nil
 	}

@@ -115,11 +115,6 @@ func TestPlaneMemoizedAndInvalidated(t *testing.T) {
 	if p2 == p1 || p2.Len() != 2 {
 		t.Error("plane not invalidated by SetAnswers")
 	}
-	in.PlaneOff = true
-	in.ResetAnswers()
-	if in.Plane() != nil {
-		t.Error("PlaneOff must disable the plane")
-	}
 }
 
 func TestIsCandidateSemantics(t *testing.T) {

@@ -337,7 +337,9 @@ func (o *Objective) evalMono(u []relation.Tuple, answers []relation.Tuple) float
 // MonoScores precomputes the per-tuple score
 // v(t) = (1-λ)·δrel(t) + λ/(|Q(D)|-1)·Σ_{t'∈Q(D)} δdis(t,t') for every
 // answer. Fmono(U) = Σ_{t∈U} v(t), the modularity that powers every PTIME
-// algorithm for Fmono in the paper (Thm 5.4, Thm 6.4, Cor 8.1).
+// algorithm for Fmono in the paper (Thm 5.4, Thm 6.4, Cor 8.1). The solvers
+// read the same scores from MonoScoresPlane; this tuple-level form is the
+// reference the plane must reproduce bit for bit.
 func (o *Objective) MonoScores(answers []relation.Tuple) []float64 {
 	n := len(answers)
 	out := make([]float64, n)
@@ -356,8 +358,8 @@ func (o *Objective) MonoScores(answers []relation.Tuple) []float64 {
 }
 
 // MaxSumDelta returns the increase of FMS when tuple t joins set u of target
-// size k: the incremental form used by greedy heuristics and branch-and-
-// bound pruning.
+// size k: the incremental form behind the max-sum greedy's running gains,
+// and the tuple-level reference MaxSumDeltaIDs must reproduce bit for bit.
 func (o *Objective) MaxSumDelta(u []relation.Tuple, t relation.Tuple, k int) float64 {
 	d := float64(k-1) * (1 - o.Lambda) * o.Rel.Rel(t)
 	for _, s := range u {

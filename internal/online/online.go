@@ -103,7 +103,7 @@ func supported(in *core.Instance) error {
 // are exactly the pool, so the pool can be handed to the offline solvers.
 func poolInstance(in *core.Instance, pool []relation.Tuple) *core.Instance {
 	shadow := &core.Instance{Query: in.Query, DB: in.DB, Obj: in.Obj, K: in.K, B: in.B,
-		PlaneOff: in.PlaneOff, PlaneMaxBytes: in.PlaneMaxBytes}
+		PlaneMaxBytes: in.PlaneMaxBytes}
 	shadow.SetAnswers(pool)
 	return shadow
 }
@@ -183,20 +183,15 @@ func QRD(ctx context.Context, in *core.Instance, opts Options) (Result, error) {
 	// memoize across probes, so repeated greedy probes touch each pair at
 	// most once over the whole stream. The closing exact search reuses the
 	// same memo.
-	var splane *objective.Plane
+	splane := objective.NewPlane(in.Obj, nil, objective.PlaneOptions{
+		Streaming:      true,
+		MaxMatrixBytes: in.PlaneMaxBytes, // bounds the distance memo
+	})
 	shadow := poolInstance(in, nil)
-	if !in.PlaneOff {
-		splane = objective.NewPlane(in.Obj, nil, objective.PlaneOptions{
-			Streaming:      true,
-			MaxMatrixBytes: in.PlaneMaxBytes, // bounds the distance memo
-		})
-	}
 	sinceCheck := 0
 	err := source(ctx, in, opts)(func(t relation.Tuple) bool {
 		pool = append(pool, t)
-		if splane != nil {
-			splane.Append(t)
-		}
+		splane.Append(t)
 		res.Seen++
 		sinceCheck++
 		if len(pool) < in.K || sinceCheck < interval {
@@ -204,9 +199,7 @@ func QRD(ctx context.Context, in *core.Instance, opts Options) (Result, error) {
 		}
 		sinceCheck = 0
 		shadow.SetAnswers(pool)
-		if splane != nil {
-			shadow.SetPlane(splane)
-		}
+		shadow.SetPlane(splane)
 		probe, err := approx.GreedyContext(ctx, shadow)
 		if err != nil {
 			return false
@@ -235,9 +228,7 @@ func QRD(ctx context.Context, in *core.Instance, opts Options) (Result, error) {
 	res.Exhausted = true
 	res.Answers = pool
 	shadow.SetAnswers(pool)
-	if splane != nil {
-		shadow.SetPlane(splane)
-	}
+	shadow.SetPlane(splane)
 	exact, err := solver.QRDExactContext(ctx, shadow)
 	if err != nil {
 		return Result{Seen: res.Seen, Exhausted: true}, err
@@ -270,10 +261,7 @@ func Diversify(ctx context.Context, in *core.Instance, opts Options) (Result, er
 	// arrival/commit, so each swap evaluation is pure float arithmetic
 	// instead of re-scoring the set through the interfaces. Memory stays
 	// O(k²) — the package's reason to exist is not materializing Q(D).
-	var w *swapScorer
-	if !in.PlaneOff {
-		w = newSwapScorer(in.Obj, in.K)
-	}
+	w := newSwapScorer(in.Obj, in.K)
 	err := source(ctx, in, opts)(func(t relation.Tuple) bool {
 		res.Seen++
 		if opts.CollectAnswers {
@@ -281,38 +269,19 @@ func Diversify(ctx context.Context, in *core.Instance, opts Options) (Result, er
 		}
 		if len(set) < in.K {
 			set = append(set, t)
-			if w != nil {
-				w.addMember(t)
-			}
+			w.addMember(t)
 			return true
 		}
-		var cur float64
-		if w != nil {
-			w.setCandidate(t)
-			cur = w.eval(-1)
-		} else {
-			cur = in.Obj.Eval(set, nil)
-		}
-		bestIdx, bestVal := -1, cur
+		w.setCandidate(t)
+		bestIdx, bestVal := -1, w.eval(-1)
 		for i := range set {
-			var v float64
-			if w != nil {
-				v = w.eval(i)
-			} else {
-				old := set[i]
-				set[i] = t
-				v = in.Obj.Eval(set, nil)
-				set[i] = old
-			}
-			if v > bestVal {
+			if v := w.eval(i); v > bestVal {
 				bestIdx, bestVal = i, v
 			}
 		}
 		if bestIdx >= 0 {
 			set[bestIdx] = t
-			if w != nil {
-				w.commitSwap(bestIdx)
-			}
+			w.commitSwap(bestIdx)
 		}
 		return true
 	})
@@ -328,19 +297,15 @@ func Diversify(ctx context.Context, in *core.Instance, opts Options) (Result, er
 	}
 	res.Exists = true
 	res.Witness = set
-	if w != nil {
-		res.Value = w.eval(-1)
-	} else {
-		res.Value = in.Obj.Eval(set, nil)
-	}
+	res.Value = w.eval(-1)
 	return res, nil
 }
 
 // swapScorer caches the relevance vector and pairwise distance matrix of
 // the current anytime set plus one candidate, mirroring Objective.Eval's
-// accumulation order exactly so its values agree with the interface path to
-// the last bit (for symmetric δdis, per the paper's contract). All state is
-// O(k²) regardless of stream length.
+// accumulation order exactly so its values agree with Eval to the last bit
+// (for symmetric δdis, per the paper's contract). All state is O(k²)
+// regardless of stream length.
 type swapScorer struct {
 	o       *objective.Objective
 	members []relation.Tuple

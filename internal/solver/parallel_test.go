@@ -177,29 +177,6 @@ func TestParallelSearchWithConstraints(t *testing.T) {
 	}
 }
 
-// TestParallelSearchPlaneOff exercises the interface-scoring path (no
-// interned plane) under parallel workers.
-func TestParallelSearchPlaneOff(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	pts := randomPoints(rng, 12)
-	seqIn := pointsInstance(pts, objective.MaxMin, 0.5, 4)
-	parIn := pointsInstance(pts, objective.MaxMin, 0.5, 4)
-	seqIn.PlaneOff, parIn.PlaneOff = true, true
-	parIn.Parallelism = 3
-	seqRes, err := QRDBestContext(context.Background(), seqIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRes, err := QRDBestContext(context.Background(), parIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqRes.Value != parRes.Value {
-		t.Fatalf("plane-off: parallel %v != sequential %v", parRes.Value, seqRes.Value)
-	}
-	sameWitness(t, "plane-off", seqRes.Witness, parRes.Witness)
-}
-
 // TestParallelSearchDepths sweeps explicit split depths: results must be
 // depth-independent.
 func TestParallelSearchDepths(t *testing.T) {

@@ -61,9 +61,6 @@ type search struct {
 
 	// plane is the interned score plane: relevance and pairwise distances
 	// as array loads on answer IDs instead of interface calls on tuples.
-	// Nil when the instance disables it, in which case the search scores
-	// through the Relevance/Distance interfaces directly (the pre-plane
-	// path, kept for differential testing and benchmarking).
 	plane *objective.Plane
 
 	// pruneSigma enables constraint pruning on partial selections: sound
@@ -127,42 +124,22 @@ func newSearch(ctx context.Context, in *core.Instance, cutoff float64, strict bo
 	s.plane = plane
 	switch o.Kind {
 	case objective.MaxSum, objective.MaxMin:
-		if plane != nil {
-			// The plane builds its matrix here (when the regime has one)
-			// and hands back the max distance as a
-			// byproduct; the walk then reads distances as contiguous float
-			// loads. Indexed planes return the O(n) triangle-inequality
-			// bound instead of scanning all pairs — an admissible (≥ true
-			// max) stand-in that only loosens pruning — and the walk falls
-			// back to on-demand pair evaluation through the capped memo.
-			s.maxRel = plane.MaxRel()
-			md, err := plane.MaxDisBoundContext(ctx)
-			if err != nil {
-				s.canceled = true
-				return s
-			}
-			s.maxDis = md
-			break
+		// The plane builds its matrix here (when the regime has one) and
+		// hands back the max distance as a byproduct; the walk then reads
+		// distances as contiguous float loads. Indexed planes return the
+		// O(n) triangle-inequality bound instead of scanning all pairs — an
+		// admissible (≥ true max) stand-in that only loosens pruning — and
+		// the walk falls back to on-demand pair evaluation through the
+		// capped memo.
+		s.maxRel = plane.MaxRel()
+		md, err := plane.MaxDisBoundContext(ctx)
+		if err != nil {
+			s.canceled = true
+			return s
 		}
-		for i, t := range s.answers {
-			if s.interrupted() {
-				break
-			}
-			if r := o.Rel.Rel(t); r > s.maxRel {
-				s.maxRel = r
-			}
-			for j := i + 1; j < len(s.answers); j++ {
-				if d := o.Dis.Dis(t, s.answers[j]); d > s.maxDis {
-					s.maxDis = d
-				}
-			}
-		}
+		s.maxDis = md
 	case objective.Mono:
-		if plane != nil {
-			s.monoScores = o.MonoScoresPlane(plane)
-		} else {
-			s.monoScores = o.MonoScores(s.answers)
-		}
+		s.monoScores = o.MonoScoresPlane(plane)
 	}
 	return s
 }
@@ -341,28 +318,17 @@ type savedState struct {
 
 func (s *search) push(i int) savedState {
 	saved := savedState{s.relSum, s.pairSum, s.minRel, s.minDis}
-	o := s.in.Obj
-	switch o.Kind {
+	switch s.in.Obj.Kind {
 	case objective.Mono:
 		s.relSum += s.monoScores[i]
 	default:
-		var r float64
-		if s.plane != nil {
-			r = s.plane.Rel(i)
-		} else {
-			r = o.Rel.Rel(s.answers[i])
-		}
+		r := s.plane.Rel(i)
 		s.relSum += r
 		if r < s.minRel {
 			s.minRel = r
 		}
 		for _, j := range s.sel {
-			var d float64
-			if s.plane != nil {
-				d = s.plane.Dis(j, i)
-			} else {
-				d = o.Dis.Dis(s.answers[j], s.answers[i])
-			}
+			d := s.plane.Dis(j, i)
 			s.pairSum += d
 			if d < s.minDis {
 				s.minDis = d
@@ -420,29 +386,17 @@ func (s *search) value() float64 {
 }
 
 // monoScores returns the per-answer Fmono scores, served from the interned
-// score plane when the instance has one (precomputed relevance vector plus
-// cached distance row sums) and recomputed through the interfaces otherwise.
+// score plane (precomputed relevance vector plus cached distance row sums).
 func monoScores(in *core.Instance) []float64 {
-	if p := in.Plane(); p != nil {
-		return in.Obj.MonoScoresPlane(p)
-	}
-	return in.Obj.MonoScores(in.Answers())
+	return in.Obj.MonoScoresPlane(in.Plane())
 }
 
-// relScores returns δrel per answer, from the plane's precomputed vector
-// when available.
+// relScores returns δrel per answer, from the plane's precomputed vector.
 func relScores(in *core.Instance) []float64 {
-	if p := in.Plane(); p != nil {
-		out := make([]float64, p.Len())
-		for i := range out {
-			out[i] = p.Rel(i)
-		}
-		return out
-	}
-	answers := in.Answers()
-	out := make([]float64, len(answers))
-	for i, t := range answers {
-		out[i] = in.Obj.Rel.Rel(t)
+	p := in.Plane()
+	out := make([]float64, p.Len())
+	for i := range out {
+		out[i] = p.Rel(i)
 	}
 	return out
 }

@@ -231,7 +231,6 @@ type settings struct {
 	constraints   []string
 	bound         float64
 	rank          int
-	scorePlane    bool
 	planeMaxBytes int64
 	planeRegime   PlaneRegime
 	parallelism   int  // solver workers; 0 = GOMAXPROCS, 1 = sequential
@@ -253,7 +252,7 @@ const (
 )
 
 func defaultSettings() settings {
-	return settings{lambda: 0.5, scorePlane: true, incremental: true}
+	return settings{lambda: 0.5, incremental: true}
 }
 
 // validate rejects inconsistent settings with typed ArgErrors; it is the
@@ -327,20 +326,15 @@ func WithRelevance(f func(Row) float64) Option {
 	}
 }
 
-// WithDistance sets δdis; nil restores the default zero distance.
+// WithDistance sets δdis; nil restores the default zero distance. The score
+// plane fills its distance matrix across GOMAXPROCS workers, so f must be
+// safe for concurrent use.
 func WithDistance(f func(Row, Row) float64) Option {
 	return func(s *settings) {
 		s.distance = f
 		s.dirty |= dirtyDistance
 	}
 }
-
-// WithScorePlane toggles the interned score plane (on by default): the
-// precomputed relevance vector and pairwise distance matrix that every
-// solver runs on. Turning it off forces scoring through the δrel/δdis
-// interfaces per lookup — useful only for debugging and for measuring the
-// plane's own speedup.
-func WithScorePlane(on bool) Option { return func(s *settings) { s.scorePlane = on } }
 
 // WithPlaneMemoryLimit caps the score plane's materialized distance matrix
 // in bytes. Answer sets whose n(n-1)/2 pairwise entries would exceed the
@@ -375,10 +369,6 @@ func WithPlaneRegime(r PlaneRegime) Option {
 // and n = 0 uses GOMAXPROCS. The parallel search is deterministic: it
 // returns byte-identical sets and scores to the sequential path — only the
 // visited-node statistics differ run to run.
-//
-// With the score plane disabled (WithScorePlane(false)), parallel solves
-// call the δrel/δdis functions from multiple goroutines; custom scoring
-// functions must then be safe for concurrent use.
 func WithParallelism(n int) Option {
 	return func(s *settings) {
 		s.parallelism = n

@@ -388,20 +388,17 @@ func (pl *Plan) materialize(ctx context.Context) error {
 	pl.snap = snap
 	pl.refresh = info
 	pl.gen = snap.gen
-	switch {
-	case !pl.s.scorePlane:
-		pl.planeNote = "off (WithScorePlane(false): solvers score through δrel/δdis directly)"
-	case pl.s.dirty&(dirtyRelevance|dirtyDistance|dirtyPlaneLimit|dirtyPlaneRegime) != 0:
+	if pl.s.dirty&(dirtyRelevance|dirtyDistance|dirtyPlaneLimit|dirtyPlaneRegime) != 0 {
 		pl.planeNote = "per-request (a scoring override bypasses the shared plane)"
-	default:
-		plane, err := pl.p.planeFor(ctx, snap, &pl.s)
-		if err != nil {
-			return err
-		}
-		pl.plane = plane
-		pl.planeNote = fmt.Sprintf("shared, %s, ~%s (%d ids)",
-			planeRegime(plane), formatBytes(plane.MemoryFootprint()), plane.Len())
+		return nil
 	}
+	plane, err := pl.p.planeFor(ctx, snap, &pl.s)
+	if err != nil {
+		return err
+	}
+	pl.plane = plane
+	pl.planeNote = fmt.Sprintf("shared, %s, ~%s (%d ids)",
+		planeRegime(plane), formatBytes(plane.MemoryFootprint()), plane.Len())
 	return nil
 }
 
@@ -461,9 +458,6 @@ func (pl *Plan) newInstance() *core.Instance {
 	in.PlaneMaxBytes = pl.s.planeMaxBytes
 	in.PlaneRegime = pl.s.planeRegime.toObjective()
 	in.Parallelism = pl.s.workers()
-	if !pl.s.scorePlane {
-		in.PlaneOff = true
-	}
 	if pl.snap != nil {
 		in.SetAnswers(pl.snap.answers)
 		in.SetAnswerIndex(pl.snap.index)

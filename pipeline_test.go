@@ -2,6 +2,8 @@ package diversification
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -77,15 +79,6 @@ func TestPlanExplain(t *testing.T) {
 	}
 	if !strings.Contains(pl.Explain(), "plane:     per-request") {
 		t.Errorf("override Explain() lacks the bypass note:\n%s", pl.Explain())
-	}
-
-	// WithScorePlane(false) is reported as off.
-	pl, err = p.Plan(ctx, Request{Problem: ProblemDiversify, Options: []Option{WithScorePlane(false)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(pl.Explain(), "plane:     off") {
-		t.Errorf("plane-off Explain() lacks the off note:\n%s", pl.Explain())
 	}
 
 	// Decide on a warm cache routes exact; the bound line is present.
@@ -175,5 +168,143 @@ func TestServiceEngineAccessor(t *testing.T) {
 	svc := NewService(e, ServiceConfig{})
 	if svc.Engine() != e {
 		t.Error("Engine() must return the fronted engine")
+	}
+}
+
+// TestPipelineGolden pins the Response of every problem kind through the
+// pipeline, across FMS/FMM/Fmono × exact/greedy/online × the materialized
+// and memoized plane regimes: a cold decide, diversify, a warm decide and
+// count at the optimum's bound, in-top-r and rank of the chosen set, then
+// the same pass again after a mutation batch the cache absorbs as a
+// journal delta. Constrained (Σ) and per-request scoring-override cells
+// follow. Each line is the Response JSON with elapsed_ns scrubbed, so the
+// answers, the solver route, the work statistics and the refresh mode are
+// all pinned. Regenerate with
+//
+//	go test -run TestPipelineGolden -update .
+func TestPipelineGolden(t *testing.T) {
+	g := loadGoldenSections(t, "pipeline.txt")
+	ctx := context.Background()
+	do := func(t *testing.T, b *strings.Builder, p *Prepared, label string, req Request) *Response {
+		t.Helper()
+		resp, err := p.Do(ctx, req)
+		if err != nil {
+			fmt.Fprintf(b, "%s: error: %v\n", label, err)
+			return nil
+		}
+		scrubbed := *resp
+		scrubbed.Elapsed = 0
+		out, err := json.Marshal(&scrubbed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(b, "%s: %s\n", label, out)
+		return resp
+	}
+	regimes := []struct {
+		name  string
+		extra []Option
+	}{
+		{"materialized", nil},
+		{"memoized", []Option{WithPlaneMemoryLimit(64)}}, // far below n(n-1)/2 cells
+	}
+	for _, obj := range []Objective{MaxSum, MaxMin, Mono} {
+		for _, alg := range []Algorithm{Exact, Greedy, Online} {
+			if obj == Mono && alg == Online {
+				continue // the online procedures reject Fmono by design
+			}
+			for _, regime := range regimes {
+				t.Run(obj.String()+"/"+alg.String()+"/"+regime.name, func(t *testing.T) {
+					e := refreshEngine(t, 24)
+					p := e.MustPrepare(refreshQuery, refreshOpts(3, obj, alg, regime.extra...)...)
+					var b strings.Builder
+					pass := func(phase string) {
+						// The cold decide's route depends on the cache state.
+						do(t, &b, p, phase+" decide", Request{Problem: ProblemDecide, Options: []Option{WithBound(1)}})
+						div := do(t, &b, p, phase+" diversify", Request{Problem: ProblemDiversify})
+						if div == nil {
+							return
+						}
+						bound := div.Selection.Value
+						do(t, &b, p, phase+" warm decide", Request{Problem: ProblemDecide, Bound: &bound})
+						do(t, &b, p, phase+" count", Request{Problem: ProblemCount, Bound: &bound})
+						set, rank1 := rowsAsSet(div.Selection), 1
+						do(t, &b, p, phase+" in-top-r", Request{Problem: ProblemInTopR, Set: set, Rank: &rank1})
+						do(t, &b, p, phase+" rank", Request{Problem: ProblemRank, Set: set})
+					}
+					pass("cold")
+					mutate(t, e)
+					pass("after-delta")
+					g.check(t, b.String())
+				})
+			}
+		}
+	}
+
+	t.Run("constrained", func(t *testing.T) {
+		e := refreshEngine(t, 18)
+		p := e.MustPrepare(refreshQuery, refreshOpts(3, MaxSum, Exact, WithConstraints(`exists s (s.cat = "a")`))...)
+		var b strings.Builder
+		if div := do(t, &b, p, "diversify", Request{Problem: ProblemDiversify}); div != nil {
+			bound := div.Selection.Value
+			do(t, &b, p, "decide", Request{Problem: ProblemDecide, Bound: &bound})
+			do(t, &b, p, "count", Request{Problem: ProblemCount, Bound: &bound})
+			set, rank1 := rowsAsSet(div.Selection), 1
+			do(t, &b, p, "in-top-r", Request{Problem: ProblemInTopR, Set: set, Rank: &rank1})
+		}
+		g.check(t, b.String())
+	})
+
+	t.Run("override", func(t *testing.T) {
+		e := refreshEngine(t, 20)
+		p := e.MustPrepare(refreshQuery, refreshOpts(3, MaxSum, Exact)...)
+		var b strings.Builder
+		do(t, &b, p, "diversify", Request{Problem: ProblemDiversify, Options: []Option{WithDistance(priceGap)}})
+		g.check(t, b.String())
+	})
+}
+
+// priceGap is a per-request distance override: the absolute price gap.
+func priceGap(a, b Row) float64 {
+	return math.Abs(float64(a.Get("price").(int64) - b.Get("price").(int64)))
+}
+
+// rowsAsSet converts a selection's rows back into the [][]interface{}
+// candidate-set form Request.Set accepts.
+func rowsAsSet(sel *Selection) [][]interface{} {
+	out := make([][]interface{}, len(sel.Rows))
+	for i, r := range sel.Rows {
+		out[i] = r.Values()
+	}
+	return out
+}
+
+// TestPipelinePerCallPlaneBypass pins the dirty-mask behavior through the
+// pipeline: a per-request scoring override must bypass the handle's shared
+// plane (whose scores bake in the Prepare-time δdis) and agree byte for
+// byte with a handle prepared with the override as its own binding.
+func TestPipelinePerCallPlaneBypass(t *testing.T) {
+	ctx := context.Background()
+	e := refreshEngine(t, 20)
+	p := e.MustPrepare(refreshQuery, refreshOpts(3, MaxSum, Exact)...)
+	if _, err := p.Do(ctx, Request{Problem: ProblemDiversify}); err != nil {
+		t.Fatal(err) // warm the shared plane under the prepared binding
+	}
+	override, err := p.Do(ctx, Request{Problem: ProblemDiversify, Explain: true,
+		Options: []Option{WithDistance(priceGap)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(override.Explain, "plane:     per-request") {
+		t.Errorf("override did not bypass the shared plane:\n%s", override.Explain)
+	}
+	bound := e.MustPrepare(refreshQuery, refreshOpts(3, MaxSum, Exact, WithDistance(priceGap))...)
+	want, err := bound.Do(ctx, Request{Problem: ProblemDiversify})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSelection(t, "override diversify", override.Selection, want.Selection)
+	if override.Stats != want.Stats {
+		t.Errorf("override stats %+v, prepared binding %+v", override.Stats, want.Stats)
 	}
 }

@@ -1,9 +1,6 @@
-// Differential tests for the interned score plane: every solver and
-// heuristic must return byte-identical results — selected sets, objective
-// values, and deterministic work stats — whether it scores through the
-// plane's precomputed arrays or directly through the Relevance/Distance
-// interfaces, across all three objective kinds, λ ∈ {0, ½, 1}, and
-// constrained (Σ) instances.
+// Score-plane tests: the solver golden that pins every solver family's
+// results on the plane, the Prepared handle's plane cache and its
+// invalidation, per-call scoring overrides, and the plane-regime planner.
 package diversification
 
 import (
@@ -11,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -42,283 +40,6 @@ func tableInstance(n, k int, kind objective.Kind, lambda float64) *core.Instance
 	in.Obj = objective.New(kind, tr, td, lambda)
 	in.SetAnswers(answers)
 	return in
-}
-
-// offTwin returns a second, independently built instance with the plane
-// disabled, so memoized state never leaks between the two paths.
-func twinInstances(mk func() *core.Instance) (plane, direct *core.Instance) {
-	plane = mk()
-	direct = mk()
-	direct.PlaneOff = true
-	return plane, direct
-}
-
-func keysOf(ts []relation.Tuple) []string {
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = t.Key()
-	}
-	return out
-}
-
-func sameKeys(a, b []relation.Tuple) bool {
-	ka, kb := keysOf(a), keysOf(b)
-	if len(ka) != len(kb) {
-		return false
-	}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func checkQRD(t *testing.T, label string, a, b solver.QRDResult) {
-	t.Helper()
-	if a.Exists != b.Exists || a.Value != b.Value || !sameKeys(a.Witness, b.Witness) {
-		t.Fatalf("%s: plane (%v, %v, %v) != direct (%v, %v, %v)",
-			label, a.Exists, a.Value, keysOf(a.Witness), b.Exists, b.Value, keysOf(b.Witness))
-	}
-	if a.Stats.Nodes != b.Stats.Nodes || a.Stats.Leaves != b.Stats.Leaves || a.Stats.Pruned != b.Stats.Pruned {
-		t.Fatalf("%s: stats diverge: plane %+v, direct %+v", label, a.Stats, b.Stats)
-	}
-}
-
-func diffConfigs() []struct {
-	kind   objective.Kind
-	lambda float64
-} {
-	var out []struct {
-		kind   objective.Kind
-		lambda float64
-	}
-	for _, kind := range []objective.Kind{objective.MaxSum, objective.MaxMin, objective.Mono} {
-		for _, lambda := range []float64{0, 0.5, 1} {
-			out = append(out, struct {
-				kind   objective.Kind
-				lambda float64
-			}{kind, lambda})
-		}
-	}
-	return out
-}
-
-// TestPlaneDifferentialExact runs the exact solvers (QRDBest, QRDExact,
-// DRPExact, RDCExact) on both paths across the full kind × λ grid, for both
-// the memoized and the materialized plane regime.
-func TestPlaneDifferentialExact(t *testing.T) {
-	for _, memo := range []bool{false, true} {
-		for _, cfg := range diffConfigs() {
-			label := fmt.Sprintf("%s λ=%v memo=%v", cfg.kind, cfg.lambda, memo)
-			mk := func() *core.Instance {
-				in := tableInstance(16, 4, cfg.kind, cfg.lambda)
-				if memo {
-					in.PlaneMaxBytes = 8 // force the sharded-cache fallback
-				}
-				return in
-			}
-			pin, din := twinInstances(mk)
-			pBest := solver.QRDBest(pin)
-			dBest := solver.QRDBest(din)
-			checkQRD(t, label+" QRDBest", pBest, dBest)
-
-			pin, din = twinInstances(mk)
-			pin.B, din.B = pBest.Value/2, pBest.Value/2
-			checkQRD(t, label+" QRDExact/reachable", solver.QRDExact(pin), solver.QRDExact(din))
-
-			pin, din = twinInstances(mk)
-			pin.B, din.B = pBest.Value+1, dBest.Value+1
-			checkQRD(t, label+" QRDExact/refute", solver.QRDExact(pin), solver.QRDExact(din))
-
-			pin, din = twinInstances(mk)
-			pin.U, din.U = pin.Answers()[:4], din.Answers()[:4]
-			pin.R, din.R = 10, 10
-			pd, perr := solver.DRPExact(pin)
-			dd, derr := solver.DRPExact(din)
-			if (perr == nil) != (derr == nil) {
-				t.Fatalf("%s DRPExact: errors diverge: %v vs %v", label, perr, derr)
-			}
-			if pd.InTopR != dd.InTopR || pd.Better != dd.Better || pd.FU != dd.FU {
-				t.Fatalf("%s DRPExact: plane %+v != direct %+v", label, pd, dd)
-			}
-
-			pin, din = twinInstances(mk)
-			pin.B, din.B = pBest.Value/2, pBest.Value/2
-			pc := solver.RDCExact(pin)
-			dc := solver.RDCExact(din)
-			if pc.Count.Cmp(dc.Count) != 0 || pc.Stats != dc.Stats {
-				t.Fatalf("%s RDCExact: plane (%v %+v) != direct (%v %+v)",
-					label, pc.Count, pc.Stats, dc.Count, dc.Stats)
-			}
-		}
-	}
-}
-
-// TestPlaneDifferentialPTime covers the paper's PTIME special cases.
-func TestPlaneDifferentialPTime(t *testing.T) {
-	for _, lambda := range []float64{0, 0.5, 1} {
-		label := fmt.Sprintf("mono λ=%v", lambda)
-		mk := func() *core.Instance {
-			in := tableInstance(40, 5, objective.Mono, lambda)
-			in.B = 1
-			return in
-		}
-		pin, din := twinInstances(mk)
-		pres, perr := solver.QRDMonoPTime(pin)
-		dres, derr := solver.QRDMonoPTime(din)
-		if perr != nil || derr != nil {
-			t.Fatalf("%s QRDMonoPTime: %v / %v", label, perr, derr)
-		}
-		checkQRD(t, label+" QRDMonoPTime", pres, dres)
-
-		pin, din = twinInstances(mk)
-		pin.U, din.U = pin.Answers()[:5], din.Answers()[:5]
-		pin.R, din.R = 4, 4
-		pd, perr := solver.DRPMonoPTime(pin)
-		dd, derr := solver.DRPMonoPTime(din)
-		if perr != nil || derr != nil {
-			t.Fatalf("%s DRPMonoPTime: %v / %v", label, perr, derr)
-		}
-		if pd.InTopR != dd.InTopR || pd.Better != dd.Better || pd.FU != dd.FU {
-			t.Fatalf("%s DRPMonoPTime: plane %+v != direct %+v", label, pd, dd)
-		}
-	}
-	for _, kind := range []objective.Kind{objective.MaxSum, objective.MaxMin} {
-		label := fmt.Sprintf("%s λ=0", kind)
-		mk := func() *core.Instance {
-			in := tableInstance(40, 5, kind, 0)
-			in.B = 0.2
-			return in
-		}
-		pin, din := twinInstances(mk)
-		pres, perr := solver.QRDRelevanceOnlyPTime(pin)
-		dres, derr := solver.QRDRelevanceOnlyPTime(din)
-		if perr != nil || derr != nil {
-			t.Fatalf("%s QRDRelevanceOnlyPTime: %v / %v", label, perr, derr)
-		}
-		checkQRD(t, label+" QRDRelevanceOnlyPTime", pres, dres)
-
-		pin, din = twinInstances(mk)
-		pin.U, din.U = pin.Answers()[:5], din.Answers()[:5]
-		pin.R, din.R = 8, 8
-		pd, perr := solver.DRPRelevanceOnlyPTime(pin)
-		dd, derr := solver.DRPRelevanceOnlyPTime(din)
-		if perr != nil || derr != nil {
-			t.Fatalf("%s DRPRelevanceOnlyPTime: %v / %v", label, perr, derr)
-		}
-		if pd.InTopR != dd.InTopR || pd.Better != dd.Better || pd.FU != dd.FU {
-			t.Fatalf("%s DRPRelevanceOnlyPTime: plane %+v != direct %+v", label, pd, dd)
-		}
-	}
-	// RDC FP cells.
-	mkFMM := func() *core.Instance {
-		in := tableInstance(40, 5, objective.MaxMin, 0)
-		in.B = 0.2
-		return in
-	}
-	pin, din := twinInstances(mkFMM)
-	pc, perr := solver.RDCMaxMinRelevanceOnlyFP(pin)
-	dc, derr := solver.RDCMaxMinRelevanceOnlyFP(din)
-	if perr != nil || derr != nil {
-		t.Fatalf("RDCMaxMinRelevanceOnlyFP: %v / %v", perr, derr)
-	}
-	if pc.Count.Cmp(dc.Count) != 0 {
-		t.Fatalf("RDCMaxMinRelevanceOnlyFP: %v != %v", pc.Count, dc.Count)
-	}
-	mkDP := func() *core.Instance {
-		rng := rand.New(rand.NewSource(10))
-		in := workload.Points(rng, 32, 2, 128, objective.Mono, 0, 6)
-		in.B = 3
-		return in
-	}
-	pin, din = twinInstances(mkDP)
-	pdp, perr := solver.RDCModularDP(pin, 128)
-	ddp, derr := solver.RDCModularDP(din, 128)
-	if perr != nil || derr != nil {
-		t.Fatalf("RDCModularDP: %v / %v", perr, derr)
-	}
-	if pdp.Count.Cmp(ddp.Count) != 0 {
-		t.Fatalf("RDCModularDP: %v != %v", pdp.Count, ddp.Count)
-	}
-}
-
-// TestPlaneDifferentialHeuristics covers all four Section-10 heuristics.
-func TestPlaneDifferentialHeuristics(t *testing.T) {
-	check := func(label string, a, b approx.Result) {
-		t.Helper()
-		if a.Value != b.Value || a.Steps != b.Steps || !sameKeys(a.Set, b.Set) {
-			t.Fatalf("%s: plane (%v, %d, %v) != direct (%v, %d, %v)",
-				label, a.Value, a.Steps, keysOf(a.Set), b.Value, b.Steps, keysOf(b.Set))
-		}
-	}
-	for _, memo := range []bool{false, true} {
-		for _, cfg := range diffConfigs() {
-			label := fmt.Sprintf("%s λ=%v memo=%v", cfg.kind, cfg.lambda, memo)
-			mk := func() *core.Instance {
-				in := tableInstance(60, 6, cfg.kind, cfg.lambda)
-				if memo {
-					in.PlaneMaxBytes = 8
-				}
-				return in
-			}
-			pin, din := twinInstances(mk)
-			check(label+" GreedyMaxSum", approx.GreedyMaxSum(pin), approx.GreedyMaxSum(din))
-			pin, din = twinInstances(mk)
-			check(label+" GreedyMaxMin", approx.GreedyMaxMin(pin), approx.GreedyMaxMin(din))
-			pin, din = twinInstances(mk)
-			check(label+" MMR", approx.MMR(pin), approx.MMR(din))
-			pin, din = twinInstances(mk)
-			check(label+" Greedy", approx.Greedy(pin), approx.Greedy(din))
-
-			pin, din = twinInstances(mk)
-			pseed := approx.Greedy(pin)
-			dseed := approx.Greedy(din)
-			check(label+" seed", pseed, dseed)
-			check(label+" LocalSearchSwap",
-				approx.LocalSearchSwap(pin, pseed.Set),
-				approx.LocalSearchSwap(din, dseed.Set))
-		}
-	}
-}
-
-// TestPlaneDifferentialOnline covers the streaming procedures (FMS/FMM
-// only; Fmono is rejected by design).
-func TestPlaneDifferentialOnline(t *testing.T) {
-	ctx := context.Background()
-	for _, kind := range []objective.Kind{objective.MaxSum, objective.MaxMin} {
-		for _, lambda := range []float64{0, 0.5, 1} {
-			label := fmt.Sprintf("%s λ=%v", kind, lambda)
-			mk := func() *core.Instance {
-				rng := rand.New(rand.NewSource(7))
-				in := workload.GiftInstance(rng, 40, 80, 3, kind, lambda)
-				in.B = 0.5
-				return in
-			}
-			pin, din := twinInstances(mk)
-			pres, perr := online.QRD(ctx, pin, online.Options{CheckInterval: 3})
-			dres, derr := online.QRD(ctx, din, online.Options{CheckInterval: 3})
-			if perr != nil || derr != nil {
-				t.Fatalf("%s online.QRD: %v / %v", label, perr, derr)
-			}
-			if pres.Exists != dres.Exists || pres.Value != dres.Value ||
-				pres.Seen != dres.Seen || pres.Exhausted != dres.Exhausted ||
-				!sameKeys(pres.Witness, dres.Witness) {
-				t.Fatalf("%s online.QRD diverges: plane %+v != direct %+v", label, pres, dres)
-			}
-
-			pin, din = twinInstances(mk)
-			pdiv, perr := online.Diversify(ctx, pin, online.Options{})
-			ddiv, derr := online.Diversify(ctx, din, online.Options{})
-			if perr != nil || derr != nil {
-				t.Fatalf("%s online.Diversify: %v / %v", label, perr, derr)
-			}
-			if pdiv.Exists != ddiv.Exists || pdiv.Value != ddiv.Value ||
-				pdiv.Seen != ddiv.Seen || !sameKeys(pdiv.Witness, ddiv.Witness) {
-				t.Fatalf("%s online.Diversify diverges: plane %+v != direct %+v", label, pdiv, ddiv)
-			}
-		}
-	}
 }
 
 // preparedPlaneEngine builds a small engine + prepared handle pair for the
@@ -390,30 +111,6 @@ func TestPreparedPlaneCacheAndInvalidation(t *testing.T) {
 		t.Fatal("plane not invalidated by a database mutation")
 	}
 	_ = sel2
-}
-
-// TestPreparedPlaneOffEquivalence proves WithScorePlane(false) changes
-// nothing about the results, only the scoring path.
-func TestPreparedPlaneOffEquivalence(t *testing.T) {
-	ctx := context.Background()
-	_, pOn := preparedPlaneEngine(t)
-	_, pOff := preparedPlaneEngine(t, WithScorePlane(false))
-	for _, alg := range []Algorithm{Exact, Greedy, LocalSearch, Online} {
-		a, errA := pOn.Diversify(ctx, WithAlgorithm(alg))
-		b, errB := pOff.Diversify(ctx, WithAlgorithm(alg))
-		if errA != nil || errB != nil {
-			t.Fatalf("%s: %v / %v", alg, errA, errB)
-		}
-		if a.Value != b.Value || len(a.Rows) != len(b.Rows) {
-			t.Fatalf("%s: plane (%v, %d rows) != direct (%v, %d rows)",
-				alg, a.Value, len(a.Rows), b.Value, len(b.Rows))
-		}
-	}
-	nA, errA := pOn.Count(ctx, WithBound(1))
-	nB, errB := pOff.Count(ctx, WithBound(1))
-	if errA != nil || errB != nil || nA.Cmp(nB) != 0 {
-		t.Fatalf("Count: %v (%v) != %v (%v)", nA, errA, nB, errB)
-	}
 }
 
 // TestPreparedPlanePerCallOverride proves a per-call WithDistance /
@@ -542,26 +239,6 @@ func TestPlaneRegimeParseAndValidate(t *testing.T) {
 	}
 }
 
-// TestPlaneDifferentialConstrained covers Σ instances (Section 9) through
-// the 3SAT-to-constrained-QRD gadget, on exact search and counting.
-func TestPlaneDifferentialConstrained(t *testing.T) {
-	mk := func() *core.Instance {
-		rng := rand.New(rand.NewSource(15))
-		f := sat.Random3SAT(rng, 4, 6)
-		return reduction.ThreeSATToConstrainedQRD(f)
-	}
-	pin, din := twinInstances(mk)
-	checkQRD(t, "constrained QRDExact", solver.QRDExact(pin), solver.QRDExact(din))
-
-	pin, din = twinInstances(mk)
-	pc := solver.RDCExact(pin)
-	dc := solver.RDCExact(din)
-	if pc.Count.Cmp(dc.Count) != 0 || pc.Stats != dc.Stats {
-		t.Fatalf("constrained RDCExact: plane (%v %+v) != direct (%v %+v)",
-			pc.Count, pc.Stats, dc.Count, dc.Stats)
-	}
-}
-
 // TestExplainFormatting pins the Explain helpers white-box: formatBytes
 // picks the binary-prefix unit at each power-of-two threshold, and
 // planeRegime names every resolved store.
@@ -602,4 +279,209 @@ func TestExplainFormatting(t *testing.T) {
 			t.Fatalf("planeRegime(%v) = %q, want %q", c.regime, got, c.want)
 		}
 	}
+}
+
+// The solver golden's line format: a selected set prints as its tuple keys
+// (fields comma-separated), a score with every bit of its float64, and an
+// exact search with its deterministic sequential work statistics.
+func goldenSet(ts []relation.Tuple) string {
+	keys := make([]string, len(ts))
+	for i, t := range ts {
+		keys[i] = strings.ReplaceAll(t.Key(), "\x1f", ",")
+	}
+	return "[" + strings.Join(keys, " ") + "]"
+}
+
+func goldenFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+func goldenStats(s solver.Stats) string {
+	return fmt.Sprintf("nodes=%d leaves=%d pruned=%d answers=%d explored=%t frames=%d warm=%t",
+		s.Nodes, s.Leaves, s.Pruned, s.Answers, s.Explored, s.Frames, s.Warm)
+}
+
+func writeQRD(b *strings.Builder, label string, r solver.QRDResult, err error) {
+	if err != nil {
+		fmt.Fprintf(b, "%s: error: %v\n", label, err)
+		return
+	}
+	fmt.Fprintf(b, "%s: exists=%t value=%s set=%s %s\n",
+		label, r.Exists, goldenFloat(r.Value), goldenSet(r.Witness), goldenStats(r.Stats))
+}
+
+func writeDRP(b *strings.Builder, label string, r solver.DRPResult, err error) {
+	if err != nil {
+		fmt.Fprintf(b, "%s: error: %v\n", label, err)
+		return
+	}
+	fmt.Fprintf(b, "%s: in-top-r=%t better=%d fu=%s %s\n",
+		label, r.InTopR, r.Better, goldenFloat(r.FU), goldenStats(r.Stats))
+}
+
+func writeRDC(b *strings.Builder, label string, r solver.RDCResult, err error) {
+	if err != nil {
+		fmt.Fprintf(b, "%s: error: %v\n", label, err)
+		return
+	}
+	fmt.Fprintf(b, "%s: count=%v %s\n", label, r.Count, goldenStats(r.Stats))
+}
+
+func writeHeuristic(b *strings.Builder, label string, r approx.Result) {
+	fmt.Fprintf(b, "%s: value=%s steps=%d set=%s\n", label, goldenFloat(r.Value), r.Steps, goldenSet(r.Set))
+}
+
+func writeOnline(b *strings.Builder, label string, r online.Result, err error) {
+	if err != nil {
+		fmt.Fprintf(b, "%s: error: %v\n", label, err)
+		return
+	}
+	fmt.Fprintf(b, "%s: exists=%t value=%s seen=%d exhausted=%t set=%s\n",
+		label, r.Exists, goldenFloat(r.Value), r.Seen, r.Exhausted, goldenSet(r.Witness))
+}
+
+// TestSolverGolden pins every solver family on the score plane: the exact
+// QRD/DRP/RDC searches, the paper's PTIME cells, the Section-10 heuristics,
+// the online procedures and constrained (Σ) instances, across the objective
+// kind × λ grid and the materialized and memoized plane regimes. Each line
+// records the selected set, the objective value to the last bit and the
+// deterministic sequential work statistics, so any change to what a solver
+// returns or how much work it does shows up as a diff. Regenerate with
+//
+//	go test -run TestSolverGolden -update .
+func TestSolverGolden(t *testing.T) {
+	g := loadGoldenSections(t, "solvers.txt")
+	kinds := []objective.Kind{objective.MaxSum, objective.MaxMin, objective.Mono}
+	lambdas := []float64{0, 0.5, 1}
+	regimes := []struct {
+		name     string
+		maxBytes int64
+	}{
+		{"materialized", 0},
+		{"memoized", 8}, // far below n(n-1)/2 cells: the sharded-cache fallback
+	}
+
+	t.Run("exact", func(t *testing.T) {
+		var b strings.Builder
+		for _, regime := range regimes {
+			for _, kind := range kinds {
+				for _, lambda := range lambdas {
+					label := fmt.Sprintf("%s λ=%v %s", kind, lambda, regime.name)
+					mk := func() *core.Instance {
+						in := tableInstance(16, 4, kind, lambda)
+						in.PlaneMaxBytes = regime.maxBytes
+						return in
+					}
+					best := solver.QRDBest(mk())
+					writeQRD(&b, label+" QRDBest", best, nil)
+					in := mk()
+					in.B = best.Value / 2
+					writeQRD(&b, label+" QRDExact/reachable", solver.QRDExact(in), nil)
+					in = mk()
+					in.B = best.Value + 1
+					writeQRD(&b, label+" QRDExact/refute", solver.QRDExact(in), nil)
+					in = mk()
+					in.U, in.R = in.Answers()[:4], 10
+					d, err := solver.DRPExact(in)
+					writeDRP(&b, label+" DRPExact", d, err)
+					in = mk()
+					in.B = best.Value / 2
+					writeRDC(&b, label+" RDCExact", solver.RDCExact(in), nil)
+				}
+			}
+		}
+		g.check(t, b.String())
+	})
+
+	t.Run("ptime", func(t *testing.T) {
+		var b strings.Builder
+		for _, lambda := range lambdas {
+			label := fmt.Sprintf("mono λ=%v", lambda)
+			mk := func() *core.Instance {
+				in := tableInstance(40, 5, objective.Mono, lambda)
+				in.B = 1
+				return in
+			}
+			r, err := solver.QRDMonoPTime(mk())
+			writeQRD(&b, label+" QRDMonoPTime", r, err)
+			in := mk()
+			in.U, in.R = in.Answers()[:5], 4
+			d, err := solver.DRPMonoPTime(in)
+			writeDRP(&b, label+" DRPMonoPTime", d, err)
+		}
+		for _, kind := range kinds[:2] {
+			label := fmt.Sprintf("%s λ=0", kind)
+			mk := func() *core.Instance {
+				in := tableInstance(40, 5, kind, 0)
+				in.B = 0.2
+				return in
+			}
+			r, err := solver.QRDRelevanceOnlyPTime(mk())
+			writeQRD(&b, label+" QRDRelevanceOnlyPTime", r, err)
+			in := mk()
+			in.U, in.R = in.Answers()[:5], 8
+			d, err := solver.DRPRelevanceOnlyPTime(in)
+			writeDRP(&b, label+" DRPRelevanceOnlyPTime", d, err)
+		}
+		in := tableInstance(40, 5, objective.MaxMin, 0)
+		in.B = 0.2
+		c, err := solver.RDCMaxMinRelevanceOnlyFP(in)
+		writeRDC(&b, "max-min λ=0 RDCMaxMinRelevanceOnlyFP", c, err)
+		in = workload.Points(rand.New(rand.NewSource(10)), 32, 2, 128, objective.Mono, 0, 6)
+		in.B = 3
+		c, err = solver.RDCModularDP(in, 128)
+		writeRDC(&b, "mono λ=0 RDCModularDP", c, err)
+		g.check(t, b.String())
+	})
+
+	t.Run("heuristics", func(t *testing.T) {
+		var b strings.Builder
+		for _, regime := range regimes {
+			for _, kind := range kinds {
+				for _, lambda := range lambdas {
+					label := fmt.Sprintf("%s λ=%v %s", kind, lambda, regime.name)
+					mk := func() *core.Instance {
+						in := tableInstance(60, 6, kind, lambda)
+						in.PlaneMaxBytes = regime.maxBytes
+						return in
+					}
+					writeHeuristic(&b, label+" GreedyMaxSum", approx.GreedyMaxSum(mk()))
+					writeHeuristic(&b, label+" GreedyMaxMin", approx.GreedyMaxMin(mk()))
+					in := mk()
+					seed := approx.Greedy(in)
+					writeHeuristic(&b, label+" Greedy", seed)
+					writeHeuristic(&b, label+" LocalSearchSwap", approx.LocalSearchSwap(in, seed.Set))
+				}
+			}
+		}
+		g.check(t, b.String())
+	})
+
+	t.Run("online", func(t *testing.T) {
+		ctx := context.Background()
+		var b strings.Builder
+		for _, kind := range kinds[:2] {
+			for _, lambda := range lambdas {
+				label := fmt.Sprintf("%s λ=%v", kind, lambda)
+				mk := func() *core.Instance {
+					in := workload.GiftInstance(rand.New(rand.NewSource(7)), 40, 80, 3, kind, lambda)
+					in.B = 0.5
+					return in
+				}
+				r, err := online.QRD(ctx, mk(), online.Options{CheckInterval: 3})
+				writeOnline(&b, label+" online.QRD", r, err)
+				r, err = online.Diversify(ctx, mk(), online.Options{})
+				writeOnline(&b, label+" online.Diversify", r, err)
+			}
+		}
+		g.check(t, b.String())
+	})
+
+	t.Run("constrained", func(t *testing.T) {
+		var b strings.Builder
+		mk := func() *core.Instance {
+			return reduction.ThreeSATToConstrainedQRD(sat.Random3SAT(rand.New(rand.NewSource(15)), 4, 6))
+		}
+		writeQRD(&b, "3SAT Σ QRDExact", solver.QRDExact(mk()), nil)
+		writeRDC(&b, "3SAT Σ RDCExact", solver.RDCExact(mk()), nil)
+		g.check(t, b.String())
+	})
 }

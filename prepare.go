@@ -250,7 +250,7 @@ func (p *Prepared) refresh(ctx context.Context) (RefreshInfo, error) {
 	}
 	// Online solves never read the shared plane (they stream through
 	// their own), so skip the O(n²) materialization for those handles.
-	if p.base.scorePlane && p.base.algorithm != Online {
+	if p.base.algorithm != Online {
 		s := p.base
 		s.dirty = 0
 		if _, err := p.planeFor(ctx, snap, &s); err != nil {

@@ -162,9 +162,9 @@ func (p *Prepared) requestKey(req Request) (key string, ok bool) {
 	// p.id pins the statement identity: re-registering a name compiles a
 	// new handle (possibly with new scoring bindings), and its id keeps the
 	// old handle's entries unreachable.
-	fmt.Fprintf(&b, "s%d|%s|k%d|l%g|o%s|a%s|b%g|r%d|sp%t|pm%d|w%d|inc%t|x%t",
+	fmt.Fprintf(&b, "s%d|%s|k%d|l%g|o%s|a%s|b%g|r%d|pm%d|w%d|inc%t|x%t",
 		p.id, req.Problem, s.k, s.lambda, s.objective, s.algorithm, s.bound, s.rank,
-		s.scorePlane, s.planeMaxBytes, s.workers(), s.incremental, req.Explain)
+		s.planeMaxBytes, s.workers(), s.incremental, req.Explain)
 	for _, c := range s.constraints {
 		fmt.Fprintf(&b, "|c%q", c)
 	}
