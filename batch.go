@@ -30,8 +30,8 @@ type BatchResult struct {
 // always corresponds to items[i], regardless of scheduling, and each item's
 // outcome is identical to a standalone Diversify(ctx, items[i].Opts...)
 // call — the concurrency changes wall-clock, not answers. In particular an
-// item overriding WithRelevance/WithDistance/WithPlaneMemoryLimit bypasses
-// the shared plane exactly as a single call does.
+// item overriding WithRelevance/WithDistance bypasses the shared plane
+// exactly as a single call does.
 //
 // The pool size is the handle's WithParallelism setting when given
 // (WithParallelism(0) and the default both mean GOMAXPROCS here). Item

@@ -177,7 +177,6 @@ func TestDiversifyBatchScoringOverrides(t *testing.T) {
 		{Opts: []Option{flippedRel}}, // relevance override
 		{Opts: []Option{priceDis}},   // distance override
 		{Opts: []Option{flippedRel, priceDis, WithLambda(0.3)}},
-		{Opts: []Option{WithPlaneMemoryLimit(64)}}, // memo-regime override
 	}
 	// Compare twice: against a handle whose plane is cold (fresh prepare)
 	// and then again over the now-warm shared plane, so both plane states

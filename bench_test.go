@@ -530,9 +530,8 @@ func planeBenchInstance(n, k int, kind objective.Kind, lambda float64) *core.Ins
 	return in
 }
 
-// BenchmarkScorePlane tracks the interned score plane: build cost, solve
-// time on the materialized matrix, and the memoized fallback regime above
-// the materialization threshold.
+// BenchmarkScorePlane tracks the interned score plane: build cost, and
+// solve time on the materialized matrix against the forced memoized regime.
 func BenchmarkScorePlane(b *testing.B) {
 	b.Run("build-materialized-n1000", func(b *testing.B) {
 		in := planeBenchInstance(1000, 8, objective.MaxSum, 0.5)
@@ -552,9 +551,7 @@ func BenchmarkScorePlane(b *testing.B) {
 				if mode == "plane" {
 					in.Plane().Materialize()
 				} else {
-					// Too small for the n=200 matrix (~156 KiB), so the
-					// plane serves from the capped sharded cache.
-					in.PlaneMaxBytes = 64 << 10
+					in.PlaneRegime = objective.RegimeMemoized
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -750,12 +747,12 @@ func BenchmarkDiversifyBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkIncrementalRefresh measures the PR 4 tentpole: bringing a
-// Prepared handle's caches current after a single-tuple insert, with the
-// change journal (delta evaluation + plane extension) against the
-// rebuild-on-every-mutation path it replaced (WithIncrementalRefresh(false):
-// full re-evaluation plus an O(n²) plane refill — the cost every mutation
-// paid before the journal existed). Each iteration inserts one fresh point
+// BenchmarkIncrementalRefresh measures bringing a Prepared handle's caches
+// current after a single-tuple insert, with the change journal (delta
+// evaluation + plane extension) against the rebuild-on-every-mutation path
+// it replaced (the rebuild arm clears the handle's deltaOK: full
+// re-evaluation plus an O(n²) plane refill — the cost every mutation paid
+// before the journal existed). Each iteration inserts one fresh point
 // and refreshes; the delta path re-scores only the n pairs touching the new
 // tuple.
 func BenchmarkIncrementalRefresh(b *testing.B) {
@@ -788,10 +785,10 @@ func BenchmarkIncrementalRefresh(b *testing.B) {
 						return math.Sqrt(dx*dx + dy*dy)
 					}),
 				}
-				if mode == "rebuild" {
-					opts = append(opts, WithIncrementalRefresh(false))
-				}
 				p := e.MustPrepare("Q(c0, c1) :- P(c0, c1)", opts...)
+				if mode == "rebuild" {
+					p.deltaOK = false
+				}
 				ctx := context.Background()
 				if _, err := p.Refresh(ctx); err != nil {
 					b.Fatal(err)

@@ -2,6 +2,7 @@ package diversification
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -39,6 +40,38 @@ func TestDegradedAnswerMatchesGreedy(t *testing.T) {
 	for i := range got.Selection.Rows {
 		if got.Selection.Rows[i].String() != want.Selection.Rows[i].String() {
 			t.Errorf("row %d: degraded %v != greedy %v", i, got.Selection.Rows[i], want.Selection.Rows[i])
+		}
+	}
+}
+
+// TestMonoSolveHonorsDeadline: an Fmono solve scores every answer by its
+// distance row sum, an O(n²) scan over the plane. On a large handle (here
+// 8,000 answers on the metric index) greedy and exact mono requests must
+// stop at the request deadline rather than finish the scan.
+func TestMonoSolveHonorsDeadline(t *testing.T) {
+	e := NewEngine()
+	e.MustCreateTable("items", "id", "cat")
+	for i := 0; i < 8000; i++ {
+		e.MustInsert("items", i, i%7)
+	}
+	p, err := e.Prepare("Q(id, cat) :- items(id, cat)",
+		WithK(3), WithObjective(Mono), WithDistance(AttrDistance("cat")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Build the plane outside the deadline, so only the scan is timed.
+	if _, err := p.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []Algorithm{Greedy, Exact} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		_, err := p.Do(ctx, Request{Problem: ProblemDiversify, Algorithm: &alg})
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || elapsed > time.Second {
+			t.Errorf("%s mono solve under a 20ms deadline: err %v after %v, want %v within 1s",
+				alg, err, elapsed, context.DeadlineExceeded)
 		}
 	}
 }

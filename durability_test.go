@@ -289,7 +289,7 @@ func TestWALReplayMatchesColdRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.SetJournalBound(4)
+			e.db.SetJournalBound(4)
 			cold := NewEngine()
 
 			apply := func(f func(*Engine) error) {

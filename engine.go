@@ -108,16 +108,8 @@ func (e *Engine) MustCreateTable(name string, attrs ...string) {
 // row advances the database generation, invalidating every Prepared
 // handle's cached answer set.
 func (e *Engine) Insert(table string, values ...interface{}) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r, t, err := e.mutationRow(table, values)
-	if err != nil {
-		return err
-	}
-	if r.Insert(t) {
-		return e.afterMutation()
-	}
-	return nil
+	_, _, err := e.Mutate(table, [][]interface{}{values}, false)
+	return err
 }
 
 // MustInsert is Insert that panics on error.
@@ -132,53 +124,59 @@ func (e *Engine) MustInsert(table string, values ...interface{}) {
 // so Prepared handles maintain their caches incrementally where the query
 // allows it.
 func (e *Engine) Delete(table string, values ...interface{}) (bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r, t, err := e.mutationRow(table, values)
-	if err != nil {
-		return false, err
-	}
-	if r.Delete(t) {
-		return true, e.afterMutation()
-	}
-	return false, nil
+	applied, _, err := e.Mutate(table, [][]interface{}{values}, true)
+	return applied == 1, err
 }
 
-// mutationRow is the shared front half of Insert and Delete, run under the
-// write lock: it refuses writes in read-only mode, resolves the table, and
-// converts values into a tuple of the table's arity.
-func (e *Engine) mutationRow(table string, values []interface{}) (*relation.Relation, relation.Tuple, error) {
+// Mutate inserts the rows into table, or deletes them when del is set, under
+// one write lock, so no solve observes part of the batch. It reports how
+// many rows changed the table (duplicates inserted and absent rows deleted
+// do not count) and the generation the batch ended at. A bad row stops the
+// batch: the rows before it stay applied and are counted.
+func (e *Engine) Mutate(table string, rows [][]interface{}, del bool) (applied int, gen uint64, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.degraded.Load() {
-		return nil, nil, ErrReadOnly
+		return 0, e.db.Generation(), ErrReadOnly
 	}
 	r := e.db.Relation(table)
 	if r == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownTable, table)
+		return 0, e.db.Generation(), fmt.Errorf("%w: %q", ErrUnknownTable, table)
 	}
+	apply := r.Insert
+	if del {
+		apply = r.Delete
+	}
+	for _, values := range rows {
+		t, err := rowTuple(r, values)
+		if err != nil {
+			return applied, e.db.Generation(), err
+		}
+		if apply(t) {
+			applied++
+			if err := e.afterMutation(); err != nil {
+				return applied, e.db.Generation(), err
+			}
+		}
+	}
+	return applied, e.db.Generation(), nil
+}
+
+// rowTuple converts values into a tuple of r's arity.
+func rowTuple(r *relation.Relation, values []interface{}) (relation.Tuple, error) {
 	if len(values) != r.Schema().Arity() {
-		return nil, nil, argErrorf("values", "table %q expects %d values, got %d",
-			table, r.Schema().Arity(), len(values))
+		return nil, argErrorf("values", "table %q expects %d values, got %d",
+			r.Schema().Name, r.Schema().Arity(), len(values))
 	}
 	t := make(relation.Tuple, len(values))
 	for i, v := range values {
 		cv, err := toValue(v)
 		if err != nil {
-			return nil, nil, argErrorf("values", "%v", err)
+			return nil, argErrorf("values", "%v", err)
 		}
 		t[i] = cv
 	}
-	return r, t, nil
-}
-
-// SetJournalBound caps the database's change journal at n entries (values
-// <= 0 restore the default of relation.DefaultJournalBound). The journal
-// keeps incremental refresh memory O(bound): when more mutations accumulate
-// between refreshes than the bound retains, stale Prepared handles fall
-// back to a full rebuild instead of a delta.
-func (e *Engine) SetJournalBound(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.db.SetJournalBound(n)
+	return t, nil
 }
 
 func toValue(v interface{}) (value.Value, error) {

@@ -339,18 +339,24 @@ func TestDegradedQueryGolden(t *testing.T) {
 // goldenSections is a golden file made of named sections, one per subtest:
 // each section opens with a "== name ==" line. A subtest diffs only its
 // own section, so a failure names its cell and -run can select a subset;
-// -update rewrites the sections that ran and keeps the others.
+// -update rewrites the sections that ran and keeps the others. When every
+// subtest runs, a section no subtest checked fails the test, and -update
+// drops it.
 type goldenSections struct {
-	path  string
-	order []string
-	text  map[string]string
+	path    string
+	order   []string
+	text    map[string]string
+	visited map[string]bool
 }
 
-// loadGoldenSections reads testdata/golden/<name>; under -update it also
-// registers the rewrite to run once the calling test's subtests finish.
+// loadGoldenSections reads testdata/golden/<name> and registers the work
+// that runs once the calling test's subtests finish: the unvisited-section
+// check (only when -run and -skip select every subtest) and, under -update,
+// the rewrite.
 func loadGoldenSections(t *testing.T, name string) *goldenSections {
 	t.Helper()
-	g := &goldenSections{path: filepath.Join("testdata", "golden", name), text: map[string]string{}}
+	g := &goldenSections{path: filepath.Join("testdata", "golden", name),
+		text: map[string]string{}, visited: map[string]bool{}}
 	data, err := os.ReadFile(g.path)
 	if err != nil && !(*updateGolden && os.IsNotExist(err)) {
 		t.Fatalf("missing golden file %s (run `go test -run %s -update .`): %v", g.path, t.Name(), err)
@@ -364,18 +370,38 @@ func loadGoldenSections(t *testing.T, name string) *goldenSections {
 		}
 		g.text[section] += line
 	}
-	if *updateGolden {
-		t.Cleanup(func() {
-			var b strings.Builder
+	t.Cleanup(func() {
+		if runsEverySubtest() {
+			visited := g.order[:0]
 			for _, s := range g.order {
-				fmt.Fprintf(&b, "== %s ==\n%s", s, g.text[s])
+				if g.visited[s] {
+					visited = append(visited, s)
+				} else if !*updateGolden {
+					t.Errorf("%s has section %q that no subtest checks (run with -update to drop it)", g.path, s)
+				}
 			}
-			if err := os.WriteFile(g.path, []byte(b.String()), 0o644); err != nil {
-				t.Error(err)
-			}
-		})
-	}
+			g.order = visited
+		}
+		if !*updateGolden {
+			return
+		}
+		var b strings.Builder
+		for _, s := range g.order {
+			fmt.Fprintf(&b, "== %s ==\n%s", s, g.text[s])
+		}
+		if err := os.WriteFile(g.path, []byte(b.String()), 0o644); err != nil {
+			t.Error(err)
+		}
+	})
 	return g
+}
+
+// runsEverySubtest reports whether the -run and -skip flags leave every
+// subtest of a selected top-level test selected: -run has no per-subtest
+// pattern (no "/") and -skip is unset.
+func runsEverySubtest() bool {
+	return !strings.Contains(flag.Lookup("test.run").Value.String(), "/") &&
+		flag.Lookup("test.skip").Value.String() == ""
 }
 
 // check diffs the calling subtest's output against the section named after
@@ -383,6 +409,7 @@ func loadGoldenSections(t *testing.T, name string) *goldenSections {
 func (g *goldenSections) check(t *testing.T, got string) {
 	t.Helper()
 	name := t.Name()[strings.Index(t.Name(), "/")+1:]
+	g.visited[name] = true
 	want, ok := g.text[name]
 	if *updateGolden {
 		if !ok {

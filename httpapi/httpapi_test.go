@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -358,6 +359,45 @@ func TestMutationRoutes(t *testing.T) {
 	}
 	if _, err := client.Insert(ctx, "catalog", [][]interface{}{{"x"}}); !errors.As(err, &serr) || serr.Code != http.StatusBadRequest {
 		t.Fatalf("arity mismatch: %v", err)
+	}
+}
+
+// TestConcurrentMutationBatches races four 500-row insert batches into one
+// engine: each reports exactly its own rows as applied, so the counts sum
+// to the rows inserted.
+func TestConcurrentMutationBatches(t *testing.T) {
+	client, svc := testClient(t)
+	ctx := context.Background()
+	before := svc.Engine().Generation()
+	const batches, rows = 4, 500
+	applied := make([]int, batches)
+	errs := make([]error, batches)
+	var wg sync.WaitGroup
+	for b := 0; b < batches; b++ {
+		batch := make([][]interface{}, rows)
+		for i := range batch {
+			batch[i] = []interface{}{fmt.Sprintf("bulk-%d-%d", b, i), "bulk", i}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mb, err := client.Insert(ctx, "catalog", batch)
+			applied[b], errs[b] = mb.Applied, err
+		}()
+	}
+	wg.Wait()
+	sum := 0
+	for b := range applied {
+		if errs[b] != nil {
+			t.Fatalf("batch %d: %v", b, errs[b])
+		}
+		sum += applied[b]
+	}
+	if sum != batches*rows {
+		t.Fatalf("batches reported %v applied rows (sum %d), want %d each", applied, sum, rows)
+	}
+	if gen := svc.Engine().Generation(); gen != before+batches*rows {
+		t.Fatalf("generation %d after the batches, want %d", gen, before+batches*rows)
 	}
 }
 

@@ -143,27 +143,14 @@ func (s service) Coreset(ctx context.Context, name string, cr CoresetRequest) (*
 	return s.Service.Coreset(ctx, name, spec)
 }
 
-// Mutate applies the batch row by row — each row is one engine mutation,
-// WAL-logged and journal-stamped before the loop moves on — and reports the
-// applied count plus the generation the batch ended at. A bad row aborts the
-// batch mid-way; rows before it are already committed, which the generation
-// in the error-free prefix semantics makes observable rather than hidden.
+// Mutate applies the batch through the engine's one mutation path: every
+// row under a single write lock, so applied counts this batch's rows only.
 func (s service) Mutate(_ context.Context, table string, rows [][]interface{}, del bool) (MutateBody, error) {
-	eng := s.Engine()
-	before := eng.Generation()
-	for _, row := range rows {
-		var err error
-		if del {
-			_, err = eng.Delete(table, row...)
-		} else {
-			err = eng.Insert(table, row...)
-		}
-		if err != nil {
-			return MutateBody{}, err
-		}
+	applied, gen, err := s.Engine().Mutate(table, rows, del)
+	if err != nil {
+		return MutateBody{}, err
 	}
-	after := eng.Generation()
-	return MutateBody{Applied: int(after - before), Generation: after}, nil
+	return MutateBody{Applied: applied, Generation: gen}, nil
 }
 
 // Health reports a read-only engine as degraded: still alive and serving

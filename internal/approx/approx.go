@@ -323,7 +323,10 @@ func monoTopK(ctx context.Context, in *core.Instance) (Result, error) {
 	if !ok {
 		return res, err
 	}
-	scores := in.Obj.MonoScoresPlane(p)
+	scores, err := in.Obj.MonoScoresPlane(ctx, p)
+	if err != nil {
+		return res, err
+	}
 	type pair struct {
 		idx   int
 		score float64

@@ -220,7 +220,7 @@ func TestRebaseEquivalentToColdBuildPerRegime(t *testing.T) {
 // resolving and solving exactly like a cold build at the new size.
 func TestRebaseAcrossMatrixIndexBoundary(t *testing.T) {
 	ctx := context.Background()
-	const limit, dim, k = objective.IndexedMinN, 2, 8
+	const limit, dim, k = 4096, 2, 8 // the largest n whose matrix fits objective.MaxMatrixBytes
 	rng := rand.New(rand.NewSource(96))
 	point := func(x int) relation.Tuple { return relation.Ints(int64(x), rng.Int63n(1000)) }
 	pts := make([]relation.Tuple, limit)

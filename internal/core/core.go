@@ -71,14 +71,9 @@ type Instance struct {
 	// from |Q(D)| and the worker count.
 	ParallelDepth int
 
-	// PlaneMaxBytes caps the plane's materialized distance matrix; 0 means
-	// the objective package default. Above the cap, distances are served
-	// from the plane's sharded memoizing cache instead.
-	PlaneMaxBytes int64
 	// PlaneRegime requests a distance-storage regime for the plane
-	// (materialized matrix, metric index, or memo cache);
-	// the zero value (objective.RegimeAuto) resolves from the answer count
-	// and PlaneMaxBytes.
+	// (materialized matrix, metric index, or memo cache); the zero value
+	// (objective.RegimeAuto) resolves from the answer count alone.
 	PlaneRegime objective.Regime
 
 	answers     []relation.Tuple // memoized Q(D)
@@ -156,7 +151,7 @@ func (in *Instance) PlaneContext(ctx context.Context) (*objective.Plane, error) 
 	if err != nil {
 		return nil, err
 	}
-	p, err := objective.NewPlaneContext(ctx, in.Obj, answers, objective.PlaneOptions{MaxMatrixBytes: in.PlaneMaxBytes, Regime: in.PlaneRegime})
+	p, err := objective.NewPlaneContext(ctx, in.Obj, answers, objective.PlaneOptions{Regime: in.PlaneRegime})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package objective
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/relation"
@@ -80,8 +81,7 @@ func FuzzObjectiveEquivalence(f *testing.F) {
 		want := o.Eval(u, answers)
 		for _, plane := range []*Plane{
 			NewPlane(o, answers, PlaneOptions{}),
-			// A 64-byte matrix budget forces the sharded memoizing fallback.
-			NewPlane(o, answers, PlaneOptions{MaxMatrixBytes: 64}),
+			NewPlane(o, answers, PlaneOptions{Regime: RegimeMemoized}),
 		} {
 			plane.Materialize()
 			if got := o.EvalIDs(plane, ids); got != want {
@@ -89,7 +89,10 @@ func FuzzObjectiveEquivalence(f *testing.F) {
 					plane.Materialized(), got, want, o.Kind, o.Lambda, len(answers), ids)
 			}
 			direct := o.MonoScores(answers)
-			viaPlane := o.MonoScoresPlane(plane)
+			viaPlane, err := o.MonoScoresPlane(context.Background(), plane)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range direct {
 				if direct[i] != viaPlane[i] {
 					t.Fatalf("MonoScores[%d]: plane %v != direct %v", i, viaPlane[i], direct[i])

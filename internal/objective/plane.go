@@ -29,10 +29,11 @@ import (
 	"repro/internal/relation"
 )
 
-// DefaultMaxMatrixBytes is the default memory guard for the materialized
-// distance matrix: planes whose packed triangle would exceed it fall back to
-// the sharded memoizing cache. 64 MiB holds n ≈ 4096 answers.
-const DefaultMaxMatrixBytes = 64 << 20
+// MaxMatrixBytes is the memory guard for the materialized distance matrix:
+// 64 MiB holds the packed triangle of n = 4096 answers. Larger planes serve
+// from the metric index (auto) or the sharded memoizing cache (an explicit
+// materialized request), and the memo's entry budget derives from it.
+const MaxMatrixBytes = 64 << 20
 
 // memoShards is the number of lock shards in the fallback cache; a power of
 // two so the hash can mask.
@@ -40,13 +41,9 @@ const memoShards = 64
 
 // PlaneOptions tune plane construction.
 type PlaneOptions struct {
-	// MaxMatrixBytes caps the distance matrix; 0 means
-	// DefaultMaxMatrixBytes. Materialize refuses (and the plane falls back
-	// per its regime) when the matrix would exceed it.
-	MaxMatrixBytes int64
 	// Regime requests a distance-storage strategy; RegimeAuto (the zero
-	// value) resolves from n and MaxMatrixBytes. See resolveRegime for the
-	// fallback rules when an explicit request does not fit the guard.
+	// value) resolves from n. See resolveRegime for the fallback rules
+	// when an explicit request does not fit MaxMatrixBytes.
 	Regime Regime
 	// Streaming builds an appendable plane for online procedures: IDs are
 	// assigned in arrival order via Append, distances are always served
@@ -72,7 +69,6 @@ type Plane struct {
 	disFn     Distance
 	keyedRel  KeyedRelevance // non-nil when relFn accepts precomputed keys
 	keyedDis  KeyedDistance  // non-nil when disFn accepts precomputed keys
-	maxBytes  int64
 	streaming bool
 	want      Regime // the caller's requested regime (for Rebase carry-over)
 	regime    Regime // the resolved serving regime, fixed at construction
@@ -109,18 +105,12 @@ type memoShard struct {
 // memory — caps the memo at ~4 entries per answer, enough to absorb the
 // incidental Dis calls of quality evaluation and local search without
 // re-growing a quadratic cache behind the index's back.
-func memoShardCap(regime Regime, n int, maxBytes int64) int {
-	cap := maxBytes / 16
+func memoShardCap(regime Regime, n int) int {
+	entries := MaxMatrixBytes / 16
 	if regime == RegimeIndexed {
-		if byN := int64(4*n) + 1024; byN < cap {
-			cap = byN
-		}
+		entries = min(entries, 4*n+1024)
 	}
-	perShard := cap / memoShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	return int(perShard)
+	return entries / memoShards
 }
 
 // NewPlane builds a plane over answers. Distances are not computed yet:
@@ -134,20 +124,15 @@ func NewPlane(o *Objective, answers []relation.Tuple, opts PlaneOptions) *Plane 
 // NewPlaneContext is NewPlane under a cancellation context (the O(n)
 // relevance fill polls it).
 func NewPlaneContext(ctx context.Context, o *Objective, answers []relation.Tuple, opts PlaneOptions) (*Plane, error) {
-	maxBytes := opts.MaxMatrixBytes
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxMatrixBytes
-	}
-	regime := resolveRegime(opts.Regime, len(answers), maxBytes, opts.Streaming)
+	regime := resolveRegime(opts.Regime, len(answers), opts.Streaming)
 	p := &Plane{
 		answers:   answers,
 		relFn:     o.Rel,
 		disFn:     o.Dis,
-		maxBytes:  maxBytes,
 		streaming: opts.Streaming,
 		want:      opts.Regime,
 		regime:    regime,
-		shardCap:  memoShardCap(regime, len(answers), maxBytes),
+		shardCap:  memoShardCap(regime, len(answers)),
 		shards:    make([]memoShard, memoShards),
 	}
 	if kr, ok := o.Rel.(KeyedRelevance); ok {
@@ -499,35 +484,39 @@ func (p *Plane) MaxDisBoundContext(ctx context.Context) (float64, error) {
 
 // RowSums returns, for each id, Σ over all answers of δdis(id, ·) — the
 // shared subexpression of every Fmono score — accumulated in ascending ID
-// order for reproducible floating point. The result is cached; in the
-// memoized regime the scan computes pairs directly without storing them, so
-// the memory guard holds.
-func (p *Plane) RowSums() []float64 {
+// order for reproducible floating point. The O(n²) scan polls ctx, and only
+// a completed scan is cached; without a matrix the scan computes pairs
+// directly without storing them, so the memory guard holds.
+func (p *Plane) RowSums(ctx context.Context) ([]float64, error) {
 	n := len(p.answers)
 	p.mu.Lock()
 	if p.rowSums != nil && len(p.rowSums) == n {
 		sums := p.rowSums
 		p.mu.Unlock()
-		return sums
+		return sums, nil
 	}
 	p.mu.Unlock()
-	p.MaterializeContext(context.Background())
+	if _, err := p.MaterializeContext(ctx); err != nil {
+		return nil, err
+	}
 	dis := p.Dis
 	if !p.triReady.Load() {
+		// The scan never asks for the diagonal (j != i below).
 		dis = func(i, j int) float64 {
-			if i == j {
-				return 0
-			}
 			if i > j {
 				i, j = j, i
 			}
 			return p.rawDis(i, j)
 		}
 	}
+	poll := ctxpoll.New(ctx)
 	sums := make([]float64, n)
 	for i := 0; i < n; i++ {
 		g := 0.0
 		for j := 0; j < n; j++ {
+			if poll.Stop() {
+				return nil, poll.Err()
+			}
 			if j != i {
 				g += dis(i, j)
 			}
@@ -541,7 +530,7 @@ func (p *Plane) RowSums() []float64 {
 		sums = p.rowSums
 	}
 	p.mu.Unlock()
-	return sums
+	return sums, nil
 }
 
 // appendAnswer interns one more answer — the shared growth step behind the
@@ -644,7 +633,7 @@ func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []in
 	// materialized plane over the guard (it degrades) and retire batches
 	// can bring an oversized one back under it (it re-materializes), each
 	// matching what a cold build at the new size would pick.
-	newRegime := resolveRegime(p.want, m, p.maxBytes, false)
+	newRegime := resolveRegime(p.want, m, false)
 	q := &Plane{
 		answers:  make([]relation.Tuple, 0, m),
 		rel:      make([]float64, 0, m),
@@ -652,10 +641,9 @@ func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []in
 		disFn:    p.disFn,
 		keyedRel: p.keyedRel,
 		keyedDis: p.keyedDis,
-		maxBytes: p.maxBytes,
 		want:     p.want,
 		regime:   newRegime,
-		shardCap: memoShardCap(newRegime, m, p.maxBytes),
+		shardCap: memoShardCap(newRegime, m),
 		shards:   make([]memoShard, memoShards),
 	}
 	if p.keys != nil {
@@ -824,7 +812,8 @@ func (o *Objective) EvalIDs(p *Plane, ids []int) float64 {
 		n := p.Len()
 		var sums []float64
 		if n > 1 && o.Lambda != 0 {
-			sums = p.RowSums()
+			// Background never cancels, so the scan cannot fail.
+			sums, _ = p.RowSums(context.Background())
 		}
 		sum := 0.0
 		for _, id := range ids {
@@ -841,13 +830,16 @@ func (o *Objective) EvalIDs(p *Plane, ids []int) float64 {
 
 // MonoScoresPlane is MonoScores on the interned plane: v(t) per answer from
 // the precomputed relevance vector and cached distance row sums. After the
-// first call the per-solve cost drops from O(n²) interface calls to O(n)
-// float arithmetic.
-func (o *Objective) MonoScoresPlane(p *Plane) []float64 {
+// first completed call the per-solve cost drops from O(n²) interface calls
+// to O(n) float arithmetic; until then ctx cancels the row-sum scan.
+func (o *Objective) MonoScoresPlane(ctx context.Context, p *Plane) ([]float64, error) {
 	n := p.Len()
 	var sums []float64
 	if n > 1 && o.Lambda != 0 {
-		sums = p.RowSums()
+		var err error
+		if sums, err = p.RowSums(ctx); err != nil {
+			return nil, err
+		}
 	}
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -857,7 +849,7 @@ func (o *Objective) MonoScoresPlane(p *Plane) []float64 {
 		}
 		out[i] = v
 	}
-	return out
+	return out, nil
 }
 
 // MaxSumDeltaIDs is MaxSumDelta on plane IDs: the FMS gain of adding cand

@@ -38,7 +38,7 @@ func TestPlaneMatchesInterfaces(t *testing.T) {
 	o := planeObjective(n)
 	for name, opts := range map[string]PlaneOptions{
 		"materialized": {},
-		"memoized":     {MaxMatrixBytes: 8}, // too small to materialize
+		"memoized":     {Regime: RegimeMemoized},
 	} {
 		p := NewPlane(o, answers, opts)
 		if ok := p.Materialize(); ok != (name == "materialized") {
@@ -67,7 +67,10 @@ func TestPlaneMatchesInterfaces(t *testing.T) {
 		if p.MaxDis() != wantMaxDis {
 			t.Fatalf("%s: MaxDis = %v, want %v", name, p.MaxDis(), wantMaxDis)
 		}
-		sums := p.RowSums()
+		sums, err := p.RowSums(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < n; i++ {
 			want := 0.0
 			for j := 0; j < n; j++ {
@@ -99,7 +102,10 @@ func TestPlaneEvalIDsMatchesEval(t *testing.T) {
 				t.Fatalf("%s λ=%v: EvalIDs = %v, Eval = %v", kind, lambda, got, want)
 			}
 			if kind == Mono {
-				got := o.MonoScoresPlane(p)
+				got, err := o.MonoScoresPlane(context.Background(), p)
+				if err != nil {
+					t.Fatal(err)
+				}
 				want := o.MonoScores(answers)
 				for i := range want {
 					if got[i] != want[i] {
@@ -187,7 +193,7 @@ func TestPlaneConcurrentAccess(t *testing.T) {
 	o := planeObjective(n)
 	for name, opts := range map[string]PlaneOptions{
 		"materialized": {},
-		"memoized":     {MaxMatrixBytes: 8},
+		"memoized":     {Regime: RegimeMemoized},
 	} {
 		p := NewPlane(o, answers, opts)
 		var wg sync.WaitGroup
@@ -200,7 +206,7 @@ func TestPlaneConcurrentAccess(t *testing.T) {
 					p.Materialize()
 				}
 				if g == 1 {
-					p.RowSums()
+					p.RowSums(context.Background())
 					p.MaxDis()
 				}
 				for i := 0; i < n; i++ {
@@ -230,11 +236,11 @@ func TestPlaneMemoCapBoundsStorage(t *testing.T) {
 	const n = 60
 	answers := planeAnswers(n)
 	o := planeObjective(n)
-	// Budget of 320 bytes: matrix refused, every memo shard capped at one
-	// entry, inserts past the cap evict instead of growing.
-	p := NewPlane(o, answers, PlaneOptions{MaxMatrixBytes: 320})
+	// The indexed regime caps its memo at 4n+1024 entries (19 per shard
+	// here): no matrix, and inserts past the cap evict instead of growing.
+	p := NewPlane(o, answers, PlaneOptions{Regime: RegimeIndexed})
 	if p.Materialize() {
-		t.Fatal("matrix should exceed the budget")
+		t.Fatal("the indexed regime keeps no matrix")
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -247,7 +253,7 @@ func TestPlaneMemoCapBoundsStorage(t *testing.T) {
 	if bound := int64(p.shardCap) * memoShards; stored > bound {
 		t.Fatalf("memo stored %d entries, cap %d", stored, bound)
 	}
-	// 1770 distinct pairs were pushed through a 64-entry cache: the cap
+	// 1770 distinct pairs were pushed through a 1216-entry cache: the cap
 	// must have evicted, and the counter must say so.
 	if evictions == 0 {
 		t.Fatal("no evictions recorded after overflowing the memo cap")

@@ -44,7 +44,8 @@ func checkPlaneEqual(t *testing.T, name string, got, want *Plane) {
 	if got.MaxDis() != want.MaxDis() {
 		t.Fatalf("%s: MaxDis = %v, want %v", name, got.MaxDis(), want.MaxDis())
 	}
-	gs, ws := got.RowSums(), want.RowSums()
+	gs, _ := got.RowSums(context.Background())
+	ws, _ := want.RowSums(context.Background())
 	for i := range ws {
 		if gs[i] != ws[i] {
 			t.Fatalf("%s: RowSums[%d] = %v, want %v", name, i, gs[i], ws[i])
@@ -68,7 +69,7 @@ func (c *countingDistance) Dis(s, t relation.Tuple) float64 {
 func TestRebaseExtendMatchesColdBuild(t *testing.T) {
 	for name, opts := range map[string]PlaneOptions{
 		"materialized": {},
-		"memoized":     {MaxMatrixBytes: 8},
+		"memoized":     {Regime: RegimeMemoized},
 	} {
 		rng := rand.New(rand.NewSource(3))
 		base := make([]relation.Tuple, 0, 40)
@@ -106,7 +107,7 @@ func TestRebaseExtendMatchesColdBuild(t *testing.T) {
 func TestRebaseRetireMatchesColdBuild(t *testing.T) {
 	for name, opts := range map[string]PlaneOptions{
 		"materialized": {},
-		"memoized":     {MaxMatrixBytes: 8},
+		"memoized":     {Regime: RegimeMemoized},
 	} {
 		base := planeAnswers(30)
 		base = sortedTuples(base)
@@ -141,7 +142,7 @@ func TestRebaseMixedRandomized(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		opts := PlaneOptions{}
 		if trial%2 == 1 {
-			opts.MaxMatrixBytes = 8
+			opts.Regime = RegimeMemoized
 		}
 		n := 20 + rng.Intn(30)
 		base := make([]relation.Tuple, 0, n)
@@ -222,13 +223,12 @@ func TestRebaseRecomputesOnlyDeltaPairs(t *testing.T) {
 }
 
 func TestRebaseGuardOverflowFallsToMemo(t *testing.T) {
-	// A plane just under the matrix guard loses materialization when the
-	// extension pushes the triangle past it — exactly as a cold build at
-	// the new size would.
-	base := sortedTuples(planeAnswers(20))
+	// A materialized plane at the largest n whose triangle fits
+	// MaxMatrixBytes loses materialization when the extension pushes the
+	// triangle past it — exactly as a cold build at the new size would.
+	base := sortedTuples(planeAnswers(4096))
 	o := New(MaxSum, ConstRelevance(1), EuclideanDistance(), 0.5)
-	pairsAfter := int64(21 * 20 / 2 * 8)
-	p := NewPlane(o, base, PlaneOptions{MaxMatrixBytes: pairsAfter - 8})
+	p := NewPlane(o, base, PlaneOptions{Regime: RegimeMaterialized})
 	if !p.Materialize() {
 		t.Fatal("base plane should materialize under the guard")
 	}

@@ -5,54 +5,46 @@ import (
 	"testing"
 )
 
-func TestRegimeStringParseRoundTrip(t *testing.T) {
-	for _, r := range []Regime{RegimeAuto, RegimeMaterialized, RegimeIndexed, RegimeMemoized} {
-		got, err := ParseRegime(r.String())
-		if err != nil || got != r {
-			t.Fatalf("round-trip %v: got %v, %v", r, got, err)
+func TestRegimeString(t *testing.T) {
+	for r, want := range map[Regime]string{
+		RegimeAuto:         "auto",
+		RegimeMaterialized: "materialized",
+		RegimeIndexed:      "indexed",
+		RegimeMemoized:     "memoized",
+		Regime(99):         "Regime(99)",
+	} {
+		if got := r.String(); got != want {
+			t.Fatalf("Regime(%d).String() = %q, want %q", int(r), got, want)
 		}
-	}
-	if r, err := ParseRegime(""); err != nil || r != RegimeAuto {
-		t.Fatalf("empty string: got %v, %v, want auto", r, err)
-	}
-	for _, name := range []string{"bogus", "tiled"} {
-		if _, err := ParseRegime(name); err == nil {
-			t.Fatalf("ParseRegime accepted %q", name)
-		}
-	}
-	if s := Regime(99).String(); s != "Regime(99)" {
-		t.Fatalf("out-of-range String() = %q", s)
 	}
 }
 
-// TestResolveRegime pins the planner's selection table: the guard bands of
-// the auto walk and the degradation rules for explicit requests.
+// TestResolveRegime pins the planner's selection table: the auto rule at
+// the MaxMatrixBytes boundary and the degradation rules for explicit
+// requests.
 func TestResolveRegime(t *testing.T) {
-	const guard = DefaultMaxMatrixBytes // 64 MiB
 	cases := []struct {
 		name      string
 		want      Regime
 		n         int
-		maxBytes  int64
 		streaming bool
 		expect    Regime
 	}{
-		{"streaming always memoizes", RegimeMaterialized, 100, guard, true, RegimeMemoized},
-		{"auto small n fits matrix", RegimeAuto, 1000, guard, false, RegimeMaterialized},
-		{"auto largest matrix under guard", RegimeAuto, 4096, guard, false, RegimeMaterialized},
-		{"auto indexed just over guard", RegimeAuto, 4097, guard, false, RegimeIndexed},
-		{"auto indexed n=5000", RegimeAuto, 5000, guard, false, RegimeIndexed},
-		{"auto indexed n=20000", RegimeAuto, 20000, guard, false, RegimeIndexed},
-		{"auto small n tight guard memoizes", RegimeAuto, 100, 8, false, RegimeMemoized},
-		{"explicit matrix fits", RegimeMaterialized, 1000, guard, false, RegimeMaterialized},
-		{"explicit matrix over guard degrades", RegimeMaterialized, 5000, guard, false, RegimeMemoized},
-		{"explicit index honored below IndexedMinN", RegimeIndexed, 100, guard, false, RegimeIndexed},
-		{"explicit memo honored", RegimeMemoized, 1000, guard, false, RegimeMemoized},
+		{"streaming always memoizes", RegimeMaterialized, 100, true, RegimeMemoized},
+		{"auto small n fits matrix", RegimeAuto, 1000, false, RegimeMaterialized},
+		{"auto largest matrix under guard", RegimeAuto, 4096, false, RegimeMaterialized},
+		{"auto indexed just over guard", RegimeAuto, 4097, false, RegimeIndexed},
+		{"auto indexed n=5000", RegimeAuto, 5000, false, RegimeIndexed},
+		{"auto indexed n=20000", RegimeAuto, 20000, false, RegimeIndexed},
+		{"explicit matrix fits", RegimeMaterialized, 1000, false, RegimeMaterialized},
+		{"explicit matrix over guard degrades", RegimeMaterialized, 5000, false, RegimeMemoized},
+		{"explicit index honored at small n", RegimeIndexed, 100, false, RegimeIndexed},
+		{"explicit memo honored", RegimeMemoized, 1000, false, RegimeMemoized},
 	}
 	for _, c := range cases {
-		if got := resolveRegime(c.want, c.n, c.maxBytes, c.streaming); got != c.expect {
-			t.Fatalf("%s: resolveRegime(%v, n=%d, guard=%d, streaming=%v) = %v, want %v",
-				c.name, c.want, c.n, c.maxBytes, c.streaming, got, c.expect)
+		if got := resolveRegime(c.want, c.n, c.streaming); got != c.expect {
+			t.Fatalf("%s: resolveRegime(%v, n=%d, streaming=%v) = %v, want %v",
+				c.name, c.want, c.n, c.streaming, got, c.expect)
 		}
 	}
 }

@@ -102,8 +102,7 @@ func supported(in *core.Instance) error {
 // poolInstance wraps the streamed prefix as an instance whose Answers()
 // are exactly the pool, so the pool can be handed to the offline solvers.
 func poolInstance(in *core.Instance, pool []relation.Tuple) *core.Instance {
-	shadow := &core.Instance{Query: in.Query, DB: in.DB, Obj: in.Obj, K: in.K, B: in.B,
-		PlaneMaxBytes: in.PlaneMaxBytes}
+	shadow := &core.Instance{Query: in.Query, DB: in.DB, Obj: in.Obj, K: in.K, B: in.B}
 	shadow.SetAnswers(pool)
 	return shadow
 }
@@ -183,10 +182,7 @@ func QRD(ctx context.Context, in *core.Instance, opts Options) (Result, error) {
 	// memoize across probes, so repeated greedy probes touch each pair at
 	// most once over the whole stream. The closing exact search reuses the
 	// same memo.
-	splane := objective.NewPlane(in.Obj, nil, objective.PlaneOptions{
-		Streaming:      true,
-		MaxMatrixBytes: in.PlaneMaxBytes, // bounds the distance memo
-	})
+	splane := objective.NewPlane(in.Obj, nil, objective.PlaneOptions{Streaming: true})
 	shadow := poolInstance(in, nil)
 	sinceCheck := 0
 	err := source(ctx, in, opts)(func(t relation.Tuple) bool {

@@ -139,7 +139,12 @@ func newSearch(ctx context.Context, in *core.Instance, cutoff float64, strict bo
 		}
 		s.maxDis = md
 	case objective.Mono:
-		s.monoScores = o.MonoScoresPlane(plane)
+		scores, err := o.MonoScoresPlane(ctx, plane)
+		if err != nil {
+			s.canceled = true
+			return s
+		}
+		s.monoScores = scores
 	}
 	return s
 }
@@ -388,7 +393,9 @@ func (s *search) value() float64 {
 // monoScores returns the per-answer Fmono scores, served from the interned
 // score plane (precomputed relevance vector plus cached distance row sums).
 func monoScores(in *core.Instance) []float64 {
-	return in.Obj.MonoScoresPlane(in.Plane())
+	// Background never cancels, so the scores cannot fail.
+	scores, _ := in.Obj.MonoScoresPlane(context.Background(), in.Plane())
+	return scores
 }
 
 // relScores returns δrel per answer, from the plane's precomputed vector.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-
-	"repro/internal/objective"
 )
 
 // Objective identifies one of the paper's three objective-function families
@@ -125,75 +123,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	}
 }
 
-// PlaneRegime selects how the score plane stores pairwise distances. The
-// zero value PlaneAuto lets the planner pick from the answer count and the
-// plane memory limit; the other values force a regime (falling back to the
-// memo cache when a quadratic store would exceed the limit).
-type PlaneRegime int
-
-const (
-	// PlaneAuto resolves the regime from n and the memory limit: the
-	// float64 matrix when it fits, otherwise the metric index for large
-	// metric candidate sets, with the sharded memo cache as the small-n
-	// fallback.
-	PlaneAuto PlaneRegime = iota
-	// PlaneMaterialized forces the full float64 triangular matrix — exact,
-	// O(n²) memory.
-	PlaneMaterialized
-	// PlaneIndexed forces the metric (vantage-point) index — O(n) memory,
-	// exact distances computed on demand with index-pruned greedy scans.
-	PlaneIndexed
-	// PlaneMemoized forces the sharded memoizing cache — O(pairs touched)
-	// memory with random eviction beyond the per-shard cap.
-	PlaneMemoized
-)
-
-// String returns the conventional lowercase name.
-func (r PlaneRegime) String() string {
-	switch r {
-	case PlaneAuto:
-		return "auto"
-	case PlaneMaterialized:
-		return "materialized"
-	case PlaneIndexed:
-		return "indexed"
-	case PlaneMemoized:
-		return "memoized"
-	default:
-		return fmt.Sprintf("PlaneRegime(%d)", int(r))
-	}
-}
-
-func (r PlaneRegime) valid() bool {
-	switch r {
-	case PlaneAuto, PlaneMaterialized, PlaneIndexed, PlaneMemoized:
-		return true
-	default:
-		return false
-	}
-}
-
-// toObjective lowers the public enum to the objective package's Regime,
-// which it mirrors value for value.
-func (r PlaneRegime) toObjective() objective.Regime { return objective.Regime(r) }
-
-// ParsePlaneRegime maps the textual regime names to the typed enum; the
-// empty string selects PlaneAuto.
-func ParsePlaneRegime(s string) (PlaneRegime, error) {
-	switch s {
-	case "auto", "":
-		return PlaneAuto, nil
-	case "materialized":
-		return PlaneMaterialized, nil
-	case "indexed":
-		return PlaneIndexed, nil
-	case "memoized":
-		return PlaneMemoized, nil
-	default:
-		return 0, argErrorf("plane-regime", "unknown plane regime %q", s)
-	}
-}
-
 // ArgError reports an invalid caller-supplied argument: which field was at
 // fault and why. Every validation failure of the option set, the request
 // compiler and the candidate-set checks wraps into one, so serving layers
@@ -202,7 +131,7 @@ func ParsePlaneRegime(s string) (PlaneRegime, error) {
 type ArgError struct {
 	// Field names the offending argument in its user-facing spelling:
 	// "k", "lambda", "objective", "algorithm", "rank", "bound", "set",
-	// "problem", "parallelism", "plane-memory-limit", "plane-regime".
+	// "problem", "parallelism".
 	Field string
 	// Reason says what was wrong with it, including the rejected value.
 	Reason string
@@ -222,20 +151,17 @@ func argErrorf(field, format string, args ...interface{}) *ArgError {
 // overrides. The defaults are the paper's: constant relevance 1, zero
 // distance, λ = 0.5, objective FMS, automatic solver selection.
 type settings struct {
-	k             int
-	objective     Objective
-	algorithm     Algorithm
-	lambda        float64
-	relevance     func(Row) float64
-	distance      func(Row, Row) float64
-	constraints   []string
-	bound         float64
-	rank          int
-	planeMaxBytes int64
-	planeRegime   PlaneRegime
-	parallelism   int  // solver workers; 0 = GOMAXPROCS, 1 = sequential
-	parallelSet   bool // WithParallelism given (0 means auto, not default)
-	incremental   bool // maintain caches from the change journal (default on)
+	k           int
+	objective   Objective
+	algorithm   Algorithm
+	lambda      float64
+	relevance   func(Row) float64
+	distance    func(Row, Row) float64
+	constraints []string
+	bound       float64
+	rank        int
+	parallelism int  // solver workers; 0 = GOMAXPROCS, 1 = sequential
+	parallelSet bool // WithParallelism given (0 means auto, not default)
 
 	// dirty records which scoring bindings a per-call option replaced;
 	// Prepared.call clears it before applying the call's options, so a set
@@ -247,12 +173,10 @@ type settings struct {
 const (
 	dirtyRelevance uint8 = 1 << iota
 	dirtyDistance
-	dirtyPlaneLimit
-	dirtyPlaneRegime
 )
 
 func defaultSettings() settings {
-	return settings{lambda: 0.5, incremental: true}
+	return settings{lambda: 0.5}
 }
 
 // validate rejects inconsistent settings with typed ArgErrors; it is the
@@ -273,12 +197,6 @@ func (s *settings) validate() error {
 	}
 	if s.rank < 0 {
 		return argErrorf("rank", "must be non-negative, got %d", s.rank)
-	}
-	if s.planeMaxBytes < 0 {
-		return argErrorf("plane-memory-limit", "must be non-negative, got %d", s.planeMaxBytes)
-	}
-	if !s.planeRegime.valid() {
-		return argErrorf("plane-regime", "unknown plane regime %s", s.planeRegime)
 	}
 	if s.parallelism < 0 {
 		return argErrorf("parallelism", "must be non-negative, got %d", s.parallelism)
@@ -328,37 +246,14 @@ func WithRelevance(f func(Row) float64) Option {
 
 // WithDistance sets δdis; nil restores the default zero distance. The score
 // plane fills its distance matrix across GOMAXPROCS workers, so f must be
-// safe for concurrent use.
+// safe for concurrent use. f must be symmetric with a zero diagonal, and a
+// metric (it obeys the triangle inequality) once the query has more than
+// 4,096 answers: above that the plane serves distances from a metric index
+// that prunes by the triangle inequality, and there is no override.
 func WithDistance(f func(Row, Row) float64) Option {
 	return func(s *settings) {
 		s.distance = f
 		s.dirty |= dirtyDistance
-	}
-}
-
-// WithPlaneMemoryLimit caps the score plane's materialized distance matrix
-// in bytes. Answer sets whose n(n-1)/2 pairwise entries would exceed the
-// limit keep the precomputed relevance vector but serve distances from a
-// sharded memoizing cache instead of a full matrix. Zero restores the
-// default (64 MiB, n ≈ 4096).
-func WithPlaneMemoryLimit(bytes int64) Option {
-	return func(s *settings) {
-		s.planeMaxBytes = bytes
-		s.dirty |= dirtyPlaneLimit
-	}
-}
-
-// WithPlaneRegime overrides the score plane's distance-storage regime. The
-// default PlaneAuto picks from the answer count and the memory limit:
-// materialized matrix when n(n-1)/2 float64 entries fit, the metric index
-// above it for large candidate sets (which assumes a metric δdis), and the
-// memo cache otherwise. Forcing PlaneMaterialized above the memory limit
-// degrades to PlaneMemoized; PlaneIndexed and PlaneMemoized are always
-// honored.
-func WithPlaneRegime(r PlaneRegime) Option {
-	return func(s *settings) {
-		s.planeRegime = r
-		s.dirty |= dirtyPlaneRegime
 	}
 }
 
@@ -374,18 +269,6 @@ func WithParallelism(n int) Option {
 		s.parallelism = n
 		s.parallelSet = true
 	}
-}
-
-// WithIncrementalRefresh toggles incremental cache maintenance (on by
-// default): after database mutations, a Prepared handle consults the
-// relation change journal and — for delta-maintainable queries — applies
-// the answer-set delta and extends/retires the score plane instead of
-// rebuilding both from scratch. Turning it off forces the rebuild-on-
-// every-mutation behavior; useful for differential testing and for
-// measuring the incremental path's own speedup. A Prepare-time option:
-// per-call overrides do not affect how the shared cache is maintained.
-func WithIncrementalRefresh(on bool) Option {
-	return func(s *settings) { s.incremental = on }
 }
 
 // AttrRelevance returns a δrel that reads the named attribute as a

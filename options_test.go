@@ -26,7 +26,6 @@ func TestSettingsValidateTable(t *testing.T) {
 		{"lambda NaN", func(s *settings) { s.lambda = math.NaN() }, "lambda"},
 		{"lambda bounds are valid", func(s *settings) { s.lambda = 1 }, ""},
 		{"negative rank", func(s *settings) { s.rank = -1 }, "rank"},
-		{"negative plane limit", func(s *settings) { s.planeMaxBytes = -1 }, "plane-memory-limit"},
 		{"negative parallelism", func(s *settings) { s.parallelism = -1 }, "parallelism"},
 	}
 	for _, tc := range cases {

@@ -374,12 +374,10 @@ func (pl *Plan) maybeDegrade(ctx context.Context) {
 
 // materialize acquires the snapshot for the current generation and attaches
 // the handle-cached score plane when this request's scoring bindings are
-// the prepared ones; a per-request WithRelevance/WithDistance/
-// WithPlaneMemoryLimit gets a fresh per-instance plane lazily instead, so
-// it never observes scores baked from the wrong functions (or a matrix
-// sized under the wrong memory limit). Also used by execute when a
-// streaming route's solver refuses the instance and the plan falls back to
-// a materialized one.
+// the prepared ones; a per-request WithRelevance/WithDistance gets a fresh
+// per-instance plane lazily instead, so it never observes scores baked from
+// the wrong functions. Also used by execute when a streaming route's solver
+// refuses the instance and the plan falls back to a materialized one.
 func (pl *Plan) materialize(ctx context.Context) error {
 	snap, info, err := pl.p.snapshotAt(ctx)
 	if err != nil {
@@ -388,11 +386,11 @@ func (pl *Plan) materialize(ctx context.Context) error {
 	pl.snap = snap
 	pl.refresh = info
 	pl.gen = snap.gen
-	if pl.s.dirty&(dirtyRelevance|dirtyDistance|dirtyPlaneLimit|dirtyPlaneRegime) != 0 {
+	if pl.s.dirty != 0 {
 		pl.planeNote = "per-request (a scoring override bypasses the shared plane)"
 		return nil
 	}
-	plane, err := pl.p.planeFor(ctx, snap, &pl.s)
+	plane, err := pl.p.planeFor(ctx, snap)
 	if err != nil {
 		return err
 	}
@@ -455,8 +453,6 @@ func (pl *Plan) newInstance() *core.Instance {
 		R:     pl.s.rank,
 		Sigma: pl.sigma,
 	}
-	in.PlaneMaxBytes = pl.s.planeMaxBytes
-	in.PlaneRegime = pl.s.planeRegime.toObjective()
 	in.Parallelism = pl.s.workers()
 	if pl.snap != nil {
 		in.SetAnswers(pl.snap.answers)

@@ -172,11 +172,10 @@ func TestServiceEngineAccessor(t *testing.T) {
 }
 
 // TestPipelineGolden pins the Response of every problem kind through the
-// pipeline, across FMS/FMM/Fmono × exact/greedy/online × the materialized
-// and memoized plane regimes: a cold decide, diversify, a warm decide and
-// count at the optimum's bound, in-top-r and rank of the chosen set, then
-// the same pass again after a mutation batch the cache absorbs as a
-// journal delta. Constrained (Σ) and per-request scoring-override cells
+// pipeline, across FMS/FMM/Fmono × exact/greedy/online on the materialized
+// plane: a cold decide, diversify, a warm decide and count at the optimum's
+// bound, in-top-r and rank of the chosen set, then the same pass again
+// after a mutation batch the cache absorbs as a journal delta. Constrained (Σ) and per-request scoring-override cells
 // follow. Each line is the Response JSON with elapsed_ns scrubbed, so the
 // answers, the solver route, the work statistics and the refresh mode are
 // all pinned. Regenerate with
@@ -201,43 +200,34 @@ func TestPipelineGolden(t *testing.T) {
 		fmt.Fprintf(b, "%s: %s\n", label, out)
 		return resp
 	}
-	regimes := []struct {
-		name  string
-		extra []Option
-	}{
-		{"materialized", nil},
-		{"memoized", []Option{WithPlaneMemoryLimit(64)}}, // far below n(n-1)/2 cells
-	}
 	for _, obj := range []Objective{MaxSum, MaxMin, Mono} {
 		for _, alg := range []Algorithm{Exact, Greedy, Online} {
 			if obj == Mono && alg == Online {
 				continue // the online procedures reject Fmono by design
 			}
-			for _, regime := range regimes {
-				t.Run(obj.String()+"/"+alg.String()+"/"+regime.name, func(t *testing.T) {
-					e := refreshEngine(t, 24)
-					p := e.MustPrepare(refreshQuery, refreshOpts(3, obj, alg, regime.extra...)...)
-					var b strings.Builder
-					pass := func(phase string) {
-						// The cold decide's route depends on the cache state.
-						do(t, &b, p, phase+" decide", Request{Problem: ProblemDecide, Options: []Option{WithBound(1)}})
-						div := do(t, &b, p, phase+" diversify", Request{Problem: ProblemDiversify})
-						if div == nil {
-							return
-						}
-						bound := div.Selection.Value
-						do(t, &b, p, phase+" warm decide", Request{Problem: ProblemDecide, Bound: &bound})
-						do(t, &b, p, phase+" count", Request{Problem: ProblemCount, Bound: &bound})
-						set, rank1 := rowsAsSet(div.Selection), 1
-						do(t, &b, p, phase+" in-top-r", Request{Problem: ProblemInTopR, Set: set, Rank: &rank1})
-						do(t, &b, p, phase+" rank", Request{Problem: ProblemRank, Set: set})
+			t.Run(obj.String()+"/"+alg.String()+"/materialized", func(t *testing.T) {
+				e := refreshEngine(t, 24)
+				p := e.MustPrepare(refreshQuery, refreshOpts(3, obj, alg)...)
+				var b strings.Builder
+				pass := func(phase string) {
+					// The cold decide's route depends on the cache state.
+					do(t, &b, p, phase+" decide", Request{Problem: ProblemDecide, Options: []Option{WithBound(1)}})
+					div := do(t, &b, p, phase+" diversify", Request{Problem: ProblemDiversify})
+					if div == nil {
+						return
 					}
-					pass("cold")
-					mutate(t, e)
-					pass("after-delta")
-					g.check(t, b.String())
-				})
-			}
+					bound := div.Selection.Value
+					do(t, &b, p, phase+" warm decide", Request{Problem: ProblemDecide, Bound: &bound})
+					do(t, &b, p, phase+" count", Request{Problem: ProblemCount, Bound: &bound})
+					set, rank1 := rowsAsSet(div.Selection), 1
+					do(t, &b, p, phase+" in-top-r", Request{Problem: ProblemInTopR, Set: set, Rank: &rank1})
+					do(t, &b, p, phase+" rank", Request{Problem: ProblemRank, Set: set})
+				}
+				pass("cold")
+				mutate(t, e)
+				pass("after-delta")
+				g.check(t, b.String())
+			})
 		}
 	}
 

@@ -1,11 +1,10 @@
 // Score-plane tests: the solver golden that pins every solver family's
 // results on the plane, the Prepared handle's plane cache and its
-// invalidation, per-call scoring overrides, and the plane-regime planner.
+// invalidation, per-call scoring overrides, and the Explain plane report.
 package diversification
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -138,6 +137,13 @@ func TestPreparedPlanePerCallOverride(t *testing.T) {
 	if over.Value != 2*base.Value {
 		t.Fatalf("per-call distance override ignored: base %v, override %v", base.Value, over.Value)
 	}
+	plan, err := p.Plan(ctx, Request{Problem: ProblemDiversify, Options: []Option{WithDistance(priceGap)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := plan.Explain(); !strings.Contains(ex, "plane:     per-request") {
+		t.Fatalf("a per-call distance override did not bypass the shared plane:\n%s", ex)
+	}
 	// And the handle's cached plane still serves the original binding.
 	again, err := p.Diversify(ctx, WithAlgorithm(Exact), WithK(2), WithLambda(1))
 	if err != nil {
@@ -145,97 +151,6 @@ func TestPreparedPlanePerCallOverride(t *testing.T) {
 	}
 	if again.Value != base.Value {
 		t.Fatalf("prepared binding corrupted by per-call override: %v != %v", again.Value, base.Value)
-	}
-}
-
-// TestPreparedPlaneRegime proves WithPlaneRegime steers the prepared
-// plane's storage regime, Explain reports the choice with its estimated
-// footprint, and a per-call regime override bypasses the shared plane
-// without changing the answer.
-func TestPreparedPlaneRegime(t *testing.T) {
-	ctx := context.Background()
-	_, p := preparedPlaneEngine(t, WithPlaneRegime(PlaneMemoized))
-	if _, err := p.Diversify(ctx); err != nil {
-		t.Fatal(err)
-	}
-	p.mu.Lock()
-	pl := p.snap.plane
-	p.mu.Unlock()
-	if pl == nil {
-		t.Fatal("no plane cached after the first solve")
-	}
-	if got := pl.Regime(); got != objective.RegimeMemoized {
-		t.Fatalf("prepared regime = %v, want memoized", got)
-	}
-	plan, err := p.Plan(ctx, Request{Problem: ProblemDiversify})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex := plan.Explain(); !strings.Contains(ex, "memoized cache, ~") {
-		t.Fatalf("Explain does not report the regime with its footprint:\n%s", ex)
-	}
-
-	// The default auto plan at this size materializes the matrix.
-	_, pAuto := preparedPlaneEngine(t)
-	plan, err = pAuto.Plan(ctx, Request{Problem: ProblemDiversify})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex := plan.Explain(); !strings.Contains(ex, "materialized matrix, ~") {
-		t.Fatalf("auto regime did not materialize:\n%s", ex)
-	}
-
-	// A per-call regime override must bypass the shared plane (whose store
-	// was built under a different regime) and still answer identically.
-	plan, err = pAuto.Plan(ctx, Request{Problem: ProblemDiversify,
-		Options: []Option{WithPlaneRegime(PlaneMemoized)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex := plan.Explain(); !strings.Contains(ex, "per-request") {
-		t.Fatalf("per-call regime override did not bypass the shared plane:\n%s", ex)
-	}
-	a, err := pAuto.Diversify(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pAuto.Diversify(ctx, WithPlaneRegime(PlaneMemoized))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Value != b.Value {
-		t.Fatalf("per-call memoized regime changed the answer: %v != %v", a.Value, b.Value)
-	}
-}
-
-// TestPlaneRegimeParseAndValidate pins the enum round-trip, the value-for-
-// value mirror of the objective package's Regime that toObjective relies on,
-// and the typed rejection of unknown names and out-of-range values.
-func TestPlaneRegimeParseAndValidate(t *testing.T) {
-	for _, r := range []PlaneRegime{PlaneAuto, PlaneMaterialized, PlaneIndexed, PlaneMemoized} {
-		got, err := ParsePlaneRegime(r.String())
-		if err != nil || got != r {
-			t.Fatalf("round-trip %v: got %v, %v", r, got, err)
-		}
-		if o := r.toObjective(); o.String() != r.String() {
-			t.Fatalf("%v lowers to objective regime %v", r, o)
-		}
-	}
-	if r, err := ParsePlaneRegime(""); err != nil || r != PlaneAuto {
-		t.Fatalf("empty string should parse as auto, got %v, %v", r, err)
-	}
-	var argErr *ArgError
-	for _, name := range []string{"bogus", "tiled"} {
-		if _, err := ParsePlaneRegime(name); !errors.As(err, &argErr) || argErr.Field != "plane-regime" {
-			t.Fatalf("ParsePlaneRegime(%q) = %v, want a plane-regime ArgError", name, err)
-		}
-	}
-	if _, err := objective.ParseRegime("tiled"); err == nil {
-		t.Fatal(`objective.ParseRegime accepted "tiled"`)
-	}
-	_, p := preparedPlaneEngine(t)
-	if _, err := p.Diversify(context.Background(), WithPlaneRegime(PlaneRegime(99))); !errors.As(err, &argErr) || argErr.Field != "plane-regime" {
-		t.Fatalf("invalid regime not rejected as a plane-regime ArgError: %v", err)
 	}
 }
 
@@ -352,11 +267,11 @@ func TestSolverGolden(t *testing.T) {
 	kinds := []objective.Kind{objective.MaxSum, objective.MaxMin, objective.Mono}
 	lambdas := []float64{0, 0.5, 1}
 	regimes := []struct {
-		name     string
-		maxBytes int64
+		name   string
+		regime objective.Regime
 	}{
-		{"materialized", 0},
-		{"memoized", 8}, // far below n(n-1)/2 cells: the sharded-cache fallback
+		{"materialized", objective.RegimeAuto}, // auto materializes at these sizes
+		{"memoized", objective.RegimeMemoized},
 	}
 
 	t.Run("exact", func(t *testing.T) {
@@ -367,7 +282,7 @@ func TestSolverGolden(t *testing.T) {
 					label := fmt.Sprintf("%s λ=%v %s", kind, lambda, regime.name)
 					mk := func() *core.Instance {
 						in := tableInstance(16, 4, kind, lambda)
-						in.PlaneMaxBytes = regime.maxBytes
+						in.PlaneRegime = regime.regime
 						return in
 					}
 					best := solver.QRDBest(mk())
@@ -440,7 +355,7 @@ func TestSolverGolden(t *testing.T) {
 					label := fmt.Sprintf("%s λ=%v %s", kind, lambda, regime.name)
 					mk := func() *core.Instance {
 						in := tableInstance(60, 6, kind, lambda)
-						in.PlaneMaxBytes = regime.maxBytes
+						in.PlaneRegime = regime.regime
 						return in
 					}
 					writeHeuristic(&b, label+" GreedyMaxSum", approx.GreedyMaxSum(mk()))

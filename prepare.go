@@ -23,8 +23,8 @@ import (
 // to date incrementally where possible — the relation change journal yields
 // the answer-set delta, the score plane is extended/retired instead of
 // rebuilt, and the answer index is maintained alongside — falling back to
-// a full rebuild when the journal was compacted, the query is not
-// delta-maintainable, or WithIncrementalRefresh(false) disabled the path.
+// a full rebuild when the journal was compacted or the query is not
+// delta-maintainable.
 // Build work happens once in Prepare; the per-call cost of
 // Diversify/Decide/Count/InTopR/Rank is the solver alone.
 //
@@ -251,9 +251,7 @@ func (p *Prepared) refresh(ctx context.Context) (RefreshInfo, error) {
 	// Online solves never read the shared plane (they stream through
 	// their own), so skip the O(n²) materialization for those handles.
 	if p.base.algorithm != Online {
-		s := p.base
-		s.dirty = 0
-		if _, err := p.planeFor(ctx, snap, &s); err != nil {
+		if _, err := p.planeFor(ctx, snap); err != nil {
 			return info, err
 		}
 	}
@@ -327,7 +325,7 @@ func (p *Prepared) snapshotAt(ctx context.Context) (*snapshot, RefreshInfo, erro
 // the journal delta to old when the incremental path applies and falling
 // back to full re-evaluation otherwise.
 func (p *Prepared) buildSnapshot(ctx context.Context, old *snapshot, gen uint64) (*snapshot, RefreshInfo, error) {
-	if old != nil && p.deltaOK && p.base.incremental {
+	if old != nil && p.deltaOK {
 		if changes, ok := p.eng.db.ChangesSince(old.gen); ok {
 			d, ok, err := eval.Delta(ctx, p.q, p.eng.db, changes, old.answers)
 			if err != nil {
@@ -457,7 +455,7 @@ func (p *Prepared) storePool(pool []relation.Tuple, gen uint64) {
 // change journal can patch incrementally — in which case re-evaluating the
 // query from scratch (streaming or otherwise) would waste it.
 func (p *Prepared) refreshableDelta() bool {
-	if !p.deltaOK || !p.base.incremental {
+	if !p.deltaOK {
 		return false
 	}
 	p.mu.Lock()
@@ -510,22 +508,21 @@ func (p *Prepared) objectiveFor(s settings) *objective.Objective {
 	return objective.New(kind, rel, dis, s.lambda)
 }
 
-// planeFor returns the snapshot's score plane, building and materializing
-// it on first use. The (possibly quadratic) build runs outside the lock; a
+// planeFor returns the snapshot's score plane under the Prepare-time
+// δrel/δdis, building and materializing it on first use. The plane holds no
+// λ- or kind-dependent state, so one plane serves every call that keeps
+// those bindings. The (possibly quadratic) build runs outside the lock; a
 // plane is a pure function of the snapshot's answers, so a racing loser's
 // identical plane is simply discarded. Delta refreshes pre-attach a rebased
 // plane, making this a lock-and-load.
-func (p *Prepared) planeFor(ctx context.Context, snap *snapshot, s *settings) (*objective.Plane, error) {
+func (p *Prepared) planeFor(ctx context.Context, snap *snapshot) (*objective.Plane, error) {
 	p.mu.Lock()
 	pl := snap.plane
 	p.mu.Unlock()
 	if pl != nil {
 		return pl, nil
 	}
-	pl, err := objective.NewPlaneContext(ctx, p.objectiveFor(*s), snap.answers, objective.PlaneOptions{
-		MaxMatrixBytes: s.planeMaxBytes,
-		Regime:         s.planeRegime.toObjective(),
-	})
+	pl, err := objective.NewPlaneContext(ctx, p.objectiveFor(p.base), snap.answers, objective.PlaneOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -118,40 +118,6 @@ func TestRaceColdCacheDecide(t *testing.T) {
 	}
 }
 
-// TestRaceSharedPlaneMemoRegime forces the sharded memoizing distance cache
-// (a tiny matrix budget) and hammers it through exact parallel solves.
-func TestRaceSharedPlaneMemoRegime(t *testing.T) {
-	e := raceEngine(t)
-	ctx := context.Background()
-	p := e.MustPrepare(batchQuery,
-		append(scoringOpts(), WithK(3), WithPlaneMemoryLimit(64), WithParallelism(4))...)
-	want, err := p.Diversify(ctx, WithAlgorithm(Exact))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, raceWorkers)
-	for w := 0; w < raceWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sel, err := p.Diversify(ctx, WithAlgorithm(Exact))
-			if err != nil {
-				errs <- err
-				return
-			}
-			if sel.Value != want.Value {
-				errs <- errors.New("memo-regime parallel solve diverged under concurrency")
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
 // TestRaceDiversifyBatchConcurrentHandles: batches on the same handle from
 // multiple goroutines (batch workers inside, goroutines outside).
 func TestRaceDiversifyBatchConcurrentHandles(t *testing.T) {

@@ -77,80 +77,73 @@ func sameSelection(t *testing.T, label string, warm, cold *Selection) {
 // TestRefreshDifferentialMatrix is the acceptance suite: after a batch of
 // inserts and deletes, a Refresh-maintained handle must return byte-
 // identical selections, decisions and counts to a handle cold-prepared at
-// the same generation — across every objective × algorithm × plane regime
-// cell (Fmono × online excluded: the online procedures reject Fmono by
-// design, warm and cold alike).
+// the same generation — across every objective × algorithm cell on the
+// materialized plane (Fmono × online excluded: the online procedures
+// reject Fmono by design, warm and cold alike).
 func TestRefreshDifferentialMatrix(t *testing.T) {
 	ctx := context.Background()
-	regimes := map[string][]Option{
-		"materialized": nil,
-		"memoized":     {WithPlaneMemoryLimit(64)}, // far below n(n-1)/2 cells
-	}
 	for _, obj := range []Objective{MaxSum, MaxMin, Mono} {
 		for _, alg := range []Algorithm{Exact, Greedy, Online} {
 			if obj == Mono && alg == Online {
 				continue
 			}
-			for regime, extra := range regimes {
-				name := obj.String() + "/" + alg.String() + "/" + regime
-				t.Run(name, func(t *testing.T) {
-					n, k := 30, 3
-					e := refreshEngine(t, n)
-					opts := refreshOpts(k, obj, alg, extra...)
-					warm := e.MustPrepare(refreshQuery, opts...)
-					if _, err := warm.Diversify(ctx); err != nil {
-						t.Fatal(err)
-					}
-					mutate(t, e)
-					info, err := warm.Refresh(ctx)
+			t.Run(obj.String()+"/"+alg.String()+"/materialized", func(t *testing.T) {
+				n, k := 30, 3
+				e := refreshEngine(t, n)
+				opts := refreshOpts(k, obj, alg)
+				warm := e.MustPrepare(refreshQuery, opts...)
+				if _, err := warm.Diversify(ctx); err != nil {
+					t.Fatal(err)
+				}
+				mutate(t, e)
+				info, err := warm.Refresh(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Mode != "delta" {
+					t.Fatalf("Refresh mode = %q, want delta (added %d removed %d)", info.Mode, info.Added, info.Removed)
+				}
+				if info.Added == 0 || info.Removed == 0 {
+					t.Fatalf("delta did not see the batch: %+v", info)
+				}
+				cold := e.MustPrepare(refreshQuery, opts...)
+
+				warmSel, werr := warm.Diversify(ctx)
+				coldSel, cerr := cold.Diversify(ctx)
+				if (werr == nil) != (cerr == nil) {
+					t.Fatalf("warm err %v, cold err %v", werr, cerr)
+				}
+				if werr == nil {
+					sameSelection(t, "diversify", warmSel, coldSel)
+				}
+
+				// Decide and Count at a bound the warm optimum defines.
+				if alg == Exact {
+					bound := warmSel.Value
+					wd, err := warm.Decide(ctx, WithBound(bound))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if info.Mode != "delta" {
-						t.Fatalf("Refresh mode = %q, want delta (added %d removed %d)", info.Mode, info.Added, info.Removed)
+					cd, err := cold.Decide(ctx, WithBound(bound))
+					if err != nil {
+						t.Fatal(err)
 					}
-					if info.Added == 0 || info.Removed == 0 {
-						t.Fatalf("delta did not see the batch: %+v", info)
+					if wd != cd {
+						t.Errorf("Decide: warm %v, cold %v", wd, cd)
 					}
-					cold := e.MustPrepare(refreshQuery, opts...)
-
-					warmSel, werr := warm.Diversify(ctx)
-					coldSel, cerr := cold.Diversify(ctx)
-					if (werr == nil) != (cerr == nil) {
-						t.Fatalf("warm err %v, cold err %v", werr, cerr)
+					wc, err := warm.Count(ctx, WithBound(bound))
+					if err != nil {
+						t.Fatal(err)
 					}
-					if werr == nil {
-						sameSelection(t, "diversify", warmSel, coldSel)
+					cc, err := cold.Count(ctx, WithBound(bound))
+					if err != nil {
+						t.Fatal(err)
 					}
-
-					// Decide and Count at a bound the warm optimum defines.
-					if alg == Exact {
-						bound := warmSel.Value
-						wd, err := warm.Decide(ctx, WithBound(bound))
-						if err != nil {
-							t.Fatal(err)
-						}
-						cd, err := cold.Decide(ctx, WithBound(bound))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if wd != cd {
-							t.Errorf("Decide: warm %v, cold %v", wd, cd)
-						}
-						wc, err := warm.Count(ctx, WithBound(bound))
-						if err != nil {
-							t.Fatal(err)
-						}
-						cc, err := cold.Count(ctx, WithBound(bound))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if wc.Cmp(cc) != 0 {
-							t.Errorf("Count: warm %v, cold %v", wc, cc)
-						}
+					if wc.Cmp(cc) != 0 {
+						t.Errorf("Count: warm %v, cold %v", wc, cc)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -229,7 +222,7 @@ func TestRefreshModes(t *testing.T) {
 
 	t.Run("journal-compacted-rebuild", func(t *testing.T) {
 		e := refreshEngine(t, 20)
-		e.SetJournalBound(4)
+		e.db.SetJournalBound(4)
 		p := e.MustPrepare(refreshQuery, refreshOpts(3, MaxSum, Greedy)...)
 		if _, err := p.Refresh(ctx); err != nil {
 			t.Fatal(err)
@@ -261,19 +254,6 @@ func TestRefreshModes(t *testing.T) {
 		info, err := p.Refresh(ctx)
 		if err != nil || info.Mode != "rebuild" {
 			t.Errorf("Refresh of a non-monotone query = %+v, %v; want rebuild", info, err)
-		}
-	})
-
-	t.Run("opt-out-rebuild", func(t *testing.T) {
-		e := refreshEngine(t, 20)
-		p := e.MustPrepare(refreshQuery, refreshOpts(3, MaxSum, Greedy, WithIncrementalRefresh(false))...)
-		if _, err := p.Refresh(ctx); err != nil {
-			t.Fatal(err)
-		}
-		e.MustInsert("items", 2000, "z", 20)
-		info, err := p.Refresh(ctx)
-		if err != nil || info.Mode != "rebuild" {
-			t.Errorf("Refresh with WithIncrementalRefresh(false) = %+v, %v; want rebuild", info, err)
 		}
 	})
 

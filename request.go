@@ -145,8 +145,8 @@ type Request struct {
 //
 // ok is false when the request is not cacheable: an invalid option set
 // (the pipeline will produce the typed error), or a per-call
-// WithRelevance/WithDistance/WithPlaneMemoryLimit override — function
-// values have no canonical form, so those requests always solve.
+// WithRelevance/WithDistance override — function values have no canonical
+// form, so those requests always solve.
 func (p *Prepared) requestKey(req Request) (key string, ok bool) {
 	if !req.Problem.valid() {
 		return "", false
@@ -162,9 +162,9 @@ func (p *Prepared) requestKey(req Request) (key string, ok bool) {
 	// p.id pins the statement identity: re-registering a name compiles a
 	// new handle (possibly with new scoring bindings), and its id keeps the
 	// old handle's entries unreachable.
-	fmt.Fprintf(&b, "s%d|%s|k%d|l%g|o%s|a%s|b%g|r%d|pm%d|w%d|inc%t|x%t",
+	fmt.Fprintf(&b, "s%d|%s|k%d|l%g|o%s|a%s|b%g|r%d|w%d|x%t",
 		p.id, req.Problem, s.k, s.lambda, s.objective, s.algorithm, s.bound, s.rank,
-		s.planeMaxBytes, s.workers(), s.incremental, req.Explain)
+		s.workers(), req.Explain)
 	for _, c := range s.constraints {
 		fmt.Fprintf(&b, "|c%q", c)
 	}
