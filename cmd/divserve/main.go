@@ -68,12 +68,12 @@
 //
 // Cluster flags:
 //
-//	-shards a,b,c       coordinator mode: serve by fanning diversify
-//	                    requests out to these shard servers, merging their
-//	                    k′-coresets and solving over the union; mutations
-//	                    route to the owning shard by partition hash. Data
-//	                    flags (-demo/-load/-data-dir) do not apply — data
-//	                    lives on the shards.
+//	-shards a,b,c       coordinator mode: fan diversify requests out to
+//	                    these shards and merge their k′-coresets with one
+//	                    greedy solve (δdis from -distance-attr, zero without
+//	                    it); mutations route to the owning shard by
+//	                    partition hash. Data flags (-demo/-load/-data-dir)
+//	                    do not apply — data lives on the shards.
 //	-coreset-slack N    coordinator: per-shard coreset budget k′ = k + N
 //	                    (negative, the default, defers to the shard-side
 //	                    default of slack = k)

@@ -4,15 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
+
+	"repro/internal/approx"
+	"repro/internal/core"
+	"repro/internal/relation"
 )
 
 // Coreset is a shard-local diversification summary: the k′ = k + slack
 // rows the greedy heuristic selects, with their relevance scores, packaged
-// for a cluster coordinator to union with other shards' coresets and
-// re-solve. The greedy 2-approximation survives that composition (solve
-// shard-locally, solve again over the union), which is what makes the
-// coreset — rather than the full answer set — a sufficient shard response.
+// for MergeCoresets to union with other shards' coresets and re-solve. The
+// greedy 2-approximation survives that composition (solve shard-locally,
+// solve again over the union), which is what makes the coreset — rather
+// than the full answer set — a sufficient shard response.
 //
 // Rows carry attribute values in schema order (the same form Request.Set
 // and Engine.Insert accept); Scores[i] is δrel of Rows[i] under the
@@ -200,6 +205,107 @@ func (s *Service) answerCount(ctx context.Context, p *Prepared) (int, uint64, er
 		return 0, 0, err
 	}
 	return len(snap.answers), snap.gen, nil
+}
+
+// MergeCoresets is the consuming half of Coreset: the greedy procedure run
+// once more, over the union of the shards' coresets. parts is indexed by
+// shard, nil for a shard that did not answer. Coresets come from other
+// processes, so they are validated: every part must echo the first one's
+// schema, k, λ and objective; rows must fit the schema and carry scores;
+// the settings must pass Prepare's checks (typed ArgErrors), mono refused.
+//
+// The union keeps each distinct row once, at its largest shipped score, in
+// canonical tuple order — a single engine's snapshot order — so a one-shard
+// merge answers byte for byte as that shard's engine. δrel is the shipped
+// score; δdis is AttrDistance(distanceAttr), zero when distanceAttr is "".
+// A missing part marks the response Degraded and clamps k to the union
+// size; with every part present, a union short of k is ErrNoCandidate.
+// Generation sums the parts' generations; Cached and Degraded are ORs.
+func MergeCoresets(ctx context.Context, parts []*Coreset, distanceAttr string, explain bool) (*Response, error) {
+	resp := &Response{Problem: ProblemDiversify, Route: "greedy"}
+	var s settings
+	var schema relation.Schema
+	var union []relation.Tuple
+	first, missing, scores := -1, false, make(map[string]float64)
+	for i, cs := range parts {
+		if cs == nil {
+			missing = true
+			continue
+		}
+		if first < 0 {
+			obj, err := ParseObjective(cs.Objective)
+			if err != nil {
+				return nil, err
+			}
+			s = settings{k: cs.K, lambda: cs.Lambda, objective: obj}
+			if err := s.validate(); err != nil {
+				return nil, err
+			}
+			if obj == Mono {
+				return nil, argErrorf("objective", "mono objective is not coreset-mergeable (its value depends on all of Q(D), which no shard holds)")
+			}
+			if schema, err = relation.CheckSchema("Q", cs.Schema...); err != nil {
+				return nil, err
+			}
+			first = i
+		} else if f := parts[first]; !slices.Equal(cs.Schema, f.Schema) || cs.K != f.K || cs.Lambda != f.Lambda || cs.Objective != s.objective.String() {
+			// Drift (a misdeployed shard, or renamed answer attributes) must
+			// fail, not merge rows read under the wrong settings.
+			return nil, fmt.Errorf("diversification: shard[%d] coreset settings drift: (k=%d λ=%g %s schema=%v) vs shard[%d] (k=%d λ=%g %s schema=%v)",
+				i, cs.K, cs.Lambda, cs.Objective, cs.Schema, first, f.K, f.Lambda, s.objective, f.Schema)
+		}
+		if len(cs.Scores) != len(cs.Rows) {
+			return nil, fmt.Errorf("diversification: shard[%d] coreset has %d scores for %d rows", i, len(cs.Scores), len(cs.Rows))
+		}
+		for j, row := range cs.Rows {
+			t, err := toTuple(row, schema.Arity())
+			if err != nil {
+				return nil, fmt.Errorf("diversification: shard[%d] coreset row %d %w", i, j, err)
+			}
+			key := t.Key()
+			prev, seen := scores[key]
+			if !seen {
+				union = append(union, t)
+			}
+			if !seen || cs.Scores[j] > prev {
+				scores[key] = cs.Scores[j]
+			}
+		}
+		resp.Generation += cs.Generation
+		resp.Degraded = resp.Degraded || cs.Degraded
+		resp.Cached = resp.Cached || cs.Cached
+	}
+	if first < 0 {
+		return nil, errors.New("diversification: no coreset to merge")
+	}
+	slices.SortFunc(union, relation.Tuple.Compare)
+	if missing {
+		resp.Degraded = true
+		s.k = min(s.k, len(union))
+	}
+
+	s.relevance = func(r Row) float64 { return scores[r.tuple.Key()] }
+	if distanceAttr != "" {
+		s.distance = AttrDistance(distanceAttr)
+	}
+	in := &core.Instance{Obj: s.objectiveOver(schema), K: s.k}
+	in.SetAnswers(union)
+	res, err := approx.GreedyContext(ctx, in)
+	if err != nil {
+		return nil, err
+	}
+	// The union is rebuilt for every merge: a full rebuild, truthfully.
+	resp.Refresh = RefreshInfo{Mode: "rebuild", Answers: len(union)}
+	resp.Stats = Stats{Steps: res.Steps, Answers: len(union)}
+	if len(res.Set) == 0 {
+		return nil, ErrNoCandidate
+	}
+	resp.Selection = newSelection(schema, res.Set, res.Value, resp.Route)
+	if explain {
+		resp.Explain = fmt.Sprintf("problem:   %s\nobjective: %s (λ=%g, k=%d)\nroute:     %s\n",
+			resp.Problem, s.objective, s.lambda, s.k, resp.Route)
+	}
+	return resp, nil
 }
 
 // ClusterMetrics is the coordinator's counter block inside Metrics: the

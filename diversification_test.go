@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/big"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -126,6 +127,35 @@ func TestEngineQuery(t *testing.T) {
 	}
 	if row.Get("nope") != nil {
 		t.Error("missing attribute should be nil")
+	}
+}
+
+// TestEngineQueryLargeInts: built-in comparisons between integers beyond
+// 2⁵³ are exact, not rounded through float64.
+func TestEngineQueryLargeInts(t *testing.T) {
+	e := NewEngine()
+	e.MustCreateTable("r", "id")
+	e.MustInsert("r", int64(1)<<53)
+	e.MustInsert("r", int64(1)<<53+1)
+	for _, tc := range []struct {
+		query string
+		want  []int64
+	}{
+		{"Q(id) :- r(id), id = 9007199254740993", []int64{1<<53 + 1}},
+		{"Q(id) :- r(id), id < 9007199254740993", []int64{1 << 53}},
+		{"Q(id) :- r(id), id > 9007199254740992", []int64{1<<53 + 1}},
+	} {
+		rs, err := e.Query(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int64
+		for i := 0; i < rs.Len(); i++ {
+			got = append(got, rs.Row(i).Get("id").(int64))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.query, got, tc.want)
+		}
 	}
 }
 

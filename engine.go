@@ -147,10 +147,10 @@ func (e *Engine) Mutate(table string, rows [][]interface{}, del bool) (applied i
 	if del {
 		apply = r.Delete
 	}
-	for _, values := range rows {
-		t, err := rowTuple(r, values)
+	for i, values := range rows {
+		t, err := toTuple(values, r.Schema().Arity())
 		if err != nil {
-			return applied, e.db.Generation(), err
+			return applied, e.db.Generation(), argErrorf("rows", "table %q row %d %v", table, i, err)
 		}
 		if apply(t) {
 			applied++
@@ -162,17 +162,16 @@ func (e *Engine) Mutate(table string, rows [][]interface{}, del bool) (applied i
 	return applied, e.db.Generation(), nil
 }
 
-// rowTuple converts values into a tuple of r's arity.
-func rowTuple(r *relation.Relation, values []interface{}) (relation.Tuple, error) {
-	if len(values) != r.Schema().Arity() {
-		return nil, argErrorf("values", "table %q expects %d values, got %d",
-			r.Schema().Name, r.Schema().Arity(), len(values))
+// toTuple converts a row of Go values into a tuple of the given arity.
+func toTuple(values []interface{}, arity int) (relation.Tuple, error) {
+	if len(values) != arity {
+		return nil, fmt.Errorf("has %d values, want arity %d", len(values), arity)
 	}
 	t := make(relation.Tuple, len(values))
 	for i, v := range values {
 		cv, err := toValue(v)
 		if err != nil {
-			return nil, argErrorf("values", "%v", err)
+			return nil, fmt.Errorf("column %d: %w", i, err)
 		}
 		t[i] = cv
 	}

@@ -408,7 +408,9 @@ func (c *Client) do(ctx context.Context, method, path string, body, out interfac
 	if out == nil {
 		return nil
 	}
-	return json.Unmarshal(res.raw, out)
+	dec := json.NewDecoder(bytes.NewReader(res.raw))
+	dec.UseNumber() // integer cells (coreset rows) must not round through float64
+	return dec.Decode(out)
 }
 
 // Query runs a QueryRequest against the named statement.
@@ -422,14 +424,14 @@ func (c *Client) Query(ctx context.Context, name string, qr QueryRequest) (*dive
 
 // Coreset asks the server for the named statement's shard-local
 // k′-coreset (see diversification.Coreset). Row values are normalized back
-// through the wire scalar rule, so re-inserting them into a coordinator
-// engine reproduces the shard's stored values exactly.
+// through the wire scalar rule, so a merge sees exactly the values the
+// shard stores, integers beyond 2⁵³ included.
 func (c *Client) Coreset(ctx context.Context, name string, cr CoresetRequest) (*diversification.Coreset, error) {
 	var cs diversification.Coreset
 	if err := c.do(ctx, http.MethodPost, "/v1/coreset/"+name, cr, &cs, true); err != nil {
 		return nil, err
 	}
-	rows, err := decodeSet(cs.Rows)
+	rows, err := decodeSet(cs.Rows, "rows")
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func (qr QueryRequest) ToRequest() (diversification.Request, error) {
 		req.Algorithm = &alg
 	}
 	if qr.Set != nil {
-		set, err := decodeSet(qr.Set)
+		set, err := decodeSet(qr.Set, "set")
 		if err != nil {
 			return req, err
 		}
@@ -144,12 +144,12 @@ func (cr CoresetRequest) ToSpec() (diversification.CoresetSpec, error) {
 	return spec, nil
 }
 
-// decodeSet normalizes JSON-decoded candidate rows: json.Number values
-// (the handler decodes bodies with UseNumber) go through the library's
-// shared int/float boundary rule, so integer attributes compare equal to
-// the integers stored in the database. Failures are typed ArgErrors on
-// the "set" field — they are user input, and must map to 400, not 500.
-func decodeSet(set [][]interface{}) ([][]interface{}, error) {
+// decodeSet normalizes JSON-decoded rows (candidate sets, mutation rows,
+// coreset rows): json.Number values go through the library's shared
+// int/float boundary rule, so integer attributes compare equal to the
+// integers stored in the database. Failures are typed ArgErrors naming
+// field, the JSON field the rows came in: user input maps to 400, not 500.
+func decodeSet(set [][]interface{}, field string) ([][]interface{}, error) {
 	out := make([][]interface{}, len(set))
 	for i, row := range set {
 		out[i] = make([]interface{}, len(row))
@@ -158,7 +158,7 @@ func decodeSet(set [][]interface{}) ([][]interface{}, error) {
 			case json.Number:
 				n, err := diversification.JSONNumberValue(x)
 				if err != nil {
-					return nil, &diversification.ArgError{Field: "set", Reason: fmt.Sprintf("row %d column %d: %v", i, j, err)}
+					return nil, &diversification.ArgError{Field: field, Reason: fmt.Sprintf("row %d column %d: %v", i, j, err)}
 				}
 				out[i][j] = n
 			case float64:
@@ -172,7 +172,7 @@ func decodeSet(set [][]interface{}) ([][]interface{}, error) {
 			case string, bool, int64:
 				out[i][j] = x
 			default:
-				return nil, &diversification.ArgError{Field: "set", Reason: fmt.Sprintf("row %d column %d: unsupported value %v (want a scalar)", i, j, v)}
+				return nil, &diversification.ArgError{Field: field, Reason: fmt.Sprintf("row %d column %d: unsupported value %v (want a scalar)", i, j, v)}
 			}
 		}
 	}

@@ -300,7 +300,7 @@ func TestDecodeSetValueKinds(t *testing.T) {
 	set, err := decodeSet([][]interface{}{{
 		json.Number("42"), json.Number("2.5"), json.Number("1e3"),
 		float64(7), float64(7.5), "s", true, int64(3),
-	}})
+	}}, "set")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +310,10 @@ func TestDecodeSetValueKinds(t *testing.T) {
 			t.Errorf("value %d decoded to %T %v, want %T %v", i, set[0][i], set[0][i], w, w)
 		}
 	}
-	if _, err := decodeSet([][]interface{}{{struct{}{}}}); err == nil {
+	if _, err := decodeSet([][]interface{}{{struct{}{}}}, "set"); err == nil {
 		t.Error("unsupported value should fail")
 	}
-	if _, err := decodeSet([][]interface{}{{json.Number("zz")}}); err == nil {
+	if _, err := decodeSet([][]interface{}{{json.Number("zz")}}, "set"); err == nil {
 		t.Error("malformed number should fail")
 	}
 }
@@ -357,8 +357,11 @@ func TestMutationRoutes(t *testing.T) {
 	if _, err := client.Insert(ctx, "catalog", nil); !errors.As(err, &serr) || serr.Code != http.StatusBadRequest || serr.Body.Field != "rows" {
 		t.Fatalf("empty insert: %v", err)
 	}
-	if _, err := client.Insert(ctx, "catalog", [][]interface{}{{"x"}}); !errors.As(err, &serr) || serr.Code != http.StatusBadRequest {
-		t.Fatalf("arity mismatch: %v", err)
+	if _, err := client.Insert(ctx, "catalog", [][]interface{}{{"x"}}); !errors.As(err, &serr) || serr.Code != http.StatusBadRequest || serr.Body.Field != "rows" {
+		t.Fatalf("arity mismatch: %v, want a 400 naming \"rows\"", err)
+	}
+	if _, err := client.Insert(ctx, "catalog", [][]interface{}{{"globe", "toy", []int{19}}}); !errors.As(err, &serr) || serr.Code != http.StatusBadRequest || serr.Body.Field != "rows" {
+		t.Fatalf("non-scalar cell: %v, want a 400 naming \"rows\"", err)
 	}
 }
 

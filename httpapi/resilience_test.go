@@ -223,6 +223,36 @@ func TestHedgeSurvivesFailedFirstCompletion(t *testing.T) {
 	}
 }
 
+// TestHedgeDelayTracksLatencyWindow pins the hedge threshold: the floor
+// until the window has data, then the configured percentile of the
+// observed latencies (never below the floor), over a window that keeps
+// only the latest latencyWindow calls.
+func TestHedgeDelayTracksLatencyWindow(t *testing.T) {
+	c := &Client{HedgePercentile: 0.5, HedgeMinDelay: 5 * time.Millisecond}
+	if got := c.hedgeDelay(); got != 5*time.Millisecond {
+		t.Fatalf("empty window: %v, want the 5ms floor", got)
+	}
+	for i := 1; i <= 10; i++ {
+		c.observeLatency(time.Duration(i) * 10 * time.Millisecond)
+	}
+	if got := c.hedgeDelay(); got != 60*time.Millisecond {
+		t.Fatalf("p50 of 10ms..100ms: %v, want 60ms", got)
+	}
+	c.HedgePercentile = 1
+	if got := c.hedgeDelay(); got != 100*time.Millisecond {
+		t.Fatalf("p100: %v, want the slowest call, 100ms", got)
+	}
+	for i := 0; i < latencyWindow; i++ {
+		c.observeLatency(time.Millisecond)
+	}
+	if got := c.hedgeDelay(); got != 5*time.Millisecond {
+		t.Fatalf("window of 1ms calls: %v, want the 5ms floor", got)
+	}
+	if got := (&Client{}).hedgeDelay(); got != 50*time.Millisecond {
+		t.Fatalf("default floor: %v, want 50ms", got)
+	}
+}
+
 func TestHealthReportsDegraded(t *testing.T) {
 	// A handcrafted handler standing in for a degraded server: the client
 	// contract is about parsing, not about how the engine got degraded

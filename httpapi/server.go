@@ -111,7 +111,7 @@ func mutateHandler(b Backend, del bool) http.HandlerFunc {
 			writeError(w, &diversification.ArgError{Field: "rows", Reason: "mutation needs at least one row"})
 			return
 		}
-		rows, err := decodeSet(mr.Rows)
+		rows, err := decodeSet(mr.Rows, "rows")
 		if err != nil {
 			writeError(w, err)
 			return

@@ -197,6 +197,35 @@ func TestCoresetMergeDifferential(t *testing.T) {
 	}
 }
 
+// TestClusterPreservesLargeIntegers: integers beyond 2⁵³ cross the shard
+// wire exactly. Two rows that differ only in such a value stay two rows,
+// and a one-shard cluster selects exactly what a single engine selects,
+// values included — no float64 rounding on the way through the coreset.
+func TestClusterPreservesLargeIntegers(t *testing.T) {
+	const big = int64(1) << 53
+	rows := append(testRows(10),
+		[]interface{}{"big", "c1", big},
+		[]interface{}{"big", "c1", big + 1},
+	)
+	opts := testOpts(3, 0.6, diversification.MaxSum)
+	// Slack >= n: the shard ships every row, so the union is all of them.
+	coord, _ := newCluster(t, rows, 1, len(rows), opts)
+	resp, err := coord.Do(context.Background(), "pts", httpapi.QueryRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := singleGreedy(t, rows, opts)
+	if !reflect.DeepEqual(selectionKeys(resp), selectionKeys(want)) {
+		t.Fatalf("S=1 selection differs from single engine:\n  merged %v\n  single %v", selectionKeys(resp), selectionKeys(want))
+	}
+	if !containsKey(resp, RowKey([]interface{}{"big", "c1", big + 1})) {
+		t.Fatalf("selection lost the 2⁵³+1 row: %v", selectionKeys(resp))
+	}
+	if resp.Stats.Answers != len(rows) {
+		t.Fatalf("merged union has %d rows, want %d: rows differing beyond 2⁵³ were deduplicated", resp.Stats.Answers, len(rows))
+	}
+}
+
 // TestClusterShardKill asserts the availability contract: with one of
 // three shards killed, the merged answer is flagged degraded — and with
 // full-partition coresets it is exactly the single-engine answer over the
@@ -377,8 +406,9 @@ func TestClusterCachedMarker(t *testing.T) {
 }
 
 // TestClusterExplainTrailer asserts the truthfulness satellite: an explain
-// in cluster mode records shard count, per-shard coreset sizes and the
-// slowest shard.
+// in cluster mode reports the merge itself (objective and route, no
+// synthetic query over the union) and records shard count, per-shard
+// coreset sizes and the slowest shard.
 func TestClusterExplainTrailer(t *testing.T) {
 	rows := testRows(30)
 	opts := testOpts(3, 0.5, diversification.MaxSum)
@@ -387,10 +417,13 @@ func TestClusterExplainTrailer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"cluster:   3 shards", "coresets:  [", "slowest:   shard["} {
+	for _, want := range []string{"objective: max-sum (λ=0.5, k=3)", "route:     greedy", "cluster:   3 shards", "coresets:  [", "slowest:   shard["} {
 		if !strings.Contains(resp.Explain, want) {
 			t.Fatalf("explain missing %q:\n%s", want, resp.Explain)
 		}
+	}
+	if strings.Contains(resp.Explain, "u(") {
+		t.Fatalf("explain describes a synthetic query over the union:\n%s", resp.Explain)
 	}
 	servers[0].Close()
 	resp, err = coord.Do(context.Background(), "pts", httpapi.QueryRequest{Explain: true})
@@ -411,16 +444,20 @@ func TestClusterRequestValidation(t *testing.T) {
 	coord, _ := newCluster(t, rows, 2, 0, opts)
 	ctx := context.Background()
 	mono, exact := "mono", "exact"
+	rank := 2
 	cases := []struct {
-		name string
-		qr   httpapi.QueryRequest
+		name  string
+		qr    httpapi.QueryRequest
+		field string
 	}{
-		{"problem", httpapi.QueryRequest{Problem: "count"}},
-		{"set", httpapi.QueryRequest{Set: [][]interface{}{{"id-0001", "c1", int64(1)}}}},
-		{"constraints", httpapi.QueryRequest{Constraints: []string{"<(c1, c2), 1>"}}},
-		{"scoring", httpapi.QueryRequest{RelevanceAttr: "rel"}},
-		{"objective", httpapi.QueryRequest{Objective: &mono}},
-		{"algorithm", httpapi.QueryRequest{Algorithm: &exact}},
+		{"problem", httpapi.QueryRequest{Problem: "count"}, "problem"},
+		{"set", httpapi.QueryRequest{Set: [][]interface{}{{"id-0001", "c1", int64(1)}}}, "set"},
+		{"constraints", httpapi.QueryRequest{Constraints: []string{"<(c1, c2), 1>"}}, "constraints"},
+		{"scoring", httpapi.QueryRequest{RelevanceAttr: "rel"}, "relevance_attr"},
+		{"distance_attr", httpapi.QueryRequest{DistanceAttr: "cat"}, "distance_attr"},
+		{"rank", httpapi.QueryRequest{Rank: &rank}, "rank"},
+		{"objective", httpapi.QueryRequest{Objective: &mono}, "objective"},
+		{"algorithm", httpapi.QueryRequest{Algorithm: &exact}, "algorithm"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -428,6 +465,9 @@ func TestClusterRequestValidation(t *testing.T) {
 			var argErr *diversification.ArgError
 			if err == nil || !errors.As(err, &argErr) {
 				t.Fatalf("want ArgError, got %v", err)
+			}
+			if argErr.Field != tc.field {
+				t.Fatalf("ArgError field %q, want %q (the field the client sent)", argErr.Field, tc.field)
 			}
 		})
 	}

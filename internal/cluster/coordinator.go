@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,10 +26,10 @@ type Config struct {
 	Slack int
 
 	// DistanceAttr names the answer attribute whose inequality defines the
-	// 0/1 δdis the coordinator re-evaluates over merged rows. Cluster mode
+	// 0/1 δdis the merge re-evaluates over the coreset rows. Cluster mode
 	// cannot ship pairwise distances (they are quadratic), so an
-	// attribute-based distance is the cluster contract; empty means the
-	// library's default δdis over row values.
+	// attribute-based distance is the cluster contract; empty means zero
+	// distance, so the merge ranks by the shipped relevance alone.
 	DistanceAttr string
 
 	// Timeout bounds each shard fan-out call; zero means the shard
@@ -65,10 +65,11 @@ func (sh *shardState) observe(elapsed time.Duration, err error) {
 	}
 }
 
-// Coordinator fans diversify requests out to the cluster's shards, merges
-// their k′-coresets and solves over the union on a local plane. It
-// implements httpapi.Backend, so cmd/divserve serves it over the same wire
-// protocol as a single engine.
+// Coordinator fans diversify requests out to the cluster's shards and
+// merges their k′-coresets with diversification.MergeCoresets, one greedy
+// solve over the union; it holds no engine of its own. It implements
+// httpapi.Backend, so cmd/divserve serves it over the same wire protocol as
+// a single engine.
 type Coordinator struct {
 	cfg    Config
 	shards []*shardState
@@ -138,17 +139,17 @@ func fan[T any](c *Coordinator, skip func(i int) bool, call func(i int, sh *shar
 	return out
 }
 
-// Do fans the diversify request to every shard, merges the returned
-// coresets and runs the final greedy solve over the union. Only the
+// Do fans the diversify request to every shard and merges the returned
+// coresets with one greedy solve over their union. Only the
 // diversify problem distributes — decide/count/in-top-r/rank interrogate
 // the full answer set, which no shard holds — and only prepared-binding
 // requests do: per-request candidate sets, constraints and scoring
 // closures have no sound cluster semantics.
 //
 // The merged response is byte-deterministic given fixed shard responses:
-// coresets are deduplicated and re-inserted in canonical row order, so the
-// coordinator plane's ID order (and with it greedy's accumulation and
-// tie-break order) reproduces a single engine's at S=1.
+// the merge solves over the deduplicated rows in canonical tuple order, so
+// greedy's accumulation and tie-break order reproduce a single engine's at
+// S=1.
 func (c *Coordinator) Do(ctx context.Context, name string, qr httpapi.QueryRequest) (*diversification.Response, error) {
 	c.requests.Add(1)
 	resp, err := c.do(ctx, name, qr)
@@ -156,26 +157,6 @@ func (c *Coordinator) Do(ctx context.Context, name string, qr httpapi.QueryReque
 		c.failures.Add(1)
 	}
 	return resp, err
-}
-
-func (c *Coordinator) do(ctx context.Context, name string, qr httpapi.QueryRequest) (*diversification.Response, error) {
-	if err := validateClusterRequest(qr); err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	results := c.fanOut(ctx, name, qr)
-	m, err := c.merge(results)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.solveMerged(ctx, m, qr.Explain)
-	if err != nil {
-		return nil, err
-	}
-	c.decorate(resp, m, results, qr.Explain)
-	resp.Elapsed = time.Since(start)
-	return resp, nil
 }
 
 // validateClusterRequest rejects request shapes that do not distribute.
@@ -194,10 +175,18 @@ func validateClusterRequest(qr httpapi.QueryRequest) error {
 		return &diversification.ArgError{Field: "constraints", Reason: "constraints are not supported in cluster mode (the coreset merge runs the greedy heuristic)"}
 	}
 	if qr.RelevanceAttr != "" || qr.DistanceAttr != "" {
-		return &diversification.ArgError{Field: "relevance_attr", Reason: "per-request scoring overrides are not supported in cluster mode (shards ship scores under their prepared bindings)"}
+		field := "relevance_attr"
+		if qr.RelevanceAttr == "" {
+			field = "distance_attr"
+		}
+		return &diversification.ArgError{Field: field, Reason: "per-request scoring overrides are not supported in cluster mode (shards ship scores under their prepared bindings)"}
 	}
 	if req.Bound != nil || req.Rank != nil {
-		return &diversification.ArgError{Field: "bound", Reason: "bound/rank apply to decide/count/in-top-r/rank, which do not distribute"}
+		field := "bound"
+		if req.Bound == nil {
+			field = "rank"
+		}
+		return &diversification.ArgError{Field: field, Reason: "bound/rank apply to decide/count/in-top-r/rank, which do not distribute"}
 	}
 	if req.Objective != nil && *req.Objective == diversification.Mono {
 		return &diversification.ArgError{Field: "objective", Reason: "mono objective is not coreset-mergeable (its value depends on all of Q(D), which no shard holds)"}
@@ -226,194 +215,68 @@ func (c *Coordinator) fanOut(ctx context.Context, name string, qr httpapi.QueryR
 	return out
 }
 
-// mergedCoresets is the union of the shard coresets plus the effective
-// settings and markers the final solve and response decoration need.
-type mergedCoresets struct {
-	schema []string
-	rows   [][]interface{}
-	scores map[string]float64
-
-	k         int
-	lambda    float64
-	objective diversification.Objective
-
-	generation uint64 // sum of reporting shards' generations
-	degraded   bool   // OR of shard degraded markers
-	cached     bool   // OR of shard cached markers
-	notes      []string
-	anyDown    bool
-}
-
-// merge unions the successful shard coresets, deduplicating rows on their
-// canonical key (two shards can project distinct base rows onto the same
-// answer row) and keeping the maximum score for a duplicate — the
-// deterministic choice. Rows come out in canonical key order, which fixes
-// the coordinator plane's ID order. Shard failures become degradation
-// notes unless every shard failed, which is an error.
-func (c *Coordinator) merge(results []shardResult[*diversification.Coreset]) (*mergedCoresets, error) {
-	m := &mergedCoresets{scores: make(map[string]float64)}
+// do fans out and hands the coresets to the library merge. A failed or
+// degraded shard becomes a degradation note naming its address, and an
+// explain gains a trailer with the per-shard coreset sizes and the slowest
+// shard. Only when every shard failed is the query an error.
+func (c *Coordinator) do(ctx context.Context, name string, qr httpapi.QueryRequest) (*diversification.Response, error) {
+	if err := validateClusterRequest(qr); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	results := c.fanOut(ctx, name, qr)
+	parts := make([]*diversification.Coreset, len(results))
+	var notes []string
 	var firstErr error
-	seen := make(map[string][]interface{})
-	settingsSet := false
 	for i, r := range results {
 		if r.err != nil {
 			if firstErr == nil {
 				firstErr = r.err
 			}
-			m.anyDown = true
-			m.notes = append(m.notes, fmt.Sprintf("shard[%d] %s: %v", i, c.shards[i].addr, r.err))
+			notes = append(notes, fmt.Sprintf("shard[%d] %s: %v", i, c.shards[i].addr, r.err))
 			continue
 		}
-		cs := r.val
-		if !settingsSet {
-			m.schema = cs.Schema
-			m.k = cs.K
-			m.lambda = cs.Lambda
-			obj, err := diversification.ParseObjective(cs.Objective)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: shard[%d] %s echoed objective %q: %w", i, c.shards[i].addr, cs.Objective, err)
-			}
-			m.objective = obj
-			settingsSet = true
-		} else if !slices.Equal(cs.Schema, m.schema) || cs.K != m.k || cs.Lambda != m.lambda || cs.Objective != m.objective.String() {
-			// Shards echo their effective settings precisely so drift (a
-			// misdeployed shard with different bindings, or a statement
-			// whose answer attributes are renamed) is an error, not a
-			// silently wrong merge.
-			return nil, fmt.Errorf("cluster: shard[%d] %s settings drift: (k=%d λ=%g %s schema=%v) vs (k=%d λ=%g %s schema=%v)",
-				i, c.shards[i].addr, cs.K, cs.Lambda, cs.Objective, cs.Schema, m.k, m.lambda, m.objective, m.schema)
-		}
-		m.generation += cs.Generation
-		m.degraded = m.degraded || cs.Degraded
-		m.cached = m.cached || cs.Cached
-		if cs.Degraded && cs.DegradedFrom != "" {
-			m.notes = append(m.notes, fmt.Sprintf("shard[%d] %s: %s", i, c.shards[i].addr, cs.DegradedFrom))
-		}
-		for j, row := range cs.Rows {
-			key := RowKey(row)
-			score := 0.0
-			if j < len(cs.Scores) {
-				score = cs.Scores[j]
-			}
-			if prev, ok := m.scores[key]; !ok || score > prev {
-				m.scores[key] = score
-			}
-			if _, ok := seen[key]; !ok {
-				seen[key] = row
-			}
+		parts[i] = r.val
+		if r.val.Degraded && r.val.DegradedFrom != "" {
+			notes = append(notes, fmt.Sprintf("shard[%d] %s: %s", i, c.shards[i].addr, r.val.DegradedFrom))
 		}
 	}
-	if !settingsSet {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("cluster: no shard responded")
-		}
+	if !slices.ContainsFunc(parts, func(cs *diversification.Coreset) bool { return cs != nil }) {
 		return nil, fmt.Errorf("cluster: all %d shards failed: %w", len(c.shards), firstErr)
 	}
-	keys := make([]string, 0, len(seen))
-	for key := range seen {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	m.rows = make([][]interface{}, len(keys))
-	for i, key := range keys {
-		m.rows[i] = seen[key]
-	}
-	return m, nil
-}
-
-// solveMerged runs the final greedy solve over the union: a fresh local
-// engine holds the merged rows, relevance is the shipped score lookup, and
-// δdis is re-evaluated from the configured distance attribute. The union
-// is at most S·k′ rows, so the local plane is trivially materialized.
-func (c *Coordinator) solveMerged(ctx context.Context, m *mergedCoresets, explain bool) (*diversification.Response, error) {
-	eng := diversification.NewEngine()
-	if err := eng.CreateTable("u", m.schema...); err != nil {
-		return nil, fmt.Errorf("cluster: merged table: %w", err)
-	}
-	for _, row := range m.rows {
-		if err := eng.Insert("u", row...); err != nil {
-			return nil, fmt.Errorf("cluster: merged insert: %w", err)
-		}
-	}
-	scores := m.scores
-	head := strings.Join(m.schema, ", ")
-	k := m.k
-	if m.anyDown && k > len(m.rows) {
-		// With a shard missing, the union can undershoot k; a shorter
-		// flagged selection is the partial result, not an error.
-		k = len(m.rows)
-	}
-	opts := []diversification.Option{
-		diversification.WithK(k),
-		diversification.WithLambda(m.lambda),
-		diversification.WithObjective(m.objective),
-		diversification.WithAlgorithm(diversification.Greedy),
-		diversification.WithRelevance(func(r diversification.Row) float64 {
-			return scores[RowKey(r.Values())]
-		}),
-	}
-	if c.cfg.DistanceAttr != "" {
-		opts = append(opts, diversification.WithDistance(diversification.AttrDistance(c.cfg.DistanceAttr)))
-	}
-	p, err := eng.Prepare(fmt.Sprintf("Q(%s) :- u(%s)", head, head), opts...)
+	resp, err := diversification.MergeCoresets(ctx, parts, c.cfg.DistanceAttr, qr.Explain)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: merged statement: %w", err)
+		return nil, err
 	}
-	return p.Do(ctx, diversification.Request{Problem: diversification.ProblemDiversify, Explain: explain})
-}
-
-// decorate folds the shard markers and fan-out observations into the
-// merged response: degraded/cached are ORs, the generation is the cluster
-// watermark (sum of shard generations), and — when the caller asked for an
-// explain — a cluster trailer records the per-shard coreset sizes and the
-// slowest shard, keeping the report truthful about where the answer came
-// from.
-func (c *Coordinator) decorate(resp *diversification.Response, m *mergedCoresets, results []shardResult[*diversification.Coreset], explain bool) {
-	resp.Generation = m.generation
-	resp.Cached = resp.Cached || m.cached
-	if m.degraded || m.anyDown {
-		resp.Degraded = true
-	}
-	if m.anyDown {
+	resp.Elapsed = time.Since(start)
+	if firstErr != nil {
 		c.partials.Add(1)
 	}
-	if len(m.notes) > 0 {
-		note := strings.Join(m.notes, "; ")
-		if resp.DegradedFrom != "" {
-			note = resp.DegradedFrom + "; " + note
-		}
-		resp.DegradedFrom = note
+	if len(notes) > 0 {
+		resp.DegradedFrom = strings.Join(notes, "; ")
 	}
-	if !explain {
-		return
+	if !qr.Explain {
+		return resp, nil
 	}
 	sizes := make([]string, len(results))
-	slowest := -1
+	slowest := 0
 	for i, r := range results {
-		if r.err != nil {
-			sizes[i] = "-"
-		} else {
-			sizes[i] = fmt.Sprintf("%d", len(r.val.Rows))
+		sizes[i] = "-"
+		if r.err == nil {
+			sizes[i] = strconv.Itoa(len(r.val.Rows))
 		}
-		if slowest < 0 || r.elapsed > results[slowest].elapsed {
+		if r.elapsed > results[slowest].elapsed {
 			slowest = i
 		}
 	}
-	var b strings.Builder
-	b.WriteString(resp.Explain)
-	if resp.Explain != "" && !strings.HasSuffix(resp.Explain, "\n") {
-		b.WriteByte('\n')
-	}
 	slackDesc := "shard default (k)"
 	if c.cfg.Slack >= 0 {
-		slackDesc = fmt.Sprintf("%d", c.cfg.Slack)
+		slackDesc = strconv.Itoa(c.cfg.Slack)
 	}
-	fmt.Fprintf(&b, "cluster:   %d shards, slack %s\n", len(c.shards), slackDesc)
-	fmt.Fprintf(&b, "coresets:  [%s] rows, %d merged unique\n", strings.Join(sizes, " "), len(m.rows))
-	if slowest >= 0 {
-		fmt.Fprintf(&b, "slowest:   shard[%d] %s (%s)\n", slowest, c.shards[slowest].addr, results[slowest].elapsed.Round(time.Microsecond))
-	}
-	resp.Explain = b.String()
+	resp.Explain += fmt.Sprintf("cluster:   %d shards, slack %s\n", len(c.shards), slackDesc) +
+		fmt.Sprintf("coresets:  [%s] rows, %d merged unique\n", strings.Join(sizes, " "), resp.Stats.Answers) +
+		fmt.Sprintf("slowest:   shard[%d] %s (%s)\n", slowest, c.shards[slowest].addr, results[slowest].elapsed.Round(time.Microsecond))
+	return resp, nil
 }
 
 // Refresh fans the refresh to every shard and merges the reports: counts

@@ -1,7 +1,8 @@
 // Package cluster distributes the diversification engine across S shard
 // processes: a Router hash-partitions relation mutations over the shards,
 // and a Coordinator fans diversify requests out, collects per-shard
-// k′-coresets and runs the final solve over their union on a local plane.
+// k′-coresets and merges them with diversification.MergeCoresets — one
+// greedy solve over their union, with no engine on the coordinator.
 // Each shard is a full durable Service reached through httpapi.Client, so
 // the cluster composes everything the single-engine tier already has —
 // WAL durability, admission control, result caching, degradation — per
@@ -19,9 +20,8 @@ import (
 )
 
 // RowKey renders a row of attribute values as a canonical type-tagged
-// string: the routing hash input, and the coordinator's dedup/score-lookup
-// key. The type tag keeps int64(1), float64(1) and "1" distinct — the
-// engine stores them as distinct values, so the router must too.
+// string: the routing hash input. The type tag keeps int64(1), float64(1)
+// and "1" distinct, so the three spellings may route to different shards.
 func RowKey(row []interface{}) string {
 	var b strings.Builder
 	for _, v := range row {

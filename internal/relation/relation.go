@@ -98,14 +98,24 @@ type Schema struct {
 
 // NewSchema constructs a schema. Attribute names must be distinct.
 func NewSchema(name string, attrs ...string) Schema {
+	s, err := CheckSchema(name, attrs...)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+// CheckSchema is NewSchema for attribute lists from untrusted input: a
+// repeated attribute name is an error instead of a panic.
+func CheckSchema(name string, attrs ...string) (Schema, error) {
 	seen := make(map[string]bool, len(attrs))
 	for _, a := range attrs {
 		if seen[a] {
-			panic(fmt.Sprintf("relation: schema %s repeats attribute %q", name, a))
+			return Schema{}, fmt.Errorf("relation: schema %s repeats attribute %q", name, a)
 		}
 		seen[a] = true
 	}
-	return Schema{Name: name, Attrs: append([]string(nil), attrs...)}
+	return Schema{Name: name, Attrs: append([]string(nil), attrs...)}, nil
 }
 
 // Arity returns the number of attributes.

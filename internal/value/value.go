@@ -6,6 +6,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -122,10 +123,13 @@ func (v Value) AsBool() bool {
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // Compare totally orders values: -1 if v < w, 0 if equal, +1 if v > w.
-// Numeric kinds compare by numeric value (so Int(2) equals Float(2)); other
-// cross-kind comparisons order by Kind first. Within a kind the natural
-// order applies.
+// Two ints compare exactly; mixed numeric kinds compare by numeric value
+// (so Int(2) equals Float(2)); other cross-kind comparisons order by Kind
+// first. Within a kind the natural order applies.
 func Compare(v, w Value) int {
+	if v.kind == KindInt && w.kind == KindInt {
+		return cmp.Compare(v.i, w.i)
+	}
 	if v.IsNumeric() && w.IsNumeric() {
 		a, b := v.AsFloat(), w.AsFloat()
 		switch {

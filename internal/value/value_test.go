@@ -83,6 +83,9 @@ func TestCompareNumericCrossKind(t *testing.T) {
 	if Compare(Float(3.5), Int(3)) != 1 {
 		t.Error("Float(3.5) should be greater than Int(3)")
 	}
+	if Compare(Int(1<<53+1), Float(1<<53)) != 0 {
+		t.Error("an int against a float compares by float64 value")
+	}
 }
 
 func TestCompareWithinKinds(t *testing.T) {
@@ -93,6 +96,10 @@ func TestCompareWithinKinds(t *testing.T) {
 		{Int(1), Int(2), -1},
 		{Int(2), Int(2), 0},
 		{Int(3), Int(2), 1},
+		// Ints compare exactly, also beyond 2⁵³ where float64 rounds.
+		{Int(1 << 53), Int(1<<53 + 1), -1},
+		{Int(1<<53 + 1), Int(1 << 53), 1},
+		{Int(math.MaxInt64 - 1), Int(math.MaxInt64), -1},
 		{Str("a"), Str("b"), -1},
 		{Str("b"), Str("b"), 0},
 		{Str("c"), Str("b"), 1},

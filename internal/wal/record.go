@@ -183,16 +183,9 @@ func (r *byteReader) varint() int64 {
 }
 
 func (r *byteReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.b)-r.off) < n {
-		r.fail("string")
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
+	n := int(r.count())
+	s := string(r.b[r.off : r.off+n])
+	r.off += n
 	return s
 }
 
@@ -220,19 +213,71 @@ func (r *byteReader) value() value.Value {
 	}
 }
 
-func (r *byteReader) tuple() relation.Tuple {
-	n := r.uvarint()
-	if r.err != nil || n > uint64(len(r.b)-r.off) {
-		// Each value takes >= 1 byte, so arity can never exceed the bytes
-		// that remain; the guard bounds allocation on corrupt input.
-		r.fail("tuple")
-		return nil
+// count reads an element count: string bytes, tuple values, attributes,
+// rows or relations. Every element takes at least one byte, so a count can
+// never exceed the bytes that remain; the guard bounds allocation on
+// corrupt input.
+func (r *byteReader) count() uint64 {
+	if n := r.uvarint(); n <= uint64(len(r.b)-r.off) {
+		return n
 	}
+	r.fail("count")
+	return 0
+}
+
+func (r *byteReader) tuple() relation.Tuple {
+	n := r.count()
 	t := make(relation.Tuple, 0, n)
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		t = append(t, r.value())
 	}
 	return t
+}
+
+// schema reads a schema: name, attribute count, attribute names. A repeated
+// attribute name fails the reader.
+func (r *byteReader) schema() relation.Schema {
+	name := r.str()
+	n := r.count()
+	attrs := make([]string, 0, n)
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		attrs = append(attrs, r.str())
+	}
+	s, err := relation.CheckSchema(name, attrs...)
+	if r.err == nil {
+		r.err = err
+	}
+	return s
+}
+
+// rows reads a row count and that many tuples of s's arity. A tuple of
+// another arity fails the reader with an ArityError; rows returns only the
+// tuples read before a failure.
+func (r *byteReader) rows(s relation.Schema) []relation.Tuple {
+	n := r.count()
+	out := make([]relation.Tuple, 0, n)
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		t := r.tuple()
+		if r.err == nil && len(t) != s.Arity() {
+			r.err = &ArityError{Schema: s, Arity: len(t)}
+		}
+		if r.err == nil {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// ArityError reports a persisted tuple whose arity does not match its
+// relation's schema: a log record or snapshot that checksums clean but
+// cannot be replayed.
+type ArityError struct {
+	Schema relation.Schema
+	Arity  int
+}
+
+func (e *ArityError) Error() string {
+	return fmt.Sprintf("wal: tuple arity %d does not match schema %s", e.Arity, e.Schema)
 }
 
 // decodePayload parses a CRC-verified payload into a record.
@@ -241,27 +286,8 @@ func decodePayload(payload []byte) (record, error) {
 	rec := record{kind: recordKind(r.byte()), gen: r.uvarint()}
 	switch rec.kind {
 	case recAddRelation:
-		name := r.str()
-		nattrs := r.uvarint()
-		if r.err != nil || nattrs > uint64(len(payload)) {
-			return rec, fmt.Errorf("wal: corrupt schema record")
-		}
-		attrs := make([]string, 0, nattrs)
-		for i := uint64(0); i < nattrs && r.err == nil; i++ {
-			attrs = append(attrs, r.str())
-		}
-		if r.err != nil {
-			return rec, r.err
-		}
-		rec.schema = relation.NewSchema(name, attrs...)
-		ntuples := r.uvarint()
-		if r.err != nil || ntuples > uint64(len(payload)) {
-			return rec, fmt.Errorf("wal: corrupt schema record row count")
-		}
-		rec.tuples = make([]relation.Tuple, 0, ntuples)
-		for i := uint64(0); i < ntuples && r.err == nil; i++ {
-			rec.tuples = append(rec.tuples, r.tuple())
-		}
+		rec.schema = r.schema()
+		rec.tuples = r.rows(rec.schema)
 	case recInsert, recDelete:
 		rec.rel = r.str()
 		rec.tuple = r.tuple()

@@ -54,16 +54,18 @@ func Recover(dir string) (*relation.Database, RecoverInfo, error) {
 		return nil, info, err
 	}
 	if len(snaps) > 0 {
-		newest := snaps[len(snaps)-1]
-		loaded, gen, err := loadSnapshot(newest.path)
+		newest := snaps[len(snaps)-1].path
+		data, err := os.ReadFile(newest)
 		if err != nil {
+			return nil, info, err
+		}
+		if db, info.SnapshotGen, err = decodeSnapshot(data); err != nil {
 			// A snapshot is renamed into place only after a successful
 			// fsync, so a bad one is real corruption: refuse to serve a
 			// silently older state.
-			return nil, info, err
+			return nil, info, fmt.Errorf("wal: %s: %w", newest, err)
 		}
-		db = loaded
-		info.SnapshotGen, info.SnapshotLoaded = gen, true
+		info.SnapshotLoaded = true
 	}
 
 	segs, err := listSegments(fsio.Default, dir)
@@ -75,30 +77,10 @@ func Recover(dir string) (*relation.Database, RecoverInfo, error) {
 		if err != nil {
 			return nil, info, err
 		}
-		if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-			return nil, info, fmt.Errorf("wal: %s: bad segment header", seg.path)
-		}
-		recs, validEnd, torn, err := scanFrames(data[len(segMagic):])
+		replayed, validEnd, torn, err := replaySegment(db, data)
+		info.Replayed += replayed
 		if err != nil {
-			return nil, info, fmt.Errorf("wal: %s: %v", seg.path, err)
-		}
-		for _, rec := range recs {
-			switch {
-			case rec.gen <= db.Generation():
-				// Covered by the snapshot (or a segment overlap from a
-				// crash between snapshot write and segment pruning).
-				continue
-			case rec.gen != db.Generation()+1:
-				return nil, info, fmt.Errorf("wal: %s: generation gap (have %d, record %d)",
-					seg.path, db.Generation(), rec.gen)
-			}
-			if err := apply(db, rec); err != nil {
-				return nil, info, fmt.Errorf("wal: %s: %v", seg.path, err)
-			}
-			if db.Generation() != rec.gen {
-				return nil, info, fmt.Errorf("wal: %s: replay desync at generation %d", seg.path, rec.gen)
-			}
-			info.Replayed++
+			return nil, info, fmt.Errorf("wal: %s: %w", seg.path, err)
 		}
 		if torn {
 			if i != len(segs)-1 {
@@ -120,6 +102,38 @@ func Recover(dir string) (*relation.Database, RecoverInfo, error) {
 	return db, info, nil
 }
 
+// replaySegment applies a segment file's records to db, skipping those a
+// snapshot covers, and reports how many it applied plus scanFrames' validEnd
+// and torn. A bad header, a generation gap or an unreplayable record is an
+// error.
+func replaySegment(db *relation.Database, data []byte) (replayed, validEnd int, torn bool, err error) {
+	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
+		return 0, 0, false, fmt.Errorf("bad segment header")
+	}
+	recs, validEnd, torn, err := scanFrames(data[len(segMagic):])
+	if err != nil {
+		return 0, validEnd, torn, err
+	}
+	for _, rec := range recs {
+		switch {
+		case rec.gen <= db.Generation():
+			// Covered by the snapshot (or a segment overlap from a crash
+			// between snapshot write and segment pruning).
+			continue
+		case rec.gen != db.Generation()+1:
+			return replayed, validEnd, torn, fmt.Errorf("generation gap (have %d, record %d)", db.Generation(), rec.gen)
+		}
+		if err := apply(db, rec); err != nil {
+			return replayed, validEnd, torn, err
+		}
+		if db.Generation() != rec.gen {
+			return replayed, validEnd, torn, fmt.Errorf("replay desync at generation %d", rec.gen)
+		}
+		replayed++
+	}
+	return replayed, validEnd, torn, nil
+}
+
 // apply replays one record through the database's normal mutation paths,
 // so generation accounting and journaling behave exactly as they did when
 // the record was first written.
@@ -136,6 +150,9 @@ func apply(db *relation.Database, rec record) error {
 		r := db.Relation(rec.rel)
 		if r == nil {
 			return fmt.Errorf("insert into unknown relation %q", rec.rel)
+		}
+		if len(rec.tuple) != r.Schema().Arity() {
+			return &ArityError{Schema: r.Schema(), Arity: len(rec.tuple)}
 		}
 		if !r.Insert(rec.tuple) {
 			return fmt.Errorf("replayed insert into %q was a duplicate", rec.rel)

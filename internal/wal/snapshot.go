@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 
@@ -75,56 +74,32 @@ func writeSnapshot(fs fsio.FS, dir string, db *relation.Database, gen uint64, fs
 	return fs.SyncDir(dir)
 }
 
-// loadSnapshot reads and verifies a snapshot file and reconstructs the
+// decodeSnapshot verifies a snapshot file's bytes and reconstructs the
 // database, restoring the recorded generation so log replay resumes the
 // exact sequence.
-func loadSnapshot(path string) (*relation.Database, uint64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
+func decodeSnapshot(data []byte) (*relation.Database, uint64, error) {
 	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
-		return nil, 0, fmt.Errorf("wal: %s: not a snapshot file", path)
+		return nil, 0, fmt.Errorf("not a snapshot file")
 	}
 	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(body, crcTable) != sum {
-		return nil, 0, fmt.Errorf("wal: %s: snapshot checksum mismatch", path)
+		return nil, 0, fmt.Errorf("snapshot checksum mismatch")
 	}
 	r := &byteReader{b: body, off: len(snapMagic)}
 	gen := r.uvarint()
-	nrels := r.uvarint()
-	if r.err != nil || nrels > uint64(len(body)) {
-		return nil, 0, fmt.Errorf("wal: %s: corrupt snapshot header", path)
-	}
 	db := relation.NewDatabase()
-	for i := uint64(0); i < nrels; i++ {
-		name := r.str()
-		nattrs := r.uvarint()
-		if r.err != nil || nattrs > uint64(len(body)) {
-			return nil, 0, fmt.Errorf("wal: %s: corrupt schema in snapshot", path)
-		}
-		attrs := make([]string, 0, nattrs)
-		for j := uint64(0); j < nattrs && r.err == nil; j++ {
-			attrs = append(attrs, r.str())
-		}
-		if r.err != nil {
-			return nil, 0, fmt.Errorf("wal: %s: %v", path, r.err)
-		}
-		rel := relation.NewRelation(relation.NewSchema(name, attrs...))
-		ntuples := r.uvarint()
-		if r.err != nil || ntuples > uint64(len(body)) {
-			return nil, 0, fmt.Errorf("wal: %s: corrupt tuple count in snapshot", path)
-		}
-		for j := uint64(0); j < ntuples && r.err == nil; j++ {
-			rel.Insert(r.tuple())
+	for i, n := uint64(0), r.count(); i < n && r.err == nil; i++ {
+		rel := relation.NewRelation(r.schema())
+		for _, t := range r.rows(rel.Schema()) {
+			rel.Insert(t)
 		}
 		db.Add(rel)
 	}
 	if r.err != nil {
-		return nil, 0, fmt.Errorf("wal: %s: %v", path, r.err)
+		return nil, 0, r.err
 	}
 	if r.off != len(body) {
-		return nil, 0, fmt.Errorf("wal: %s: %d trailing bytes in snapshot", path, len(body)-r.off)
+		return nil, 0, fmt.Errorf("%d trailing bytes in snapshot", len(body)-r.off)
 	}
 	db.RestoreGeneration(gen)
 	return db, gen, nil

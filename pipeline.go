@@ -447,7 +447,7 @@ func (pl *Plan) newInstance() *core.Instance {
 	in := &core.Instance{
 		Query: pl.p.q,
 		DB:    pl.p.eng.db,
-		Obj:   pl.p.objectiveFor(pl.s),
+		Obj:   pl.s.objectiveOver(pl.p.schema),
 		K:     pl.s.k,
 		B:     pl.s.bound,
 		R:     pl.s.rank,

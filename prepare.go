@@ -480,8 +480,8 @@ func (p *Prepared) pooled() []relation.Tuple {
 	return nil
 }
 
-// objectiveFor builds the bound objective function for one call.
-func (p *Prepared) objectiveFor(s settings) *objective.Objective {
+// objectiveOver builds the bound objective function for answers of schema.
+func (s settings) objectiveOver(schema relation.Schema) *objective.Objective {
 	var kind objective.Kind
 	switch s.objective {
 	case MaxMin:
@@ -495,14 +495,14 @@ func (p *Prepared) objectiveFor(s settings) *objective.Objective {
 	if s.relevance != nil {
 		f := s.relevance
 		rel = objective.RelevanceFunc(func(t relation.Tuple) float64 {
-			return f(Row{schema: p.schema, tuple: t})
+			return f(Row{schema: schema, tuple: t})
 		})
 	}
 	var dis objective.Distance
 	if s.distance != nil {
 		f := s.distance
 		dis = objective.DistanceFunc(func(a, b relation.Tuple) float64 {
-			return f(Row{schema: p.schema, tuple: a}, Row{schema: p.schema, tuple: b})
+			return f(Row{schema: schema, tuple: a}, Row{schema: schema, tuple: b})
 		})
 	}
 	return objective.New(kind, rel, dis, s.lambda)
@@ -522,7 +522,7 @@ func (p *Prepared) planeFor(ctx context.Context, snap *snapshot) (*objective.Pla
 	if pl != nil {
 		return pl, nil
 	}
-	pl, err := objective.NewPlaneContext(ctx, p.objectiveFor(p.base), snap.answers, objective.PlaneOptions{})
+	pl, err := objective.NewPlaneContext(ctx, p.base.objectiveOver(p.schema), snap.answers, objective.PlaneOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -566,21 +566,13 @@ func (p *Prepared) checkSet(set [][]interface{}, k int) ([]relation.Tuple, error
 	if len(set) != k {
 		return nil, argErrorf("set", "candidate set has %d rows, want exactly k = %d", len(set), k)
 	}
-	arity := p.q.Arity()
-	out := make([]relation.Tuple, 0, len(set))
-	for i, rowVals := range set {
-		if len(rowVals) != arity {
-			return nil, argErrorf("set", "candidate row %d has %d values, want the query head arity %d", i, len(rowVals), arity)
+	out := make([]relation.Tuple, len(set))
+	for i, row := range set {
+		t, err := toTuple(row, p.q.Arity())
+		if err != nil {
+			return nil, argErrorf("set", "candidate row %d %v", i, err)
 		}
-		t := make(relation.Tuple, len(rowVals))
-		for j, v := range rowVals {
-			cv, err := toValue(v)
-			if err != nil {
-				return nil, argErrorf("set", "candidate row %d, column %d: %v", i, j, err)
-			}
-			t[j] = cv
-		}
-		out = append(out, t)
+		out[i] = t
 	}
 	return out, nil
 }
