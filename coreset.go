@@ -286,7 +286,7 @@ func MergeCoresets(ctx context.Context, parts []*Coreset, distanceAttr string, e
 
 	s.relevance = func(r Row) float64 { return scores[r.tuple.Key()] }
 	if distanceAttr != "" {
-		s.distance = AttrDistance(distanceAttr)
+		WithDistance(AttrDistance(distanceAttr))(&s)
 	}
 	in := &core.Instance{Obj: s.objectiveOver(schema), K: s.k}
 	in.SetAnswers(union)

@@ -45,33 +45,48 @@ func TestDegradedAnswerMatchesGreedy(t *testing.T) {
 }
 
 // TestMonoSolveHonorsDeadline: an Fmono solve scores every answer by its
-// distance row sum, an O(n²) scan over the plane. On a large handle (here
-// 8,000 answers on the metric index) greedy and exact mono requests must
-// stop at the request deadline rather than finish the scan.
+// distance row sum. Over an opaque distance function that is an O(n²) scan
+// of the plane, and on a large handle (here 8,000 answers on the metric
+// index) greedy and exact mono requests must stop at the request deadline
+// rather than finish the scan. The same distance given as an AttrDistance
+// is served from category lists, where the row sums cost O(n), so the same
+// requests answer inside the deadline: greedy outright, exact with its
+// greedy incumbent when the search cannot finish.
 func TestMonoSolveHonorsDeadline(t *testing.T) {
 	e := NewEngine()
 	e.MustCreateTable("items", "id", "cat")
 	for i := 0; i < 8000; i++ {
 		e.MustInsert("items", i, i%7)
 	}
-	p, err := e.Prepare("Q(id, cat) :- items(id, cat)",
-		WithK(3), WithObjective(Mono), WithDistance(AttrDistance("cat")))
-	if err != nil {
-		t.Fatal(err)
+	prepare := func(dis Option) *Prepared {
+		p, err := e.Prepare("Q(id, cat) :- items(id, cat)", WithK(3), WithObjective(Mono), dis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Build the plane outside the deadline, so only the solve is timed.
+		if _, err := p.Refresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	// Build the plane outside the deadline, so only the scan is timed.
-	if _, err := p.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	opaque := prepare(WithDistance(func(a, b Row) float64 { return AttrDistance("cat").Dis(a, b) }))
+	category := prepare(WithDistance(AttrDistance("cat")))
 	for _, alg := range []Algorithm{Greedy, Exact} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		start := time.Now()
-		_, err := p.Do(ctx, Request{Problem: ProblemDiversify, Algorithm: &alg})
+		_, err := opaque.Do(ctx, Request{Problem: ProblemDiversify, Algorithm: &alg})
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) || elapsed > time.Second {
 			t.Errorf("%s mono solve under a 20ms deadline: err %v after %v, want %v within 1s",
 				alg, err, elapsed, context.DeadlineExceeded)
+		}
+
+		ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+		resp, err := category.Do(ctx, Request{Problem: ProblemDiversify, Algorithm: &alg})
+		cancel()
+		if err != nil || len(resp.Selection.Rows) != 3 {
+			t.Errorf("%s mono solve on category lists under a 20ms deadline: err %v, want a 3-row selection", alg, err)
 		}
 	}
 }

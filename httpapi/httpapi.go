@@ -49,10 +49,12 @@ type QueryRequest struct {
 	Set [][]interface{} `json:"set,omitempty"`
 
 	// RelevanceAttr names a numeric attribute used as δrel for this
-	// request; DistanceAttr names an attribute whose inequality defines a
-	// 0/1 δdis. They are the wire stand-ins for the in-process
-	// WithRelevance/WithDistance closures and, like them, bypass the
-	// statement's shared score plane.
+	// request (diversification.AttrRelevance); DistanceAttr names an
+	// attribute whose inequality defines a 0/1 δdis
+	// (diversification.AttrDistance). Like a per-call WithRelevance or
+	// WithDistance, either one bypasses the statement's shared score plane
+	// and the result cache: the request builds its own plane, which for
+	// DistanceAttr is the O(n) category plane.
 	RelevanceAttr string `json:"relevance_attr,omitempty"`
 	DistanceAttr  string `json:"distance_attr,omitempty"`
 

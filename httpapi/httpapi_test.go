@@ -165,6 +165,19 @@ func TestErrorMapping(t *testing.T) {
 		// Unsupported set values are user input: 400 with the field, never
 		// a 500 from the decode layer.
 		{"null set value", "catalog", QueryRequest{Problem: "rank", Set: [][]interface{}{{nil, nil, nil}, {nil, nil, nil}, {nil, nil, nil}}}, http.StatusBadRequest, "set"},
+		// Constraints the statement's schema cannot compile, algorithms
+		// that cannot honor a request, and candidate sets outside Q(D) are
+		// the client's mistakes too: 400 with the field, never a 500.
+		{"unparsable constraint", "catalog", QueryRequest{Constraints: []string{"garbage"}}, http.StatusBadRequest, "constraints"},
+		{"constraint on a missing attribute", "catalog", QueryRequest{Constraints: []string{"exists s (s.nope = 1)"}}, http.StatusBadRequest, "constraints"},
+		{"greedy with constraints", "catalog", QueryRequest{Algorithm: strPtr("greedy"), Constraints: []string{`exists s (s.type = "toy")`}}, http.StatusBadRequest, "algorithm"},
+		{"local search with constraints", "catalog", QueryRequest{Algorithm: strPtr("local-search"), Constraints: []string{`exists s (s.type = "toy")`}}, http.StatusBadRequest, "algorithm"},
+		{"online with constraints", "catalog", QueryRequest{Algorithm: strPtr("online"), Constraints: []string{`exists s (s.type = "toy")`}}, http.StatusBadRequest, "algorithm"},
+		{"online mono", "catalog", QueryRequest{Algorithm: strPtr("online"), Objective: strPtr("mono")}, http.StatusBadRequest, "algorithm"},
+		{"rank set outside Q(D)", "catalog", QueryRequest{Problem: "rank", Set: [][]interface{}{{"kite", "toy", 38}, {"scarf", "fashion", 30}, {"yacht", "toy", 99}}}, http.StatusBadRequest, "set"},
+		{"rank set with a repeated row", "catalog", QueryRequest{Problem: "rank", Set: [][]interface{}{{"kite", "toy", 38}, {"scarf", "fashion", 30}, {"kite", "toy", 38}}}, http.StatusBadRequest, "set"},
+		{"in-top-r set outside Q(D)", "catalog", QueryRequest{Problem: "in-top-r", Rank: intPtr(1), Set: [][]interface{}{{"kite", "toy", 38}, {"scarf", "fashion", 30}, {"yacht", "toy", 99}}}, http.StatusBadRequest, "set"},
+		{"rank set violating the constraints", "catalog", QueryRequest{Problem: "rank", Constraints: []string{`exists s (s.type = "book")`}, Set: [][]interface{}{{"kite", "toy", 38}, {"scarf", "fashion", 30}, {"ring", "jewelry", 28}}}, http.StatusBadRequest, "set"},
 	}
 	for _, tc := range cases {
 		_, err := client.Query(ctx, tc.stmt, tc.req)

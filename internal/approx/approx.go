@@ -51,7 +51,9 @@ func GreedyMaxSum(in *core.Instance) Result {
 // maintains each candidate's running marginal gain on the score plane, so a
 // round is one O(n) array scan plus an O(n) gain update against the newly
 // chosen ID. Gains accumulate in chosen order, matching MaxSumDelta
-// bit-for-bit.
+// bit-for-bit. A category plane with finite relevance runs the same
+// selection over each category's best answers (category.go), an indexed
+// plane through its metric index (indexed.go).
 func GreedyMaxSumContext(ctx context.Context, in *core.Instance) (Result, error) {
 	var res Result
 	p, ix, ok, err := greedyPlane(ctx, in)
@@ -59,6 +61,9 @@ func GreedyMaxSumContext(ctx context.Context, in *core.Instance) (Result, error)
 		return res, err
 	}
 	c := ctxpoll.New(ctx)
+	if cs := p.Categories(); cs != nil && cs.Finite() {
+		return greedyMaxSumCategory(c, in, p, cs)
+	}
 	if ix != nil {
 		return greedyMaxSumIndexed(c, in, p, ix)
 	}
@@ -145,7 +150,8 @@ func GreedyMaxMin(in *core.Instance) Result {
 // GreedyMaxMinContext is GreedyMaxMin under a cancellation context. It
 // maintains each candidate's running min-distance to the chosen set on the
 // score plane, so a round is an O(n) scan plus an O(n) min update against
-// the new member.
+// the new member. Category and indexed planes run the same selection as
+// GreedyMaxSumContext describes.
 func GreedyMaxMinContext(ctx context.Context, in *core.Instance) (Result, error) {
 	var res Result
 	p, ix, ok, err := greedyPlane(ctx, in)
@@ -153,6 +159,9 @@ func GreedyMaxMinContext(ctx context.Context, in *core.Instance) (Result, error)
 		return res, err
 	}
 	c := ctxpoll.New(ctx)
+	if cs := p.Categories(); cs != nil && cs.Finite() {
+		return greedyMaxMinCategory(c, in, p, cs)
+	}
 	if ix != nil {
 		return greedyMaxMinIndexed(c, in, p, ix)
 	}

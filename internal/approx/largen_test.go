@@ -6,13 +6,17 @@
 package approx_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	. "repro/internal/approx"
 
+	"repro/internal/core"
 	"repro/internal/objective"
+	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 func TestLargeNIndexedRegime(t *testing.T) {
@@ -60,4 +64,58 @@ func TestLargeNIndexedRegime(t *testing.T) {
 		t.Fatalf("plane footprint %d bytes exceeds the O(n) envelope %d", foot, bound)
 	}
 	t.Logf("plane footprint: %.1f MiB (%.0f B/answer)", float64(foot)/(1<<20), float64(foot)/float64(plane.Len()))
+}
+
+// TestLargeNCategoryPlane is the same gate for the category plane, on the
+// shape of the end-to-end warm-read workload: 10⁵ answers (id, cat, rel)
+// with cat zipf(1.1)-distributed over 200 categories and rel a permutation
+// of evenly spaced values. Auto must resolve to category lists; greedy FMS
+// and FMM must pick what the flat loops pick (on the same distance forced
+// onto the memo cache), looking at no more than 3·k·m answers per solve,
+// on O(n) plane bytes. All of these are counts, not timings.
+func TestLargeNCategoryPlane(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large-n category gate skipped in -short mode")
+	}
+	const n, k = 100_000, 10
+	rng := rand.New(rand.NewSource(11))
+	zipf := rand.NewZipf(rng, 1.1, 1, 199)
+	perm := rng.Perm(n)
+	answers := make([]relation.Tuple, n)
+	for i := range answers {
+		answers[i] = relation.Tuple{
+			value.Int(int64(i)),
+			value.Str(fmt.Sprintf("c%03d", zipf.Uint64())),
+			value.Float((float64(perm[i]) + 0.5) / n),
+		}
+	}
+	instance := func(kind objective.Kind, lambda float64, regime objective.Regime) *core.Instance {
+		obj := objective.New(kind, objective.AttrRelevance(2, 1), objective.CategoryDistance{Col: 1}, lambda)
+		in := &core.Instance{Obj: obj, K: k, PlaneRegime: regime}
+		in.SetAnswers(answers)
+		return in
+	}
+	cat := instance(objective.MaxSum, 0.5, objective.RegimeAuto)
+	plane := cat.Plane()
+	if got := plane.Regime(); got != objective.RegimeCategory {
+		t.Fatalf("auto regime for a category distance at n=%d is %v, want category", n, got)
+	}
+	m := plane.Categories().Count()
+	flatPlane := instance(objective.MaxSum, 0.5, objective.RegimeMemoized).Plane()
+	for _, kind := range []objective.Kind{objective.MaxSum, objective.MaxMin} {
+		for _, lambda := range []float64{0.1, 0.5, 0.9} {
+			in := instance(kind, lambda, objective.RegimeAuto)
+			in.SetPlane(plane)
+			got := Greedy(in)
+			if bound := 3 * k * m; got.Steps > bound {
+				t.Errorf("%v λ=%v: %d steps over the 3·k·m = %d bound", kind, lambda, got.Steps, bound)
+			}
+			flat := instance(kind, lambda, objective.RegimeMemoized)
+			flat.SetPlane(flatPlane)
+			assertSamePicks(t, fmt.Sprintf("%v λ=%v", kind, lambda), Greedy(flat), got)
+		}
+	}
+	if foot, bound := plane.MemoryFootprint(), int64(64*n); foot > bound {
+		t.Fatalf("category plane footprint %d B exceeds the O(n) envelope %d B", foot, bound)
+	}
 }

@@ -78,17 +78,7 @@ func regimeInstance(t *testing.T, pts []relation.Tuple, dim int, dis objective.D
 // number of candidate evaluations.
 func assertSameResult(t *testing.T, label string, want, got Result) {
 	t.Helper()
-	if len(want.Set) != len(got.Set) {
-		t.Fatalf("%s: set size %d != %d", label, len(got.Set), len(want.Set))
-	}
-	for i := range want.Set {
-		if want.Set[i].Compare(got.Set[i]) != 0 {
-			t.Fatalf("%s: pick %d is %v, want %v", label, i, got.Set[i], want.Set[i])
-		}
-	}
-	if want.Value != got.Value {
-		t.Fatalf("%s: value %v != %v (must be bit-identical)", label, got.Value, want.Value)
-	}
+	assertSamePicks(t, label, want, got)
 	if want.Steps != got.Steps {
 		t.Fatalf("%s: steps %d != %d (scan accounting must match)", label, got.Steps, want.Steps)
 	}

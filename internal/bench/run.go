@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -455,7 +456,7 @@ func Catalog() []*Experiment {
 			answers := eval.Evaluate(q, db).Sorted()
 			plane := objective.NewPlane(o, answers, objective.PlaneOptions{})
 			plane.Materialize()
-			cd.calls = 0
+			cd.calls.Store(0)
 			start := time.Now()
 			gen := db.Generation()
 			rng := rand.New(rand.NewSource(99))
@@ -477,7 +478,7 @@ func Catalog() []*Experiment {
 				}
 				gen = db.Generation()
 			}
-			return Measurement{Secs: time.Since(start).Seconds(), Work: float64(cd.calls)}
+			return Measurement{Secs: time.Since(start).Seconds(), Work: float64(cd.calls.Load())}
 		},
 	})
 	exps = append(exps, &Experiment{
@@ -488,7 +489,7 @@ func Catalog() []*Experiment {
 		Run: func(n int) Measurement {
 			db, q, o, cd := refreshWorkload(n)
 			eval.Evaluate(q, db) // warm, as the incremental arm is
-			cd.calls = 0
+			cd.calls.Store(0)
 			start := time.Now()
 			rng := rand.New(rand.NewSource(99))
 			for u := 0; u < refreshUpdates; u++ {
@@ -497,7 +498,7 @@ func Catalog() []*Experiment {
 				plane := objective.NewPlane(o, answers, objective.PlaneOptions{})
 				plane.Materialize()
 			}
-			return Measurement{Secs: time.Since(start).Seconds(), Work: float64(cd.calls)}
+			return Measurement{Secs: time.Since(start).Seconds(), Work: float64(cd.calls.Load())}
 		},
 	})
 
@@ -593,14 +594,15 @@ func recoverDir(dir string, n int) Measurement {
 }
 
 // countingDistance wraps a Distance counting evaluations, the work unit of
-// the refresh ablation.
+// the refresh ablation. The counter is atomic because the parallel matrix
+// fill calls Dis from several workers.
 type countingDistance struct {
 	inner objective.Distance
-	calls int
+	calls atomic.Int64
 }
 
 func (c *countingDistance) Dis(s, t relation.Tuple) float64 {
-	c.calls++
+	c.calls.Add(1)
 	return c.inner.Dis(s, t)
 }
 

@@ -8,15 +8,17 @@ import (
 )
 
 // fuzzInstance decodes the fuzz input into a small scored answer set: up to
-// 12 two-column integer points, a λ, an objective kind, and a candidate
-// subset. The decoding never fails — malformed inputs just wrap around —
-// so every input exercises the equivalence property.
+// 12 two-column integer points, a λ, an objective kind, a distance (the
+// Euclidean metric or a category distance on either column or on none),
+// and a candidate subset. The decoding never fails — malformed inputs just
+// wrap around — so every input exercises the equivalence property.
 func fuzzInstance(data []byte) (o *Objective, answers []relation.Tuple, ids []int) {
 	if len(data) < 4 {
 		return nil, nil, nil
 	}
 	n := 2 + int(data[0])%11
 	kind := Kind(int(data[1]) % 3)
+	dis := []Distance{EuclideanDistance(), CategoryDistance{Col: 0}, CategoryDistance{Col: 1}, CategoryDistance{Col: -1}}[int(data[1]/3)%4]
 	lambda := float64(data[2]%101) / 100
 	k := 1 + int(data[3])%n
 	rest := data[4:]
@@ -58,17 +60,21 @@ func fuzzInstance(data []byte) (o *Objective, answers []relation.Tuple, ids []in
 		ids = append(ids, id)
 		id = (id + stride) % len(answers)
 	}
-	return New(kind, AttrRelevance(0, 1), EuclideanDistance(), lambda), answers, ids
+	return New(kind, AttrRelevance(0, 1), dis, lambda), answers, ids
 }
 
-// FuzzObjectiveEquivalence asserts the PR 2 contract under adversarial
-// inputs: scoring through the interned plane — materialized or memoized —
-// must agree bit-for-bit with scoring through the δrel/δdis interfaces,
-// for full evaluations, per-answer mono scores and greedy marginal gains.
+// FuzzObjectiveEquivalence asserts the plane's contract under adversarial
+// inputs: scoring through the interned plane — materialized, memoized, or
+// category lists for a category distance — must agree bit-for-bit with
+// scoring through the δrel/δdis interfaces, for full evaluations,
+// per-answer mono scores and greedy marginal gains.
 func FuzzObjectiveEquivalence(f *testing.F) {
 	f.Add([]byte{5, 0, 50, 2, 1, 9, 3, 7, 2, 8, 6, 4})
 	f.Add([]byte{11, 1, 100, 4, 250, 3, 17, 99, 5, 5, 5, 6, 120, 0})
 	f.Add([]byte{3, 2, 0, 1, 1, 2, 3, 4})
+	f.Add([]byte{9, 3, 50, 3, 1, 1, 2, 1, 1, 2, 3, 2})        // category distance on column 0, FMS
+	f.Add([]byte{10, 7, 30, 4, 4, 1, 4, 2, 5, 1, 5, 2, 6, 1}) // on column 1, FMM
+	f.Add([]byte{6, 11, 70, 2, 1, 1, 2, 2, 3, 3})             // on no column, Fmono
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o, answers, ids := fuzzInstance(data)
 		if o == nil {

@@ -1,8 +1,9 @@
 // The interned score plane: answer tuples are interned into dense int IDs
 // at prepare time, the relevance vector δrel is precomputed per ID, and the
-// symmetric pairwise distance matrix δdis is served under one of three
-// regimes (see regime.go): materialized as a packed triangular []float64
-// (filled in parallel across GOMAXPROCS workers), indexed by a
+// symmetric pairwise distance matrix δdis is served under one of four
+// regimes (see regime.go): from per-category ID lists when δdis is a
+// CategoryDistance (category.go), materialized as a packed triangular
+// []float64 (filled in parallel across GOMAXPROCS workers), indexed by a
 // vantage-point tree with O(n) memory (index.go), or — when neither fits —
 // from a sharded, entry-capped memoizing cache. Every solver then runs on
 // IDs and contiguous float loads instead of interface dispatch plus Tuple.Key()
@@ -78,6 +79,8 @@ type Plane struct {
 
 	idx atomic.Pointer[MetricIndex] // lazily built in RegimeIndexed
 
+	cats *Categories // built with the plane in RegimeCategory
+
 	shards []memoShard
 	// shardCap bounds each memo shard by entries (total budget ≈ the
 	// matrix guard for the memoized regime, O(n) for the indexed regime);
@@ -115,7 +118,8 @@ func memoShardCap(regime Regime, n int) int {
 
 // NewPlane builds a plane over answers. Distances are not computed yet:
 // materialization (or memoization on demand) happens on first use, so
-// relevance-only consumers pay O(n) and nothing more.
+// relevance-only consumers pay O(n) and nothing more. A category plane
+// groups and orders its answers here, in O(n log n).
 func NewPlane(o *Objective, answers []relation.Tuple, opts PlaneOptions) *Plane {
 	p, _ := NewPlaneContext(context.Background(), o, answers, opts)
 	return p
@@ -124,7 +128,7 @@ func NewPlane(o *Objective, answers []relation.Tuple, opts PlaneOptions) *Plane 
 // NewPlaneContext is NewPlane under a cancellation context (the O(n)
 // relevance fill polls it).
 func NewPlaneContext(ctx context.Context, o *Objective, answers []relation.Tuple, opts PlaneOptions) (*Plane, error) {
-	regime := resolveRegime(opts.Regime, len(answers), opts.Streaming)
+	regime := resolveRegime(opts.Regime, len(answers), opts.Streaming, o.Dis)
 	p := &Plane{
 		answers:   answers,
 		relFn:     o.Rel,
@@ -162,8 +166,34 @@ func NewPlaneContext(ctx context.Context, o *Objective, answers []relation.Tuple
 			p.maxRel = r
 		}
 	}
+	if err := p.buildCategories(ctx); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
+
+// buildCategories builds the category store of a RegimeCategory plane from
+// its answers and relevance vector, and records the maximum distance: 1
+// when two categories exist, else 0. Other regimes have nothing to build.
+func (p *Plane) buildCategories(ctx context.Context) error {
+	if p.regime != RegimeCategory {
+		return nil
+	}
+	cs, err := buildCategories(ctx, p.disFn.(CategoryDistance), p.answers, p.rel)
+	if err != nil {
+		return err
+	}
+	p.cats = cs
+	p.maxDis, p.haveMaxDis, p.maxDisN = 0, true, len(p.answers)
+	if cs.Count() > 1 {
+		p.maxDis = 1
+	}
+	return nil
+}
+
+// Categories returns the store of a RegimeCategory plane, nil in every
+// other regime.
+func (p *Plane) Categories() *Categories { return p.cats }
 
 // Len reports the number of interned answers.
 func (p *Plane) Len() int { return len(p.answers) }
@@ -217,6 +247,9 @@ func (p *Plane) MemoryFootprint() int64 {
 	if ix := p.idx.Load(); ix != nil {
 		b += ix.Bytes()
 	}
+	if p.cats != nil {
+		b += p.cats.bytes()
+	}
 	entries, _ := p.MemoStats()
 	b += entries * 48
 	return b
@@ -244,10 +277,13 @@ func (p *Plane) rawDis(i, j int) float64 {
 // could grow it row-by-row.
 func triIndex(i, j int) int { return j*(j-1)/2 + i }
 
-// Dis returns δdis between the answers interned as i and j: a contiguous
-// float load when the matrix is filled, a memoized evaluation otherwise, and
-// 0 on the diagonal.
+// Dis returns δdis between the answers interned as i and j: a category
+// comparison on a category plane, a contiguous float load when the matrix
+// is filled, a memoized evaluation otherwise, and 0 on the diagonal.
 func (p *Plane) Dis(i, j int) float64 {
+	if p.cats != nil {
+		return p.cats.dis(i, j)
+	}
 	if i == j {
 		return 0
 	}
@@ -327,8 +363,9 @@ func (p *Plane) MaterializeContext(ctx context.Context) (bool, error) {
 
 // EnsureReadyContext builds whatever the plane's regime serves from — the
 // matrix or the metric index — so prepare-time eager construction pays the
-// build cost once instead of on the first solve. Memoized (and streaming)
-// planes have nothing to build.
+// build cost once instead of on the first solve. Category planes built
+// their store with the plane; memoized (and streaming) planes have nothing
+// to build.
 func (p *Plane) EnsureReadyContext(ctx context.Context) error {
 	switch p.regime {
 	case RegimeMaterialized:
@@ -484,13 +521,20 @@ func (p *Plane) MaxDisBoundContext(ctx context.Context) (float64, error) {
 
 // RowSums returns, for each id, Σ over all answers of δdis(id, ·) — the
 // shared subexpression of every Fmono score — accumulated in ascending ID
-// order for reproducible floating point. The O(n²) scan polls ctx, and only
+// order for reproducible floating point. A category plane counts each
+// answer's category in O(n). Elsewhere the O(n²) scan polls ctx, and only
 // a completed scan is cached; without a matrix the scan computes pairs
 // directly without storing them, so the memory guard holds.
 func (p *Plane) RowSums(ctx context.Context) ([]float64, error) {
 	n := len(p.answers)
 	p.mu.Lock()
 	if p.rowSums != nil && len(p.rowSums) == n {
+		sums := p.rowSums
+		p.mu.Unlock()
+		return sums, nil
+	}
+	if p.cats != nil {
+		p.rowSums = p.cats.rowSums()
 		sums := p.rowSums
 		p.mu.Unlock()
 		return sums, nil
@@ -633,7 +677,7 @@ func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []in
 	// materialized plane over the guard (it degrades) and retire batches
 	// can bring an oversized one back under it (it re-materializes), each
 	// matching what a cold build at the new size would pick.
-	newRegime := resolveRegime(p.want, m, false)
+	newRegime := resolveRegime(p.want, m, false, p.disFn)
 	q := &Plane{
 		answers:  make([]relation.Tuple, 0, m),
 		rel:      make([]float64, 0, m),
@@ -688,6 +732,14 @@ func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []in
 				q.maxRel = r
 			}
 		}
+	}
+	// A category store is rebuilt from the carried δrel values: grouping
+	// and sorting is cheap next to the delta evaluation that fed it.
+	if err := q.buildCategories(ctx); err != nil {
+		return nil, err
+	}
+	if q.cats != nil {
+		return q, nil
 	}
 	if q.regime == RegimeMaterialized && p.triReady.Load() {
 		// Matrix → matrix: copy surviving pairs, evaluate pairs that

@@ -1,7 +1,7 @@
 // Plane regimes: how a score plane stores (or avoids storing) the n(n-1)/2
 // pairwise δdis values. The regime is resolved once per plane from the answer
-// count and the caller's request, and recorded so planners and metrics can
-// report it.
+// count, the distance's type and the caller's request, and recorded so
+// planners and metrics can report it.
 package objective
 
 import "fmt"
@@ -10,8 +10,9 @@ import "fmt"
 type Regime int
 
 const (
-	// RegimeAuto picks from n alone: the materialized float64 triangle
-	// when it fits MaxMatrixBytes (n ≤ 4096), the metric index above it.
+	// RegimeAuto picks RegimeCategory for a CategoryDistance; otherwise
+	// the materialized float64 triangle when it fits MaxMatrixBytes
+	// (n ≤ 4096), the metric index above it.
 	RegimeAuto Regime = iota
 	// RegimeMaterialized is the packed triangular []float64 filled in
 	// parallel — O(n²) memory, O(1) exact lookups. Falls back to
@@ -28,6 +29,11 @@ const (
 	// RegimeMemoized serves every pair on demand from the sharded,
 	// entry-capped memo cache — the regime that assumes nothing about δdis.
 	RegimeMemoized
+	// RegimeCategory serves a CategoryDistance from per-category ID lists
+	// (category.go): O(n) memory, a distance is two int loads, and the
+	// greedy procedures walk each category's best answers. Requesting it
+	// is requesting auto.
+	RegimeCategory
 )
 
 // String returns the lowercase regime name.
@@ -41,6 +47,8 @@ func (r Regime) String() string {
 		return "indexed"
 	case RegimeMemoized:
 		return "memoized"
+	case RegimeCategory:
+		return "category"
 	default:
 		return fmt.Sprintf("Regime(%d)", int(r))
 	}
@@ -50,11 +58,15 @@ func (r Regime) String() string {
 // serve. Streaming planes always memoize (IDs grow, the matrix cannot); an
 // explicit materialized request whose triangle exceeds MaxMatrixBytes
 // degrades to memoized (matching Materialize's historical refusal); auto
-// takes the matrix when its 8·n(n−1)/2 bytes fit MaxMatrixBytes and the
-// metric index above it.
-func resolveRegime(want Regime, n int, streaming bool) Regime {
+// takes the category lists when δdis is a CategoryDistance, else the matrix
+// when its 8·n(n−1)/2 bytes fit MaxMatrixBytes and the metric index above
+// it.
+func resolveRegime(want Regime, n int, streaming bool, dis Distance) Regime {
 	if streaming {
 		return RegimeMemoized
+	}
+	if _, ok := dis.(CategoryDistance); ok && (want == RegimeAuto || want == RegimeCategory) {
+		return RegimeCategory
 	}
 	fits := int64(n)*int64(n-1)/2*8 <= MaxMatrixBytes
 	switch want {
@@ -66,6 +78,7 @@ func resolveRegime(want Regime, n int, streaming bool) Regime {
 	case RegimeIndexed, RegimeMemoized:
 		return want
 	}
+	// Auto, or a category request over another distance.
 	if fits {
 		return RegimeMaterialized
 	}

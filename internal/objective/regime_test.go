@@ -11,6 +11,7 @@ func TestRegimeString(t *testing.T) {
 		RegimeMaterialized: "materialized",
 		RegimeIndexed:      "indexed",
 		RegimeMemoized:     "memoized",
+		RegimeCategory:     "category",
 		Regime(99):         "Regime(99)",
 	} {
 		if got := r.String(); got != want {
@@ -20,29 +21,37 @@ func TestRegimeString(t *testing.T) {
 }
 
 // TestResolveRegime pins the planner's selection table: the auto rule at
-// the MaxMatrixBytes boundary and the degradation rules for explicit
-// requests.
+// the MaxMatrixBytes boundary, the category rule, and the degradation rules
+// for explicit requests.
 func TestResolveRegime(t *testing.T) {
+	cat := CategoryDistance{Col: 1}
 	cases := []struct {
 		name      string
 		want      Regime
 		n         int
 		streaming bool
+		dis       Distance
 		expect    Regime
 	}{
-		{"streaming always memoizes", RegimeMaterialized, 100, true, RegimeMemoized},
-		{"auto small n fits matrix", RegimeAuto, 1000, false, RegimeMaterialized},
-		{"auto largest matrix under guard", RegimeAuto, 4096, false, RegimeMaterialized},
-		{"auto indexed just over guard", RegimeAuto, 4097, false, RegimeIndexed},
-		{"auto indexed n=5000", RegimeAuto, 5000, false, RegimeIndexed},
-		{"auto indexed n=20000", RegimeAuto, 20000, false, RegimeIndexed},
-		{"explicit matrix fits", RegimeMaterialized, 1000, false, RegimeMaterialized},
-		{"explicit matrix over guard degrades", RegimeMaterialized, 5000, false, RegimeMemoized},
-		{"explicit index honored at small n", RegimeIndexed, 100, false, RegimeIndexed},
-		{"explicit memo honored", RegimeMemoized, 1000, false, RegimeMemoized},
+		{"auto category at any n", RegimeAuto, 100_000, false, cat, RegimeCategory},
+		{"category request is auto", RegimeCategory, 10, false, cat, RegimeCategory},
+		{"category request without a category distance", RegimeCategory, 5000, false, nil, RegimeIndexed},
+		{"streaming category memoizes", RegimeAuto, 100, true, cat, RegimeMemoized},
+		{"explicit matrix over a category distance", RegimeMaterialized, 100, false, cat, RegimeMaterialized},
+		{"explicit memo over a category distance", RegimeMemoized, 100, false, cat, RegimeMemoized},
+		{"streaming always memoizes", RegimeMaterialized, 100, true, nil, RegimeMemoized},
+		{"auto small n fits matrix", RegimeAuto, 1000, false, nil, RegimeMaterialized},
+		{"auto largest matrix under guard", RegimeAuto, 4096, false, nil, RegimeMaterialized},
+		{"auto indexed just over guard", RegimeAuto, 4097, false, nil, RegimeIndexed},
+		{"auto indexed n=5000", RegimeAuto, 5000, false, nil, RegimeIndexed},
+		{"auto indexed n=20000", RegimeAuto, 20000, false, nil, RegimeIndexed},
+		{"explicit matrix fits", RegimeMaterialized, 1000, false, nil, RegimeMaterialized},
+		{"explicit matrix over guard degrades", RegimeMaterialized, 5000, false, nil, RegimeMemoized},
+		{"explicit index honored at small n", RegimeIndexed, 100, false, nil, RegimeIndexed},
+		{"explicit memo honored", RegimeMemoized, 1000, false, nil, RegimeMemoized},
 	}
 	for _, c := range cases {
-		if got := resolveRegime(c.want, c.n, c.streaming); got != c.expect {
+		if got := resolveRegime(c.want, c.n, c.streaming, c.dis); got != c.expect {
 			t.Fatalf("%s: resolveRegime(%v, n=%d, streaming=%v) = %v, want %v",
 				c.name, c.want, c.n, c.streaming, got, c.expect)
 		}

@@ -9,7 +9,9 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/value"
@@ -73,15 +75,31 @@ func CStr(s string) Term { return C(value.Str(s)) }
 // IsVar reports whether the term is a variable.
 func (t Term) IsVar() bool { return t.Name != "" }
 
-// String renders the term.
+// stringEscaper escapes a string constant for the lexer, which decodes a
+// backslash followed by any byte as that byte.
+var stringEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
+// String renders the term in the query syntax, so the parser reads it back
+// as the same term: a float always carries a decimal point and never an
+// exponent, and a string escapes only the quote and the backslash; every
+// other byte, a tab included, stands for itself.
 func (t Term) String() string {
 	if t.IsVar() {
 		return t.Name
 	}
-	if t.Value.Kind() == value.KindString {
-		return fmt.Sprintf("%q", t.Value.AsString())
+	switch t.Value.Kind() {
+	case value.KindString:
+		return `"` + stringEscaper.Replace(t.Value.AsString()) + `"`
+	case value.KindFloat:
+		f := t.Value.AsFloat()
+		out := strconv.FormatFloat(f, 'f', -1, 64)
+		if !math.IsNaN(f) && !math.IsInf(f, 0) && !strings.Contains(out, ".") {
+			out += ".0"
+		}
+		return out
+	default:
+		return t.Value.String()
 	}
-	return t.Value.String()
 }
 
 // CmpOp is a built-in comparison predicate.

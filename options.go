@@ -131,7 +131,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 type ArgError struct {
 	// Field names the offending argument in its user-facing spelling:
 	// "k", "lambda", "objective", "algorithm", "rank", "bound", "set",
-	// "problem", "parallelism".
+	// "constraints", "problem", "parallelism".
 	Field string
 	// Reason says what was wrong with it, including the rejected value.
 	Reason string
@@ -156,7 +156,8 @@ type settings struct {
 	algorithm   Algorithm
 	lambda      float64
 	relevance   func(Row) float64
-	distance    func(Row, Row) float64
+	distance    func(Row, Row) float64 // δdis as a function; nil when unset or distAttr
+	distAttr    *AttrDistance          // δdis as an attribute; nil when unset or distance
 	constraints []string
 	bound       float64
 	rank        int
@@ -244,15 +245,34 @@ func WithRelevance(f func(Row) float64) Option {
 	}
 }
 
-// WithDistance sets δdis; nil restores the default zero distance. The score
-// plane fills its distance matrix across GOMAXPROCS workers, so f must be
-// safe for concurrent use. f must be symmetric with a zero diagonal, and a
-// metric (it obeys the triangle inequality) once the query has more than
-// 4,096 answers: above that the plane serves distances from a metric index
-// that prunes by the triangle inequality, and there is no override.
-func WithDistance(f func(Row, Row) float64) Option {
+// Distance is what WithDistance accepts as δdis: a function of two rows,
+// or an AttrDistance naming the attribute whose inequality is the distance.
+type Distance interface {
+	func(Row, Row) float64 | AttrDistance
+}
+
+// WithDistance sets δdis; a nil function (typed, such as a nil
+// func(Row, Row) float64 variable) restores the default zero distance.
+//
+// An AttrDistance is data, not a closure: the score plane groups the
+// answers by the attribute and serves every distance, Fmono row sum and
+// greedy round from per-category lists, in O(n) memory at any answer
+// count.
+//
+// A function is opaque to the plane, which fills a distance matrix across
+// GOMAXPROCS workers, so it must be safe for concurrent use. It must be
+// symmetric with a zero diagonal, and a metric (it obeys the triangle
+// inequality) once the query has more than 4,096 answers: above that the
+// plane serves distances from a metric index that prunes by the triangle
+// inequality, and there is no override.
+func WithDistance[D Distance](d D) Option {
 	return func(s *settings) {
-		s.distance = f
+		switch d := any(d).(type) {
+		case AttrDistance:
+			s.distance, s.distAttr = nil, &d
+		case func(Row, Row) float64:
+			s.distance, s.distAttr = d, nil
+		}
 		s.dirty |= dirtyDistance
 	}
 }
@@ -294,16 +314,24 @@ func AttrRelevance(attr string) func(Row) float64 {
 	}
 }
 
-// AttrDistance returns the 0/1 δdis on the named attribute's inequality —
-// rows agreeing on the attribute are distance 0, all others 1. Shared by
-// the CLIs and the wire protocol's distance_attr field.
-func AttrDistance(attr string) func(Row, Row) float64 {
-	return func(a, b Row) float64 {
-		if a.Get(attr) == b.Get(attr) {
-			return 0
-		}
-		return 1
+// AttrDistance is the 0/1 δdis on the named attribute's inequality: rows
+// agreeing on the attribute are distance 0, all others 1. Two values agree
+// when Row.Get returns equal values, so they have the same kind and the
+// same payload: floats compare by ==, so a NaN agrees with nothing and −0
+// agrees with +0, and the int 1 differs from the float 1.0. An attribute
+// missing from the schema reads nil on every row, which is the zero
+// distance. Shared by the CLIs, the wire protocol's distance_attr field and
+// the coordinator's coreset merge; pass it to WithDistance as a value, as
+// in WithDistance(AttrDistance("type")), so the plane can see the
+// attribute.
+type AttrDistance string
+
+// Dis is the distance between rows a and b.
+func (attr AttrDistance) Dis(a, b Row) float64 {
+	if a.Get(string(attr)) == b.Get(string(attr)) {
+		return 0
 	}
+	return 1
 }
 
 // WithConstraints sets the compatibility constraints (class Cm, Section 9),

@@ -5,6 +5,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/objective"
+	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 // TestSettingsValidateTable exercises every validation branch of the
@@ -161,10 +165,53 @@ func TestAttrScorers(t *testing.T) {
 			t.Errorf("AttrRelevance(%q) = %v, want %v", tc.attr, got, tc.want)
 		}
 	}
-	if d := AttrDistance("name")(r0, r1); d != 1 {
+	if d := AttrDistance("name").Dis(r0, r1); d != 1 {
 		t.Errorf("distinct names should be distance 1, got %v", d)
 	}
-	if d := AttrDistance("name")(r0, r0); d != 0 {
+	if d := AttrDistance("name").Dis(r0, r0); d != 0 {
 		t.Errorf("equal names should be distance 0, got %v", d)
+	}
+}
+
+// TestAttrDistanceMatchesCategoryDistance pins the lowering of an
+// AttrDistance binding: the plane's CategoryDistance on the attribute's
+// column must agree with AttrDistance.Dis over Row.Get on every pair of
+// cells, across kinds, NaN, both zeros and both infinities, and must be the
+// zero distance for an attribute the schema lacks.
+func TestAttrDistanceMatchesCategoryDistance(t *testing.T) {
+	cells := []value.Value{
+		value.Int(1), value.Int(0), value.Int(-3), value.Float(1), value.Float(0),
+		value.Float(math.Copysign(0, -1)), value.Float(math.NaN()), value.Float(math.Inf(1)),
+		value.Float(math.Inf(-1)), value.Float(2.5), value.Str("1"), value.Str(""), value.Str("a"),
+		value.Bool(true), value.Bool(false),
+	}
+	schema := relation.NewSchema("Q", "id", "c")
+	rows := make([]Row, len(cells))
+	for i, c := range cells {
+		rows[i] = Row{schema: schema, tuple: relation.Tuple{value.Int(int64(i)), c}}
+	}
+	for _, attr := range []string{"c", "id", "missing"} {
+		s := defaultSettings()
+		WithDistance(AttrDistance(attr))(&s)
+		dis := s.objectiveOver(schema).Dis
+		if _, ok := dis.(objective.CategoryDistance); !ok {
+			t.Fatalf("AttrDistance(%q) lowers to %T, want objective.CategoryDistance", attr, dis)
+		}
+		for _, a := range rows {
+			for _, b := range rows {
+				want := AttrDistance(attr).Dis(a, b)
+				if got := dis.Dis(a.tuple, b.tuple); got != want {
+					t.Errorf("attr %q: %v vs %v: category distance %v, AttrDistance %v", attr, a, b, got, want)
+				}
+			}
+		}
+	}
+	// A typed nil function restores the default zero distance.
+	var none func(Row, Row) float64
+	s := defaultSettings()
+	WithDistance(AttrDistance("c"))(&s)
+	WithDistance(none)(&s)
+	if d := s.objectiveOver(schema).Dis.Dis(rows[0].tuple, rows[1].tuple); d != 0 {
+		t.Errorf("typed nil distance: %v, want the zero distance", d)
 	}
 }

@@ -253,19 +253,15 @@ func (p *Prepared) plan(ctx context.Context, req Request) (*Plan, error) {
 		switch s.algorithm {
 		case Auto, Exact:
 			pl.route = "exact"
-		case Greedy:
+		case Greedy, LocalSearch, Online:
 			if sigma.Len() > 0 {
-				return nil, errors.New("diversification: greedy does not support constraints")
+				return nil, argErrorf("algorithm", "%s does not support constraints", s.algorithm)
 			}
-			pl.route = "greedy"
-		case LocalSearch:
-			if sigma.Len() > 0 {
-				return nil, errors.New("diversification: local-search does not support constraints")
+			if s.algorithm == Online && s.objective == Mono {
+				return nil, argErrorf("algorithm", "online does not support the mono objective (its value depends on all of Q(D))")
 			}
-			pl.route = "local-search"
-		case Online:
-			pl.route = "online"
-			materialize = false
+			pl.route = s.algorithm.String()
+			materialize = s.algorithm != Online
 		default:
 			return nil, argErrorf("algorithm", "unknown algorithm %s", s.algorithm)
 		}
@@ -305,10 +301,36 @@ func (p *Prepared) plan(ctx context.Context, req Request) (*Plan, error) {
 	} else {
 		pl.planeNote = "streaming (the online procedures intern their own plane)"
 	}
+	if pl.u != nil {
+		if err := pl.checkCandidate(); err != nil {
+			return nil, err
+		}
+	}
 	if req.Problem == ProblemDiversify && pl.route == "exact" {
 		pl.maybeDegrade(ctx)
 	}
 	return pl, nil
+}
+
+// checkCandidate refuses an in-top-r or rank set that is not a candidate
+// set of the pinned snapshot — a repeated row, a row outside Q(D), or a set
+// violating the constraints — as an ArgError on the "set" field.
+func (pl *Plan) checkCandidate() error {
+	seen := make(map[string]bool, len(pl.u))
+	for i, t := range pl.u {
+		key := t.Key()
+		if seen[key] {
+			return argErrorf("set", "candidate row %d repeats an earlier row", i)
+		}
+		seen[key] = true
+		if _, ok := pl.snap.index[key]; !ok {
+			return argErrorf("set", "candidate row %d is not an answer of the query", i)
+		}
+	}
+	if !pl.newInstance().SatisfiesConstraints(pl.u) {
+		return argErrorf("set", "candidate set violates the constraints")
+	}
+	return nil
 }
 
 // degradeBudgetFraction is how much of the remaining deadline a predicted
@@ -412,10 +434,12 @@ func degradeChain(base, abandoned string) string {
 	return base + "→" + abandoned
 }
 
-// planeRegime names how a plane serves distances: which of the three storage
+// planeRegime names how a plane serves distances: which of the four storage
 // regimes the planner resolved for it.
 func planeRegime(p *objective.Plane) string {
 	switch p.Regime() {
+	case objective.RegimeCategory:
+		return "category lists"
 	case objective.RegimeMaterialized:
 		return "materialized matrix"
 	case objective.RegimeIndexed:

@@ -81,6 +81,18 @@ func TestPlanExplain(t *testing.T) {
 		t.Errorf("override Explain() lacks the bypass note:\n%s", pl.Explain())
 	}
 
+	// The same distance as an AttrDistance is data: the plane serves it
+	// from per-category lists.
+	attr := e.MustPrepare("Q(item, type, price) :- catalog(item, type, price, s)",
+		WithK(2), WithRelevance(priceRelevance), WithDistance(AttrDistance("type")))
+	pl, err = attr.Plan(ctx, Request{Problem: ProblemDiversify})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(pl.Explain(), "plane:     shared, category lists, ~") {
+		t.Errorf("AttrDistance Explain() lacks the category plane:\n%s", pl.Explain())
+	}
+
 	// Decide on a warm cache routes exact; the bound line is present.
 	bound := 2.0
 	pl, err = p.Plan(ctx, Request{Problem: ProblemDecide, Bound: &bound})

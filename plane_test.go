@@ -194,6 +194,10 @@ func TestExplainFormatting(t *testing.T) {
 			t.Fatalf("planeRegime(%v) = %q, want %q", c.regime, got, c.want)
 		}
 	}
+	cat := objective.New(objective.MaxSum, nil, objective.CategoryDistance{Col: 1}, 0.5)
+	if got := planeRegime(objective.NewPlane(cat, answers, objective.PlaneOptions{})); got != "category lists" {
+		t.Fatalf("planeRegime(category) = %q, want %q", got, "category lists")
+	}
 }
 
 // The solver golden's line format: a selected set prints as its tuple keys

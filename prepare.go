@@ -164,21 +164,22 @@ func (p *Prepared) Source() string { return p.src }
 func (p *Prepared) Language() string { return p.lang.String() }
 
 // compileConstraints parses and schema-validates Cm constraint sources.
+// Every failure is the caller's: an ArgError on the "constraints" field.
 func compileConstraints(srcs []string, schema relation.Schema) (*compat.Set, error) {
 	if len(srcs) == 0 {
 		return nil, nil
 	}
 	set := compat.NewSet(8)
-	for _, src := range srcs {
+	for i, src := range srcs {
 		c, err := compat.Parse(src)
+		if err == nil {
+			err = c.Validate(schema)
+		}
+		if err == nil {
+			err = set.Add(c)
+		}
 		if err != nil {
-			return nil, err
-		}
-		if err := c.Validate(schema); err != nil {
-			return nil, err
-		}
-		if err := set.Add(c); err != nil {
-			return nil, err
+			return nil, argErrorf("constraints", "constraint %d: %v", i, err)
 		}
 	}
 	return set, nil
@@ -499,7 +500,10 @@ func (s settings) objectiveOver(schema relation.Schema) *objective.Objective {
 		})
 	}
 	var dis objective.Distance
-	if s.distance != nil {
+	switch {
+	case s.distAttr != nil:
+		dis = objective.CategoryDistance{Col: schema.AttrIndex(string(*s.distAttr))}
+	case s.distance != nil:
 		f := s.distance
 		dis = objective.DistanceFunc(func(a, b relation.Tuple) float64 {
 			return f(Row{schema: schema, tuple: a}, Row{schema: schema, tuple: b})

@@ -146,7 +146,8 @@ type Request struct {
 // ok is false when the request is not cacheable: an invalid option set
 // (the pipeline will produce the typed error), or a per-call
 // WithRelevance/WithDistance override — function values have no canonical
-// form, so those requests always solve.
+// form, so those requests always solve, and so does a per-call
+// AttrDistance, which takes the same override path.
 func (p *Prepared) requestKey(req Request) (key string, ok bool) {
 	if !req.Problem.valid() {
 		return "", false
