@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/approx"
@@ -748,14 +749,19 @@ func BenchmarkDiversifyBatch(b *testing.B) {
 }
 
 // BenchmarkIncrementalRefresh measures bringing a Prepared handle's caches
-// current after a single-tuple insert, with the change journal (delta
-// evaluation + plane extension) against the rebuild-on-every-mutation path
-// it replaced (the rebuild arm clears the handle's deltaOK: full
-// re-evaluation plus an O(n²) plane refill — the cost every mutation paid
-// before the journal existed). Each iteration inserts one fresh point
-// and refreshes; the delta path re-scores only the n pairs touching the new
-// tuple.
+// current after a mutation, with the change journal (delta evaluation +
+// plane extension) against the rebuild-on-every-mutation path it replaced
+// (the rebuild arm clears the handle's deltaOK: full re-evaluation plus a
+// fresh plane — the cost every mutation paid before the journal existed).
+// In the n arms each iteration inserts one fresh point into an identity
+// query and refreshes; the delta path re-scores only the n pairs touching
+// the new tuple. The join arms run one write-mix step per iteration (see
+// benchWriteMixRefresh), whose delete reaches the delta's membership
+// recheck.
 func BenchmarkIncrementalRefresh(b *testing.B) {
+	for _, mode := range []string{"delta", "rebuild"} {
+		b.Run("join/"+mode, func(b *testing.B) { benchWriteMixRefresh(b, mode) })
+	}
 	for _, n := range []int{200, 400} {
 		for _, mode := range []string{"delta", "rebuild"} {
 			b.Run(fmt.Sprintf("n%d/%s", n, mode), func(b *testing.B) {
@@ -806,6 +812,64 @@ func BenchmarkIncrementalRefresh(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// benchWriteMixRefresh times one write step plus Refresh on the shape of
+// e2ebench's write-mix workload: 6,000 catalog(item, type, price, stock)
+// rows joined with 24,000 distinct history(item, buyer, rating) rows under
+// rating >= 4, about 4,700 answers scored with AttrDistance("t"). A step
+// inserts an item, inserts a rating-4 purchase of it and deletes a random
+// rating-4 purchase, so |Q(D)| stays level while every step changes it.
+func benchWriteMixRefresh(b *testing.B, mode string) {
+	rng := rand.New(rand.NewSource(1))
+	e := NewEngine()
+	e.MustCreateTable("catalog", "item", "type", "price", "stock")
+	e.MustCreateTable("history", "item", "buyer", "rating")
+	for i := 0; i < 6_000; i++ {
+		e.MustInsert("catalog", fmt.Sprintf("w%05d", i), fmt.Sprintf("t%02d", rng.Intn(40)), 1+rng.Intn(500), rng.Intn(20))
+	}
+	var bought [][2]string // the rating-4 purchases a step may delete
+	seen := map[[3]string]bool{}
+	for len(seen) < 24_000 {
+		item, buyer, rating := fmt.Sprintf("w%05d", rng.Intn(6_000)), fmt.Sprintf("u%03d", rng.Intn(500)), rng.Intn(5)
+		if k := [3]string{item, buyer, strconv.Itoa(rating)}; !seen[k] {
+			seen[k] = true
+			e.MustInsert("history", item, buyer, rating)
+			if rating == 4 {
+				bought = append(bought, [2]string{item, buyer})
+			}
+		}
+	}
+	p := e.MustPrepare("Q(i, t, p, b) :- catalog(i, t, p, s), history(i, b, r), r >= 4",
+		WithK(10), WithObjective(MaxSum), WithAlgorithm(Greedy),
+		WithRelevance(AttrRelevance("p")), WithDistance(AttrDistance("t")))
+	if mode == "rebuild" {
+		p.deltaOK = false
+	}
+	ctx := context.Background()
+	if _, err := p.Refresh(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		item, buyer := fmt.Sprintf("x%06d", i), fmt.Sprintf("u%03d", rng.Intn(500))
+		e.MustInsert("catalog", item, fmt.Sprintf("t%02d", rng.Intn(40)), 1+rng.Intn(500), rng.Intn(20))
+		e.MustInsert("history", item, buyer, 4)
+		bought = append(bought, [2]string{item, buyer})
+		j := rng.Intn(len(bought))
+		if ok, err := e.Delete("history", bought[j][0], bought[j][1], 4); err != nil || !ok {
+			b.Fatalf("delete %v: ok=%v err=%v", bought[j], ok, err)
+		}
+		bought[j] = bought[len(bought)-1]
+		bought = bought[:len(bought)-1]
+		info, err := p.Refresh(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if info.Mode != mode {
+			b.Fatalf("refresh mode = %q, want %q", info.Mode, mode)
 		}
 	}
 }

@@ -466,7 +466,7 @@ func Catalog() []*Experiment {
 				if !ok {
 					panic("bench: journal must cover a single insert")
 				}
-				d, ok, err := eval.Delta(ctx, q, db, changes, answers)
+				d, ok, err := eval.Delta(ctx, q, db, changes, answers, nil)
 				if err != nil || !ok {
 					panic(fmt.Sprintf("bench: delta refused: %v", err))
 				}

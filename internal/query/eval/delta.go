@@ -142,34 +142,39 @@ func rangeSafe(f query.Formula) (map[string]bool, bool) {
 type DeltaResult struct {
 	Added   []relation.Tuple
 	Removed []relation.Tuple
-	// Rechecked counts membership re-verifications performed for deletes,
-	// for cost accounting.
+	// Rechecked counts the cached answers whose membership deletes made
+	// suspect and Delta re-verified, for cost accounting.
 	Rechecked int
 }
 
 // Delta computes the delta of Q(D) across the journaled changes, given the
-// answer set old materialized before them. It reports ok = false — and does
-// no work — when the incremental path does not apply: the query is not
+// answer set old materialized before them and, optionally, oldIndex
+// mapping each old answer's Key to its position (nil makes Delta key old
+// itself when the batch has inserts). It reports ok = false — and does no
+// work — when the incremental path does not apply: the query is not
 // DeltaCapable, or a change touches a relation in a way the seminaive step
 // cannot handle. On ok, applying the delta to old yields exactly the
 // current Q(D): old − Removed + Added (Added sorted, disjoint from old).
 //
 // Cost: O(Σ per-insert restricted evaluations) for inserts — each binds one
 // atom to the inserted tuple and joins the rest of the body, so selective
-// queries pay far less than a full re-evaluation — plus, only when deletes
-// touch a relation the query mentions, one membership re-check per cached
-// answer.
-func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes []relation.Change, old []relation.Tuple) (DeltaResult, bool, error) {
+// queries pay far less than a full re-evaluation — plus one membership
+// re-check per suspect answer for deletes. An answer is suspect when it
+// agrees with a deleted tuple on every head-variable argument of an atom
+// that could have matched it; an atom with no such argument makes every
+// cached answer suspect. The evaluator never computes the active domain
+// (range-safe queries do not enumerate it) and builds a column index only
+// once scans of that column have cost about as much.
+func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes []relation.Change, old []relation.Tuple, oldIndex map[string]int) (DeltaResult, bool, error) {
 	var res DeltaResult
 	if !DeltaCapable(q) {
 		return res, false, nil
 	}
-	atomsByRel := collectAtoms(q.Body)
+	atomsByRel := scopeAtoms(q)
 	// Partition the journal. Inserts into relations the query never
 	// mentions cannot create answers (range-safety makes the result
 	// domain-independent), and deletes there cannot remove any.
-	var inserts []relation.Change
-	deletes := false
+	var inserts, deletes []relation.Change
 	for _, c := range changes {
 		if len(atomsByRel[c.Rel]) == 0 {
 			continue
@@ -178,19 +183,23 @@ func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes [
 		case relation.OpInsert:
 			inserts = append(inserts, c)
 		case relation.OpDelete:
-			deletes = true
+			deletes = append(deletes, c)
 		default:
 			return res, false, nil
 		}
 	}
 
-	e := New(q, db).WithContext(ctx)
+	e := newEvaluator(q, db).WithContext(ctx)
 
-	// Removals: deletes can only shrink a monotone answer set, and any
-	// cached answer may have lost its last derivation — re-verify each.
+	// Removals: deletes can only shrink a monotone answer set, and only a
+	// suspect answer can have lost its last derivation — re-verify those.
 	removedKeys := map[string]bool{}
-	if deletes {
+	if len(deletes) > 0 {
+		suspect := suspects(atomsByRel, deletes)
 		for _, t := range old {
+			if !suspect(t) {
+				continue
+			}
 			res.Rechecked++
 			if !e.Member(t) {
 				if err := e.Err(); err != nil {
@@ -209,16 +218,18 @@ func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes [
 	// derivation through at least one inserted tuple; force each atom over
 	// the tuple's relation to that tuple and enumerate the rest.
 	if len(inserts) > 0 {
-		oldKeys := make(map[string]bool, len(old))
-		for _, t := range old {
-			oldKeys[t.Key()] = true
+		if oldIndex == nil {
+			oldIndex = make(map[string]int, len(old))
+			for i, t := range old {
+				oldIndex[t.Key()] = i
+			}
 		}
 		seen := map[string]bool{}
 		for _, c := range inserts {
-			for _, a := range atomsByRel[c.Rel] {
-				ok := e.bindAtom(a, c.Tuple, func(t relation.Tuple) bool {
+			for _, sc := range atomsByRel[c.Rel] {
+				ok := e.bindAtom(sc, c.Tuple, func(t relation.Tuple) bool {
 					k := t.Key()
-					if seen[k] || (oldKeys[k] && !removedKeys[k]) {
+					if _, cached := oldIndex[k]; seen[k] || (cached && !removedKeys[k]) {
 						return true
 					}
 					seen[k] = true
@@ -237,63 +248,157 @@ func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes [
 	return res, true, nil
 }
 
-// collectAtoms groups the body's relation atoms by relation name.
-func collectAtoms(f query.Formula) map[string][]*query.Atom {
-	out := make(map[string][]*query.Atom)
-	var walk func(query.Formula)
-	walk = func(f query.Formula) {
+// atomScope is what the body's quantifier structure fixes about one
+// relation atom. An argument an enclosing quantifier re-binds names the
+// quantified variable there, not an outer one of the same name. Every
+// other head-variable argument carries, in any derivation through the
+// atom, the answer's value at that head position.
+type atomScope struct {
+	atom       *query.Atom
+	quantified []bool   // per argument: re-bound by an enclosing quantifier
+	head       [][2]int // (argument position, head position) pairs
+}
+
+// scopeAtoms walks the body once, tracking quantified names, and groups
+// the scope of every relation atom by relation name.
+func scopeAtoms(q *query.Query) map[string][]atomScope {
+	headPos := make(map[string]int, len(q.Head))
+	for i, h := range q.Head {
+		headPos[h] = i
+	}
+	out := make(map[string][]atomScope)
+	var walk func(f query.Formula, quantified map[string]bool)
+	walk = func(f query.Formula, quantified map[string]bool) {
 		switch n := f.(type) {
 		case *query.Atom:
-			out[n.Rel] = append(out[n.Rel], n)
+			sc := atomScope{atom: n, quantified: make([]bool, len(n.Args))}
+			for i, a := range n.Args {
+				if !a.IsVar() {
+					continue
+				}
+				if quantified[a.Name] {
+					sc.quantified[i] = true
+				} else if h, ok := headPos[a.Name]; ok {
+					sc.head = append(sc.head, [2]int{i, h})
+				}
+			}
+			out[n.Rel] = append(out[n.Rel], sc)
 		case *query.And:
 			for _, g := range n.Fs {
-				walk(g)
+				walk(g, quantified)
 			}
 		case *query.Or:
 			for _, g := range n.Fs {
-				walk(g)
+				walk(g, quantified)
 			}
 		case *query.Not:
-			walk(n.F)
+			walk(n.F, quantified)
 		case *query.Exists:
-			walk(n.F)
+			walk(n.F, withVars(quantified, n.Vars))
 		case *query.ForAll:
-			walk(n.F)
+			walk(n.F, withVars(quantified, n.Vars))
 		}
 	}
-	walk(f)
+	walk(q.Body, nil)
 	return out
 }
 
-// bindAtom pre-binds atom a's variable arguments to tuple t's fields and
+// withVars returns a copy of set extended with vars.
+func withVars(set map[string]bool, vars []string) map[string]bool {
+	out := make(map[string]bool, len(set)+len(vars))
+	for v := range set {
+		out[v] = true
+	}
+	for _, v := range vars {
+		out[v] = true
+	}
+	return out
+}
+
+// canMatch reports whether the atom could have matched t: the arities
+// agree and every constant argument equals t's field.
+func (sc atomScope) canMatch(t relation.Tuple) bool {
+	if len(sc.atom.Args) != len(t) {
+		return false
+	}
+	for i, a := range sc.atom.Args {
+		if !a.IsVar() && !value.Equal(a.Value, t[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// suspects returns the filter for cached answers that deletes may have
+// cost their last derivation. Such an answer was derived through a deleted
+// tuple t and an atom over t's relation that matched it, so it agrees with
+// t on each of that atom's head pairs. The comparison is value.Equal, the
+// evaluator's own join equality, so the filter keeps a superset of the
+// answers that can have left Q(D).
+func suspects(atomsByRel map[string][]atomScope, deletes []relation.Change) func(relation.Tuple) bool {
+	type match struct {
+		head [][2]int
+		t    relation.Tuple
+	}
+	var ms []match
+	for _, c := range deletes {
+		for _, sc := range atomsByRel[c.Rel] {
+			if !sc.canMatch(c.Tuple) {
+				continue
+			}
+			if len(sc.head) == 0 {
+				return func(relation.Tuple) bool { return true }
+			}
+			ms = append(ms, match{sc.head, c.Tuple})
+		}
+	}
+	return func(u relation.Tuple) bool {
+	next:
+		for _, m := range ms {
+			for _, p := range m.head {
+				if !value.Equal(u[p[1]], m.t[p[0]]) {
+					continue next
+				}
+			}
+			return true
+		}
+		return false
+	}
+}
+
+// bindAtom pre-binds the atom's variable arguments to tuple t's fields and
 // enumerates satisfying assignments of the whole query body under that
 // restriction, emitting the head tuple of each. Constant or already-bound
 // arguments that mismatch t make the restriction unsatisfiable (no
-// derivation routes t through a) and emit nothing. Variables quantified
-// above a are shadowed inside their quantifier, so the restriction may
-// under-constrain there — the enumeration then yields a superset of the
-// derivations through (a, t), which is sound: every yield satisfies the
-// body. It reports whether enumeration ran to completion.
-func (e *Evaluator) bindAtom(a *query.Atom, t relation.Tuple, emit func(relation.Tuple) bool) bool {
-	if len(a.Args) != len(t) {
+// derivation routes t through the atom) and emit nothing. Arguments an
+// enclosing quantifier re-binds stay unbound: binding one would pin the
+// outer variable sharing its name (its slot) to the inner value. The
+// restriction may then under-constrain inside the quantifier — the
+// enumeration yields a superset of the derivations through (atom, t), which
+// is sound: every yield satisfies the body. It reports whether enumeration
+// ran to completion.
+func (e *Evaluator) bindAtom(sc atomScope, t relation.Tuple, emit func(relation.Tuple) bool) bool {
+	if len(sc.atom.Args) != len(t) {
 		return true
 	}
-	slots := e.argSlotsOf(a)
+	slots := e.argSlotsOf(sc.atom)
 	var newly []int
 	defer func() {
 		for _, s := range newly {
 			e.bound[s] = false
 		}
 	}()
-	for i, arg := range a.Args {
+	for i, arg := range sc.atom.Args {
 		s := slots[i]
-		if s < 0 {
+		switch {
+		case sc.quantified[i]:
+			continue
+		case s < 0:
 			if !value.Equal(arg.Value, t[i]) {
 				return true
 			}
 			continue
-		}
-		if e.bound[s] {
+		case e.bound[s]:
 			if !value.Equal(e.vals[s], t[i]) {
 				return true
 			}

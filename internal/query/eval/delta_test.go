@@ -66,7 +66,7 @@ func checkDelta(t *testing.T, src string, db *relation.Database, old []relation.
 	if !ok {
 		t.Fatal("journal does not cover the test span")
 	}
-	d, ok, err := Delta(context.Background(), q, db, changes, old)
+	d, ok, err := Delta(context.Background(), q, db, changes, old, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,54 @@ func TestDeltaDeleteRemovesAnswers(t *testing.T) {
 	if len(d.Removed) == 0 {
 		t.Error("expected the delete to remove answers")
 	}
+	// S(y) binds no head variable, so every cached answer is suspect.
 	if d.Rechecked != len(old) {
 		t.Errorf("Rechecked = %d, want %d", d.Rechecked, len(old))
+	}
+}
+
+// TestDeltaDeleteRechecksSuspectsOnly: on a join, a delete re-verifies
+// only the cached answers that agree with the deleted tuple where an atom
+// over its relation binds a head variable.
+func TestDeltaDeleteRechecksSuspectsOnly(t *testing.T) {
+	db := relation.NewDatabase()
+	r := relation.NewRelation(relation.NewSchema("R", "x", "y"))
+	db.Add(r)
+	rng := rand.New(rand.NewSource(3))
+	for r.Len() < 60 {
+		r.Insert(relation.Ints(rng.Int63n(12), rng.Int63n(12)))
+	}
+	src := "Q(x, z) :- R(x, y), R(y, z)"
+	old := results(t, src, db)
+	gen := db.Generation()
+	del := r.Tuples()[17]
+	r.Delete(del)
+	d := checkDelta(t, src, db, old, gen)
+	// R(x, y) fixes head position 0 to del[0]; R(y, z) fixes position 1
+	// to del[1].
+	want := 0
+	for _, u := range old {
+		if u[0].AsInt() == del[0].AsInt() || u[1].AsInt() == del[1].AsInt() {
+			want++
+		}
+	}
+	if d.Rechecked != want || want == len(old) {
+		t.Errorf("Rechecked = %d, want the %d of %d answers sharing %v's head values", d.Rechecked, want, len(old), del)
+	}
+}
+
+// TestDeltaQuantifierShadowsHeadVariable: the inner y is not the head's y.
+// Forcing the quantified atom to an inserted tuple must not pin the outer
+// variable sharing its name, or the seminaive step misses answers.
+func TestDeltaQuantifierShadowsHeadVariable(t *testing.T) {
+	db := testDB()
+	src := "Q(x, y) :- R(x, y), exists y (R(y, x))"
+	old := results(t, src, db)
+	gen := db.Generation()
+	db.Relation("R").Insert(relation.Ints(5, 1)) // R(1, 2) now has a predecessor
+	d := checkDelta(t, src, db, old, gen)
+	if len(d.Added) != 1 || !d.Added[0].Equal(relation.Ints(1, 2)) {
+		t.Errorf("Added = %v, want [(1, 2)]", d.Added)
 	}
 }
 
@@ -175,7 +221,7 @@ func TestDeltaRefusesNonMonotone(t *testing.T) {
 	gen := db.Generation()
 	db.Relation("R").Insert(relation.Ints(8, 8))
 	changes, _ := db.ChangesSince(gen)
-	_, ok, err := Delta(context.Background(), q, db, changes, nil)
+	_, ok, err := Delta(context.Background(), q, db, changes, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +252,14 @@ func TestDeltaRandomizedAgainstFullEval(t *testing.T) {
 		"Q(x, y) :- R(x, z), R(z, y)",
 		"Q(y) :- exists x (R(x, y)) or S(y)",
 		"Q(x) :- exists y (R(x, y), S(y)), x >= 0",
+		"Q(x, y) :- R(x, y), exists y (R(y, x))",
+		"Q(x) :- R(x, x)",
+		"Q(y) :- R(3, y)",
+		"Q(x, y) :- R(x, y) or (S(x), S(y))",
+		"Q(x, y) :- R(x, y), R(y, x)",
 	}
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		db := relation.NewDatabase()
 		r := relation.NewRelation(relation.NewSchema("R", "x", "y"))
 		s := relation.NewRelation(relation.NewSchema("S", "x"))
@@ -221,15 +272,18 @@ func TestDeltaRandomizedAgainstFullEval(t *testing.T) {
 		old := results(t, src, db)
 		gen := db.Generation()
 		for i := 0; i < 6; i++ {
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				r.Insert(relation.Ints(rng.Int63n(10), rng.Int63n(10)))
 			case 1:
 				s.Insert(relation.Ints(rng.Int63n(10)))
-			default:
-				ts := r.Tuples()
-				if len(ts) > 0 {
+			case 2:
+				if ts := r.Tuples(); len(ts) > 0 {
 					r.Delete(ts[rng.Intn(len(ts))])
+				}
+			default:
+				if ts := s.Tuples(); len(ts) > 0 {
+					s.Delete(ts[rng.Intn(len(ts))])
 				}
 			}
 		}
@@ -245,7 +299,7 @@ func TestDeltaCancellation(t *testing.T) {
 	changes, _ := db.ChangesSince(gen)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Delta(ctx, q, db, changes, []relation.Tuple{relation.Ints(1, 2)})
+	_, _, err := Delta(ctx, q, db, changes, []relation.Tuple{relation.Ints(1, 2)}, nil)
 	// A pre-cancelled context may or may not be observed on a tiny
 	// instance (the poller is throttled); what matters is that an error,
 	// when reported, is the context's.

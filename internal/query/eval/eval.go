@@ -4,11 +4,11 @@
 // the membership test t ∈ Q(D) used throughout the upper-bound proofs.
 //
 // The evaluator is generative where it can be — relation atoms bind
-// variables by scanning tuples (through per-column hash indexes when an
-// argument is already bound), so conjunctive queries evaluate as
-// backtracking joins — and falls back to active-domain enumeration for
-// variables constrained only by comparisons, negation or universal
-// quantification. This mirrors the paper's complexity landscape: CQ/UCQ/∃FO+
+// variables by scanning tuples (through per-column hash indexes once a
+// bound column has been probed often enough to pay for one), so
+// conjunctive queries evaluate as backtracking joins — and falls back to
+// active-domain enumeration for variables constrained only by comparisons,
+// negation or universal quantification. This mirrors the paper's complexity landscape: CQ/UCQ/∃FO+
 // evaluation explores joins (NP combined complexity), while full FO may
 // enumerate the domain per quantifier (PSPACE combined complexity), and any
 // fixed query is polynomial in |D| (the data-complexity setting).
@@ -28,23 +28,24 @@ import (
 	"repro/internal/value"
 )
 
-// Evaluator evaluates queries against one database. It precomputes the
+// Evaluator evaluates queries against one database. It holds the
 // evaluation domain (active domain of D extended with the query constants)
 // and a slot table assigning each variable name a position in the binding
 // array.
 type Evaluator struct {
 	db     *relation.Database
 	q      *query.Query
-	domain []value.Value
-	extra  []string // free body variables not in the head: implicitly ∃
+	domain []value.Value // nil until computed (see Domain)
+	extra  []string      // free body variables not in the head: implicitly ∃
 
 	slots     map[string]int // variable name → binding slot
 	vals      []value.Value  // slot values (valid where bound)
 	bound     []bool         // slot bound flags
 	headSlots []int
 
-	// indexes caches lazily built per-column hash indexes (see index.go).
-	indexes map[indexKey]colIndex
+	// columns holds per-(relation, column) probe state: scans answered,
+	// then the hash index built once scanning stopped paying (index.go).
+	columns map[indexKey]column
 	// freeVars memoizes free-variable slot lists per formula node for the
 	// conjunct-ordering cost model and for grounding.
 	freeVars map[query.Formula][]int
@@ -75,19 +76,17 @@ type Options struct {
 	NoReorder bool
 }
 
-// New prepares an evaluator for q over db.
+// New prepares an evaluator for q over db. It computes the evaluation
+// domain up front, as full evaluation always has; Delta's evaluator, whose
+// range-safe queries never enumerate the domain, skips it (newEvaluator).
 func New(q *query.Query, db *relation.Database) *Evaluator {
-	seen := make(map[string]bool)
-	dom := db.ActiveDomain()
-	for _, v := range dom {
-		seen[v.Key()] = true
-	}
-	for _, v := range q.Constants() {
-		if !seen[v.Key()] {
-			seen[v.Key()] = true
-			dom = append(dom, v)
-		}
-	}
+	e := newEvaluator(q, db)
+	e.Domain()
+	return e
+}
+
+// newEvaluator prepares an evaluator whose domain is computed on first use.
+func newEvaluator(q *query.Query, db *relation.Database) *Evaluator {
 	head := make(map[string]bool, len(q.Head))
 	for _, h := range q.Head {
 		head[h] = true
@@ -98,7 +97,7 @@ func New(q *query.Query, db *relation.Database) *Evaluator {
 			extra = append(extra, v)
 		}
 	}
-	e := &Evaluator{db: db, q: q, domain: dom, extra: extra, slots: make(map[string]int)}
+	e := &Evaluator{db: db, q: q, extra: extra, slots: make(map[string]int)}
 	for _, h := range q.Head {
 		e.slot(h)
 	}
@@ -333,8 +332,28 @@ func Member(q *query.Query, db *relation.Database, t relation.Tuple) bool {
 	return New(q, db).Member(t)
 }
 
-// Domain exposes the evaluation domain (active domain plus query constants).
-func (e *Evaluator) Domain() []value.Value { return e.domain }
+// Domain returns the evaluation domain (active domain plus query
+// constants), computing it on first use: every value of every tuple,
+// deduplicated and sorted, is O(|D| log |D|) work that only active-domain
+// enumeration needs.
+func (e *Evaluator) Domain() []value.Value {
+	if e.domain != nil {
+		return e.domain
+	}
+	dom := e.db.ActiveDomain() // never nil, so the domain is computed once
+	seen := make(map[string]bool, len(dom))
+	for _, v := range dom {
+		seen[v.Key()] = true
+	}
+	for _, v := range e.q.Constants() {
+		if !seen[v.Key()] {
+			seen[v.Key()] = true
+			dom = append(dom, v)
+		}
+	}
+	e.domain = dom
+	return dom
+}
 
 // satisfy enumerates assignments over the free variables of f, extending
 // the current binding, that satisfy f, invoking yield for each. yield
@@ -517,7 +536,7 @@ func (e *Evaluator) bindFree(f query.Formula, yield func() bool) bool {
 		}
 		s := unbound[i]
 		e.bound[s] = true
-		for _, v := range e.domain {
+		for _, v := range e.Domain() {
 			if e.interrupted() {
 				e.bound[s] = false
 				return false

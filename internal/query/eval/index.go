@@ -1,9 +1,12 @@
 // Hash indexes and conjunct ordering for the evaluator. A relation atom
-// with at least one argument bound by the current assignment probes a
-// lazily built hash index on that column instead of scanning the relation;
-// conjunctions evaluate their most-bound, cheapest conjunct first. Both are
-// pure optimizations: results are identical with or without them (a
-// property the tests check), only the join order and per-atom cost change.
+// with an argument bound by the current assignment scans the relation
+// (satisfyAtom filters it by equality) until that column has answered
+// about one index build's worth of scans, then probes a hash index on the
+// column; conjunctions evaluate their most-bound, cheapest conjunct first.
+// Both are pure optimizations: results are identical with or without them
+// (a property the tests check), only the join order and per-atom cost
+// change. A bucket lists its tuples in relation order, so a probe yields
+// the tuples a filtered scan would, in the same order.
 package eval
 
 import (
@@ -20,51 +23,75 @@ type indexKey struct {
 	col int
 }
 
-// index returns the hash index for the column, building and caching it on
-// first use. Index construction is O(|R|); every subsequent probe is O(1)
-// plus the matching bucket.
+// column is the evaluator's state for one (relation, column): the probes
+// it has answered by scanning, then its hash index.
+type column struct {
+	scans int
+	index colIndex
+}
+
+// scansPerBuild is how many probes a bound column answers by scanning the
+// relation before the evaluator builds its hash index. A build costs one
+// Key string and a map insert per row, a scan one equality test per row;
+// BenchmarkColumnIndex measures a build over a 24,000-row relation shaped
+// like the write-mix history at about 12 scans of it (6.5–6.9 ms against
+// 0.51–0.61 ms, 2 vCPU Xeon, go1.24.0). So a column probed once, as by a
+// lone Member check or seminaive step, never pays for an index, and a
+// column probed often pays at most about twice what building its index up
+// front would have cost.
+const scansPerBuild = 12
+
+// index returns the hash index for the column, or nil while scanning is
+// still the cheaper answer: the first scansPerBuild calls count a scan,
+// the next builds and caches the index. Construction is O(|R|); every
+// later probe is O(1) plus the matching bucket.
 func (e *Evaluator) index(rel *relation.Relation, col int) colIndex {
-	if e.indexes == nil {
-		e.indexes = make(map[indexKey]colIndex)
+	if e.columns == nil {
+		e.columns = make(map[indexKey]column)
 	}
 	key := indexKey{rel.Schema().Name, col}
-	if idx, ok := e.indexes[key]; ok {
-		return idx
+	c := e.columns[key]
+	if c.index != nil {
+		return c.index
 	}
-	idx := make(colIndex, rel.Len())
+	if c.scans < scansPerBuild {
+		c.scans++
+		e.columns[key] = c
+		return nil
+	}
+	c.index = make(colIndex, rel.Len())
 	for _, t := range rel.Tuples() {
 		k := t[col].Key()
-		idx[k] = append(idx[k], t)
+		c.index[k] = append(c.index[k], t)
 	}
-	e.indexes[key] = idx
-	return idx
+	e.columns[key] = c
+	return c.index
 }
 
 // probe returns the scan list for an atom under the current binding: the
-// bucket of a bound column when one exists (preferring the smallest bucket
-// among bound columns), or the full relation otherwise.
+// smallest bucket among the bound columns that have an index, or the full
+// relation when none has one yet.
 func (e *Evaluator) probe(a *query.Atom, rel *relation.Relation) []relation.Tuple {
+	best := rel.Tuples()
 	if e.noIndex {
-		return rel.Tuples()
+		return best
 	}
 	slots := e.argSlotsOf(a)
-	best := rel.Tuples()
-	probed := false
 	for i, arg := range a.Args {
 		s := slots[i]
-		var k string
-		switch {
-		case s < 0:
-			k = arg.Value.Key()
-		case e.bound[s]:
-			k = e.vals[s].Key()
-		default:
+		if s >= 0 && !e.bound[s] {
 			continue
 		}
-		bucket := e.index(rel, i)[k]
-		if !probed || len(bucket) < len(best) {
+		idx := e.index(rel, i)
+		if idx == nil {
+			continue
+		}
+		v := arg.Value
+		if s >= 0 {
+			v = e.vals[s]
+		}
+		if bucket := idx[v.Key()]; len(bucket) < len(best) {
 			best = bucket
-			probed = true
 		}
 		if len(best) == 0 {
 			break

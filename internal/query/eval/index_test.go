@@ -103,6 +103,20 @@ func TestOptimizerEquivalence(t *testing.T) {
 	}
 }
 
+// probePastBuild probes the atom until its bound columns have answered
+// scansPerBuild scans, then returns the first probe the index answers.
+func probePastBuild(e *Evaluator, a *query.Atom, rel *relation.Relation) []relation.Tuple {
+	for i := 0; i < scansPerBuild; i++ {
+		e.probe(a, rel)
+	}
+	return e.probe(a, rel)
+}
+
+// indexBuilt reports whether the evaluator holds an index on (rel, col).
+func indexBuilt(e *Evaluator, rel string, col int) bool {
+	return e.columns[indexKey{rel, col}].index != nil
+}
+
 func TestIndexProbeUsesSmallestBucket(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := randomJoinDB(rng, 200, 4)
@@ -113,9 +127,9 @@ func TestIndexProbeUsesSmallestBucket(t *testing.T) {
 	if got := e.probe(a, rel); len(got) != rel.Len() {
 		t.Errorf("unbound probe = %d tuples, want full %d", len(got), rel.Len())
 	}
-	// Bound first column: only that bucket.
+	// Bound first column, once its index is built: only that bucket.
 	bindVar(e, "x", value.Int(1))
-	bucket := e.probe(a, rel)
+	bucket := probePastBuild(e, a, rel)
 	if len(bucket) == 0 || len(bucket) >= rel.Len() {
 		t.Fatalf("bound probe = %d of %d", len(bucket), rel.Len())
 	}
@@ -124,13 +138,21 @@ func TestIndexProbeUsesSmallestBucket(t *testing.T) {
 			t.Errorf("bucket tuple %v does not match binding", tp)
 		}
 	}
-	// A constant argument also probes.
+	// A constant argument probes the same column's index.
 	ac := &query.Atom{Rel: "R", Args: []query.Term{query.CInt(2), query.V("y")}}
 	unbindVar(e, "x")
 	for _, tp := range e.probe(ac, rel) {
 		if !value.Equal(tp[0], value.Int(2)) {
 			t.Errorf("constant probe leaked %v", tp)
 		}
+	}
+	// With both columns bound and indexed, the smaller bucket wins.
+	bindVar(e, "x", value.Int(1))
+	bindVar(e, "y", value.Int(3))
+	both := probePastBuild(e, a, rel)
+	bx, by := e.columns[indexKey{"R", 0}].index[value.Int(1).Key()], e.columns[indexKey{"R", 1}].index[value.Int(3).Key()]
+	if want := min(len(bx), len(by)); len(both) != want {
+		t.Errorf("two-column probe = %d tuples, want the smaller bucket's %d", len(both), want)
 	}
 }
 
@@ -140,8 +162,98 @@ func TestIndexMissYieldsEmpty(t *testing.T) {
 	e := New(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
 	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
 	bindVar(e, "x", value.Int(999))
-	if got := e.probe(a, db.Relation("R")); len(got) != 0 {
+	if got := probePastBuild(e, a, db.Relation("R")); len(got) != 0 {
 		t.Errorf("missing key returned %d tuples", len(got))
+	}
+}
+
+// TestProbeScansBeforeBuild pins the scan-first rule: a bound column
+// answers scansPerBuild probes with the whole relation, which satisfyAtom
+// filters by equality, and only the next probe builds its index.
+func TestProbeScansBeforeBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	db := randomJoinDB(rng, 40, 5)
+	e := New(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
+	rel := db.Relation("R")
+	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
+	bindVar(e, "x", value.Int(2))
+	for i := 0; i < scansPerBuild; i++ {
+		got := e.probe(a, rel)
+		if len(got) != rel.Len() || &got[0] != &rel.Tuples()[0] {
+			t.Fatalf("probe %d before the build = %d tuples, want the relation's %d", i+1, len(got), rel.Len())
+		}
+		if indexBuilt(e, "R", 0) {
+			t.Fatalf("index built after %d probes, want after %d", i+1, scansPerBuild)
+		}
+	}
+	if got := e.probe(a, rel); len(got) >= rel.Len() || !indexBuilt(e, "R", 0) {
+		t.Errorf("probe %d = %d of %d tuples, index built %v; want a bucket from a new index",
+			scansPerBuild+1, len(got), rel.Len(), indexBuilt(e, "R", 0))
+	}
+	if indexBuilt(e, "R", 1) {
+		t.Error("an unbound column was indexed")
+	}
+}
+
+// TestSatisfySameOrderAcrossBuild: a bound atom yields the same tuples in
+// the same order whether its probe scans the relation or reads a bucket,
+// so the build point cannot move enumeration or stream order.
+func TestSatisfySameOrderAcrossBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	db := randomJoinDB(rng, 60, 4)
+	e := New(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
+	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
+	bindVar(e, "x", value.Int(1))
+	run := func() []relation.Tuple {
+		var out []relation.Tuple
+		e.satisfyAtom(a, func() bool {
+			out = append(out, relation.Tuple{e.vals[e.slots["x"]], e.vals[e.slots["y"]]})
+			return true
+		})
+		return out
+	}
+	first := run()
+	if len(first) == 0 {
+		t.Fatal("no tuple matched the binding")
+	}
+	for i := 1; i <= scansPerBuild+2; i++ {
+		got := run()
+		if len(got) != len(first) {
+			t.Fatalf("satisfy %d yielded %d tuples, first yielded %d", i+1, len(got), len(first))
+		}
+		for j := range got {
+			if !got[j].Equal(first[j]) {
+				t.Fatalf("satisfy %d tuple %d = %v, first had %v", i+1, j, got[j], first[j])
+			}
+		}
+	}
+	if !indexBuilt(e, "R", 0) {
+		t.Error("the runs never reached the build point")
+	}
+}
+
+// TestMemberBuildsNoIndex: a single membership check on a join probes each
+// bound column once, which never pays for an index.
+func TestMemberBuildsNoIndex(t *testing.T) {
+	r := relation.NewRelation(relation.NewSchema("R", "a", "b"))
+	s := relation.NewRelation(relation.NewSchema("S", "b", "c"))
+	for i := int64(0); i < 200; i++ {
+		r.Insert(relation.Ints(i, i+1))
+		s.Insert(relation.Ints(i+1, i+2))
+	}
+	db := relation.NewDatabase().Add(r).Add(s)
+	q := query.MustNew("Q", []string{"a", "c"}, &query.And{Fs: []query.Formula{
+		&query.Atom{Rel: "R", Args: []query.Term{query.V("a"), query.V("b")}},
+		&query.Atom{Rel: "S", Args: []query.Term{query.V("b"), query.V("c")}},
+	}})
+	e := New(q, db)
+	if !e.Member(relation.Ints(70, 72)) {
+		t.Fatal("Member(70, 72) = false for an answer")
+	}
+	for k, c := range e.columns {
+		if c.index != nil {
+			t.Errorf("Member built an index on %v", k)
+		}
 	}
 }
 
@@ -244,4 +356,46 @@ func unbindVar(e *Evaluator, name string) {
 	if s, ok := e.slots[name]; ok {
 		e.bound[s] = false
 	}
+}
+
+// BenchmarkColumnIndex prices the two ways a probe can answer a bound
+// column of a 24,000-row relation shaped like the write-mix history
+// (item, buyer, rating): building the column's hash index, and scanning
+// the relation with the column bound. Their ratio sets scansPerBuild.
+func BenchmarkColumnIndex(b *testing.B) {
+	db := relation.NewDatabase()
+	h := relation.NewRelation(relation.NewSchema("history", "item", "buyer", "rating"))
+	rng := rand.New(rand.NewSource(1))
+	for h.Len() < 24_000 {
+		h.Insert(relation.Tuple{
+			value.Str(fmt.Sprintf("w%05d", rng.Intn(6_000))),
+			value.Str(fmt.Sprintf("u%03d", rng.Intn(500))),
+			value.Int(int64(rng.Intn(5))),
+		})
+	}
+	db.Add(h)
+	q := query.IdentityQueryNamed("history", []string{"i", "b", "r"})
+	a := &query.Atom{Rel: "history", Args: []query.Term{query.V("i"), query.V("b"), query.V("r")}}
+	item := h.Tuples()[0][0]
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			e := newEvaluator(q, db)
+			e.columns = map[indexKey]column{{"history", 0}: {scans: scansPerBuild}}
+			if e.index(h, 0) == nil {
+				b.Fatal("no index built")
+			}
+		}
+	})
+	b.Run("scan", func(b *testing.B) {
+		e := NewWithOptions(q, db, Options{NoIndex: true})
+		bindVar(e, "i", item)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			e.satisfyAtom(a, func() bool { n++; return true })
+			if n == 0 {
+				b.Fatal("scan found nothing")
+			}
+		}
+	})
 }

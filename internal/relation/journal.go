@@ -48,7 +48,13 @@ const DefaultJournalBound = 4096
 
 // journal is the bounded mutation log owned by a Database.
 type journal struct {
-	entries []Change // ascending Gen; contiguous (one entry per generation step)
+	// entries is the retained window: ascending Gen, contiguous (one entry
+	// per generation step). It slides forward through buf as the bound
+	// drops old entries, so a record moves no other entry; once the window
+	// reaches buf's end it is copied back to the front, at most once per
+	// len(buf)/2 records.
+	entries []Change
+	buf     []Change // backing array, at most twice the largest bound set
 	bound   int      // max retained entries; <= 0 means DefaultJournalBound
 	// floor is the newest generation NOT covered by the journal: every
 	// mutation with Gen > floor is present in entries. A consumer whose
@@ -67,21 +73,44 @@ func (j *journal) cap() int {
 // record appends a journaled mutation, compacting from the old end when the
 // bound is exceeded. Compaction advances floor past the dropped entries.
 func (j *journal) record(c Change) {
-	j.entries = append(j.entries, c)
-	if over := len(j.entries) - j.cap(); over > 0 {
-		j.floor = j.entries[over-1].Gen
-		// Slide in place so the backing array is reused instead of growing
-		// without bound across repeated compactions.
-		n := copy(j.entries, j.entries[over:])
-		j.entries = j.entries[:n]
+	if len(j.entries) == cap(j.entries) {
+		j.makeRoom()
 	}
+	j.entries = append(j.entries, c)
+	j.trim()
+}
+
+// makeRoom frees a slot after the full window: it slides the window back
+// to the front of buf when that leaves half of buf free, and otherwise
+// moves it into a new buf twice its length.
+func (j *journal) makeRoom() {
+	n := len(j.entries)
+	if j.buf == nil || 2*n > len(j.buf) {
+		j.buf = make([]Change, max(2*n, 8))
+	}
+	copy(j.buf, j.entries)
+	clear(j.buf[n:])
+	j.entries = j.buf[:n]
+}
+
+// trim drops the oldest entries beyond the bound, advancing floor past
+// them and zeroing them so they pin no tuples.
+func (j *journal) trim() {
+	over := len(j.entries) - j.cap()
+	if over <= 0 {
+		return
+	}
+	j.floor = j.entries[over-1].Gen
+	clear(j.entries[:over])
+	j.entries = j.entries[over:]
 }
 
 // truncate discards the whole journal after a structural (non-journalable)
 // change at generation gen: every consumer with an older watermark must
 // rebuild.
 func (j *journal) truncate(gen uint64) {
-	j.entries = j.entries[:0]
+	clear(j.entries)
+	j.entries = j.buf[:0]
 	j.floor = gen
 }
 
@@ -113,11 +142,7 @@ func (j *journal) since(g uint64) ([]Change, bool) {
 // restore DefaultJournalBound). Shrinking the bound compacts immediately.
 func (d *Database) SetJournalBound(n int) {
 	d.log.bound = n
-	if over := len(d.log.entries) - d.log.cap(); over > 0 {
-		d.log.floor = d.log.entries[over-1].Gen
-		m := copy(d.log.entries, d.log.entries[over:])
-		d.log.entries = d.log.entries[:m]
-	}
+	d.log.trim()
 }
 
 // JournalLen reports the number of retained journal entries (for tests and

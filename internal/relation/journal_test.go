@@ -1,6 +1,9 @@
 package relation
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestDeleteRemovesAndReindexes(t *testing.T) {
 	r := NewRelation(NewSchema("R", "x"))
@@ -125,6 +128,86 @@ func TestJournalCompactionBound(t *testing.T) {
 	}
 	if cs, ok := db.ChangesSince(head - 2); !ok || len(cs) != 2 {
 		t.Errorf("after shrink ChangesSince(head-2) = %d changes, %v; want 2, true", len(cs), ok)
+	}
+}
+
+// TestJournalMatchesSliceModel drives random records, truncations and
+// bound changes through a database's journal and through a plain slice
+// that keeps the newest bound entries, comparing length, coverage and
+// every suffix after each step. Entries the window has dropped must be
+// zeroed so they pin no tuples, and the backing array must stay within
+// twice the largest bound.
+func TestJournalMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	db := NewDatabase()
+	bound, maxBound := 1+rng.Intn(12), 8
+	db.SetJournalBound(bound)
+	var model []Change
+	var floor uint64
+	keep := func() {
+		if over := len(model) - bound; over > 0 {
+			floor = model[over-1].Gen
+			model = model[over:]
+		}
+	}
+	for step := 0; step < 20_000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 90:
+			db.record(Op(rng.Intn(2)), "R", Ints(int64(step)))
+			model = append(model, db.log.entries[len(db.log.entries)-1])
+			keep()
+		case r < 93:
+			db.RestoreGeneration(db.Generation() + 1)
+			model, floor = nil, db.Generation()
+		default:
+			n := rng.Intn(14) - 1
+			db.SetJournalBound(n)
+			bound = n
+			if n <= 0 {
+				bound = DefaultJournalBound
+			}
+			maxBound = max(maxBound, bound)
+			keep()
+		}
+		if db.JournalLen() != len(model) {
+			t.Fatalf("step %d: JournalLen = %d, model holds %d", step, db.JournalLen(), len(model))
+		}
+		head := db.Generation()
+		for g := max(floor, 2) - 2; g <= head+1; g++ {
+			got, ok := db.ChangesSince(g)
+			if ok != (g >= floor) {
+				t.Fatalf("step %d: ChangesSince(%d) ok = %v with floor %d", step, g, ok, floor)
+			}
+			if !ok {
+				continue
+			}
+			var want []Change
+			for _, c := range model {
+				if c.Gen > g {
+					want = append(want, c)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("step %d: ChangesSince(%d) = %d changes, want %d", step, g, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Gen != want[i].Gen || got[i].Op != want[i].Op || !got[i].Tuple.Equal(want[i].Tuple) {
+					t.Fatalf("step %d: ChangesSince(%d)[%d] = %+v, want %+v", step, g, i, got[i], want[i])
+				}
+			}
+		}
+		live := 0
+		for _, c := range db.log.buf {
+			if c.Tuple != nil {
+				live++
+			}
+		}
+		if live != len(model) {
+			t.Fatalf("step %d: backing array holds %d tuples, the window %d", step, live, len(model))
+		}
+		if len(db.log.buf) > 2*maxBound {
+			t.Fatalf("step %d: backing array of %d entries for bound %d", step, len(db.log.buf), maxBound)
+		}
 	}
 }
 

@@ -183,7 +183,8 @@ func (r *Relation) Insert(t Tuple) bool {
 
 // Delete removes a tuple, reporting whether it was present. Later tuples
 // keep their relative (insertion) order; removal from the middle is O(n)
-// because the position index of every following tuple shifts down.
+// because the position of every following tuple shifts down, which one
+// pass over the index applies without re-deriving any key.
 func (r *Relation) Delete(t Tuple) bool {
 	k := t.Key()
 	pos, ok := r.index[k]
@@ -195,8 +196,10 @@ func (r *Relation) Delete(t Tuple) bool {
 	copy(r.tuples[pos:], r.tuples[pos+1:])
 	r.tuples[len(r.tuples)-1] = nil
 	r.tuples = r.tuples[:len(r.tuples)-1]
-	for i := pos; i < len(r.tuples); i++ {
-		r.index[r.tuples[i].Key()] = i
+	for key, i := range r.index {
+		if i > pos {
+			r.index[key] = i - 1
+		}
 	}
 	if r.onMutate != nil {
 		r.onMutate(OpDelete, stored)

@@ -220,8 +220,9 @@ type RefreshInfo struct {
 	// for warm and rebuild modes).
 	Added   int `json:"added,omitempty"`
 	Removed int `json:"removed,omitempty"`
-	// Rechecked counts per-answer membership re-verifications the delta
-	// performed for deletes.
+	// Rechecked counts the cached answers a delta's deletes made suspect
+	// and re-verified: those agreeing with a deleted tuple on the head
+	// values its atom fixes, or every answer when that atom fixes none.
 	Rechecked int `json:"rechecked,omitempty"`
 	// Answers is |Q(D)| after the refresh.
 	Answers int `json:"answers,omitempty"`
@@ -328,7 +329,7 @@ func (p *Prepared) snapshotAt(ctx context.Context) (*snapshot, RefreshInfo, erro
 func (p *Prepared) buildSnapshot(ctx context.Context, old *snapshot, gen uint64) (*snapshot, RefreshInfo, error) {
 	if old != nil && p.deltaOK {
 		if changes, ok := p.eng.db.ChangesSince(old.gen); ok {
-			d, ok, err := eval.Delta(ctx, p.q, p.eng.db, changes, old.answers)
+			d, ok, err := eval.Delta(ctx, p.q, p.eng.db, changes, old.answers, old.index)
 			if err != nil {
 				return nil, RefreshInfo{}, err
 			}

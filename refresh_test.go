@@ -272,6 +272,33 @@ func TestRefreshModes(t *testing.T) {
 	})
 }
 
+// TestRefreshQuantifierShadowsHeadVariable: the quantified y re-binds the
+// head's y, and a delta refresh must still find the answer an insert under
+// the quantifier creates — the same answers a fresh evaluation returns.
+func TestRefreshQuantifierShadowsHeadVariable(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine()
+	e.MustCreateTable("R", "a", "b")
+	e.MustInsert("R", 1, 2)
+	const src = "Q(x, y) :- R(x, y), exists y (R(y, x))"
+	p := e.MustPrepare(src, WithK(0))
+	if info, err := p.Refresh(ctx); err != nil || info.Answers != 0 {
+		t.Fatalf("first Refresh = %+v, %v; want 0 answers", info, err)
+	}
+	e.MustInsert("R", 5, 1)
+	info, err := p.Refresh(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Query(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Mode != "delta" || info.Answers != want.Len() || want.Len() != 1 {
+		t.Errorf("Refresh after the insert = %+v; want a delta to the %d answers of a fresh query", info, want.Len())
+	}
+}
+
 // TestRefreshOnlinePoolReplay proves warm online solves replay the captured
 // evaluation stream — byte-identical results without re-evaluating — and
 // that mutations invalidate the replay.
