@@ -158,13 +158,14 @@ type DeltaResult struct {
 //
 // Cost: O(Σ per-insert restricted evaluations) for inserts — each binds one
 // atom to the inserted tuple and joins the rest of the body, so selective
-// queries pay far less than a full re-evaluation — plus one membership
-// re-check per suspect answer for deletes. An answer is suspect when it
-// agrees with a deleted tuple on every head-variable argument of an atom
-// that could have matched it; an atom with no such argument makes every
-// cached answer suspect. The evaluator never computes the active domain
-// (range-safe queries do not enumerate it) and builds a column index only
-// once scans of that column have cost about as much.
+// queries pay far less than a full re-evaluation — plus, for deletes, one
+// hashed lookup per cached answer and one membership re-check per suspect
+// answer. An answer is suspect when it agrees with a deleted tuple on every
+// head-variable argument of an atom that could have matched it; an atom
+// with no such argument makes every cached answer suspect. The evaluator
+// never computes the active domain (range-safe queries do not enumerate
+// it) and builds a column index only once scans of that column have cost
+// about as much.
 func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes []relation.Change, old []relation.Tuple, oldIndex map[string]int) (DeltaResult, bool, error) {
 	var res DeltaResult
 	if !DeltaCapable(q) {
@@ -316,13 +317,13 @@ func withVars(set map[string]bool, vars []string) map[string]bool {
 }
 
 // canMatch reports whether the atom could have matched t: the arities
-// agree and every constant argument equals t's field.
+// agree and every constant argument has t's field's key.
 func (sc atomScope) canMatch(t relation.Tuple) bool {
 	if len(sc.atom.Args) != len(t) {
 		return false
 	}
 	for i, a := range sc.atom.Args {
-		if !a.IsVar() && !value.Equal(a.Value, t[i]) {
+		if !a.IsVar() && !value.SameKey(a.Value, t[i]) {
 			return false
 		}
 	}
@@ -331,16 +332,20 @@ func (sc atomScope) canMatch(t relation.Tuple) bool {
 
 // suspects returns the filter for cached answers that deletes may have
 // cost their last derivation. Such an answer was derived through a deleted
-// tuple t and an atom over t's relation that matched it, so it agrees with
-// t on each of that atom's head pairs. The comparison is value.Equal, the
-// evaluator's own join equality, so the filter keeps a superset of the
-// answers that can have left Q(D).
+// tuple t and an atom over t's relation that matched it, so at each of
+// that atom's head pairs it carries t's value — the same key, since atoms
+// match by key (value.SameKey). The filter files each deleted tuple's pair
+// key under every atom that could have matched it and looks each answer up
+// under every such atom, so it costs O(|deletes| + |old|) per atom and
+// keeps exactly the answers that agree with a deleted tuple.
 func suspects(atomsByRel map[string][]atomScope, deletes []relation.Change) func(relation.Tuple) bool {
-	type match struct {
+	type filed struct {
 		head [][2]int
-		t    relation.Tuple
+		keys map[string]bool
 	}
-	var ms []match
+	byAtom := make(map[*query.Atom]*filed)
+	var atoms []*filed
+	var buf []byte
 	for _, c := range deletes {
 		for _, sc := range atomsByRel[c.Rel] {
 			if !sc.canMatch(c.Tuple) {
@@ -349,21 +354,38 @@ func suspects(atomsByRel map[string][]atomScope, deletes []relation.Change) func
 			if len(sc.head) == 0 {
 				return func(relation.Tuple) bool { return true }
 			}
-			ms = append(ms, match{sc.head, c.Tuple})
+			f := byAtom[sc.atom]
+			if f == nil {
+				f = &filed{head: sc.head, keys: make(map[string]bool)}
+				byAtom[sc.atom] = f
+				atoms = append(atoms, f)
+			}
+			buf = pairKey(buf[:0], sc.head, c.Tuple, 0)
+			f.keys[string(buf)] = true
 		}
 	}
 	return func(u relation.Tuple) bool {
-	next:
-		for _, m := range ms {
-			for _, p := range m.head {
-				if !value.Equal(u[p[1]], m.t[p[0]]) {
-					continue next
-				}
+		for _, f := range atoms {
+			buf = pairKey(buf[:0], f.head, u, 1)
+			if f.keys[string(buf)] {
+				return true
 			}
-			return true
 		}
 		return false
 	}
+}
+
+// pairKey appends the keys of t's fields at one side of the head pairs (0
+// the argument positions, 1 the head positions), separated as in
+// Tuple.Key.
+func pairKey(dst []byte, head [][2]int, t relation.Tuple, side int) []byte {
+	for i, p := range head {
+		if i > 0 {
+			dst = append(dst, 0x1f)
+		}
+		dst = t[p[side]].AppendKey(dst)
+	}
+	return dst
 }
 
 // bindAtom pre-binds the atom's variable arguments to tuple t's fields and
@@ -394,12 +416,12 @@ func (e *Evaluator) bindAtom(sc atomScope, t relation.Tuple, emit func(relation.
 		case sc.quantified[i]:
 			continue
 		case s < 0:
-			if !value.Equal(arg.Value, t[i]) {
+			if !value.SameKey(arg.Value, t[i]) {
 				return true
 			}
 			continue
 		case e.bound[s]:
-			if !value.Equal(e.vals[s], t[i]) {
+			if !value.SameKey(e.vals[s], t[i]) {
 				return true
 			}
 			continue

@@ -4,8 +4,8 @@
 // the membership test t ∈ Q(D) used throughout the upper-bound proofs.
 //
 // The evaluator is generative where it can be — relation atoms bind
-// variables by scanning tuples (through per-column hash indexes once a
-// bound column has been probed often enough to pay for one), so
+// variables by scanning tuples (through per-column hash indexes when an
+// argument is already bound, see index.go), so
 // conjunctive queries evaluate as backtracking joins — and falls back to
 // active-domain enumeration for variables constrained only by comparisons,
 // negation or universal quantification. This mirrors the paper's complexity landscape: CQ/UCQ/∃FO+
@@ -46,6 +46,12 @@ type Evaluator struct {
 	// columns holds per-(relation, column) probe state: scans answered,
 	// then the hash index built once scanning stopped paying (index.go).
 	columns map[indexKey]column
+	// buildAfter is how many probes a bound column answers by scanning
+	// before its index is built: 0 in full evaluation, scansPerBuild in
+	// Delta's evaluator (index.go).
+	buildAfter int
+	// keyBuf is scratch for probe keys, so a probe allocates nothing.
+	keyBuf []byte
 	// freeVars memoizes free-variable slot lists per formula node for the
 	// conjunct-ordering cost model and for grounding.
 	freeVars map[query.Formula][]int
@@ -77,15 +83,20 @@ type Options struct {
 }
 
 // New prepares an evaluator for q over db. It computes the evaluation
-// domain up front, as full evaluation always has; Delta's evaluator, whose
-// range-safe queries never enumerate the domain, skips it (newEvaluator).
+// domain up front and indexes a bound column at its first probe, as full
+// evaluation always has; Delta's evaluator, whose range-safe queries never
+// enumerate the domain and which probes a column only a few times, does
+// neither (newEvaluator).
 func New(q *query.Query, db *relation.Database) *Evaluator {
 	e := newEvaluator(q, db)
+	e.buildAfter = 0
 	e.Domain()
 	return e
 }
 
-// newEvaluator prepares an evaluator whose domain is computed on first use.
+// newEvaluator prepares an evaluator whose domain is computed on first use
+// and whose bound columns answer scansPerBuild probes by scanning before
+// their index is built.
 func newEvaluator(q *query.Query, db *relation.Database) *Evaluator {
 	head := make(map[string]bool, len(q.Head))
 	for _, h := range q.Head {
@@ -97,7 +108,7 @@ func newEvaluator(q *query.Query, db *relation.Database) *Evaluator {
 			extra = append(extra, v)
 		}
 	}
-	e := &Evaluator{db: db, q: q, extra: extra, slots: make(map[string]int)}
+	e := &Evaluator{db: db, q: q, extra: extra, slots: make(map[string]int), buildAfter: scansPerBuild}
 	for _, h := range q.Head {
 		e.slot(h)
 	}
@@ -405,6 +416,10 @@ func (e *Evaluator) satisfy(f query.Formula, yield func() bool) bool {
 	}
 }
 
+// satisfyAtom binds the atom's unbound arguments from each matching tuple.
+// A constant or bound argument matches a field with the same Key
+// (value.SameKey), the equality the column indexes group by, so a scan and
+// an index probe keep the same tuples whenever the index gets built.
 func (e *Evaluator) satisfyAtom(a *query.Atom, yield func() bool) bool {
 	rel := e.db.Relation(a.Rel)
 	if rel == nil {
@@ -425,14 +440,14 @@ scan:
 		for i, arg := range a.Args {
 			s := slots[i]
 			if s < 0 {
-				if !value.Equal(arg.Value, t[i]) {
+				if !value.SameKey(arg.Value, t[i]) {
 					ok = false
 					break
 				}
 				continue
 			}
 			if e.bound[s] {
-				if !value.Equal(e.vals[s], t[i]) {
+				if !value.SameKey(e.vals[s], t[i]) {
 					ok = false
 					break
 				}

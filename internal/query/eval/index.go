@@ -1,10 +1,11 @@
 // Hash indexes and conjunct ordering for the evaluator. A relation atom
-// with an argument bound by the current assignment scans the relation
-// (satisfyAtom filters it by equality) until that column has answered
-// about one index build's worth of scans, then probes a hash index on the
-// column; conjunctions evaluate their most-bound, cheapest conjunct first.
-// Both are pure optimizations: results are identical with or without them
-// (a property the tests check), only the join order and per-atom cost
+// with an argument bound by the current assignment probes a hash index on
+// that column — at once in full evaluation, and in Delta's evaluator only
+// once the column has answered about one index build's worth of scans
+// (satisfyAtom filters a scanned relation by the same equality the index
+// groups by); conjunctions evaluate their most-bound, cheapest conjunct
+// first. Both are pure optimizations: results are identical with or without
+// them (a property the tests check), only the join order and per-atom cost
 // change. A bucket lists its tuples in relation order, so a probe yields
 // the tuples a filtered scan would, in the same order.
 package eval
@@ -30,21 +31,23 @@ type column struct {
 	index colIndex
 }
 
-// scansPerBuild is how many probes a bound column answers by scanning the
-// relation before the evaluator builds its hash index. A build costs one
-// Key string and a map insert per row, a scan one equality test per row;
-// BenchmarkColumnIndex measures a build over a 24,000-row relation shaped
-// like the write-mix history at about 12 scans of it (6.5–6.9 ms against
-// 0.51–0.61 ms, 2 vCPU Xeon, go1.24.0). So a column probed once, as by a
-// lone Member check or seminaive step, never pays for an index, and a
-// column probed often pays at most about twice what building its index up
-// front would have cost.
+// scansPerBuild is how many probes a bound column of Delta's evaluator
+// answers by scanning the relation before the index is built. A build costs
+// one Key string and a map insert per row, a scan one key comparison per
+// row; BenchmarkColumnIndex measures a build over a 24,000-row relation
+// shaped like the write-mix history at 12 to 18 scans of it (6.5–9.3 ms
+// against 0.46–0.63 ms, 2 vCPU Xeon, go1.24.0). So a column probed once,
+// as by a lone Member check or seminaive step, never pays for an index,
+// and a column probed often pays at most about twice what building its
+// index up front would have cost. Full evaluation builds at the first
+// probe instead (buildAfter 0): it probes a joined column once per outer
+// binding, so the scans would only add to the build.
 const scansPerBuild = 12
 
 // index returns the hash index for the column, or nil while scanning is
-// still the cheaper answer: the first scansPerBuild calls count a scan,
-// the next builds and caches the index. Construction is O(|R|); every
-// later probe is O(1) plus the matching bucket.
+// still the cheaper answer: the first buildAfter calls count a scan, the
+// next builds and caches the index. Construction is O(|R|); every later
+// probe is O(1) plus the matching bucket.
 func (e *Evaluator) index(rel *relation.Relation, col int) colIndex {
 	if e.columns == nil {
 		e.columns = make(map[indexKey]column)
@@ -54,7 +57,7 @@ func (e *Evaluator) index(rel *relation.Relation, col int) colIndex {
 	if c.index != nil {
 		return c.index
 	}
-	if c.scans < scansPerBuild {
+	if c.scans < e.buildAfter {
 		c.scans++
 		e.columns[key] = c
 		return nil
@@ -90,7 +93,8 @@ func (e *Evaluator) probe(a *query.Atom, rel *relation.Relation) []relation.Tupl
 		if s >= 0 {
 			v = e.vals[s]
 		}
-		if bucket := idx[v.Key()]; len(bucket) < len(best) {
+		e.keyBuf = v.AppendKey(e.keyBuf[:0])
+		if bucket := idx[string(e.keyBuf)]; len(bucket) < len(best) {
 			best = bucket
 		}
 		if len(best) == 0 {

@@ -2,7 +2,10 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/query"
@@ -104,9 +107,9 @@ func TestOptimizerEquivalence(t *testing.T) {
 }
 
 // probePastBuild probes the atom until its bound columns have answered
-// scansPerBuild scans, then returns the first probe the index answers.
+// the evaluator's scans, then returns the first probe the index answers.
 func probePastBuild(e *Evaluator, a *query.Atom, rel *relation.Relation) []relation.Tuple {
-	for i := 0; i < scansPerBuild; i++ {
+	for i := 0; i < e.buildAfter; i++ {
 		e.probe(a, rel)
 	}
 	return e.probe(a, rel)
@@ -117,63 +120,90 @@ func indexBuilt(e *Evaluator, rel string, col int) bool {
 	return e.columns[indexKey{rel, col}].index != nil
 }
 
+// evaluatorKinds are the two evaluators: full evaluation's, which indexes
+// a bound column at its first probe, and Delta's, which scans first.
+var evaluatorKinds = []struct {
+	name string
+	mk   func(*query.Query, *relation.Database) *Evaluator
+}{{"full", New}, {"delta", newEvaluator}}
+
 func TestIndexProbeUsesSmallestBucket(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	db := randomJoinDB(rng, 200, 4)
-	e := New(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
-	rel := db.Relation("R")
-	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
-	// Unbound: full scan.
-	if got := e.probe(a, rel); len(got) != rel.Len() {
-		t.Errorf("unbound probe = %d tuples, want full %d", len(got), rel.Len())
-	}
-	// Bound first column, once its index is built: only that bucket.
-	bindVar(e, "x", value.Int(1))
-	bucket := probePastBuild(e, a, rel)
-	if len(bucket) == 0 || len(bucket) >= rel.Len() {
-		t.Fatalf("bound probe = %d of %d", len(bucket), rel.Len())
-	}
-	for _, tp := range bucket {
-		if !value.Equal(tp[0], value.Int(1)) {
-			t.Errorf("bucket tuple %v does not match binding", tp)
-		}
-	}
-	// A constant argument probes the same column's index.
-	ac := &query.Atom{Rel: "R", Args: []query.Term{query.CInt(2), query.V("y")}}
-	unbindVar(e, "x")
-	for _, tp := range e.probe(ac, rel) {
-		if !value.Equal(tp[0], value.Int(2)) {
-			t.Errorf("constant probe leaked %v", tp)
-		}
-	}
-	// With both columns bound and indexed, the smaller bucket wins.
-	bindVar(e, "x", value.Int(1))
-	bindVar(e, "y", value.Int(3))
-	both := probePastBuild(e, a, rel)
-	bx, by := e.columns[indexKey{"R", 0}].index[value.Int(1).Key()], e.columns[indexKey{"R", 1}].index[value.Int(3).Key()]
-	if want := min(len(bx), len(by)); len(both) != want {
-		t.Errorf("two-column probe = %d tuples, want the smaller bucket's %d", len(both), want)
+	for _, kind := range evaluatorKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			db := randomJoinDB(rng, 200, 4)
+			e := kind.mk(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
+			rel := db.Relation("R")
+			a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
+			// Unbound: full scan.
+			if got := e.probe(a, rel); len(got) != rel.Len() {
+				t.Errorf("unbound probe = %d tuples, want full %d", len(got), rel.Len())
+			}
+			// Bound first column, once its index is built: only that bucket.
+			bindVar(e, "x", value.Int(1))
+			bucket := probePastBuild(e, a, rel)
+			if len(bucket) == 0 || len(bucket) >= rel.Len() {
+				t.Fatalf("bound probe = %d of %d", len(bucket), rel.Len())
+			}
+			for _, tp := range bucket {
+				if !value.Equal(tp[0], value.Int(1)) {
+					t.Errorf("bucket tuple %v does not match binding", tp)
+				}
+			}
+			// A constant argument probes the same column's index.
+			ac := &query.Atom{Rel: "R", Args: []query.Term{query.CInt(2), query.V("y")}}
+			unbindVar(e, "x")
+			for _, tp := range e.probe(ac, rel) {
+				if !value.Equal(tp[0], value.Int(2)) {
+					t.Errorf("constant probe leaked %v", tp)
+				}
+			}
+			// With both columns bound and indexed, the smaller bucket wins.
+			bindVar(e, "x", value.Int(1))
+			bindVar(e, "y", value.Int(3))
+			both := probePastBuild(e, a, rel)
+			bx, by := e.columns[indexKey{"R", 0}].index[value.Int(1).Key()], e.columns[indexKey{"R", 1}].index[value.Int(3).Key()]
+			if want := min(len(bx), len(by)); len(both) != want {
+				t.Errorf("two-column probe = %d tuples, want the smaller bucket's %d", len(both), want)
+			}
+		})
 	}
 }
 
 func TestIndexMissYieldsEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	db := randomJoinDB(rng, 10, 3)
-	e := New(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
-	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
-	bindVar(e, "x", value.Int(999))
-	if got := probePastBuild(e, a, db.Relation("R")); len(got) != 0 {
-		t.Errorf("missing key returned %d tuples", len(got))
+	for _, kind := range evaluatorKinds {
+		rng := rand.New(rand.NewSource(8))
+		db := randomJoinDB(rng, 10, 3)
+		e := kind.mk(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
+		a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
+		bindVar(e, "x", value.Int(999))
+		if got := probePastBuild(e, a, db.Relation("R")); len(got) != 0 {
+			t.Errorf("%s: missing key returned %d tuples", kind.name, len(got))
+		}
 	}
 }
 
-// TestProbeScansBeforeBuild pins the scan-first rule: a bound column
-// answers scansPerBuild probes with the whole relation, which satisfyAtom
-// filters by equality, and only the next probe builds its index.
+// TestFullEvaluationIndexesAtFirstProbe: full evaluation probes a joined
+// column once per outer binding, so its first probe builds the index.
+func TestFullEvaluationIndexesAtFirstProbe(t *testing.T) {
+	db := randomJoinDB(rand.New(rand.NewSource(10)), 40, 5)
+	e := New(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
+	rel := db.Relation("R")
+	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
+	bindVar(e, "x", value.Int(2))
+	if got := e.probe(a, rel); len(got) >= rel.Len() || !indexBuilt(e, "R", 0) {
+		t.Errorf("first probe = %d of %d tuples, index built %v; want a bucket", len(got), rel.Len(), indexBuilt(e, "R", 0))
+	}
+}
+
+// TestProbeScansBeforeBuild pins the scan-first rule of Delta's
+// evaluator: a bound column answers scansPerBuild probes with the whole
+// relation, which satisfyAtom filters by key, and only the next probe
+// builds its index.
 func TestProbeScansBeforeBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := randomJoinDB(rng, 40, 5)
-	e := New(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
+	e := newEvaluator(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
 	rel := db.Relation("R")
 	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
 	bindVar(e, "x", value.Int(2))
@@ -201,7 +231,7 @@ func TestProbeScansBeforeBuild(t *testing.T) {
 func TestSatisfySameOrderAcrossBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	db := randomJoinDB(rng, 60, 4)
-	e := New(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
+	e := newEvaluator(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
 	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
 	bindVar(e, "x", value.Int(1))
 	run := func() []relation.Tuple {
@@ -232,8 +262,48 @@ func TestSatisfySameOrderAcrossBuild(t *testing.T) {
 	}
 }
 
-// TestMemberBuildsNoIndex: a single membership check on a join probes each
-// bound column once, which never pays for an index.
+// TestJoinMatchesByKeyAcrossBuild: a join over values value.Equal finds
+// equal but whose keys differ (NaN, an int and a float of 1e16) answers the
+// same whether a probe scans or reads an index, in both evaluators and
+// without indexes: arguments match by key throughout.
+func TestJoinMatchesByKeyAcrossBuild(t *testing.T) {
+	r := relation.NewRelation(relation.NewSchema("R", "x"))
+	s := relation.NewRelation(relation.NewSchema("S", "x"))
+	r.InsertAll(relation.Tuple{value.Int(1e16)}, relation.Tuple{value.Float(math.NaN())}, relation.Ints(5), relation.Ints(7))
+	s.InsertAll(relation.Tuple{value.Float(1e16)}, relation.Ints(5), relation.Tuple{value.Float(7)}, relation.Tuple{value.Float(math.NaN())})
+	db := relation.NewDatabase().Add(r).Add(s)
+	q := query.MustNew("Q", []string{"x"}, &query.And{Fs: []query.Formula{
+		&query.Atom{Rel: "R", Args: []query.Term{query.V("x")}},
+		&query.Atom{Rel: "S", Args: []query.Term{query.V("x")}},
+	}})
+	keys := func(rel *relation.Relation) string {
+		var ks []string
+		for _, t := range rel.Tuples() {
+			ks = append(ks, t.Key())
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, " ")
+	}
+	const want = "fNaN i5 i7"
+	if got := keys(NewWithOptions(q, db, Options{NoIndex: true}).Result()); got != want {
+		t.Errorf("unindexed answers %q, want %q", got, want)
+	}
+	if got := keys(New(q, db).Result()); got != want {
+		t.Errorf("full evaluation answers %q, want %q", got, want)
+	}
+	e := newEvaluator(q, db)
+	for run := 1; run <= scansPerBuild/r.Len()+2; run++ {
+		if got := keys(e.Result()); got != want {
+			t.Errorf("Delta's evaluator, run %d: answers %q, want %q", run, got, want)
+		}
+	}
+	if !indexBuilt(e, "R", 0) && !indexBuilt(e, "S", 0) {
+		t.Error("the runs never reached the build point")
+	}
+}
+
+// TestMemberBuildsNoIndex: a single membership check on a join in Delta's
+// evaluator probes each bound column once, which never pays for an index.
 func TestMemberBuildsNoIndex(t *testing.T) {
 	r := relation.NewRelation(relation.NewSchema("R", "a", "b"))
 	s := relation.NewRelation(relation.NewSchema("S", "b", "c"))
@@ -246,7 +316,7 @@ func TestMemberBuildsNoIndex(t *testing.T) {
 		&query.Atom{Rel: "R", Args: []query.Term{query.V("a"), query.V("b")}},
 		&query.Atom{Rel: "S", Args: []query.Term{query.V("b"), query.V("c")}},
 	}})
-	e := New(q, db)
+	e := newEvaluator(q, db)
 	if !e.Member(relation.Ints(70, 72)) {
 		t.Fatal("Member(70, 72) = false for an answer")
 	}
@@ -380,7 +450,7 @@ func BenchmarkColumnIndex(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := newEvaluator(q, db)
-			e.columns = map[indexKey]column{{"history", 0}: {scans: scansPerBuild}}
+			e.buildAfter = 0
 			if e.index(h, 0) == nil {
 				b.Fatal("no index built")
 			}

@@ -192,25 +192,71 @@ func (v Value) String() string {
 // Key returns a canonical encoding that distinguishes values of different
 // kinds and payloads; it is suitable for use as a map key. Numerically equal
 // int/float values encode identically so that Key-equality matches Equal for
-// the numeric values produced by this package's constructors.
+// the numeric values produced by this package's constructors — except NaN,
+// which Equal finds equal to every number, and integral floats of magnitude
+// 1e15 or more, which keep a float key. SameKey is the equality Key induces.
 func (v Value) Key() string {
+	var buf [24]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends v's Key to dst and returns the extended slice, so a
+// caller can build or look up a key in a reused buffer without allocating.
+func (v Value) AppendKey(dst []byte) []byte {
+	if i, ok := v.intKey(); ok {
+		return strconv.AppendInt(append(dst, 'i'), i, 10)
+	}
 	switch v.kind {
-	case KindInt:
-		return "i" + strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
-			return "i" + strconv.FormatInt(int64(v.f), 10)
-		}
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), v.f, 'g', -1, 64)
 	case KindString:
-		return "s" + v.s
+		return append(append(dst, 's'), v.s...)
 	case KindBool:
 		if v.i != 0 {
-			return "bt"
+			return append(dst, "bt"...)
 		}
-		return "bf"
+		return append(dst, "bf"...)
 	default:
-		return "?"
+		return append(dst, '?')
+	}
+}
+
+// intKey reports whether v's Key is an integer key, and its integer: ints,
+// and integral floats below 1e15 in magnitude, which convert exactly.
+func (v Value) intKey() (int64, bool) {
+	switch v.kind {
+	case KindInt:
+		return v.i, true
+	case KindFloat:
+		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
+			return int64(v.f), true
+		}
+	}
+	return 0, false
+}
+
+// SameKey reports whether v and w have the same Key, without building
+// either. It is an equivalence that implies Equal, and the equality a hash
+// table keyed by Key groups by, so a scan filtered by SameKey keeps
+// exactly the tuples a Key lookup finds.
+func SameKey(v, w Value) bool {
+	vi, vInt := v.intKey()
+	wi, wInt := w.intKey()
+	if vInt || wInt {
+		return vInt && wInt && vi == wi
+	}
+	if v.kind != w.kind {
+		return false
+	}
+	switch v.kind {
+	case KindFloat:
+		// 'g' formatting is exact, so two floats share a key when they are
+		// the same number; every NaN formats as "NaN".
+		return v.f == w.f || (math.IsNaN(v.f) && math.IsNaN(w.f))
+	case KindString:
+		return v.s == w.s
+	default:
+		return v.i == w.i
 	}
 }
 

@@ -176,6 +176,52 @@ func TestKeyNumericAgreement(t *testing.T) {
 	}
 }
 
+// TestSameKeyMatchesKey: SameKey is exactly Key equality, implies Equal,
+// and AppendKey appends Key, across the values where Key and Equal part:
+// NaN, signed zeros and infinities, and integral floats around 1e15.
+func TestSameKeyMatchesKey(t *testing.T) {
+	vals := []Value{
+		Int(0), Int(5), Int(-5), Int(1e15 - 1), Int(1e15), Int(1e16), Int(1 << 53), Int(1<<53 + 1),
+		Float(0), Float(math.Copysign(0, -1)), Float(5), Float(5.5), Float(-5), Float(0.1),
+		Float(1e15 - 1), Float(1e15), Float(1e16), Float(1 << 53), Float(-1e16),
+		Float(math.NaN()), Float(-math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Str(""), Str("5"), Str("i5"), Str("NaN"), Str("true"), Bool(false), Bool(true),
+	}
+	for _, v := range vals {
+		if got := string(v.AppendKey([]byte("pre"))); got != "pre"+v.Key() {
+			t.Errorf("AppendKey(%v) = %q, want %q", v, got, "pre"+v.Key())
+		}
+		for _, w := range vals {
+			same := v.Key() == w.Key()
+			if SameKey(v, w) != same {
+				t.Errorf("SameKey(%v %v, %v %v) = %v, keys %q %q", v.Kind(), v, w.Kind(), w, !same, v.Key(), w.Key())
+			}
+			if same && !Equal(v, w) {
+				t.Errorf("%v and %v share key %q but are not Equal", v, w, v.Key())
+			}
+		}
+	}
+	// The values where the two equalities part.
+	if !Equal(Float(math.NaN()), Int(5)) || SameKey(Float(math.NaN()), Int(5)) {
+		t.Error("NaN: want Equal to 5 and a different key")
+	}
+	if !Equal(Float(1e16), Int(1e16)) || SameKey(Float(1e16), Int(1e16)) {
+		t.Error("1e16: want the int and float Equal with different keys")
+	}
+}
+
+// Property: SameKey agrees with Key equality on random numeric pairs.
+func TestSameKeyProperty(t *testing.T) {
+	f := func(a, b int64, x, y float64, pick uint8) bool {
+		vs := []Value{Int(a), Int(b), Float(x), Float(y), Float(float64(a)), Float(math.Trunc(y))}
+		v, w := vs[int(pick)%len(vs)], vs[int(pick/8)%len(vs)]
+		return SameKey(v, w) == (v.Key() == w.Key())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestParse(t *testing.T) {
 	cases := []struct {
 		in   string

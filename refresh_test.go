@@ -299,6 +299,47 @@ func TestRefreshQuantifierShadowsHeadVariable(t *testing.T) {
 	}
 }
 
+// TestRefreshKeyEdgeValuesMatchQuery: a join over an int and a float of
+// 1e16 and over NaN, values value.Equal finds equal to other numbers but
+// whose keys differ, refreshes by delta to the answers a fresh query
+// returns, so a refresh never disagrees with a cold evaluation.
+func TestRefreshKeyEdgeValuesMatchQuery(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine()
+	e.MustCreateTable("R", "a")
+	e.MustCreateTable("S", "a")
+	e.MustInsert("R", int64(1e16))
+	e.MustInsert("R", 5)
+	const src = "Q(x) :- R(x), S(x)"
+	p := e.MustPrepare(src, WithK(0))
+	if _, err := p.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	steps := []func(){
+		func() { e.MustInsert("S", 1e16); e.MustInsert("S", math.NaN()) },
+		func() { e.MustInsert("R", math.NaN()); e.MustInsert("S", 5.0) },
+		func() {
+			if _, err := e.Delete("S", math.NaN()); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for i, step := range steps {
+		step()
+		info, err := p.Refresh(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode != "delta" || info.Answers != want.Len() {
+			t.Errorf("step %d: Refresh = %+v; want a delta to the %d answers of a fresh query", i, info, want.Len())
+		}
+	}
+}
+
 // TestRefreshOnlinePoolReplay proves warm online solves replay the captured
 // evaluation stream — byte-identical results without re-evaluating — and
 // that mutations invalidate the replay.
