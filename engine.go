@@ -146,9 +146,14 @@ func (e *Engine) Mutate(table string, rows [][]interface{}, del bool) (applied i
 	apply := r.Insert
 	if del {
 		apply = r.Delete
+	} else {
+		r.Grow(len(rows))
 	}
+	// Insert stores a copy and Delete keeps none, so one scratch tuple
+	// serves the whole batch.
+	scratch := make(relation.Tuple, r.Schema().Arity())
 	for i, values := range rows {
-		t, err := toTuple(values, r.Schema().Arity())
+		t, err := fillTuple(scratch, values)
 		if err != nil {
 			return applied, e.db.Generation(), argErrorf("rows", "table %q row %d %v", table, i, err)
 		}
@@ -164,18 +169,23 @@ func (e *Engine) Mutate(table string, rows [][]interface{}, del bool) (applied i
 
 // toTuple converts a row of Go values into a tuple of the given arity.
 func toTuple(values []interface{}, arity int) (relation.Tuple, error) {
-	if len(values) != arity {
-		return nil, fmt.Errorf("has %d values, want arity %d", len(values), arity)
+	return fillTuple(make(relation.Tuple, arity), values)
+}
+
+// fillTuple converts a row of Go values into dst, whose length is the
+// arity the row must have, and returns dst.
+func fillTuple(dst relation.Tuple, values []interface{}) (relation.Tuple, error) {
+	if len(values) != len(dst) {
+		return nil, fmt.Errorf("has %d values, want arity %d", len(values), len(dst))
 	}
-	t := make(relation.Tuple, len(values))
 	for i, v := range values {
 		cv, err := toValue(v)
 		if err != nil {
 			return nil, fmt.Errorf("column %d: %w", i, err)
 		}
-		t[i] = cv
+		dst[i] = cv
 	}
-	return t, nil
+	return dst, nil
 }
 
 func toValue(v interface{}) (value.Value, error) {
@@ -215,11 +225,11 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*ResultSet, erro
 	if err := eval.Validate(q, e.db); err != nil {
 		return nil, err
 	}
-	res, err := eval.EvaluateContext(ctx, q, e.db)
+	answers, _, err := eval.EvaluateContext(ctx, q, e.db)
 	if err != nil {
 		return nil, err
 	}
-	return &ResultSet{schema: res.Schema(), rows: res.Sorted()}, nil
+	return &ResultSet{schema: relation.NewSchema(q.Name, q.Head...), rows: answers}, nil
 }
 
 // Language reports the minimal language class of a query text: "identity",

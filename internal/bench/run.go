@@ -453,7 +453,7 @@ func Catalog() []*Experiment {
 		Run: func(n int) Measurement {
 			db, q, o, cd := refreshWorkload(n)
 			ctx := context.Background()
-			answers := eval.Evaluate(q, db).Sorted()
+			answers, _ := eval.Evaluate(q, db)
 			plane := objective.NewPlane(o, answers, objective.PlaneOptions{})
 			plane.Materialize()
 			cd.calls.Store(0)
@@ -494,7 +494,7 @@ func Catalog() []*Experiment {
 			rng := rand.New(rand.NewSource(99))
 			for u := 0; u < refreshUpdates; u++ {
 				insertFreshPoint(db, rng)
-				answers := eval.Evaluate(q, db).Sorted()
+				answers, _ := eval.Evaluate(q, db)
 				plane := objective.NewPlane(o, answers, objective.PlaneOptions{})
 				plane.Materialize()
 			}

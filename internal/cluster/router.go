@@ -15,32 +15,38 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
-	"strings"
+	"strconv"
 )
 
 // RowKey renders a row of attribute values as a canonical type-tagged
 // string: the routing hash input. The type tag keeps int64(1), float64(1)
 // and "1" distinct, so the three spellings may route to different shards.
 func RowKey(row []interface{}) string {
-	var b strings.Builder
+	return string(appendRowKey(nil, row))
+}
+
+// appendRowKey appends RowKey(row) to dst. Each value renders as fmt's
+// verb for its type would (%d, %g, %t, %q), through strconv, so a row of
+// the supported types costs no allocation beyond dst's growth.
+func appendRowKey(dst []byte, row []interface{}) []byte {
 	for _, v := range row {
 		switch x := v.(type) {
 		case int64:
-			fmt.Fprintf(&b, "i%d|", x)
+			dst = strconv.AppendInt(append(dst, 'i'), x, 10)
 		case int:
-			fmt.Fprintf(&b, "i%d|", x)
+			dst = strconv.AppendInt(append(dst, 'i'), int64(x), 10)
 		case float64:
-			fmt.Fprintf(&b, "f%g|", x)
+			dst = strconv.AppendFloat(append(dst, 'f'), x, 'g', -1, 64)
 		case bool:
-			fmt.Fprintf(&b, "b%t|", x)
+			dst = strconv.AppendBool(append(dst, 'b'), x)
 		case string:
-			fmt.Fprintf(&b, "s%q|", x)
+			dst = strconv.AppendQuote(append(dst, 's'), x)
 		default:
-			fmt.Fprintf(&b, "?%v|", x)
+			dst = append(dst, fmt.Sprintf("?%v", x)...)
 		}
+		dst = append(dst, '|')
 	}
-	return b.String()
+	return dst
 }
 
 // ShardOf deterministically assigns a row to one of shards buckets:
@@ -51,7 +57,11 @@ func ShardOf(row []interface{}, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(RowKey(row)))
-	return int(h.Sum32() % uint32(shards))
+	var buf [64]byte
+	h := uint32(2166136261) // FNV-1a, 32-bit: offset basis and prime
+	for _, c := range appendRowKey(buf[:0], row) {
+		h ^= uint32(c)
+		h *= 16777619
+	}
+	return int(h % uint32(shards))
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
@@ -52,15 +53,16 @@ func Lit(v value.Value) Operand { return Operand{Const: v} }
 // IsRef reports whether the operand references a tuple variable.
 func (o Operand) IsRef() bool { return o.Var != "" }
 
-// String renders the operand.
+// String renders the operand so that Parse reads it back as the same
+// operand. Constants render as in the query syntax (query.Term.String),
+// whose number and string scanning the constraint parser shares: a float
+// always carries a decimal point and never an exponent, and a string
+// escapes only the quote and the backslash.
 func (o Operand) String() string {
 	if o.IsRef() {
 		return o.Var + "." + o.Attr
 	}
-	if o.Const.Kind() == value.KindString {
-		return fmt.Sprintf("%q", o.Const.AsString())
-	}
-	return o.Const.String()
+	return query.C(o.Const).String()
 }
 
 // Pred is a single predicate L op R.

@@ -15,7 +15,10 @@ import (
 //	forall t1, t2 (t1.pos = "center", t2.pos = "center", t1.id != t2.id -> t1.id = t2.id)
 //
 // Both quantifier blocks are optional; "true" may stand for an empty
-// predicate list. Predicates are comma- or "and"-separated.
+// predicate list. Predicates are comma- or "and"-separated. Constants are
+// written as in the query syntax: a string is double-quoted, with \" and \\
+// for a quote and a backslash, and a number is digits with an optional
+// sign and decimal point.
 func Parse(src string) (*Constraint, error) {
 	p := &cparser{src: src}
 	c, err := p.constraint()
@@ -225,15 +228,34 @@ func (p *cparser) op() (Op, error) {
 	return Eq, fmt.Errorf("compat: expected = or != at offset %d", p.pos)
 }
 
+// str scans the string literal at p.pos. As in the query syntax, a
+// backslash stands for the byte after it, so \" and \\ spell a quote and a
+// backslash.
+func (p *cparser) str() (string, error) {
+	start := p.pos
+	var b strings.Builder
+	for p.pos++; p.pos < len(p.src); p.pos++ {
+		c := p.src[p.pos]
+		if c == '"' {
+			p.pos++
+			return b.String(), nil
+		}
+		if c == '\\' && p.pos+1 < len(p.src) {
+			p.pos++
+			c = p.src[p.pos]
+		}
+		b.WriteByte(c)
+	}
+	return "", fmt.Errorf("compat: unterminated string at offset %d", start)
+}
+
 func (p *cparser) operand() (Operand, error) {
 	p.skipSpace()
 	if p.pos < len(p.src) && p.src[p.pos] == '"' {
-		end := strings.IndexByte(p.src[p.pos+1:], '"')
-		if end < 0 {
-			return Operand{}, fmt.Errorf("compat: unterminated string at offset %d", p.pos)
+		s, err := p.str()
+		if err != nil {
+			return Operand{}, err
 		}
-		s := p.src[p.pos+1 : p.pos+1+end]
-		p.pos += end + 2
 		return Lit(value.Str(s)), nil
 	}
 	if p.pos < len(p.src) && (p.src[p.pos] == '-' || p.src[p.pos] >= '0' && p.src[p.pos] <= '9') {

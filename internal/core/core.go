@@ -83,12 +83,12 @@ type Instance struct {
 }
 
 // Answers computes (and memoizes) the answer set Q(D) in a deterministic
-// order. Solvers that must avoid materializing Q(D) (the paper's
-// early-termination motivation) use eval.Member directly instead.
+// order, and with it the evaluation's key index for AnswerIndex. Solvers
+// that must avoid materializing Q(D) (the paper's early-termination
+// motivation) use eval.Member directly instead.
 func (in *Instance) Answers() []relation.Tuple {
 	if !in.haveAnswers {
-		res := eval.Evaluate(in.Query, in.DB)
-		in.answers = res.Sorted()
+		in.answers, in.answerIndex = eval.Evaluate(in.Query, in.DB)
 		in.haveAnswers = true
 	}
 	return in.answers
@@ -101,11 +101,11 @@ func (in *Instance) AnswersContext(ctx context.Context) ([]relation.Tuple, error
 	if in.haveAnswers {
 		return in.answers, nil
 	}
-	res, err := eval.EvaluateContext(ctx, in.Query, in.DB)
+	answers, index, err := eval.EvaluateContext(ctx, in.Query, in.DB)
 	if err != nil {
 		return nil, err
 	}
-	in.answers = res.Sorted()
+	in.answers, in.answerIndex = answers, index
 	in.haveAnswers = true
 	return in.answers, nil
 }
@@ -174,13 +174,14 @@ func (in *Instance) SetPlane(p *objective.Plane) { in.plane = p }
 // read it.
 func (in *Instance) SetAnswerIndex(idx map[string]int) { in.answerIndex = idx }
 
-// AnswerIndex returns the memoized Tuple.Key() -> index map over Answers(),
-// built on first use and invalidated by SetAnswers/ResetAnswers. IsCandidate
-// and the heuristics' seed interning use it instead of rebuilding the map
-// per call.
+// AnswerIndex returns the memoized Tuple.Key() -> index map over Answers():
+// the evaluation's own index when Answers evaluated the query, built on
+// first use over answers installed by SetAnswers, and invalidated by
+// SetAnswers/ResetAnswers. IsCandidate and the heuristics' seed interning
+// use it instead of rebuilding the map per call.
 func (in *Instance) AnswerIndex() map[string]int {
+	answers := in.Answers() // an evaluation fills the index as well
 	if in.answerIndex == nil {
-		answers := in.Answers()
 		idx := make(map[string]int, len(answers))
 		for i, t := range answers {
 			idx[t.Key()] = i

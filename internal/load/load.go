@@ -8,8 +8,10 @@
 package load
 
 import (
+	"cmp"
 	"fmt"
 	"os"
+	"slices"
 
 	diversification "repro"
 	"repro/internal/relation"
@@ -26,29 +28,63 @@ func TSV(e *diversification.Engine, name, file string) error {
 // TSVFilter is TSV keeping only rows for which keep returns true (nil
 // keeps everything). The table is created either way, so an empty
 // partition is still a valid relation.
+//
+// The rows go in sorted, as one Engine.Mutate batch, which still gives
+// each new row its own generation and journal entry. The sort is stable
+// and a row with the same key as the row before it (1 after 1.0, say) is
+// dropped before keep sees it, so of two such rows the first in the file
+// is the one loaded.
 func TSVFilter(e *diversification.Engine, name, file string, keep func(row []interface{}) bool) error {
 	f, err := os.Open(file)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	rel, err := tsvio.Read(name, f)
+	attrs, rows, err := tsvio.Read(name, f)
 	if err != nil {
 		return err
 	}
-	if err := e.CreateTable(name, rel.Schema().Attrs...); err != nil {
+	if err := e.CreateTable(name, attrs...); err != nil {
 		return err
 	}
-	for _, t := range rel.Sorted() {
+	// A stable sort, by sorting the row numbers with file order breaking
+	// ties: that moves ints instead of tuples and costs O(n log n) compares.
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := rows[a].Compare(rows[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	batch := make([][]interface{}, 0, len(rows))
+	for i, r := range order {
+		t := rows[r]
+		if i > 0 && sameKey(t, rows[order[i-1]]) {
+			continue
+		}
 		row := tupleArgs(t)
 		if keep != nil && !keep(row) {
 			continue
 		}
-		if err := e.Insert(name, row...); err != nil {
-			return fmt.Errorf("%s: %v", file, err)
-		}
+		batch = append(batch, row)
+	}
+	if _, _, err := e.Mutate(name, batch, false); err != nil {
+		return fmt.Errorf("%s: %v", file, err)
 	}
 	return nil
+}
+
+// sameKey reports whether two rows of one table have the same Key.
+func sameKey(t, u relation.Tuple) bool {
+	for i := range t {
+		if !value.SameKey(t[i], u[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // tupleArgs converts a tuple to the facade's interface{} row form.

@@ -76,7 +76,7 @@ func checkDelta(t *testing.T, src string, db *relation.Database, old []relation.
 		t.Fatalf("Delta refused a capable query %s", src)
 	}
 	got := applyDelta(old, d)
-	want := Evaluate(q, db).Sorted()
+	want, _ := Evaluate(q, db)
 	if !sameKeys(got, want) {
 		t.Fatalf("delta answers = %v, full eval = %v", got, want)
 	}

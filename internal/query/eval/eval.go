@@ -11,16 +11,22 @@
 // negation or universal quantification. This mirrors the paper's complexity landscape: CQ/UCQ/∃FO+
 // evaluation explores joins (NP combined complexity), while full FO may
 // enumerate the domain per quantifier (PSPACE combined complexity), and any
-// fixed query is polynomial in |D| (the data-complexity setting).
+// fixed query is polynomial in |D| (the data-complexity setting). The
+// domain — every value of D, deduplicated and sorted — is built only when
+// an enumeration first reads it, so a query whose variables all bind from
+// atoms never pays for it.
 //
 // Variable assignments live in a slot array indexed by a per-query variable
 // table, mutated and restored along the backtracking search; no maps are
-// allocated on the evaluation path.
+// allocated on the evaluation path. Each distinct answer is keyed once, in
+// a reused buffer, and that dedup map becomes the key index of the sorted
+// answers.
 package eval
 
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/ctxpoll"
 	"repro/internal/query"
@@ -82,21 +88,20 @@ type Options struct {
 	NoReorder bool
 }
 
-// New prepares an evaluator for q over db. It computes the evaluation
-// domain up front and indexes a bound column at its first probe, as full
-// evaluation always has; Delta's evaluator, whose range-safe queries never
-// enumerate the domain and which probes a column only a few times, does
-// neither (newEvaluator).
+// New prepares an evaluator for q over db. Like every evaluator it builds
+// the evaluation domain on first use (Domain), so a query that binds every
+// variable from relation atoms never pays for it, and it indexes a bound
+// column at its first probe, as full evaluation always has; Delta's
+// evaluator, which probes a column only a few times, scans first
+// (newEvaluator).
 func New(q *query.Query, db *relation.Database) *Evaluator {
 	e := newEvaluator(q, db)
 	e.buildAfter = 0
-	e.Domain()
 	return e
 }
 
-// newEvaluator prepares an evaluator whose domain is computed on first use
-// and whose bound columns answer scansPerBuild probes by scanning before
-// their index is built.
+// newEvaluator prepares an evaluator whose bound columns answer
+// scansPerBuild probes by scanning before their index is built.
 func newEvaluator(q *query.Query, db *relation.Database) *Evaluator {
 	head := make(map[string]bool, len(q.Head))
 	for _, h := range q.Head {
@@ -258,31 +263,70 @@ func (e *Evaluator) interrupted() bool {
 	return e.poller != nil && e.poller.Stop()
 }
 
-// Evaluate computes the full answer set Q(D) as a relation whose schema has
-// one attribute per head variable.
-func Evaluate(q *query.Query, db *relation.Database) *relation.Relation {
+// Evaluate computes Q(D): its distinct answers in canonical order
+// (Tuple.Compare, the order Relation.Sorted gives) and their key index,
+// mapping each answer's Tuple.Key to its position.
+func Evaluate(q *query.Query, db *relation.Database) ([]relation.Tuple, map[string]int) {
 	return New(q, db).Result()
 }
 
-// EvaluateContext computes Q(D) under a cancellation context; it returns
-// ctx's error (and no relation) when evaluation was interrupted.
-func EvaluateContext(ctx context.Context, q *query.Query, db *relation.Database) (*relation.Relation, error) {
+// EvaluateContext is Evaluate under a cancellation context; it returns
+// ctx's error (and no answers) when evaluation was interrupted.
+func EvaluateContext(ctx context.Context, q *query.Query, db *relation.Database) ([]relation.Tuple, map[string]int, error) {
 	e := New(q, db).WithContext(ctx)
-	res := e.Result()
+	answers, index := e.Result()
 	if err := e.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return res, nil
+	return answers, index, nil
 }
 
-// Result computes Q(D).
-func (e *Evaluator) Result() *relation.Relation {
-	out := relation.NewRelation(relation.NewSchema(e.q.Name, e.q.Head...))
-	e.satisfy(e.q.Body, func() bool {
-		out.Insert(e.headTuple())
+// Result computes Q(D) as Evaluate does. Each answer is keyed once: the
+// dedup map of the enumeration becomes the key index once the answers are
+// sorted, and no answer is copied.
+func (e *Evaluator) Result() ([]relation.Tuple, map[string]int) {
+	index := make(map[string]int)
+	var found []relation.Tuple
+	e.distinct(index, func(t relation.Tuple) bool {
+		found = append(found, t)
 		return true
 	})
-	return out
+	return sortAnswers(found, index)
+}
+
+// Canonical orders distinct answers as Result does and returns them with
+// their key index, for answers that arrived in another order (a stream).
+// The answers slice itself is left as it was.
+func Canonical(answers []relation.Tuple) ([]relation.Tuple, map[string]int) {
+	index := make(map[string]int, len(answers))
+	for i, t := range answers {
+		index[t.Key()] = i
+	}
+	return sortAnswers(answers, index)
+}
+
+// sortAnswers returns found in canonical order, renumbering index (each
+// answer's key → its position in found) to the sorted positions. It sorts
+// a permutation with the sort.Slice call Relation.Sorted makes on the same
+// order, so it makes the same comparisons and swaps, and answers that
+// Compare calls equal (NaN, large int/float pairs) land where Sorted puts
+// them.
+func sortAnswers(found []relation.Tuple, index map[string]int) ([]relation.Tuple, map[string]int) {
+	perm := make([]int, len(found))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.Slice(perm, func(i, j int) bool { return found[perm[i]].Compare(found[perm[j]]) < 0 })
+	sorted := make([]relation.Tuple, len(found))
+	rank := make([]int, len(found))
+	for p, d := range perm {
+		sorted[p] = found[d]
+		rank[d] = p
+	}
+	for k, d := range index {
+		index[k] = rank[d]
+	}
+	return sorted, index
 }
 
 // headTuple materializes the current binding of the head variables.
@@ -297,6 +341,38 @@ func (e *Evaluator) headTuple() relation.Tuple {
 	return t
 }
 
+// headKey writes the Tuple.Key of the current head binding into keyBuf and
+// returns it.
+func (e *Evaluator) headKey() []byte {
+	buf := e.keyBuf[:0]
+	for i, s := range e.headSlots {
+		if !e.bound[s] {
+			panic(fmt.Sprintf("eval: head variable %q unbound by satisfy", e.q.Head[i]))
+		}
+		if i > 0 {
+			buf = append(buf, 0x1f) // Tuple.Key's separator
+		}
+		buf = e.vals[s].AppendKey(buf)
+	}
+	e.keyBuf = buf
+	return buf
+}
+
+// distinct enumerates the distinct answers of Q(D) in discovery order,
+// invoking yield for each new one. seen maps the key of every answer found
+// so far to its discovery position. A binding is keyed in keyBuf, so only a
+// new answer allocates its key string and its tuple.
+func (e *Evaluator) distinct(seen map[string]int, yield func(relation.Tuple) bool) bool {
+	return e.satisfy(e.q.Body, func() bool {
+		key := e.headKey()
+		if _, dup := seen[string(key)]; dup {
+			return true
+		}
+		seen[string(key)] = len(seen)
+		return yield(e.headTuple())
+	})
+}
+
 // Stream enumerates distinct answers of Q(D) as they are discovered,
 // without materializing the full answer set, invoking yield for each new
 // tuple. yield returning false stops evaluation — the hook that lets
@@ -304,16 +380,7 @@ func (e *Evaluator) headTuple() relation.Tuple {
 // paper's Section 1 motivation for taking (Q, D) rather than Q(D) as input.
 // It reports whether enumeration ran to completion.
 func (e *Evaluator) Stream(yield func(relation.Tuple) bool) bool {
-	seen := make(map[string]bool)
-	return e.satisfy(e.q.Body, func() bool {
-		t := e.headTuple()
-		k := t.Key()
-		if seen[k] {
-			return true
-		}
-		seen[k] = true
-		return yield(t)
-	})
+	return e.distinct(make(map[string]int), yield)
 }
 
 // Member reports whether t ∈ Q(D) without materializing the full answer.
@@ -346,7 +413,7 @@ func Member(q *query.Query, db *relation.Database, t relation.Tuple) bool {
 // Domain returns the evaluation domain (active domain plus query
 // constants), computing it on first use: every value of every tuple,
 // deduplicated and sorted, is O(|D| log |D|) work that only active-domain
-// enumeration needs.
+// enumeration (bindFree) needs.
 func (e *Evaluator) Domain() []value.Value {
 	if e.domain != nil {
 		return e.domain

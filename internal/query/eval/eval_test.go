@@ -2,6 +2,8 @@ package eval
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -32,7 +34,8 @@ func results(t *testing.T, src string, db *relation.Database) []relation.Tuple {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Evaluate(q, db).Sorted()
+	answers, _ := Evaluate(q, db)
+	return answers
 }
 
 func wantTuples(t *testing.T, got []relation.Tuple, want ...relation.Tuple) {
@@ -148,9 +151,9 @@ func TestMemberAgainstEvaluate(t *testing.T) {
 	for _, src := range srcs {
 		q := parse.MustQuery(src)
 		ev := New(q, db)
-		res := ev.Result()
+		res, _ := ev.Result()
 		// Every evaluated tuple is a member.
-		for _, tup := range res.Tuples() {
+		for _, tup := range res {
 			if !ev.Member(tup) {
 				t.Errorf("%s: %v should be a member", src, tup)
 			}
@@ -190,7 +193,7 @@ func TestDomainIncludesQueryConstants(t *testing.T) {
 func TestEvaluateVariableShadowing(t *testing.T) {
 	// exists y shadows outer y: Q(y) :- S(y) and exists y (T(y)).
 	q := parse.MustQuery("Q(y) :- S(y), exists y (T(y))")
-	got := Evaluate(q, testDB()).Sorted()
+	got, _ := Evaluate(q, testDB())
 	wantTuples(t, got, relation.Ints(2), relation.Ints(4))
 }
 
@@ -201,9 +204,9 @@ func TestEvaluateBooleanGadget(t *testing.T) {
 	r01.InsertAll(relation.Ints(0), relation.Ints(1))
 	db := relation.NewDatabase().Add(r01)
 	q := parse.MustQuery("Q(x1, x2, x3) :- R01(x1), R01(x2), R01(x3)")
-	got := Evaluate(q, db)
-	if got.Len() != 8 {
-		t.Errorf("Boolean cube has %d tuples, want 8", got.Len())
+	got, _ := Evaluate(q, db)
+	if len(got) != 8 {
+		t.Errorf("Boolean cube has %d tuples, want 8", len(got))
 	}
 }
 
@@ -227,7 +230,7 @@ func TestEvaluateFOGiftQuery(t *testing.T) {
 	q := parse.MustQuery(`Q0(n) :- exists t, p, s (catalog(n, t, p, s), p <= 30, p >= 20,
 		forall n2, b, r, g, a, x, e, y (
 			not (history(n2, b, r, g, a, x, e, y), b = "peter", r = "Grace", n = n2)))`)
-	got := Evaluate(q, db).Sorted()
+	got, _ := Evaluate(q, db)
 	// book1 excluded (already bought), toy1 excluded (price), ring1 remains.
 	if len(got) != 1 || got[0][0].AsString() != "ring1" {
 		t.Errorf("gift query result = %v, want [ring1]", got)
@@ -300,7 +303,7 @@ func TestContextCancelsEvaluation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := EvaluateContext(ctx, q, db); err != context.DeadlineExceeded {
+	if _, _, err := EvaluateContext(ctx, q, db); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if time.Since(start) > 5*time.Second {
@@ -312,11 +315,63 @@ func TestContextCancelsEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvaluateContext(context.Background(), small, db)
+	res, _, err := EvaluateContext(context.Background(), small, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Evaluate(small, db); res.Len() != want.Len() {
-		t.Errorf("context variant found %d answers, legacy %d", res.Len(), want.Len())
+	if want, _ := Evaluate(small, db); len(res) != len(want) {
+		t.Errorf("context variant found %d answers, legacy %d", len(res), len(want))
+	}
+}
+
+// TestResultMatchesRelationRecipe: Result returns what collecting the
+// stream in a relation and sorting it returns — the same tuples, kind and
+// bits included, in the same order, also where Compare calls answers with
+// different keys equal (NaN, Int and Float 1e16) — and its index maps each
+// answer's key to its position.
+func TestResultMatchesRelationRecipe(t *testing.T) {
+	vals := []value.Value{
+		value.Int(1), value.Float(1), value.Float(math.NaN()), value.Int(1e16), value.Float(1e16),
+		value.Int(5), value.Float(2.5), value.Str("a"), value.Bool(true), value.Float(math.Copysign(0, -1)), value.Int(0),
+	}
+	srcs := []string{
+		"Q(a, b) :- R(a, b)",
+		"Q(a) :- R(a, b)",
+		"Q(a, c) :- R(a, b), R(b, c)",
+		"Q(x) :- exists y (R(x, y)) or exists y (R(y, x))",
+	}
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 100; trial++ {
+		r := relation.NewRelation(relation.NewSchema("R", "a", "b"))
+		for i := 0; i < rng.Intn(40); i++ {
+			r.Insert(relation.Tuple{vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]})
+		}
+		db := relation.NewDatabase().Add(r)
+		for _, src := range srcs {
+			q := parse.MustQuery(src)
+			rec := relation.NewRelation(relation.NewSchema(q.Name, q.Head...))
+			New(q, db).Stream(func(t relation.Tuple) bool {
+				if !rec.Insert(t) {
+					panic("Stream yielded a duplicate")
+				}
+				return true
+			})
+			want := rec.Sorted()
+			got, index := New(q, db).Result()
+			if len(got) != len(want) || len(index) != len(got) {
+				t.Fatalf("%s: %d answers and %d index entries, recipe %d answers", src, len(got), len(index), len(want))
+			}
+			for i := range want {
+				for j := range want[i] {
+					g, w := got[i][j], want[i][j]
+					if g.Kind() != w.Kind() || math.Float64bits(g.AsFloat()) != math.Float64bits(w.AsFloat()) || g.AsString() != w.AsString() {
+						t.Fatalf("%s: answer %d = %v, recipe %v", src, i, got[i], want[i])
+					}
+				}
+				if pos, ok := index[got[i].Key()]; !ok || pos != i {
+					t.Fatalf("%s: index[%v] = %d, %v; want %d", src, got[i], pos, ok, i)
+				}
+			}
+		}
 	}
 }

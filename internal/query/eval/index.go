@@ -15,8 +15,22 @@ import (
 	"repro/internal/relation"
 )
 
-// colIndex maps a column's value keys to the tuples carrying that value.
-type colIndex map[string][]relation.Tuple
+// colIndex groups a column's tuples by value key: the tuples of slot b are
+// rows[start[b]:start[b+1]], in relation order.
+type colIndex struct {
+	slots map[string]int // value key → slot
+	start []int
+	rows  []relation.Tuple
+}
+
+// bucket returns the tuples whose column value has the given key.
+func (ix *colIndex) bucket(key []byte) []relation.Tuple {
+	b, ok := ix.slots[string(key)]
+	if !ok {
+		return nil
+	}
+	return ix.rows[ix.start[b]:ix.start[b+1]]
+}
 
 // indexKey identifies a (relation, column) index.
 type indexKey struct {
@@ -28,27 +42,32 @@ type indexKey struct {
 // it has answered by scanning, then its hash index.
 type column struct {
 	scans int
-	index colIndex
+	index *colIndex
 }
 
 // scansPerBuild is how many probes a bound column of Delta's evaluator
-// answers by scanning the relation before the index is built. A build costs
-// one Key string and a map insert per row, a scan one key comparison per
+// answers by scanning the relation before the index is built. A build keys
+// every row and files it in its bucket, a scan makes one key comparison per
 // row; BenchmarkColumnIndex measures a build over a 24,000-row relation
-// shaped like the write-mix history at 12 to 18 scans of it (6.5–9.3 ms
-// against 0.46–0.63 ms, 2 vCPU Xeon, go1.24.0). So a column probed once,
+// shaped like the write-mix history at about 5 scans of it (2.8–4.0 ms
+// against 0.60–0.68 ms, 2 vCPU Xeon, go1.24.0). So a column probed once,
 // as by a lone Member check or seminaive step, never pays for an index,
 // and a column probed often pays at most about twice what building its
-// index up front would have cost. Full evaluation builds at the first
-// probe instead (buildAfter 0): it probes a joined column once per outer
-// binding, so the scans would only add to the build.
-const scansPerBuild = 12
+// index up front would have cost. Indexing at the first probe instead
+// makes BenchmarkIncrementalRefresh/join/delta 2.3x slower (14.8 ms
+// against 6.2 ms a step), so Delta keeps scanning first. Full evaluation
+// builds at the first probe (buildAfter 0): it probes a joined column once
+// per outer binding, so the scans would only add to the build.
+const scansPerBuild = 5
 
 // index returns the hash index for the column, or nil while scanning is
 // still the cheaper answer: the first buildAfter calls count a scan, the
-// next builds and caches the index. Construction is O(|R|); every later
-// probe is O(1) plus the matching bucket.
-func (e *Evaluator) index(rel *relation.Relation, col int) colIndex {
+// next builds and caches the index. The build makes two passes over the
+// relation: the first keys each row in keyBuf, gives each new key a slot
+// and counts the rows per slot, the second files the rows slot by slot in
+// relation order. So it allocates one key string per distinct value, not
+// per row. Every later probe is O(1) plus the matching bucket.
+func (e *Evaluator) index(rel *relation.Relation, col int) *colIndex {
 	if e.columns == nil {
 		e.columns = make(map[indexKey]column)
 	}
@@ -62,13 +81,35 @@ func (e *Evaluator) index(rel *relation.Relation, col int) colIndex {
 		e.columns[key] = c
 		return nil
 	}
-	c.index = make(colIndex, rel.Len())
-	for _, t := range rel.Tuples() {
-		k := t[col].Key()
-		c.index[k] = append(c.index[k], t)
+	tuples := rel.Tuples()
+	ix := &colIndex{slots: make(map[string]int)}
+	slotOf := make([]int, len(tuples))
+	var count []int
+	for i, t := range tuples {
+		e.keyBuf = t[col].AppendKey(e.keyBuf[:0])
+		b, ok := ix.slots[string(e.keyBuf)]
+		if !ok {
+			b = len(count)
+			ix.slots[string(e.keyBuf)] = b
+			count = append(count, 0)
+		}
+		slotOf[i] = b
+		count[b]++
 	}
+	ix.start = make([]int, len(count)+1)
+	for b, n := range count {
+		ix.start[b+1] = ix.start[b] + n
+		count[b] = ix.start[b] // from here on, slot b's fill position
+	}
+	ix.rows = make([]relation.Tuple, len(tuples))
+	for i, t := range tuples {
+		b := slotOf[i]
+		ix.rows[count[b]] = t
+		count[b]++
+	}
+	c.index = ix
 	e.columns[key] = c
-	return c.index
+	return ix
 }
 
 // probe returns the scan list for an atom under the current binding: the
@@ -94,7 +135,7 @@ func (e *Evaluator) probe(a *query.Atom, rel *relation.Relation) []relation.Tupl
 			v = e.vals[s]
 		}
 		e.keyBuf = v.AppendKey(e.keyBuf[:0])
-		if bucket := idx[string(e.keyBuf)]; len(bucket) < len(best) {
+		if bucket := idx.bucket(e.keyBuf); len(bucket) < len(best) {
 			best = bucket
 		}
 		if len(best) == 0 {

@@ -7,6 +7,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,14 +20,15 @@ type Tuple []value.Value
 
 // Key returns a canonical encoding of the tuple, unique per tuple content.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte(0x1f) // unit separator: cannot collide with payloads
+			b = append(b, 0x1f) // unit separator: cannot collide with payloads
 		}
-		b.WriteString(v.Key())
+		b = v.AppendKey(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Equal reports whether t and u have the same arity and equal fields.
@@ -179,6 +181,15 @@ func (r *Relation) Insert(t Tuple) bool {
 		r.onMutate(OpInsert, stored)
 	}
 	return true
+}
+
+// Grow makes room for n more tuples: an empty relation sizes its index for
+// them, so a batch of inserts does not rehash it as it grows.
+func (r *Relation) Grow(n int) {
+	if len(r.tuples) == 0 {
+		r.index = make(map[string]int, n)
+	}
+	r.tuples = slices.Grow(r.tuples, n)
 }
 
 // Delete removes a tuple, reporting whether it was present. Later tuples

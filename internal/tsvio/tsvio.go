@@ -20,13 +20,19 @@ import (
 	"repro/internal/value"
 )
 
-// ParseField interprets one TSV field: int, float, bool, then string.
+// ParseField interprets one TSV field: int, float, bool, then string. Each
+// numeric parser runs only on text it could accept, so a string or float
+// field costs no failed parse.
 func ParseField(s string) value.Value {
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return value.Int(i)
+	if mayBeInt(s) {
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return value.Int(i)
+		}
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return value.Float(f)
+	if mayBeFloat(s) {
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return value.Float(f)
+		}
 	}
 	switch s {
 	case "true":
@@ -37,24 +43,84 @@ func ParseField(s string) value.Value {
 	return value.Str(s)
 }
 
-// Read parses a relation named name from TSV input. Blank lines are
-// skipped; every data line must have exactly as many fields as the header.
-func Read(name string, r io.Reader) (*relation.Relation, error) {
+// mayBeInt reports whether s has the form strconv.ParseInt accepts in base
+// 10: an optional sign, then decimal digits.
+func mayBeInt(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// mayBeFloat reports whether s could be text strconv.ParseFloat accepts:
+// after an optional sign, inf, infinity or nan in any case, or only the
+// characters of a decimal literal (digits, '.', exponent, '_' and signs),
+// or of a hexadecimal one after a 0x prefix.
+func mayBeFloat(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	if strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan") {
+		return true
+	}
+	hex := len(s) > 1 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= '0' && c <= '9', c == '.', c == '_', c == '+', c == '-', c == 'e', c == 'E':
+		case hex && (c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F' || c == 'x' || c == 'X' || c == 'p' || c == 'P'):
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// formatField renders a value as the TSV field ParseField reads back as the
+// same value: a float that would read as an int gains a ".0".
+func formatField(v value.Value) string {
+	s := v.AsString()
+	if v.Kind() == value.KindFloat && !strings.ContainsAny(s, ".eIN") {
+		s += ".0"
+	}
+	return s
+}
+
+// Read parses TSV input: the attribute names on its first line, then one
+// row per line, in file order and with any duplicates (set semantics is
+// the relation's business). Blank lines are skipped; every data line must
+// have exactly as many fields as the header, and the names must be
+// distinct and non-empty. name labels the errors.
+func Read(name string, r io.Reader) ([]string, []relation.Tuple, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("tsvio: %s: %v", name, err)
+			return nil, nil, fmt.Errorf("tsvio: %s: %v", name, err)
 		}
-		return nil, fmt.Errorf("tsvio: %s: empty input", name)
+		return nil, nil, fmt.Errorf("tsvio: %s: empty input", name)
 	}
 	attrs := strings.Split(strings.TrimRight(sc.Text(), "\r\n"), "\t")
 	for i, a := range attrs {
 		if a == "" {
-			return nil, fmt.Errorf("tsvio: %s: empty attribute name at column %d", name, i+1)
+			return nil, nil, fmt.Errorf("tsvio: %s: empty attribute name at column %d", name, i+1)
 		}
 	}
-	rel := relation.NewRelation(relation.NewSchema(name, attrs...))
+	if _, err := relation.CheckSchema(name, attrs...); err != nil {
+		return nil, nil, fmt.Errorf("tsvio: %v", err)
+	}
+	var rows []relation.Tuple
 	line := 1
 	for sc.Scan() {
 		line++
@@ -62,24 +128,29 @@ func Read(name string, r io.Reader) (*relation.Relation, error) {
 		if text == "" {
 			continue
 		}
-		fields := strings.Split(text, "\t")
-		if len(fields) != len(attrs) {
-			return nil, fmt.Errorf("tsvio: %s:%d: %d fields, want %d", name, line, len(fields), len(attrs))
+		t := make(relation.Tuple, len(attrs))
+		n := 0
+		for rest, more := text, true; more; n++ {
+			var field string
+			field, rest, more = strings.Cut(rest, "\t")
+			if n < len(t) {
+				t[n] = ParseField(field)
+			}
 		}
-		t := make(relation.Tuple, len(fields))
-		for i, f := range fields {
-			t[i] = ParseField(f)
+		if n != len(attrs) {
+			return nil, nil, fmt.Errorf("tsvio: %s:%d: %d fields, want %d", name, line, n, len(attrs))
 		}
-		rel.Insert(t)
+		rows = append(rows, t)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tsvio: %s: %v", name, err)
+		return nil, nil, fmt.Errorf("tsvio: %s: %v", name, err)
 	}
-	return rel, nil
+	return attrs, rows, nil
 }
 
 // Write emits the relation as TSV, header first, tuples in canonical
-// (sorted) order so output is deterministic.
+// (sorted) order so output is deterministic. A float always renders as a
+// float, so Read gives back the values written.
 func Write(w io.Writer, r *relation.Relation) error {
 	if _, err := fmt.Fprintln(w, strings.Join(r.Schema().Attrs, "\t")); err != nil {
 		return err
@@ -87,7 +158,7 @@ func Write(w io.Writer, r *relation.Relation) error {
 	for _, t := range r.Sorted() {
 		fields := make([]string, len(t))
 		for i, v := range t {
-			fields[i] = v.AsString()
+			fields[i] = formatField(v)
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(fields, "\t")); err != nil {
 			return err
@@ -172,7 +243,7 @@ func WriteUpdates(w io.Writer, updates []Update) error {
 		fields := make([]string, 0, len(u.Tuple)+1)
 		fields = append(fields, rel)
 		for _, v := range u.Tuple {
-			fields = append(fields, v.AsString())
+			fields = append(fields, formatField(v))
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(fields, "\t")); err != nil {
 			return err

@@ -36,46 +36,38 @@ func TestParseFieldPreference(t *testing.T) {
 
 func TestReadBasic(t *testing.T) {
 	src := "id\tname\tprice\n1\twidget\t9.5\n2\tgadget\t12\n\n3\tdoohickey\ttrue\n"
-	rel, err := Read("items", strings.NewReader(src))
+	attrs, rows, err := Read("items", strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Schema().Name != "items" || rel.Schema().Arity() != 3 {
-		t.Fatalf("schema wrong: %v", rel.Schema())
+	if strings.Join(attrs, ",") != "id,name,price" {
+		t.Fatalf("attributes wrong: %v", attrs)
 	}
-	if rel.Len() != 3 {
-		t.Fatalf("got %d tuples, want 3 (blank line skipped)", rel.Len())
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3 (blank line skipped)", len(rows))
 	}
 	want := relation.Tuple{value.Int(1), value.Str("widget"), value.Float(9.5)}
-	if !rel.Contains(want) {
-		t.Errorf("missing tuple %v", want)
+	if !rows[0].Equal(want) || rows[0][2].Kind() != value.KindFloat {
+		t.Errorf("first row %v, want %v", rows[0], want)
 	}
 }
 
 func TestReadErrors(t *testing.T) {
-	if _, err := Read("r", strings.NewReader("")); err == nil {
-		t.Error("empty input should fail")
-	}
-	if _, err := Read("r", strings.NewReader("a\tb\n1\n")); err == nil {
-		t.Error("field-count mismatch should fail")
-	}
-	if _, err := Read("r", strings.NewReader("a\t\tc\n")); err == nil {
-		t.Error("empty attribute name should fail")
-	}
-}
-
-func TestReadDeduplicates(t *testing.T) {
-	rel, err := Read("r", strings.NewReader("x\n1\n1\n2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 2 {
-		t.Errorf("set semantics: %d tuples, want 2", rel.Len())
+	for _, bad := range []string{
+		"",                // empty input
+		"a\tb\n1\n",       // field-count mismatch
+		"a\tb\n1\t2\t3\n", // too many fields
+		"a\t\tc\n",        // empty attribute name
+		"a\tb\ta\n",       // repeated attribute name
+	} {
+		if _, _, err := Read("r", strings.NewReader(bad)); err == nil {
+			t.Errorf("Read(%q) should fail", bad)
+		}
 	}
 }
 
 func TestReadFailingReader(t *testing.T) {
-	if _, err := Read("r", failingReader{}); err == nil {
+	if _, _, err := Read("r", failingReader{}); err == nil {
 		t.Error("reader error should surface")
 	}
 }
@@ -102,15 +94,15 @@ func TestRoundTrip(t *testing.T) {
 		if err := Write(&buf, rel); err != nil {
 			return false
 		}
-		back, err := Read("R", bytes.NewReader(buf.Bytes()))
+		_, back, err := Read("R", bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return false
 		}
-		if back.Len() != rel.Len() {
+		if len(back) != rel.Len() {
 			return false
 		}
-		for _, tp := range rel.Tuples() {
-			if !back.Contains(tp) {
+		for _, tp := range back {
+			if !rel.Contains(tp) {
 				return false
 			}
 		}

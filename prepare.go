@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/big"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -88,7 +87,8 @@ type snapshot struct {
 	streamPool []relation.Tuple
 }
 
-// indexAnswers builds the key index over a sorted answer slice.
+// indexAnswers builds the key index over the answers a delta merged; a
+// full evaluation returns its own.
 func indexAnswers(answers []relation.Tuple) map[string]int {
 	idx := make(map[string]int, len(answers))
 	for i, t := range answers {
@@ -348,12 +348,11 @@ func (p *Prepared) buildSnapshot(ctx context.Context, old *snapshot, gen uint64)
 			}
 		}
 	}
-	res, err := eval.EvaluateContext(ctx, p.q, p.eng.db)
+	answers, index, err := eval.EvaluateContext(ctx, p.q, p.eng.db)
 	if err != nil {
 		return nil, RefreshInfo{}, err
 	}
-	answers := res.Sorted()
-	return &snapshot{gen: gen, answers: answers, index: indexAnswers(answers)},
+	return &snapshot{gen: gen, answers: answers, index: index},
 		RefreshInfo{Mode: "rebuild", Answers: len(answers)}, nil
 }
 
@@ -440,9 +439,8 @@ func (p *Prepared) storePool(pool []relation.Tuple, gen uint64) {
 		return
 	}
 	p.mu.Unlock()
-	sorted := append([]relation.Tuple(nil), pool...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
-	snap := &snapshot{gen: gen, answers: sorted, index: indexAnswers(sorted), streamPool: pool}
+	sorted, index := eval.Canonical(pool)
+	snap := &snapshot{gen: gen, answers: sorted, index: index, streamPool: pool}
 	if p.eng.db.Generation() != gen {
 		return
 	}
