@@ -60,6 +60,12 @@ func TestEngineTableLifecycle(t *testing.T) {
 	if err := e.CreateTable("u"); err == nil {
 		t.Error("attribute-less table should fail")
 	}
+	if err := e.CreateTable("v", "a", "b", "a"); err == nil || !strings.Contains(err.Error(), `repeats attribute "a"`) {
+		t.Errorf("repeated attribute: err %v, want the schema error", err)
+	}
+	if e.db.Relation("v") != nil {
+		t.Error("a refused table was created")
+	}
 	if err := e.Insert("missing", 1); err == nil {
 		t.Error("insert into missing table should fail")
 	}

@@ -36,8 +36,10 @@ type Engine struct {
 	db *relation.Database
 
 	// mu serializes database mutation against the read paths (solves,
-	// refreshes, Query). The relation layer itself is unsynchronized; this
-	// lock is what makes a service serving concurrent traffic sound.
+	// refreshes, Query). The relation layer synchronizes only the column
+	// indexes that concurrent readers build on first probe; tuples, key maps
+	// and index maintenance rely on this lock, which is what makes a
+	// service serving concurrent traffic sound.
 	mu sync.RWMutex
 
 	// Durability (nil/zero for in-memory engines). wal receives every
@@ -93,7 +95,11 @@ func (e *Engine) CreateTable(name string, attrs ...string) error {
 	if e.db.Relation(name) != nil {
 		return fmt.Errorf("diversification: table %q already exists", name)
 	}
-	e.db.Add(relation.NewRelation(relation.NewSchema(name, attrs...)))
+	schema, err := relation.CheckSchema(name, attrs...)
+	if err != nil {
+		return err
+	}
+	e.db.Add(relation.NewRelation(schema))
 	return e.afterMutation()
 }
 

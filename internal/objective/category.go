@@ -10,6 +10,7 @@ package objective
 import (
 	"cmp"
 	"context"
+	"maps"
 	"math"
 	"slices"
 
@@ -82,50 +83,40 @@ type Categories struct {
 	start  []int32 // category c lists ids[start[c]:start[c+1]]
 	ids    []int32
 	finite bool // every δrel is finite
+	// byKey maps each shared grouping key to its category, so a rebase
+	// files an added answer without re-keying the others.
+	byKey map[categoryKey]int32
 }
 
 // buildCategories groups answers by d's column and orders each group by
 // rel. Category IDs follow first appearance in ID order.
 func buildCategories(ctx context.Context, d CategoryDistance, answers []relation.Tuple, rel []float64) (*Categories, error) {
 	n := len(answers)
-	cs := &Categories{of: make([]int32, n), ids: make([]int32, n), finite: true}
+	cs := &Categories{of: make([]int32, n), ids: make([]int32, n), byKey: make(map[categoryKey]int32)}
 	poll := ctxpoll.New(ctx)
-	seen := make(map[categoryKey]int32)
 	var sizes []int32
 	for id, t := range answers {
 		if poll.Stop() {
 			return nil, poll.Err()
 		}
 		k, shared := keyOf(d, t)
-		c, ok := seen[k]
+		c, ok := cs.byKey[k]
 		if !shared || !ok {
 			c = int32(len(sizes))
 			sizes = append(sizes, 0)
 			if shared {
-				seen[k] = c
+				cs.byKey[k] = c
 			}
 		}
 		cs.of[id] = c
 		sizes[c]++
-		if math.IsNaN(rel[id]) || math.IsInf(rel[id], 0) {
-			cs.finite = false
-		}
 	}
-	cs.start = make([]int32, len(sizes)+1)
-	for c, size := range sizes {
-		cs.start[c+1] = cs.start[c] + size
-	}
-	next := slices.Clone(cs.start[:len(sizes)])
+	next := cs.layout(sizes, rel)
 	for id, c := range cs.of {
 		cs.ids[next[c]] = int32(id)
 		next[c]++
 	}
-	better := func(a, b int32) int {
-		if c := cmp.Compare(rel[b], rel[a]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	}
+	better := byRel(rel)
 	for c := range sizes {
 		if poll.Stop() {
 			return nil, poll.Err()
@@ -133,6 +124,144 @@ func buildCategories(ctx context.Context, d CategoryDistance, answers []relation
 		slices.SortFunc(cs.List(c), better)
 	}
 	return cs, nil
+}
+
+// layout sets start from the category sizes and finite from rel, and
+// returns each category's first slot in ids.
+func (cs *Categories) layout(sizes []int32, rel []float64) []int32 {
+	cs.start = make([]int32, len(sizes)+1)
+	for c, size := range sizes {
+		cs.start[c+1] = cs.start[c] + size
+	}
+	cs.finite = true
+	for _, r := range rel {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			cs.finite = false
+			break
+		}
+	}
+	return slices.Clone(cs.start[:len(sizes)])
+}
+
+// byRel is the list order: δrel descending (cmp.Compare's order, NaN
+// lowest), then ID ascending.
+func byRel(rel []float64) func(a, b int32) int {
+	return func(a, b int32) int {
+		if c := cmp.Compare(rel[b], rel[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// rebase derives the store of a rebased plane from cs, the store of the
+// plane it was rebased from, instead of grouping and sorting every answer
+// again. fromOld maps each new ID to its old ID, or -1 for an added answer;
+// rel and answers are the new plane's. The ID renumbering is monotone and
+// survivors carry their δrel, so survivors keep their category and their
+// order in it; added answers are keyed through byKey and merged into their
+// lists. Categories are renumbered by first appearance in ID order and an
+// emptied one vanishes, so the result equals buildCategories over the new
+// answers field for field.
+func (cs *Categories) rebase(ctx context.Context, d CategoryDistance, answers []relation.Tuple, rel []float64, fromOld []int) (*Categories, error) {
+	m := len(fromOld)
+	poll := ctxpoll.New(ctx)
+	out := &Categories{of: make([]int32, m), ids: make([]int32, m), byKey: maps.Clone(cs.byKey)}
+	// Old categories keep their numbers for now; new keys get numbers past
+	// them.
+	fresh := int32(cs.Count())
+	var added []int32
+	old2new := make([]int32, len(cs.of))
+	for i := range old2new {
+		old2new[i] = -1
+	}
+	for id, o := range fromOld {
+		if poll.Stop() {
+			return nil, poll.Err()
+		}
+		if o >= 0 {
+			out.of[id] = cs.of[o]
+			old2new[o] = int32(id)
+			continue
+		}
+		added = append(added, int32(id))
+		k, shared := keyOf(d, answers[id])
+		c, ok := out.byKey[k]
+		if !shared || !ok {
+			c = fresh
+			fresh++
+			if shared {
+				out.byKey[k] = c
+			}
+		}
+		out.of[id] = c
+	}
+	// Renumber by first appearance in ID order, as a cold build numbers.
+	renum := make([]int32, fresh)
+	for i := range renum {
+		renum[i] = -1
+	}
+	var sizes []int32
+	for id, c := range out.of {
+		if renum[c] < 0 {
+			renum[c] = int32(len(sizes))
+			sizes = append(sizes, 0)
+		}
+		out.of[id] = renum[c]
+		sizes[renum[c]]++
+	}
+	for k, c := range out.byKey {
+		if renum[c] < 0 {
+			delete(out.byKey, k)
+		} else {
+			out.byKey[k] = renum[c]
+		}
+	}
+	next := out.layout(sizes, rel)
+	// Survivors in their old order, then each category's added answers
+	// merged in from the back.
+	for c := range cs.Count() {
+		nc := renum[c]
+		if nc < 0 {
+			continue
+		}
+		for _, o := range cs.List(c) {
+			if id := old2new[o]; id >= 0 {
+				out.ids[next[nc]] = id
+				next[nc]++
+			}
+		}
+	}
+	better := byRel(rel)
+	slices.SortFunc(added, func(a, b int32) int {
+		if c := cmp.Compare(out.of[a], out.of[b]); c != 0 {
+			return c
+		}
+		return better(a, b)
+	})
+	for lo := 0; lo < len(added); {
+		if poll.Stop() {
+			return nil, poll.Err()
+		}
+		c := out.of[added[lo]]
+		hi := lo + 1
+		for hi < len(added) && out.of[added[hi]] == c {
+			hi++
+		}
+		list := out.List(int(c))
+		i, j := int(next[c]-out.start[c])-1, hi-1
+		for w := len(list) - 1; j >= lo; w-- {
+			if i >= 0 && better(list[i], added[j]) > 0 {
+				list[w] = list[i]
+				i--
+			} else {
+				list[w] = added[j]
+				j--
+			}
+		}
+		lo = hi
+	}
+	return out, nil
 }
 
 // keyOf is t's grouping key under d. shared is false for a NaN cell, which

@@ -2,8 +2,10 @@ package objective
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -90,40 +92,65 @@ func TestCategoryPlaneMatchesFlatPlane(t *testing.T) {
 	}
 }
 
-// TestCategoryPlaneRebaseMatchesColdBuild: a rebased category plane must
-// equal a cold build over the new answer set, lists included.
+// TestCategoryPlaneRebaseMatchesColdBuild: a chain of rebases of a
+// category plane must equal, after every link, a cold build over the new
+// answer set, with the category store equal field for field. Links retire
+// random answers and sometimes a whole category, and add answers in old
+// categories, in categories of their own (new strings, NaN cells) and
+// under relevance that is NaN or infinite in half the trials.
 func TestCategoryPlaneRebaseMatchesColdBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(184))
-	o := categoryObjective()
-	for trial := 0; trial < 20; trial++ {
-		base := categoryTuples(rng, 2+rng.Intn(40), 0)
-		p := NewPlane(o, base, PlaneOptions{})
-		var retired []int
-		var want []relation.Tuple
-		for i, tu := range base {
-			if rng.Intn(3) == 0 {
-				retired = append(retired, i)
-			} else {
-				want = append(want, tu)
+	nonFinite := RelevanceFunc(func(t relation.Tuple) float64 {
+		switch id := t[0].AsInt(); id % 7 {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Inf(1)
+		case 2:
+			return math.Inf(-1)
+		default:
+			return float64(id%5) - 1
+		}
+	})
+	for trial := 0; trial < 40; trial++ {
+		o := categoryObjective()
+		if trial%2 == 1 {
+			o = New(Mono, nonFinite, CategoryDistance{Col: 1}, 0.5)
+		}
+		answers := categoryTuples(rng, 2+rng.Intn(40), 0)
+		p := NewPlane(o, answers, PlaneOptions{})
+		for link := 1; link <= 8; link++ {
+			var retired []int
+			var want []relation.Tuple
+			emptied := p.Categories().Of(rng.Intn(p.Len()))
+			for i, tu := range answers {
+				if rng.Intn(4) == 0 || (link%3 == 0 && p.Categories().Of(i) == emptied) {
+					retired = append(retired, i)
+				} else {
+					want = append(want, tu)
+				}
 			}
-		}
-		added := categoryTuples(rng, rng.Intn(10), 1000)
-		want = sortedTuples(append(want, added...))
-		got, err := p.Rebase(context.Background(), added, retired)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold := NewPlane(o, want, PlaneOptions{})
-		checkCategoryStore(t, got)
-		checkPlaneEqual(t, "rebase", got, cold)
-		gc, cc := got.Categories(), cold.Categories()
-		if gc.Count() != cc.Count() {
-			t.Fatalf("rebased plane has %d categories, cold build %d", gc.Count(), cc.Count())
-		}
-		for c := range cc.Count() {
-			if !slices.Equal(gc.List(c), cc.List(c)) {
-				t.Fatalf("category %d: rebased list %v, cold %v", c, gc.List(c), cc.List(c))
+			added := categoryTuples(rng, rng.Intn(10), int64(1000*link))
+			for i := range added {
+				if rng.Intn(4) == 0 {
+					added[i][1] = value.Str(fmt.Sprintf("new%d", link))
+				}
 			}
+			answers = sortedTuples(append(want, added...))
+			got, err := p.Rebase(context.Background(), added, retired)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() == 0 {
+				break
+			}
+			cold := NewPlane(o, answers, PlaneOptions{})
+			checkCategoryStore(t, got)
+			checkPlaneEqual(t, "rebase", got, cold)
+			if !reflect.DeepEqual(got.Categories(), cold.Categories()) {
+				t.Fatalf("trial %d link %d: rebased store %+v, cold build %+v", trial, link, got.Categories(), cold.Categories())
+			}
+			p = got
 		}
 	}
 }

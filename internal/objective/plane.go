@@ -173,8 +173,7 @@ func NewPlaneContext(ctx context.Context, o *Objective, answers []relation.Tuple
 }
 
 // buildCategories builds the category store of a RegimeCategory plane from
-// its answers and relevance vector, and records the maximum distance: 1
-// when two categories exist, else 0. Other regimes have nothing to build.
+// its answers and relevance vector. Other regimes have nothing to build.
 func (p *Plane) buildCategories(ctx context.Context) error {
 	if p.regime != RegimeCategory {
 		return nil
@@ -183,12 +182,18 @@ func (p *Plane) buildCategories(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	p.setCategories(cs)
+	return nil
+}
+
+// setCategories installs a category store and records the maximum
+// distance: 1 when two categories exist, else 0.
+func (p *Plane) setCategories(cs *Categories) {
 	p.cats = cs
 	p.maxDis, p.haveMaxDis, p.maxDisN = 0, true, len(p.answers)
 	if cs.Count() > 1 {
 		p.maxDis = 1
 	}
-	return nil
 }
 
 // Categories returns the store of a RegimeCategory plane, nil in every
@@ -733,12 +738,14 @@ func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []in
 			}
 		}
 	}
-	// A category store is rebuilt from the carried δrel values: grouping
-	// and sorting is cheap next to the delta evaluation that fed it.
-	if err := q.buildCategories(ctx); err != nil {
-		return nil, err
-	}
-	if q.cats != nil {
+	// A category store is edited: survivors keep their lists, added
+	// answers are filed into them.
+	if q.regime == RegimeCategory {
+		cs, err := p.cats.rebase(ctx, q.disFn.(CategoryDistance), q.answers, q.rel, fromOld)
+		if err != nil {
+			return nil, err
+		}
+		q.setCategories(cs)
 		return q, nil
 	}
 	if q.regime == RegimeMaterialized && p.triReady.Load() {

@@ -2,6 +2,7 @@ package objective
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -29,7 +30,7 @@ func checkPlaneEqual(t *testing.T, name string, got, want *Plane) {
 		if !got.Tuple(i).Equal(want.Tuple(i)) {
 			t.Fatalf("%s: Tuple(%d) = %v, want %v", name, i, got.Tuple(i), want.Tuple(i))
 		}
-		if got.Rel(i) != want.Rel(i) {
+		if math.Float64bits(got.Rel(i)) != math.Float64bits(want.Rel(i)) {
 			t.Fatalf("%s: Rel(%d) = %v, want %v", name, i, got.Rel(i), want.Rel(i))
 		}
 		for j := i + 1; j < n; j++ {

@@ -145,6 +145,9 @@ type DeltaResult struct {
 	// Rechecked counts the cached answers whose membership deletes made
 	// suspect and Delta re-verified, for cost accounting.
 	Rechecked int
+	// Examined counts the relation tuples the evaluation read, for cost
+	// accounting.
+	Examined int
 }
 
 // Delta computes the delta of Q(D) across the journaled changes, given the
@@ -164,8 +167,8 @@ type DeltaResult struct {
 // head-variable argument of an atom that could have matched it; an atom
 // with no such argument makes every cached answer suspect. The evaluator
 // never computes the active domain (range-safe queries do not enumerate
-// it) and builds a column index only once scans of that column have cost
-// about as much.
+// it), and a bound argument reads a run of the relation's column index,
+// which full evaluation and earlier refreshes have usually built already.
 func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes []relation.Change, old []relation.Tuple, oldIndex map[string]int) (DeltaResult, bool, error) {
 	var res DeltaResult
 	if !DeltaCapable(q) {
@@ -190,7 +193,7 @@ func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes [
 		}
 	}
 
-	e := newEvaluator(q, db).WithContext(ctx)
+	e := New(q, db).WithContext(ctx)
 
 	// Removals: deletes can only shrink a monotone answer set, and only a
 	// suspect answer can have lost its last derivation — re-verify those.
@@ -246,6 +249,7 @@ func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes [
 		}
 		sort.Slice(res.Added, func(i, j int) bool { return res.Added[i].Compare(res.Added[j]) < 0 })
 	}
+	res.Examined = e.examined
 	return res, true, nil
 }
 

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -79,6 +80,9 @@ func checkDelta(t *testing.T, src string, db *relation.Database, old []relation.
 	want, _ := Evaluate(q, db)
 	if !sameKeys(got, want) {
 		t.Fatalf("delta answers = %v, full eval = %v", got, want)
+	}
+	if scanned, _ := NewWithOptions(q, db, Options{NoIndex: true}).Result(); !sameKeys(got, scanned) {
+		t.Fatalf("delta answers = %v, unindexed eval = %v", got, scanned)
 	}
 	return d
 }
@@ -296,9 +300,11 @@ func TestDeltaExistentialAndConstants(t *testing.T) {
 	}
 }
 
-// TestDeltaRandomizedAgainstFullEval drives random insert/delete batches
-// through a set of capable queries and checks every delta against a full
-// re-evaluation — the differential property the incremental path must hold.
+// TestDeltaRandomizedAgainstFullEval drives long sequences of random
+// insert/delete batches through a set of capable queries, one database per
+// sequence so the relations' column indexes live across refreshes, and
+// checks every delta against a full re-evaluation and an unindexed one —
+// the differential property the incremental path must hold.
 func TestDeltaRandomizedAgainstFullEval(t *testing.T) {
 	queries := []string{
 		"Q(x, y) :- R(x, y)",
@@ -313,7 +319,7 @@ func TestDeltaRandomizedAgainstFullEval(t *testing.T) {
 		"Q(x, y) :- R(x, y), R(y, x)",
 	}
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		db := relation.NewDatabase()
 		r := relation.NewRelation(relation.NewSchema("R", "x", "y"))
 		s := relation.NewRelation(relation.NewSchema("S", "x"))
@@ -324,24 +330,75 @@ func TestDeltaRandomizedAgainstFullEval(t *testing.T) {
 		}
 		src := queries[trial%len(queries)]
 		old := results(t, src, db)
-		gen := db.Generation()
-		for i := 0; i < 6; i++ {
-			switch rng.Intn(4) {
-			case 0:
-				r.Insert(relation.Ints(rng.Int63n(10), rng.Int63n(10)))
-			case 1:
-				s.Insert(relation.Ints(rng.Int63n(10)))
-			case 2:
-				if ts := r.Tuples(); len(ts) > 0 {
-					r.Delete(ts[rng.Intn(len(ts))])
-				}
-			default:
-				if ts := s.Tuples(); len(ts) > 0 {
-					s.Delete(ts[rng.Intn(len(ts))])
+		for step := 0; step < 30; step++ {
+			gen := db.Generation()
+			for i := rng.Intn(6); i >= 0; i-- {
+				switch rng.Intn(4) {
+				case 0:
+					r.Insert(relation.Ints(rng.Int63n(10), rng.Int63n(10)))
+				case 1:
+					s.Insert(relation.Ints(rng.Int63n(10)))
+				case 2:
+					if ts := r.Tuples(); len(ts) > 0 {
+						r.Delete(ts[rng.Intn(len(ts))])
+					}
+				default:
+					if ts := s.Tuples(); len(ts) > 0 {
+						s.Delete(ts[rng.Intn(len(ts))])
+					}
 				}
 			}
+			old = applyDelta(old, checkDelta(t, src, db, old, gen))
 		}
-		checkDelta(t, src, db, old, gen)
+	}
+}
+
+// TestDeltaWriteMixStepExaminesFew: one write step on the write-mix shape
+// (6,000 catalog rows, 24,000 history rows, about 4,700 answers), once a
+// full evaluation has run, reads at most 64 relation tuples: every bound
+// atom reads a run of a column index the relations keep, instead of
+// scanning history and catalog whole.
+func TestDeltaWriteMixStepExaminesFew(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	catalog := relation.NewRelation(relation.NewSchema("catalog", "item", "type", "price", "stock"))
+	history := relation.NewRelation(relation.NewSchema("history", "item", "buyer", "rating"))
+	db := relation.NewDatabase().Add(catalog).Add(history)
+	str := func(format string, n int) value.Value { return value.Str(fmt.Sprintf(format, n)) }
+	for i := 0; i < 6_000; i++ {
+		catalog.Insert(relation.Tuple{str("w%05d", i), str("t%02d", rng.Intn(40)), value.Int(int64(1 + rng.Intn(500))), value.Int(int64(rng.Intn(20)))})
+	}
+	var bought []relation.Tuple
+	for history.Len() < 24_000 {
+		tu := relation.Tuple{str("w%05d", rng.Intn(6_000)), str("u%03d", rng.Intn(500)), value.Int(int64(rng.Intn(5)))}
+		if history.Insert(tu) && tu[2].AsInt() == 4 {
+			bought = append(bought, tu)
+		}
+	}
+	src := "Q(i, t, p, b) :- catalog(i, t, p, s), history(i, b, r), r >= 4"
+	old := results(t, src, db)
+	for step := 0; step < 3; step++ {
+		gen := db.Generation()
+		item := str("x%06d", step)
+		catalog.Insert(relation.Tuple{item, str("t%02d", rng.Intn(40)), value.Int(int64(1 + rng.Intn(500))), value.Int(int64(rng.Intn(20)))})
+		history.Insert(relation.Tuple{item, str("u%03d", rng.Intn(500)), value.Int(4)})
+		if !history.Delete(bought[rng.Intn(len(bought))]) {
+			t.Fatal("the deleted purchase was absent")
+		}
+		changes, _ := db.ChangesSince(gen)
+		d, ok, err := Delta(context.Background(), parse.MustQuery(src), db, changes, old, nil)
+		if err != nil || !ok {
+			t.Fatalf("Delta: ok %v, err %v", ok, err)
+		}
+		if want := results(t, src, db); !sameKeys(applyDelta(old, d), want) {
+			t.Fatalf("step %d: delta answers differ from a full evaluation", step)
+		}
+		if d.Examined > 64 {
+			t.Errorf("step %d examined %d tuples, want at most 64", step, d.Examined)
+		}
+		if len(d.Added) != 1 {
+			t.Errorf("step %d added %d answers, want the new purchase", step, len(d.Added))
+		}
+		old = applyDelta(old, d)
 	}
 }
 

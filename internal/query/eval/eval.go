@@ -4,8 +4,8 @@
 // the membership test t ∈ Q(D) used throughout the upper-bound proofs.
 //
 // The evaluator is generative where it can be — relation atoms bind
-// variables by scanning tuples (through per-column hash indexes when an
-// argument is already bound, see index.go), so
+// variables by scanning tuples (through the relation's column indexes when
+// an argument is already bound, see index.go), so
 // conjunctive queries evaluate as backtracking joins — and falls back to
 // active-domain enumeration for variables constrained only by comparisons,
 // negation or universal quantification. This mirrors the paper's complexity landscape: CQ/UCQ/∃FO+
@@ -49,15 +49,14 @@ type Evaluator struct {
 	bound     []bool         // slot bound flags
 	headSlots []int
 
-	// columns holds per-(relation, column) probe state: scans answered,
-	// then the hash index built once scanning stopped paying (index.go).
-	columns map[indexKey]column
-	// buildAfter is how many probes a bound column answers by scanning
-	// before its index is built: 0 in full evaluation, scansPerBuild in
-	// Delta's evaluator (index.go).
-	buildAfter int
-	// keyBuf is scratch for probe keys, so a probe allocates nothing.
+	// probeCols and probeVals are scratch for the bound arguments of a
+	// probe (index.go), so a probe allocates nothing.
+	probeCols []int
+	probeVals []value.Value
+	// keyBuf is scratch for answer keys.
 	keyBuf []byte
+	// examined counts the relation tuples satisfyAtom has read.
+	examined int
 	// freeVars memoizes free-variable slot lists per formula node for the
 	// conjunct-ordering cost model and for grounding.
 	freeVars map[query.Formula][]int
@@ -88,21 +87,10 @@ type Options struct {
 	NoReorder bool
 }
 
-// New prepares an evaluator for q over db. Like every evaluator it builds
-// the evaluation domain on first use (Domain), so a query that binds every
-// variable from relation atoms never pays for it, and it indexes a bound
-// column at its first probe, as full evaluation always has; Delta's
-// evaluator, which probes a column only a few times, scans first
-// (newEvaluator).
+// New prepares an evaluator for q over db. It builds the evaluation domain
+// on first use (Domain), so a query that binds every variable from
+// relation atoms never pays for it.
 func New(q *query.Query, db *relation.Database) *Evaluator {
-	e := newEvaluator(q, db)
-	e.buildAfter = 0
-	return e
-}
-
-// newEvaluator prepares an evaluator whose bound columns answer
-// scansPerBuild probes by scanning before their index is built.
-func newEvaluator(q *query.Query, db *relation.Database) *Evaluator {
 	head := make(map[string]bool, len(q.Head))
 	for _, h := range q.Head {
 		head[h] = true
@@ -113,7 +101,7 @@ func newEvaluator(q *query.Query, db *relation.Database) *Evaluator {
 			extra = append(extra, v)
 		}
 	}
-	e := &Evaluator{db: db, q: q, extra: extra, slots: make(map[string]int), buildAfter: scansPerBuild}
+	e := &Evaluator{db: db, q: q, extra: extra, slots: make(map[string]int)}
 	for _, h := range q.Head {
 		e.slot(h)
 	}
@@ -486,7 +474,7 @@ func (e *Evaluator) satisfy(f query.Formula, yield func() bool) bool {
 // satisfyAtom binds the atom's unbound arguments from each matching tuple.
 // A constant or bound argument matches a field with the same Key
 // (value.SameKey), the equality the column indexes group by, so a scan and
-// an index probe keep the same tuples whenever the index gets built.
+// an index probe keep the same tuples.
 func (e *Evaluator) satisfyAtom(a *query.Atom, yield func() bool) bool {
 	rel := e.db.Relation(a.Rel)
 	if rel == nil {
@@ -496,12 +484,23 @@ func (e *Evaluator) satisfyAtom(a *query.Atom, yield func() bool) bool {
 		panic(fmt.Sprintf("eval: atom %s has arity %d, relation has %d", a.Rel, len(a.Args), rel.Schema().Arity()))
 	}
 	slots := e.argSlotsOf(a)
+	tuples := rel.Tuples()
+	run, indexed := e.probe(a, rel)
+	n := len(tuples)
+	if indexed {
+		n = len(run)
+	}
 	var newly []int // slots bound by this atom, to unbind per tuple
 scan:
-	for _, t := range e.probe(a, rel) {
+	for j := 0; j < n; j++ {
 		if e.interrupted() {
 			return false
 		}
+		t := tuples[j]
+		if indexed {
+			t = tuples[run.Pos(j)]
+		}
+		e.examined++
 		newly = newly[:0]
 		ok := true
 		for i, arg := range a.Args {

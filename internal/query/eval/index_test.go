@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -106,42 +107,54 @@ func TestOptimizerEquivalence(t *testing.T) {
 	}
 }
 
-// probePastBuild probes the atom until its bound columns have answered
-// the evaluator's scans, then returns the first probe the index answers.
-func probePastBuild(e *Evaluator, a *query.Atom, rel *relation.Relation) []relation.Tuple {
-	for i := 0; i < e.buildAfter; i++ {
-		e.probe(a, rel)
+// probeRun returns the tuples a probe of the atom yields under the
+// evaluator's binding: the run's rows, or the whole relation when the
+// probe reads no index.
+func probeRun(e *Evaluator, a *query.Atom, rel *relation.Relation) []relation.Tuple {
+	run, ok := e.probe(a, rel)
+	if !ok {
+		return rel.Tuples()
 	}
-	return e.probe(a, rel)
+	out := make([]relation.Tuple, len(run))
+	for i := range run {
+		out[i] = rel.Tuples()[run.Pos(i)]
+	}
+	return out
 }
 
-// indexBuilt reports whether the evaluator holds an index on (rel, col).
-func indexBuilt(e *Evaluator, rel string, col int) bool {
-	return e.columns[indexKey{rel, col}].index != nil
-}
-
-// evaluatorKinds are the two evaluators: full evaluation's, which indexes
-// a bound column at its first probe, and Delta's, which scans first.
-var evaluatorKinds = []struct {
-	name string
-	mk   func(*query.Query, *relation.Database) *Evaluator
-}{{"full", New}, {"delta", newEvaluator}}
-
+// TestIndexProbeUsesSmallestBucket: a probe with one bound argument reads
+// that column's run, a constant argument probes like a bound one, and with
+// two indexed columns bound the shorter run wins. The "full" case probes
+// indexes built over the loaded relation, as a full evaluation finds them;
+// "delta" probes them after inserts and deletes have maintained them, as a
+// delta refresh finds them.
 func TestIndexProbeUsesSmallestBucket(t *testing.T) {
-	for _, kind := range evaluatorKinds {
-		t.Run(kind.name, func(t *testing.T) {
+	for _, name := range []string{"full", "delta"} {
+		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			db := randomJoinDB(rng, 200, 4)
-			e := kind.mk(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
+			e := New(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
 			rel := db.Relation("R")
 			a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
-			// Unbound: full scan.
-			if got := e.probe(a, rel); len(got) != rel.Len() {
-				t.Errorf("unbound probe = %d tuples, want full %d", len(got), rel.Len())
+			// Unbound: full scan, no index.
+			if got := probeRun(e, a, rel); len(got) != rel.Len() || len(rel.Indexed()) != 0 {
+				t.Errorf("unbound probe = %d tuples, indexes %v; want the full %d and none", len(got), rel.Indexed(), rel.Len())
 			}
-			// Bound first column, once its index is built: only that bucket.
+			bindVar(e, "y", value.Int(3))
+			probeRun(e, a, rel) // builds the index on column 1
+			unbindVar(e, "y")
+			if name == "delta" {
+				for i := 0; i < 40; i++ {
+					rel.Insert(relation.Ints(int64(rng.Intn(4)), int64(rng.Intn(4)+i%3)))
+					if i%2 == 0 {
+						ts := rel.Tuples()
+						rel.Delete(ts[rng.Intn(len(ts))])
+					}
+				}
+			}
+			// Bound first column: only its tuples.
 			bindVar(e, "x", value.Int(1))
-			bucket := probePastBuild(e, a, rel)
+			bucket := probeRun(e, a, rel)
 			if len(bucket) == 0 || len(bucket) >= rel.Len() {
 				t.Fatalf("bound probe = %d of %d", len(bucket), rel.Len())
 			}
@@ -153,89 +166,74 @@ func TestIndexProbeUsesSmallestBucket(t *testing.T) {
 			// A constant argument probes the same column's index.
 			ac := &query.Atom{Rel: "R", Args: []query.Term{query.CInt(2), query.V("y")}}
 			unbindVar(e, "x")
-			for _, tp := range e.probe(ac, rel) {
+			for _, tp := range probeRun(e, ac, rel) {
 				if !value.Equal(tp[0], value.Int(2)) {
 					t.Errorf("constant probe leaked %v", tp)
 				}
 			}
-			// With both columns bound and indexed, the smaller bucket wins.
+			// With both columns bound and indexed, the smaller run wins.
 			bindVar(e, "x", value.Int(1))
 			bindVar(e, "y", value.Int(3))
-			both := probePastBuild(e, a, rel)
-			bx := e.columns[indexKey{"R", 0}].index.bucket([]byte(value.Int(1).Key()))
-			by := e.columns[indexKey{"R", 1}].index.bucket([]byte(value.Int(3).Key()))
+			both := probeRun(e, a, rel)
+			bx := rel.Probe([]int{0}, []value.Value{value.Int(1)})
+			by := rel.Probe([]int{1}, []value.Value{value.Int(3)})
 			if want := min(len(bx), len(by)); len(both) != want {
-				t.Errorf("two-column probe = %d tuples, want the smaller bucket's %d", len(both), want)
+				t.Errorf("two-column probe = %d tuples, want the smaller run's %d", len(both), want)
+			}
+			if got := rel.Indexed(); !slices.Equal(got, []int{0, 1}) {
+				t.Errorf("indexed columns %v, want [0 1]", got)
 			}
 		})
 	}
 }
 
 func TestIndexMissYieldsEmpty(t *testing.T) {
-	for _, kind := range evaluatorKinds {
-		rng := rand.New(rand.NewSource(8))
-		db := randomJoinDB(rng, 10, 3)
-		e := kind.mk(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
-		a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
-		bindVar(e, "x", value.Int(999))
-		if got := probePastBuild(e, a, db.Relation("R")); len(got) != 0 {
-			t.Errorf("%s: missing key returned %d tuples", kind.name, len(got))
+	rng := rand.New(rand.NewSource(8))
+	db := randomJoinDB(rng, 10, 3)
+	e := New(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
+	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
+	bindVar(e, "x", value.Int(999))
+	for probe := 1; probe <= 2; probe++ { // the build, then the built index
+		if got := probeRun(e, a, db.Relation("R")); len(got) != 0 {
+			t.Errorf("probe %d: missing key returned %d tuples", probe, len(got))
 		}
 	}
 }
 
 // TestFullEvaluationIndexesAtFirstProbe: full evaluation probes a joined
-// column once per outer binding, so its first probe builds the index.
+// column once per outer binding, so its first probe builds the index, on
+// the relation, where later evaluations find it.
 func TestFullEvaluationIndexesAtFirstProbe(t *testing.T) {
 	db := randomJoinDB(rand.New(rand.NewSource(10)), 40, 5)
 	e := New(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
 	rel := db.Relation("R")
 	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
 	bindVar(e, "x", value.Int(2))
-	if got := e.probe(a, rel); len(got) >= rel.Len() || !indexBuilt(e, "R", 0) {
-		t.Errorf("first probe = %d of %d tuples, index built %v; want a bucket", len(got), rel.Len(), indexBuilt(e, "R", 0))
+	if got := probeRun(e, a, rel); len(got) >= rel.Len() || !slices.Equal(rel.Indexed(), []int{0}) {
+		t.Errorf("first probe = %d of %d tuples, indexes %v; want a run from column 0's index", len(got), rel.Len(), rel.Indexed())
 	}
-}
-
-// TestProbeScansBeforeBuild pins the scan-first rule of Delta's
-// evaluator: a bound column answers scansPerBuild probes with the whole
-// relation, which satisfyAtom filters by key, and only the next probe
-// builds its index.
-func TestProbeScansBeforeBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	db := randomJoinDB(rng, 40, 5)
-	e := newEvaluator(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
-	rel := db.Relation("R")
-	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
-	bindVar(e, "x", value.Int(2))
-	for i := 0; i < scansPerBuild; i++ {
-		got := e.probe(a, rel)
-		if len(got) != rel.Len() || &got[0] != &rel.Tuples()[0] {
-			t.Fatalf("probe %d before the build = %d tuples, want the relation's %d", i+1, len(got), rel.Len())
-		}
-		if indexBuilt(e, "R", 0) {
-			t.Fatalf("index built after %d probes, want after %d", i+1, scansPerBuild)
-		}
-	}
-	if got := e.probe(a, rel); len(got) >= rel.Len() || !indexBuilt(e, "R", 0) {
-		t.Errorf("probe %d = %d of %d tuples, index built %v; want a bucket from a new index",
-			scansPerBuild+1, len(got), rel.Len(), indexBuilt(e, "R", 0))
-	}
-	if indexBuilt(e, "R", 1) {
-		t.Error("an unbound column was indexed")
+	q := query.MustNew("Q", []string{"a", "c"}, &query.And{Fs: []query.Formula{
+		&query.Atom{Rel: "R", Args: []query.Term{query.V("a"), query.V("b")}},
+		&query.Atom{Rel: "S", Args: []query.Term{query.V("b"), query.V("c")}},
+	}})
+	Evaluate(q, db)
+	if got := db.Relation("S").Indexed(); !slices.Equal(got, []int{0}) {
+		t.Errorf("after a join, S indexes %v, want its joined column [0]", got)
 	}
 }
 
 // TestSatisfySameOrderAcrossBuild: a bound atom yields the same tuples in
-// the same order whether its probe scans the relation or reads a bucket,
-// so the build point cannot move enumeration or stream order.
+// the same order whether it scans the relation or reads an index, before
+// and after inserts and deletes maintain the index, so indexing cannot
+// move enumeration or stream order.
 func TestSatisfySameOrderAcrossBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	db := randomJoinDB(rng, 60, 4)
-	e := newEvaluator(query.IdentityQueryNamed("R", []string{"a", "b"}), db)
+	rel := db.Relation("R")
+	q := query.IdentityQueryNamed("R", []string{"a", "b"})
 	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
-	bindVar(e, "x", value.Int(1))
-	run := func() []relation.Tuple {
+	run := func(e *Evaluator) []relation.Tuple {
+		bindVar(e, "x", value.Int(1))
 		var out []relation.Tuple
 		e.satisfyAtom(a, func() bool {
 			out = append(out, relation.Tuple{e.vals[e.slots["x"]], e.vals[e.slots["y"]]})
@@ -243,30 +241,34 @@ func TestSatisfySameOrderAcrossBuild(t *testing.T) {
 		})
 		return out
 	}
-	first := run()
-	if len(first) == 0 {
-		t.Fatal("no tuple matched the binding")
-	}
-	for i := 1; i <= scansPerBuild+2; i++ {
-		got := run()
-		if len(got) != len(first) {
-			t.Fatalf("satisfy %d yielded %d tuples, first yielded %d", i+1, len(got), len(first))
+	for step := 0; step < 30; step++ {
+		scanned := run(NewWithOptions(q, db, Options{NoIndex: true}))
+		indexed := run(New(q, db))
+		if len(scanned) == 0 && step == 0 {
+			t.Fatal("no tuple matched the binding")
 		}
-		for j := range got {
-			if !got[j].Equal(first[j]) {
-				t.Fatalf("satisfy %d tuple %d = %v, first had %v", i+1, j, got[j], first[j])
+		if len(indexed) != len(scanned) {
+			t.Fatalf("step %d: index yielded %d tuples, scan %d", step, len(indexed), len(scanned))
+		}
+		for j := range scanned {
+			if !indexed[j].Equal(scanned[j]) {
+				t.Fatalf("step %d: tuple %d = %v through the index, %v by scan", step, j, indexed[j], scanned[j])
 			}
 		}
+		rel.Insert(relation.Ints(int64(rng.Intn(3)), int64(100+step)))
+		ts := rel.Tuples()
+		rel.Delete(ts[rng.Intn(len(ts))])
 	}
-	if !indexBuilt(e, "R", 0) {
-		t.Error("the runs never reached the build point")
+	if !slices.Equal(rel.Indexed(), []int{0}) {
+		t.Errorf("indexed columns %v, want [0]", rel.Indexed())
 	}
 }
 
 // TestJoinMatchesByKeyAcrossBuild: a join over values value.Equal finds
 // equal but whose keys differ (NaN, an int and a float of 1e16) answers the
-// same whether a probe scans or reads an index, in both evaluators and
-// without indexes: arguments match by key throughout.
+// same without indexes, through indexes built by the evaluation, and
+// through indexes an earlier evaluation left: arguments match by key
+// throughout.
 func TestJoinMatchesByKeyAcrossBuild(t *testing.T) {
 	r := relation.NewRelation(relation.NewSchema("R", "x"))
 	s := relation.NewRelation(relation.NewSchema("S", "x"))
@@ -290,22 +292,20 @@ func TestJoinMatchesByKeyAcrossBuild(t *testing.T) {
 	if got := keys(NewWithOptions(q, db, Options{NoIndex: true})); got != want {
 		t.Errorf("unindexed answers %q, want %q", got, want)
 	}
-	if got := keys(New(q, db)); got != want {
-		t.Errorf("full evaluation answers %q, want %q", got, want)
-	}
-	e := newEvaluator(q, db)
-	for run := 1; run <= scansPerBuild/r.Len()+2; run++ {
-		if got := keys(e); got != want {
-			t.Errorf("Delta's evaluator, run %d: answers %q, want %q", run, got, want)
+	for run := 1; run <= 2; run++ {
+		if got := keys(New(q, db)); got != want {
+			t.Errorf("run %d: answers %q, want %q", run, got, want)
 		}
 	}
-	if !indexBuilt(e, "R", 0) && !indexBuilt(e, "S", 0) {
-		t.Error("the runs never reached the build point")
+	if len(r.Indexed())+len(s.Indexed()) == 0 {
+		t.Error("the join built no index")
 	}
 }
 
-// TestMemberBuildsNoIndex: a single membership check on a join in Delta's
-// evaluator probes each bound column once, which never pays for an index.
+// TestMemberBuildsNoIndex: the column indexes live in the relations, so a
+// membership check after another one — as each delta refresh makes — finds
+// the indexes the first built and builds none, and the first built only
+// the first bound column of each atom it probed.
 func TestMemberBuildsNoIndex(t *testing.T) {
 	r := relation.NewRelation(relation.NewSchema("R", "a", "b"))
 	s := relation.NewRelation(relation.NewSchema("S", "b", "c"))
@@ -318,14 +318,22 @@ func TestMemberBuildsNoIndex(t *testing.T) {
 		&query.Atom{Rel: "R", Args: []query.Term{query.V("a"), query.V("b")}},
 		&query.Atom{Rel: "S", Args: []query.Term{query.V("b"), query.V("c")}},
 	}})
-	e := newEvaluator(q, db)
-	if !e.Member(relation.Ints(70, 72)) {
+	if !New(q, db).Member(relation.Ints(70, 72)) {
 		t.Fatal("Member(70, 72) = false for an answer")
 	}
-	for k, c := range e.columns {
-		if c.index != nil {
-			t.Errorf("Member built an index on %v", k)
-		}
+	ri, si := r.Indexed(), s.Indexed()
+	if !slices.Equal(ri, []int{0}) || !slices.Equal(si, []int{0}) {
+		t.Fatalf("first Member indexed R %v, S %v; want [0] and [0]", ri, si)
+	}
+	e := New(q, db)
+	if e.Member(relation.Ints(70, 73)) || !e.Member(relation.Ints(10, 12)) {
+		t.Fatal("second evaluator's Member answers wrongly")
+	}
+	if !slices.Equal(r.Indexed(), ri) || !slices.Equal(s.Indexed(), si) {
+		t.Errorf("second Member built an index: R %v, S %v", r.Indexed(), s.Indexed())
+	}
+	if e.examined > 4 {
+		t.Errorf("two membership checks examined %d tuples, want runs of at most one row per atom", e.examined)
 	}
 }
 
@@ -377,8 +385,8 @@ func TestNewWithOptionsDisables(t *testing.T) {
 	// probe must fall back to a full scan.
 	a := &query.Atom{Rel: "R", Args: []query.Term{query.V("x"), query.V("y")}}
 	bindVar(e, "x", value.Int(1))
-	if got := e.probe(a, db.Relation("R")); len(got) != db.Relation("R").Len() {
-		t.Error("NoIndex probe should scan fully")
+	if _, ok := e.probe(a, db.Relation("R")); ok || len(db.Relation("R").Indexed()) != 0 {
+		t.Error("NoIndex probe should scan fully and build no index")
 	}
 }
 
@@ -428,46 +436,4 @@ func unbindVar(e *Evaluator, name string) {
 	if s, ok := e.slots[name]; ok {
 		e.bound[s] = false
 	}
-}
-
-// BenchmarkColumnIndex prices the two ways a probe can answer a bound
-// column of a 24,000-row relation shaped like the write-mix history
-// (item, buyer, rating): building the column's hash index, and scanning
-// the relation with the column bound. Their ratio sets scansPerBuild.
-func BenchmarkColumnIndex(b *testing.B) {
-	db := relation.NewDatabase()
-	h := relation.NewRelation(relation.NewSchema("history", "item", "buyer", "rating"))
-	rng := rand.New(rand.NewSource(1))
-	for h.Len() < 24_000 {
-		h.Insert(relation.Tuple{
-			value.Str(fmt.Sprintf("w%05d", rng.Intn(6_000))),
-			value.Str(fmt.Sprintf("u%03d", rng.Intn(500))),
-			value.Int(int64(rng.Intn(5))),
-		})
-	}
-	db.Add(h)
-	q := query.IdentityQueryNamed("history", []string{"i", "b", "r"})
-	a := &query.Atom{Rel: "history", Args: []query.Term{query.V("i"), query.V("b"), query.V("r")}}
-	item := h.Tuples()[0][0]
-	b.Run("build", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := newEvaluator(q, db)
-			e.buildAfter = 0
-			if e.index(h, 0) == nil {
-				b.Fatal("no index built")
-			}
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		e := NewWithOptions(q, db, Options{NoIndex: true})
-		bindVar(e, "i", item)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n := 0
-			e.satisfyAtom(a, func() bool { n++; return true })
-			if n == 0 {
-				b.Fatal("scan found nothing")
-			}
-		}
-	})
 }

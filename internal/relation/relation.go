@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/value"
 )
@@ -21,14 +22,18 @@ type Tuple []value.Value
 // Key returns a canonical encoding of the tuple, unique per tuple content.
 func (t Tuple) Key() string {
 	var buf [64]byte
-	b := buf[:0]
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends t's Key to dst and returns the extended slice.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
-			b = append(b, 0x1f) // unit separator: cannot collide with payloads
+			dst = append(dst, 0x1f) // unit separator: cannot collide with payloads
 		}
-		b = v.AppendKey(b)
+		dst = v.AppendKey(dst)
 	}
-	return string(b)
+	return dst
 }
 
 // Equal reports whether t and u have the same arity and equal fields.
@@ -143,7 +148,17 @@ func (s Schema) String() string {
 type Relation struct {
 	schema Schema
 	tuples []Tuple
-	index  map[string]int
+	// ords maps each tuple's Key to its insertion ordinal. Ordinals grow
+	// along tuples, so Delete finds a row by binary search.
+	ords map[string]int
+	next int // the ordinal of the next insert
+
+	// mu serializes probes, which build and merge column indexes while
+	// the caller holds only a reader's lock (index.go). Insert and Delete
+	// keep the built indexes exact; like the tuples, they rely on the
+	// caller to keep them apart from every reader.
+	mu   sync.Mutex
+	cols []*colIndex // per column, nil until a probe needs it
 
 	// onMutate, when set, is invoked after every successful Insert or
 	// Delete with the stored tuple. The owning Database installs it so that
@@ -155,7 +170,7 @@ type Relation struct {
 
 // NewRelation creates an empty relation instance of the schema.
 func NewRelation(schema Schema) *Relation {
-	return &Relation{schema: schema, index: make(map[string]int)}
+	return &Relation{schema: schema, ords: make(map[string]int)}
 }
 
 // Schema returns the relation's schema.
@@ -171,51 +186,68 @@ func (r *Relation) Insert(t Tuple) bool {
 		panic(fmt.Sprintf("relation: tuple arity %d does not match schema %s", len(t), r.schema))
 	}
 	k := t.Key()
-	if _, ok := r.index[k]; ok {
+	if _, ok := r.ords[k]; ok {
 		return false
 	}
-	r.index[k] = len(r.tuples)
+	r.ords[k] = r.next
+	r.next++
 	stored := t.Clone()
 	r.tuples = append(r.tuples, stored)
+	for c, ix := range r.cols {
+		if ix != nil {
+			ix.pending = append(ix.pending, entry(stored[c], len(r.tuples)-1))
+		}
+	}
 	if r.onMutate != nil {
 		r.onMutate(OpInsert, stored)
 	}
 	return true
 }
 
-// Grow makes room for n more tuples: an empty relation sizes its index for
-// them, so a batch of inserts does not rehash it as it grows.
+// Grow makes room for n more tuples: an empty relation sizes its key map
+// for them, so a batch of inserts does not rehash it as it grows.
 func (r *Relation) Grow(n int) {
 	if len(r.tuples) == 0 {
-		r.index = make(map[string]int, n)
+		r.ords = make(map[string]int, n)
 	}
 	r.tuples = slices.Grow(r.tuples, n)
 }
 
 // Delete removes a tuple, reporting whether it was present. Later tuples
-// keep their relative (insertion) order; removal from the middle is O(n)
-// because the position of every following tuple shifts down, which one
-// pass over the index applies without re-deriving any key.
+// keep their relative (insertion) order: finding the row is a binary
+// search, and removing it moves the tuples after it down one slot and
+// lowers their positions in each column index.
 func (r *Relation) Delete(t Tuple) bool {
 	k := t.Key()
-	pos, ok := r.index[k]
+	ord, ok := r.ords[k]
 	if !ok {
 		return false
 	}
+	pos := r.position(ord)
 	stored := r.tuples[pos]
-	delete(r.index, k)
+	delete(r.ords, k)
 	copy(r.tuples[pos:], r.tuples[pos+1:])
 	r.tuples[len(r.tuples)-1] = nil
 	r.tuples = r.tuples[:len(r.tuples)-1]
-	for key, i := range r.index {
-		if i > pos {
-			r.index[key] = i - 1
+	for c, ix := range r.cols {
+		if ix != nil {
+			ix.remove(stored[c], pos)
 		}
 	}
 	if r.onMutate != nil {
 		r.onMutate(OpDelete, stored)
 	}
 	return true
+}
+
+// position returns the position of the row with insertion ordinal ord.
+// Ordinals grow along the tuples, so a binary search reads O(log n) rows'
+// ordinals from the key map and needs no state of its own.
+func (r *Relation) position(ord int) int {
+	var buf [64]byte
+	return sort.Search(len(r.tuples), func(i int) bool {
+		return r.ords[string(r.tuples[i].AppendKey(buf[:0]))] >= ord
+	})
 }
 
 // InsertAll inserts every tuple, returning the count of new tuples.
@@ -231,7 +263,7 @@ func (r *Relation) InsertAll(ts ...Tuple) int {
 
 // Contains reports membership of t.
 func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.index[t.Key()]
+	_, ok := r.ords[t.Key()]
 	return ok
 }
 

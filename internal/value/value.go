@@ -260,6 +260,42 @@ func SameKey(v, w Value) bool {
 	}
 }
 
+// KeyHash returns a 64-bit hash of v's Key without building the key:
+// values with the same key (SameKey) hash alike, so a table grouping by Key
+// can hold hashes instead of key strings.
+func (v Value) KeyHash() uint64 {
+	if i, ok := v.intKey(); ok {
+		return mix(uint64(i), 'i')
+	}
+	switch v.kind {
+	case KindFloat:
+		if math.IsNaN(v.f) {
+			return mix(0, 'n') // every NaN has the key "fNaN"
+		}
+		// Not integral, or too large for an int key: equal floats have
+		// equal bits, since ±0 take the int key.
+		return mix(math.Float64bits(v.f), 'f')
+	case KindString:
+		h := uint64(14695981039346656037) // FNV-1a
+		for i := 0; i < len(v.s); i++ {
+			h ^= uint64(v.s[i])
+			h *= 1099511628211
+		}
+		return mix(h, 's')
+	default:
+		return mix(uint64(v.i), 'b')
+	}
+}
+
+// mix spreads x, salted by a kind tag, over all 64 bits (the splitmix64
+// finalizer).
+func mix(x, tag uint64) uint64 {
+	x += tag * 0x9E3779B97F4A7C15
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
 // Parse interprets a literal: quoted strings, true/false, integers, floats.
 // Unquoted non-numeric text parses as a string, which keeps data loading
 // forgiving.

@@ -199,6 +199,9 @@ func TestSameKeyMatchesKey(t *testing.T) {
 			if same && !Equal(v, w) {
 				t.Errorf("%v and %v share key %q but are not Equal", v, w, v.Key())
 			}
+			if same && v.KeyHash() != w.KeyHash() {
+				t.Errorf("%v and %v share key %q but hash %x and %x", v, w, v.Key(), v.KeyHash(), w.KeyHash())
+			}
 		}
 	}
 	// The values where the two equalities part.
@@ -210,12 +213,14 @@ func TestSameKeyMatchesKey(t *testing.T) {
 	}
 }
 
-// Property: SameKey agrees with Key equality on random numeric pairs.
+// Property: SameKey agrees with Key equality on random numeric pairs, and
+// values with the same key hash alike.
 func TestSameKeyProperty(t *testing.T) {
 	f := func(a, b int64, x, y float64, pick uint8) bool {
 		vs := []Value{Int(a), Int(b), Float(x), Float(y), Float(float64(a)), Float(math.Trunc(y))}
 		v, w := vs[int(pick)%len(vs)], vs[int(pick/8)%len(vs)]
-		return SameKey(v, w) == (v.Key() == w.Key())
+		same := v.Key() == w.Key()
+		return SameKey(v, w) == same && (!same || v.KeyHash() == w.KeyHash())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+
+	"repro/internal/value"
 )
 
 // Objective identifies one of the paper's three objective-function families
@@ -298,16 +300,13 @@ func WithParallelism(n int) Option {
 // relevance_attr field.
 func AttrRelevance(attr string) func(Row) float64 {
 	return func(r Row) float64 {
-		switch x := r.Get(attr).(type) {
-		case int64:
-			return float64(x)
-		case float64:
-			return x
-		case bool:
-			if x {
-				return 1
-			}
+		i := r.schema.AttrIndex(attr)
+		if i < 0 || i >= len(r.tuple) {
 			return 0
+		}
+		switch v := r.tuple[i]; v.Kind() {
+		case value.KindInt, value.KindFloat, value.KindBool:
+			return v.AsFloat()
 		default:
 			return 0
 		}

@@ -173,6 +173,51 @@ func TestAttrScorers(t *testing.T) {
 	}
 }
 
+// TestAttrRelevanceMatchesRowGet holds AttrRelevance, which reads the
+// tuple's value, bit for bit to the recipe it replaced, which read it
+// boxed through Row.Get, and to no allocation per call.
+func TestAttrRelevanceMatchesRowGet(t *testing.T) {
+	recipe := func(attr string, r Row) float64 {
+		switch x := r.Get(attr).(type) {
+		case int64:
+			return float64(x)
+		case float64:
+			return x
+		case bool:
+			if x {
+				return 1
+			}
+			return 0
+		default:
+			return 0
+		}
+	}
+	cells := []value.Value{
+		value.Int(1), value.Int(0), value.Int(-3), value.Int(1 << 62), value.Int(-1 << 63),
+		value.Float(1), value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(math.NaN()),
+		value.Float(math.Inf(1)), value.Float(math.Inf(-1)), value.Float(2.5), value.Float(1e300),
+		value.Float(math.SmallestNonzeroFloat64), value.Str("1"), value.Str(""), value.Bool(true), value.Bool(false),
+	}
+	schema := relation.NewSchema("Q", "id", "c")
+	for i, c := range cells {
+		row := Row{schema: schema, tuple: relation.Tuple{value.Int(int64(i)), c}}
+		for _, attr := range []string{"c", "id", "missing"} {
+			got, want := AttrRelevance(attr)(row), recipe(attr, row)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("AttrRelevance(%q) on %v = %v (%x), Row.Get recipe %v (%x)",
+					attr, c, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	rel := AttrRelevance("c")
+	row := Row{schema: schema, tuple: relation.Tuple{value.Int(7), value.Float(2.5)}}
+	if allocs := testing.AllocsPerRun(100, func() { sinkFloat = rel(row) }); allocs != 0 {
+		t.Errorf("AttrRelevance allocates %v times per call, want 0", allocs)
+	}
+}
+
+var sinkFloat float64
+
 // TestAttrDistanceMatchesCategoryDistance pins the lowering of an
 // AttrDistance binding: the plane's CategoryDistance on the attribute's
 // column must agree with AttrDistance.Dis over Row.Get on every pair of

@@ -3,6 +3,7 @@ package diversification
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -161,5 +162,73 @@ func TestRaceDiversifyBatchConcurrentHandles(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestRaceRefreshesShareRelationIndexes: handles on a join refresh
+// concurrently while a writer inserts and deletes rows, so the relations'
+// column indexes are built by racing first probes (under the engine's read
+// lock) and maintained by mutations (under its write lock). Once the writer
+// stops, every handle's answers must equal a cold evaluation.
+func TestRaceRefreshesShareRelationIndexes(t *testing.T) {
+	e := NewEngine()
+	e.MustCreateTable("catalog", "item", "type", "price")
+	e.MustCreateTable("history", "item", "buyer", "rating")
+	for i := 0; i < 300; i++ {
+		e.MustInsert("catalog", i, i%7, 1+i%50)
+		for b := 0; b < 4; b++ {
+			e.MustInsert("history", i, b, (i+b)%5)
+		}
+	}
+	const query = "Q(i, t, p, b) :- catalog(i, t, p), history(i, b, r), r >= 3"
+	opts := []Option{WithK(3), WithAlgorithm(Greedy), WithRelevance(AttrRelevance("p")), WithDistance(AttrDistance("t"))}
+	handles := make([]*Prepared, raceWorkers)
+	for w := range handles {
+		handles[w] = e.MustPrepare(query, opts...)
+	}
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, p := range handles {
+		wg.Add(1)
+		go func(p *Prepared) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := p.Refresh(ctx); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := p.Diversify(ctx); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	for i := 0; i < 60; i++ {
+		e.MustInsert("catalog", 1000+i, i%7, 1+i%50)
+		e.MustInsert("history", 1000+i, i%4, 4)
+		if ok, err := e.Delete("history", i, i%4, (i+i%4)%5); err != nil || !ok {
+			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	cold := e.MustPrepare(query, opts...)
+	want, err := cold.Diversify(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, p := range handles {
+		got, err := p.Diversify(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSelection(t, fmt.Sprintf("handle %d", w), got, want)
 	}
 }

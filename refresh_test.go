@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/query/eval"
 	"repro/internal/solver"
 )
 
@@ -378,8 +379,9 @@ func TestRefreshOnlinePoolReplay(t *testing.T) {
 }
 
 // TestRefreshRepeatedDeltas chains many single-tuple mutations with a solve
-// after each, pinning the incremental path against a cold rebuild at every
-// step.
+// after each on one engine, so the relations' column indexes live across
+// the refreshes, pinning the incremental path against a cold rebuild and
+// the answers against an unindexed evaluation at every step.
 func TestRefreshRepeatedDeltas(t *testing.T) {
 	ctx := context.Background()
 	e := refreshEngine(t, 25)
@@ -388,13 +390,23 @@ func TestRefreshRepeatedDeltas(t *testing.T) {
 	if _, err := warm.Diversify(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		if i%3 == 2 {
-			if _, err := e.Delete("items", 1000+i-1, "q", int64(20+i-1)); err != nil {
-				t.Fatal(err)
+	var added []int
+	for i := 0; i < 40; i++ {
+		del := func(id int, cat string, price int) {
+			if ok, err := e.Delete("items", id, cat, price); err != nil || !ok {
+				t.Fatalf("step %d: delete row %d: ok=%v err=%v", i, id, ok, err)
 			}
-		} else {
+		}
+		switch {
+		case i%3 == 2:
+			id := added[len(added)-1]
+			added = added[:len(added)-1]
+			del(id, "q", 20+id-1000)
+		case i%7 == 6 && i < 25: // a row of the initial load
+			del(i, []string{"a", "b", "c", "d", "e"}[i%5], 10+(i*37)%90)
+		default:
 			e.MustInsert("items", 1000+i, "q", 20+i)
+			added = append(added, 1000+i)
 		}
 		info, err := warm.Refresh(ctx)
 		if err != nil {
@@ -412,5 +424,18 @@ func TestRefreshRepeatedDeltas(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameSelection(t, "step", warmSel, coldSel)
+		scanned, _ := eval.NewWithOptions(warm.q, e.db, eval.Options{NoIndex: true}).Result()
+		got := warm.current().answers
+		if len(got) != len(scanned) {
+			t.Fatalf("step %d: %d answers, unindexed evaluation %d", i, len(got), len(scanned))
+		}
+		for j := range got {
+			if got[j].Key() != scanned[j].Key() {
+				t.Fatalf("step %d: answer %d = %v, unindexed evaluation %v", i, j, got[j], scanned[j])
+			}
+		}
+	}
+	if len(e.db.Relation("items").Indexed()) == 0 {
+		t.Error("the refreshes probed no index")
 	}
 }
