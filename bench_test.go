@@ -452,7 +452,7 @@ func BenchmarkAblation_EvaluatorOptimizer(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ev := eval.NewWithOptions(q, db, cfg.opts)
-				answers, _ := ev.Result()
+				answers := ev.Result()
 				n := len(answers)
 				if want == -1 {
 					want = n

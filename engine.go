@@ -231,7 +231,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*ResultSet, erro
 	if err := eval.Validate(q, e.db); err != nil {
 		return nil, err
 	}
-	answers, _, err := eval.EvaluateContext(ctx, q, e.db)
+	answers, err := eval.EvaluateContext(ctx, q, e.db)
 	if err != nil {
 		return nil, err
 	}

@@ -289,13 +289,14 @@ func LocalSearchSwapContext(ctx context.Context, in *core.Instance, seed []relat
 	return res, nil
 }
 
-// internSeed maps a seed set onto answer IDs via the instance's memoized
-// key index; a seed tuple outside Q(D) reports false.
+// internSeed maps a seed set onto answer IDs by binary search of the
+// instance's canonically sorted answers; a seed tuple outside Q(D) reports
+// false.
 func internSeed(in *core.Instance, seed []relation.Tuple) ([]int, bool) {
-	idx := in.AnswerIndex()
+	answers := in.Answers()
 	ids := make([]int, len(seed))
 	for i, t := range seed {
-		id, ok := idx[t.Key()]
+		id, ok := relation.Search(answers, t)
 		if !ok {
 			return nil, false
 		}

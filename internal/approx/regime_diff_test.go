@@ -195,8 +195,9 @@ func TestRebaseEquivalentToColdBuildPerRegime(t *testing.T) {
 		for _, tp := range regimePoints(rng, 60, dim, 40) {
 			addSet.Insert(tp)
 		}
-		added := addSet.Sorted() // sorted + deduped, as Rebase requires
-		rebased, err := base.Rebase(context.Background(), added, retired)
+		added := addSet.Sorted() // sorted + deduped, as Merge requires
+		merged, from := relation.Merge(answers, retired, added)
+		rebased, err := base.Rebase(context.Background(), merged, from)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +228,8 @@ func TestRebaseAcrossMatrixIndexBoundary(t *testing.T) {
 	}
 
 	added := []relation.Tuple{point(limit), point(limit + 1), point(limit + 2)}
-	grown, err := base.Extend(ctx, added)
+	merged, from := relation.Merge(base.Answers(), nil, added)
+	grown, err := base.Rebase(ctx, merged, from)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +243,8 @@ func TestRebaseAcrossMatrixIndexBoundary(t *testing.T) {
 
 	// Retire the added answers plus one original: n = 4095.
 	retired := []int{0, limit, limit + 1, limit + 2}
-	shrunk, err := grown.Retire(ctx, retired)
+	merged, from = relation.Merge(grown.Answers(), retired, nil)
+	shrunk, err := grown.Rebase(ctx, merged, from)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -439,7 +439,7 @@ func Catalog() []*Experiment {
 
 	// A warm cache (sorted answers + materialized plane) absorbing a burst
 	// of single-tuple inserts: the incremental path patches the answer set
-	// via the change journal and extends the plane (only pairs touching a
+	// via the change journal and rebases the plane (only pairs touching a
 	// new tuple evaluate δdis), the rebuild path re-evaluates and refills
 	// from scratch after every insert — the pre-journal behavior. Work
 	// counts δdis evaluations, the dominant cost, so the O(n·updates) vs
@@ -453,7 +453,7 @@ func Catalog() []*Experiment {
 		Run: func(n int) Measurement {
 			db, q, o, cd := refreshWorkload(n)
 			ctx := context.Background()
-			answers, _ := eval.Evaluate(q, db)
+			answers := eval.Evaluate(q, db)
 			plane := objective.NewPlane(o, answers, objective.PlaneOptions{})
 			plane.Materialize()
 			cd.calls.Store(0)
@@ -466,15 +466,14 @@ func Catalog() []*Experiment {
 				if !ok {
 					panic("bench: journal must cover a single insert")
 				}
-				d, ok, err := eval.Delta(ctx, q, db, changes, answers, nil)
+				d, ok, err := eval.Delta(ctx, q, db, changes, answers)
 				if err != nil || !ok {
 					panic(fmt.Sprintf("bench: delta refused: %v", err))
 				}
-				answers = mergeSorted(answers, d.Added)
-				var err2 error
-				plane, err2 = plane.Extend(ctx, d.Added)
-				if err2 != nil {
-					panic(err2)
+				var from []int
+				answers, from = relation.Merge(answers, nil, d.Added)
+				if plane, err = plane.Rebase(ctx, answers, from); err != nil {
+					panic(err)
 				}
 				gen = db.Generation()
 			}
@@ -494,7 +493,7 @@ func Catalog() []*Experiment {
 			rng := rand.New(rand.NewSource(99))
 			for u := 0; u < refreshUpdates; u++ {
 				insertFreshPoint(db, rng)
-				answers, _ := eval.Evaluate(q, db)
+				answers := eval.Evaluate(q, db)
 				plane := objective.NewPlane(o, answers, objective.PlaneOptions{})
 				plane.Materialize()
 			}
@@ -626,29 +625,6 @@ func insertFreshPoint(db *relation.Database, rng *rand.Rand) {
 			return
 		}
 	}
-}
-
-// mergeSorted merges a sorted delta into a sorted answer slice.
-func mergeSorted(answers, added []relation.Tuple) []relation.Tuple {
-	if len(added) == 0 {
-		return answers
-	}
-	out := make([]relation.Tuple, 0, len(answers)+len(added))
-	i, j := 0, 0
-	for i < len(answers) || j < len(added) {
-		switch {
-		case i >= len(answers):
-			out = append(out, added[j])
-			j++
-		case j >= len(added) || answers[i].Compare(added[j]) < 0:
-			out = append(out, answers[i])
-			i++
-		default:
-			out = append(out, added[j])
-			j++
-		}
-	}
-	return out
 }
 
 // deepFOInstance builds a QRD instance whose FO query carries an

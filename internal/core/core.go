@@ -42,7 +42,10 @@ func (p Problem) String() string {
 	}
 }
 
-// Instance is a problem instance shared by QRD, DRP and RDC.
+// Instance is a problem instance shared by QRD, DRP and RDC. Its answer
+// set, evaluated or installed, is kept in canonical order
+// (relation.Tuple.Compare) wherever answers are looked up, so every lookup
+// is a binary search (relation.Search).
 type Instance struct {
 	Query *query.Query
 	DB    *relation.Database
@@ -79,16 +82,14 @@ type Instance struct {
 	answers     []relation.Tuple // memoized Q(D)
 	haveAnswers bool             // distinguishes an empty memo from no memo
 	plane       *objective.Plane // memoized score plane over answers
-	answerIndex map[string]int   // memoized Tuple.Key() -> answers index
 }
 
-// Answers computes (and memoizes) the answer set Q(D) in a deterministic
-// order, and with it the evaluation's key index for AnswerIndex. Solvers
-// that must avoid materializing Q(D) (the paper's early-termination
-// motivation) use eval.Member directly instead.
+// Answers computes (and memoizes) the answer set Q(D) in canonical order
+// (relation.Tuple.Compare). Solvers that must avoid materializing Q(D) (the
+// paper's early-termination motivation) use eval.Member directly instead.
 func (in *Instance) Answers() []relation.Tuple {
 	if !in.haveAnswers {
-		in.answers, in.answerIndex = eval.Evaluate(in.Query, in.DB)
+		in.answers = eval.Evaluate(in.Query, in.DB)
 		in.haveAnswers = true
 	}
 	return in.answers
@@ -101,11 +102,11 @@ func (in *Instance) AnswersContext(ctx context.Context) ([]relation.Tuple, error
 	if in.haveAnswers {
 		return in.answers, nil
 	}
-	answers, index, err := eval.EvaluateContext(ctx, in.Query, in.DB)
+	answers, err := eval.EvaluateContext(ctx, in.Query, in.DB)
 	if err != nil {
 		return nil, err
 	}
-	in.answers, in.answerIndex = answers, index
+	in.answers = answers
 	in.haveAnswers = true
 	return in.answers, nil
 }
@@ -113,12 +114,14 @@ func (in *Instance) AnswersContext(ctx context.Context) ([]relation.Tuple, error
 // SetAnswers overrides the memoized answer set; used by identity-query
 // instances where Q(D) = D is available without evaluation, and by tests.
 // A nil slice is a valid (empty) answer set, not an unset memo; use
-// ResetAnswers to force re-evaluation.
+// ResetAnswers to force re-evaluation. IsCandidate and the warm starts that
+// intern a heuristic's set find answers by binary search, so they need ts
+// in canonical order (relation.Tuple.Compare); solvers that look nothing
+// up, such as greedy and the sequential exact search, take any order.
 func (in *Instance) SetAnswers(ts []relation.Tuple) {
 	in.answers = ts
 	in.haveAnswers = true
 	in.plane = nil
-	in.answerIndex = nil
 }
 
 // ResetAnswers discards the memoized answer set so the next Answers call
@@ -127,7 +130,6 @@ func (in *Instance) ResetAnswers() {
 	in.answers = nil
 	in.haveAnswers = false
 	in.plane = nil
-	in.answerIndex = nil
 }
 
 // Plane returns the interned score plane over Answers(), building it lazily
@@ -165,32 +167,6 @@ func (in *Instance) PlaneContext(ctx context.Context) (*objective.Plane, error) 
 // invalidates the plane memo.
 func (in *Instance) SetPlane(p *objective.Plane) { in.plane = p }
 
-// SetAnswerIndex installs an externally maintained Tuple.Key() -> index map
-// over Answers() — the incrementally updated index a Prepared handle keeps
-// alongside its cached answer set, injected so per-call instances skip the
-// O(n) rebuild. Callers installing answers, plane and index use SetAnswers
-// first (it invalidates both memos), then SetPlane/SetAnswerIndex. The map
-// must index exactly Answers() in order; it is shared, and solvers only
-// read it.
-func (in *Instance) SetAnswerIndex(idx map[string]int) { in.answerIndex = idx }
-
-// AnswerIndex returns the memoized Tuple.Key() -> index map over Answers():
-// the evaluation's own index when Answers evaluated the query, built on
-// first use over answers installed by SetAnswers, and invalidated by
-// SetAnswers/ResetAnswers. IsCandidate and the heuristics' seed interning
-// use it instead of rebuilding the map per call.
-func (in *Instance) AnswerIndex() map[string]int {
-	answers := in.Answers() // an evaluation fills the index as well
-	if in.answerIndex == nil {
-		idx := make(map[string]int, len(answers))
-		for i, t := range answers {
-			idx[t.Key()] = i
-		}
-		in.answerIndex = idx
-	}
-	return in.answerIndex
-}
-
 // ResultSchema is the schema RQ of the query result: one attribute per head
 // variable.
 func (in *Instance) ResultSchema() relation.Schema {
@@ -213,24 +189,20 @@ func (in *Instance) SatisfiesConstraints(u []relation.Tuple) bool {
 
 // IsCandidate reports whether u is a candidate set for (Q, D, k) — and for
 // (Q, D, Σ, k) when constraints are present: u ⊆ Q(D), |u| = k, u ⊨ Σ.
-// Membership is checked against the memoized answer set.
+// Membership is a binary search of the memoized answer set, whose
+// positions also tell repeated rows apart.
 func (in *Instance) IsCandidate(u []relation.Tuple) bool {
 	if len(u) != in.K {
 		return false
 	}
-	seen := make(map[string]bool, len(u))
+	answers := in.Answers()
+	seen := make(map[int]bool, len(u))
 	for _, t := range u {
-		k := t.Key()
-		if seen[k] {
-			return false // not a set
+		i, ok := relation.Search(answers, t)
+		if !ok || seen[i] {
+			return false // outside Q(D), or not a set
 		}
-		seen[k] = true
-	}
-	idx := in.AnswerIndex()
-	for _, t := range u {
-		if _, ok := idx[t.Key()]; !ok {
-			return false
-		}
+		seen[i] = true
 	}
 	return in.SatisfiesConstraints(u)
 }

@@ -62,7 +62,7 @@ func TSVFilter(e *diversification.Engine, name, file string, keep func(row []int
 	batch := make([][]interface{}, 0, len(rows))
 	for i, r := range order {
 		t := rows[r]
-		if i > 0 && sameKey(t, rows[order[i-1]]) {
+		if i > 0 && t.Compare(rows[order[i-1]]) == 0 {
 			continue
 		}
 		row := tupleArgs(t)
@@ -75,16 +75,6 @@ func TSVFilter(e *diversification.Engine, name, file string, keep func(row []int
 		return fmt.Errorf("%s: %v", file, err)
 	}
 	return nil
-}
-
-// sameKey reports whether two rows of one table have the same Key.
-func sameKey(t, u relation.Tuple) bool {
-	for i := range t {
-		if !value.SameKey(t[i], u[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // tupleArgs converts a tuple to the facade's interface{} row form.

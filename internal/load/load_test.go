@@ -263,7 +263,7 @@ func itemsOpts() []diversification.Option {
 
 // BenchmarkColdStart times a divserve boot of the warm-read shape in
 // process: load a 10^5-row TSV, prepare the statement, refresh it cold
-// (evaluation, key index and category plane) and answer one greedy k = 10
+// (evaluation, sort and category plane) and answer one greedy k = 10
 // request. Run it with -benchmem: its allocations are most of what a boot
 // leaves to the garbage collector.
 func BenchmarkColdStart(b *testing.B) {

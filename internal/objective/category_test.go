@@ -136,8 +136,9 @@ func TestCategoryPlaneRebaseMatchesColdBuild(t *testing.T) {
 					added[i][1] = value.Str(fmt.Sprintf("new%d", link))
 				}
 			}
+			merged, from := relation.Merge(answers, retired, added)
 			answers = sortedTuples(append(want, added...))
-			got, err := p.Rebase(context.Background(), added, retired)
+			got, err := p.Rebase(context.Background(), merged, from)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -582,11 +582,14 @@ func (p *Plane) RowSums(ctx context.Context) ([]float64, error) {
 	return sums, nil
 }
 
-// appendAnswer interns one more answer — the shared growth step behind the
-// streaming Append and the incremental Extend/Rebase: the tuple (and its
-// precomputed key, when a Keyed scorer is present) joins the ID space, its
-// relevance is evaluated once, and the running max is maintained.
-func (p *Plane) appendAnswer(t relation.Tuple) int {
+// Append interns a new answer on a streaming plane, returning its ID.
+// Distances to it are memoized on first use, so an append is O(1) beyond
+// its relevance evaluation. Single-writer: the streaming procedures append
+// from the evaluation goroutine only.
+func (p *Plane) Append(t relation.Tuple) int {
+	if !p.streaming {
+		panic("objective: Append on a non-streaming plane")
+	}
 	id := len(p.answers)
 	p.answers = append(p.answers, t)
 	if p.keys != nil {
@@ -601,91 +604,40 @@ func (p *Plane) appendAnswer(t relation.Tuple) int {
 	return id
 }
 
-// appendCopied interns the answer src interned as oldID, carrying its
-// already-evaluated relevance (and key) over instead of recomputing them.
-func (p *Plane) appendCopied(src *Plane, oldID int) int {
-	id := len(p.answers)
-	p.answers = append(p.answers, src.answers[oldID])
-	if p.keys != nil {
-		p.keys = append(p.keys, src.keys[oldID])
-	}
-	r := src.rel[oldID]
-	p.rel = append(p.rel, r)
-	if r > p.maxRel {
-		p.maxRel = r
-	}
-	return id
-}
-
-// Append interns a new answer on a streaming plane, returning its ID.
-// Distances to it are memoized on first use, so an append is O(1) beyond
-// its relevance evaluation. Single-writer: the streaming procedures append
-// from the evaluation goroutine only.
-func (p *Plane) Append(t relation.Tuple) int {
-	if !p.streaming {
-		panic("objective: Append on a non-streaming plane")
-	}
-	return p.appendAnswer(t)
-}
-
-// Extend returns a new plane over the old answers plus added (which must be
-// sorted ascending by Tuple.Compare and disjoint from the old answers, as
-// the old answers themselves must be sorted). See Rebase.
-func (p *Plane) Extend(ctx context.Context, added []relation.Tuple) (*Plane, error) {
-	return p.Rebase(ctx, added, nil)
-}
-
-// Retire returns a new plane with the given interned IDs tombstoned out of
-// the answer set. See Rebase.
-func (p *Plane) Retire(ctx context.Context, retired []int) (*Plane, error) {
-	return p.Rebase(ctx, nil, retired)
-}
-
-// Rebase builds the plane for an incrementally maintained answer set: the
-// current answers minus the retired IDs, merged with the added tuples in
-// canonical order. Score state is carried over instead of recomputed —
-// relevance values and keys are copied for surviving IDs, and when the
-// matrix is filled (with the regime re-resolved at the new size) every
-// surviving pair is a float copy, so only the O(n·|added|)
-// pairs touching a new tuple evaluate δdis. In the memoized and indexed
-// regimes nothing is precomputed, exactly as on a cold build — the metric
-// index rebuilds lazily over the merged answers — and the cache entries of
-// surviving pairs are carried across under their new IDs.
+// Rebase builds the plane over answers, an incrementally maintained answer
+// set, given each answer's provenance: from[i] is the ID answers[i] had on
+// p, or -1 for an answer p does not hold (relation.Merge returns both).
+// Score state is carried over instead of recomputed — relevance values and
+// keys are copied for carried answers, and when the matrix is filled (with
+// the regime re-resolved at the new size) every carried pair is a float
+// copy, so only the O(n·|added|) pairs touching a new answer evaluate δdis.
+// A category store is edited in place of a rebuild. In the memoized and
+// indexed regimes nothing is precomputed, exactly as on a cold build — the
+// metric index rebuilds lazily over the new answers — and the cache
+// entries of carried pairs are carried across under their new IDs.
 //
-// The result is bit-identical to a plane built from scratch over the new
-// answer set: δrel/δdis are pure per-pair functions, so copied values equal
-// recomputed ones, and the derived scalars (maxRel, maxDis) are rescanned.
-// The receiver is left untouched and remains valid — in-flight solves keep
-// reading the old plane while the caller swaps the new one in.
+// The result is bit-identical to a plane built from scratch over answers:
+// δrel/δdis are pure per-pair functions, so copied values equal recomputed
+// ones, and the derived scalars (maxRel, maxDis) are rescanned. The plane
+// shares answers, as a cold build does. The receiver is left untouched and
+// remains valid — in-flight solves keep reading the old plane while the
+// caller swaps the new one in.
 //
-// Contract: the plane is non-streaming, its answers are sorted ascending by
-// Tuple.Compare, and added is sorted and disjoint from the surviving
-// answers. Retired IDs must be valid; duplicates are tolerated.
-func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []int) (*Plane, error) {
+// Contract: the plane is non-streaming, and the carried IDs in from
+// ascend, as relation.Merge gives them.
+func (p *Plane) Rebase(ctx context.Context, answers []relation.Tuple, from []int) (*Plane, error) {
 	if p.streaming {
 		panic("objective: Rebase on a streaming plane")
 	}
-	n := len(p.answers)
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	dead := 0
-	for _, id := range retired {
-		if alive[id] {
-			alive[id] = false
-			dead++
-		}
-	}
-	m := n - dead + len(added)
+	n, m := len(p.answers), len(answers)
 	// The regime is re-resolved at the new size: insert batches can push a
 	// materialized plane over the guard (it degrades) and retire batches
 	// can bring an oversized one back under it (it re-materializes), each
 	// matching what a cold build at the new size would pick.
 	newRegime := resolveRegime(p.want, m, false, p.disFn)
 	q := &Plane{
-		answers:  make([]relation.Tuple, 0, m),
-		rel:      make([]float64, 0, m),
+		answers:  answers,
+		rel:      make([]float64, m),
 		relFn:    p.relFn,
 		disFn:    p.disFn,
 		keyedRel: p.keyedRel,
@@ -696,52 +648,32 @@ func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []in
 		shards:   make([]memoShard, memoShards),
 	}
 	if p.keys != nil {
-		q.keys = make([]string, 0, m)
+		q.keys = make([]string, m)
 	}
-	// Merge surviving old IDs with the added tuples in ascending order,
-	// recording each new ID's provenance (old ID, or -1 for added).
 	poll := ctxpoll.New(ctx)
-	fromOld := make([]int, 0, m)
-	i, j := 0, 0
-	for i < n || j < len(added) {
+	for id, o := range from {
 		if poll.Stop() {
 			return nil, poll.Err()
 		}
-		for i < n && !alive[i] {
-			i++
-		}
-		if i >= n && j >= len(added) {
-			break // only tombstones remained
-		}
-		switch {
-		case i >= n:
-			q.appendAnswer(added[j])
-			fromOld = append(fromOld, -1)
-			j++
-		case j >= len(added) || p.answers[i].Compare(added[j]) < 0:
-			q.appendCopied(p, i)
-			fromOld = append(fromOld, i)
-			i++
-		default:
-			q.appendAnswer(added[j])
-			fromOld = append(fromOld, -1)
-			j++
-		}
-	}
-	// The retire path can lower the max relevance: rescan so the bound
-	// matches a cold build exactly.
-	if dead > 0 {
-		q.maxRel = 0
-		for _, r := range q.rel {
-			if r > q.maxRel {
-				q.maxRel = r
+		if o >= 0 {
+			q.rel[id] = p.rel[o]
+			if q.keys != nil {
+				q.keys[id] = p.keys[o]
 			}
+		} else {
+			if q.keys != nil {
+				q.keys[id] = answers[id].Key()
+			}
+			q.rel[id] = q.rawRel(id)
+		}
+		if q.rel[id] > q.maxRel {
+			q.maxRel = q.rel[id]
 		}
 	}
 	// A category store is edited: survivors keep their lists, added
 	// answers are filed into them.
 	if q.regime == RegimeCategory {
-		cs, err := p.cats.rebase(ctx, q.disFn.(CategoryDistance), q.answers, q.rel, fromOld)
+		cs, err := p.cats.rebase(ctx, q.disFn.(CategoryDistance), q.answers, q.rel, from)
 		if err != nil {
 			return nil, err
 		}
@@ -749,8 +681,8 @@ func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []in
 		return q, nil
 	}
 	if q.regime == RegimeMaterialized && p.triReady.Load() {
-		// Matrix → matrix: copy surviving pairs, evaluate pairs that
-		// touch an added tuple, and track the running max like the cold
+		// Matrix → matrix: copy carried pairs, evaluate pairs that
+		// touch an added answer, and track the running max like the cold
 		// fill does.
 		tri := make([]float64, m*(m-1)/2)
 		maxDis := 0.0
@@ -759,10 +691,10 @@ func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []in
 				return nil, poll.Err()
 			}
 			off := b * (b - 1) / 2
-			ob := fromOld[b]
+			ob := from[b]
 			for a := 0; a < b; a++ {
 				var d float64
-				if oa := fromOld[a]; oa >= 0 && ob >= 0 {
+				if oa := from[a]; oa >= 0 && ob >= 0 {
 					d = p.tri[triIndex(oa, ob)]
 				} else {
 					d = q.rawDis(a, b)
@@ -782,7 +714,7 @@ func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []in
 	// source wasn't filled): distances stay on demand and — in the
 	// indexed regime — the index rebuilds lazily on first use, which is
 	// trivially identical to a cold build since it is a pure function of
-	// the merged answer set. Carry cached pairs of surviving IDs across
+	// the answer set. Carry cached pairs of carried IDs across
 	// under their new IDs so the memo warmth survives the rebase, holding
 	// the new plane's per-shard cap (no evictions during carry: cold pairs
 	// just stay uncarried).
@@ -791,7 +723,7 @@ func (p *Plane) Rebase(ctx context.Context, added []relation.Tuple, retired []in
 		for k := range old2new {
 			old2new[k] = -1
 		}
-		for newID, oldID := range fromOld {
+		for newID, oldID := range from {
 			if oldID >= 0 {
 				old2new[oldID] = newID
 			}

@@ -87,7 +87,8 @@ func TestRebaseExtendMatchesColdBuild(t *testing.T) {
 		})
 		merged := sortedTuples(append(append([]relation.Tuple(nil), base...), added...))
 
-		got, err := p.Extend(context.Background(), added)
+		answers, from := relation.Merge(base, nil, added)
+		got, err := p.Rebase(context.Background(), answers, from)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestRebaseRetireMatchesColdBuild(t *testing.T) {
 			p.Dis(i, i+5)
 		}
 
-		retired := []int{0, 7, 19, 19} // duplicate tolerated
+		retired := []int{0, 7, 19}
 		survivors := make([]relation.Tuple, 0, len(base))
 		dead := map[int]bool{0: true, 7: true, 19: true}
 		for i, tu := range base {
@@ -128,7 +129,8 @@ func TestRebaseRetireMatchesColdBuild(t *testing.T) {
 				survivors = append(survivors, tu)
 			}
 		}
-		got, err := p.Retire(context.Background(), retired)
+		answers, from := relation.Merge(base, retired, nil)
+		got, err := p.Rebase(context.Background(), answers, from)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +190,8 @@ func TestRebaseMixedRandomized(t *testing.T) {
 		}
 		want = sortedTuples(append(want, added...))
 
-		got, err := p.Rebase(context.Background(), added, retired)
+		answers, from := relation.Merge(base, retired, added)
+		got, err := p.Rebase(context.Background(), answers, from)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,8 +212,8 @@ func TestRebaseRecomputesOnlyDeltaPairs(t *testing.T) {
 	if built != n*(n-1)/2 {
 		t.Fatalf("cold build evaluated %d pairs, want %d", built, n*(n-1)/2)
 	}
-	added := []relation.Tuple{relation.Ints(1000, 1000)}
-	q, err := p.Extend(context.Background(), added)
+	answers, from := relation.Merge(base, nil, []relation.Tuple{relation.Ints(1000, 1000)})
+	q, err := p.Rebase(context.Background(), answers, from)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +236,8 @@ func TestRebaseGuardOverflowFallsToMemo(t *testing.T) {
 	if !p.Materialize() {
 		t.Fatal("base plane should materialize under the guard")
 	}
-	q, err := p.Extend(context.Background(), []relation.Tuple{relation.Ints(999, 999)})
+	answers, from := relation.Merge(base, nil, []relation.Tuple{relation.Ints(999, 999)})
+	q, err := p.Rebase(context.Background(), answers, from)
 	if err != nil {
 		t.Fatal(err)
 	}

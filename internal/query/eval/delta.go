@@ -22,7 +22,7 @@ package eval
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -137,8 +137,10 @@ func rangeSafe(f query.Formula) (map[string]bool, bool) {
 }
 
 // DeltaResult is the answer-set delta computed by Delta: tuples that joined
-// Q(D) and cached tuples that left it. Added is sorted lexicographically
-// and disjoint from old; Removed preserves old's order.
+// Q(D) and cached tuples that left it, both in canonical order (Removed is
+// in old's order, which is canonical). Added is disjoint from the cached
+// tuples that stay, so relation.Merge(old, Removed's positions, Added) is
+// the new answer set.
 type DeltaResult struct {
 	Added   []relation.Tuple
 	Removed []relation.Tuple
@@ -151,25 +153,25 @@ type DeltaResult struct {
 }
 
 // Delta computes the delta of Q(D) across the journaled changes, given the
-// answer set old materialized before them and, optionally, oldIndex
-// mapping each old answer's Key to its position (nil makes Delta key old
-// itself when the batch has inserts). It reports ok = false — and does no
-// work — when the incremental path does not apply: the query is not
-// DeltaCapable, or a change touches a relation in a way the seminaive step
-// cannot handle. On ok, applying the delta to old yields exactly the
-// current Q(D): old − Removed + Added (Added sorted, disjoint from old).
+// answer set old, in canonical order, materialized before them. It reports
+// ok = false — and does no work — when the incremental path does not
+// apply: the query is not DeltaCapable, or a change touches a relation in a
+// way the seminaive step cannot handle. On ok, applying the delta to old
+// yields exactly the current Q(D): old − Removed + Added.
 //
 // Cost: O(Σ per-insert restricted evaluations) for inserts — each binds one
 // atom to the inserted tuple and joins the rest of the body, so selective
-// queries pay far less than a full re-evaluation — plus, for deletes, one
-// hashed lookup per cached answer and one membership re-check per suspect
-// answer. An answer is suspect when it agrees with a deleted tuple on every
-// head-variable argument of an atom that could have matched it; an atom
-// with no such argument makes every cached answer suspect. The evaluator
-// never computes the active domain (range-safe queries do not enumerate
-// it), and a bound argument reads a run of the relation's column index,
-// which full evaluation and earlier refreshes have usually built already.
-func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes []relation.Change, old []relation.Tuple, oldIndex map[string]int) (DeltaResult, bool, error) {
+// queries pay far less than a full re-evaluation, and each answer it
+// derives is looked up in old and Removed by binary search — plus, for
+// deletes, one hashed lookup per cached answer and one membership re-check
+// per suspect answer. An answer is suspect when it agrees with a deleted
+// tuple on every head-variable argument of an atom that could have matched
+// it; an atom with no such argument makes every cached answer suspect. The
+// evaluator never computes the active domain (range-safe queries do not
+// enumerate it), and a bound argument reads a run of the relation's column
+// index, which full evaluation and earlier refreshes have usually built
+// already.
+func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes []relation.Change, old []relation.Tuple) (DeltaResult, bool, error) {
 	var res DeltaResult
 	if !DeltaCapable(q) {
 		return res, false, nil
@@ -197,7 +199,6 @@ func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes [
 
 	// Removals: deletes can only shrink a monotone answer set, and only a
 	// suspect answer can have lost its last derivation — re-verify those.
-	removedKeys := map[string]bool{}
 	if len(deletes) > 0 {
 		suspect := suspects(atomsByRel, deletes)
 		for _, t := range old {
@@ -210,7 +211,6 @@ func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes [
 					return DeltaResult{}, false, err
 				}
 				res.Removed = append(res.Removed, t)
-				removedKeys[t.Key()] = true
 			}
 		}
 		if err := e.Err(); err != nil {
@@ -221,34 +221,26 @@ func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes [
 	// Additions: seminaive step. Any answer new since the watermark has a
 	// derivation through at least one inserted tuple; force each atom over
 	// the tuple's relation to that tuple and enumerate the rest.
-	if len(inserts) > 0 {
-		if oldIndex == nil {
-			oldIndex = make(map[string]int, len(old))
-			for i, t := range old {
-				oldIndex[t.Key()] = i
-			}
-		}
-		seen := map[string]bool{}
-		for _, c := range inserts {
-			for _, sc := range atomsByRel[c.Rel] {
-				ok := e.bindAtom(sc, c.Tuple, func(t relation.Tuple) bool {
-					k := t.Key()
-					if _, cached := oldIndex[k]; seen[k] || (cached && !removedKeys[k]) {
+	for _, c := range inserts {
+		for _, sc := range atomsByRel[c.Rel] {
+			ok := e.bindAtom(sc, c.Tuple, func(t relation.Tuple) bool {
+				if _, cached := relation.Search(old, t); cached {
+					if _, removed := relation.Search(res.Removed, t); !removed {
 						return true
 					}
-					seen[k] = true
-					res.Added = append(res.Added, t.Clone())
-					return true
-				})
-				if !ok {
-					if err := e.Err(); err != nil {
-						return DeltaResult{}, false, err
-					}
+				}
+				res.Added = append(res.Added, t.Clone())
+				return true
+			})
+			if !ok {
+				if err := e.Err(); err != nil {
+					return DeltaResult{}, false, err
 				}
 			}
 		}
-		sort.Slice(res.Added, func(i, j int) bool { return res.Added[i].Compare(res.Added[j]) < 0 })
 	}
+	slices.SortFunc(res.Added, relation.Tuple.Compare)
+	res.Added = slices.CompactFunc(res.Added, func(a, b relation.Tuple) bool { return a.Compare(b) == 0 })
 	res.Examined = e.examined
 	return res, true, nil
 }
@@ -321,13 +313,13 @@ func withVars(set map[string]bool, vars []string) map[string]bool {
 }
 
 // canMatch reports whether the atom could have matched t: the arities
-// agree and every constant argument has t's field's key.
+// agree and every constant argument equals t's field.
 func (sc atomScope) canMatch(t relation.Tuple) bool {
 	if len(sc.atom.Args) != len(t) {
 		return false
 	}
 	for i, a := range sc.atom.Args {
-		if !a.IsVar() && !value.SameKey(a.Value, t[i]) {
+		if !a.IsVar() && !value.Equal(a.Value, t[i]) {
 			return false
 		}
 	}
@@ -338,10 +330,10 @@ func (sc atomScope) canMatch(t relation.Tuple) bool {
 // cost their last derivation. Such an answer was derived through a deleted
 // tuple t and an atom over t's relation that matched it, so at each of
 // that atom's head pairs it carries t's value — the same key, since atoms
-// match by key (value.SameKey). The filter files each deleted tuple's pair
-// key under every atom that could have matched it and looks each answer up
-// under every such atom, so it costs O(|deletes| + |old|) per atom and
-// keeps exactly the answers that agree with a deleted tuple.
+// match equal values (value.Equal). The filter files each deleted tuple's
+// pair key under every atom that could have matched it and looks each
+// answer up under every such atom, so it costs O(|deletes| + |old|) per atom
+// and keeps exactly the answers that agree with a deleted tuple.
 func suspects(atomsByRel map[string][]atomScope, deletes []relation.Change) func(relation.Tuple) bool {
 	type filed struct {
 		head [][2]int
@@ -420,12 +412,12 @@ func (e *Evaluator) bindAtom(sc atomScope, t relation.Tuple, emit func(relation.
 		case sc.quantified[i]:
 			continue
 		case s < 0:
-			if !value.SameKey(arg.Value, t[i]) {
+			if !value.Equal(arg.Value, t[i]) {
 				return true
 			}
 			continue
 		case e.bound[s]:
-			if !value.SameKey(e.vals[s], t[i]) {
+			if !value.Equal(e.vals[s], t[i]) {
 				return true
 			}
 			continue

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/query/parse"
@@ -42,22 +42,17 @@ func TestDeltaCapable(t *testing.T) {
 	}
 }
 
-// applyDelta merges a DeltaResult into a sorted answer set the way a cache
-// maintainer would, returning the new sorted answers.
+// applyDelta merges a DeltaResult into a sorted answer set as a prepared
+// handle does: the removed answers, found by binary search, drop out and
+// the additions merge in, so a delta checked against a full evaluation is
+// checked in the order a refresh serves.
 func applyDelta(old []relation.Tuple, d DeltaResult) []relation.Tuple {
-	dead := make(map[string]bool, len(d.Removed))
-	for _, t := range d.Removed {
-		dead[t.Key()] = true
+	dead := make([]int, len(d.Removed))
+	for i, t := range d.Removed {
+		dead[i], _ = relation.Search(old, t)
 	}
-	out := make([]relation.Tuple, 0, len(old)+len(d.Added))
-	for _, t := range old {
-		if !dead[t.Key()] {
-			out = append(out, t)
-		}
-	}
-	out = append(out, d.Added...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	merged, _ := relation.Merge(old, dead, d.Added)
+	return merged
 }
 
 // checkDelta asserts that Delta across the journal suffix reproduces a full
@@ -69,7 +64,7 @@ func checkDelta(t *testing.T, src string, db *relation.Database, old []relation.
 	if !ok {
 		t.Fatal("journal does not cover the test span")
 	}
-	d, ok, err := Delta(context.Background(), q, db, changes, old, nil)
+	d, ok, err := Delta(context.Background(), q, db, changes, old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,32 +72,20 @@ func checkDelta(t *testing.T, src string, db *relation.Database, old []relation.
 		t.Fatalf("Delta refused a capable query %s", src)
 	}
 	got := applyDelta(old, d)
-	want, _ := Evaluate(q, db)
+	want := Evaluate(q, db)
 	if !sameKeys(got, want) {
 		t.Fatalf("delta answers = %v, full eval = %v", got, want)
 	}
-	if scanned, _ := NewWithOptions(q, db, Options{NoIndex: true}).Result(); !sameKeys(got, scanned) {
+	if scanned := NewWithOptions(q, db, Options{NoIndex: true}).Result(); !sameKeys(got, scanned) {
 		t.Fatalf("delta answers = %v, unindexed eval = %v", got, scanned)
 	}
 	return d
 }
 
-// sameKeys reports whether two answer lists hold the same tuple keys, the
-// identity answer sets dedup by (Tuple.Equal finds NaN equal to anything).
+// sameKeys reports whether two answer lists hold the same tuple keys in
+// the same order: a delta must order answers as a cold evaluation does.
 func sameKeys(got, want []relation.Tuple) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	keys := make(map[string]int, len(want))
-	for _, t := range want {
-		keys[t.Key()]++
-	}
-	for _, t := range got {
-		if keys[t.Key()]--; keys[t.Key()] < 0 {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(got, want, func(g, w relation.Tuple) bool { return g.Key() == w.Key() })
 }
 
 func TestDeltaInsertIdentity(t *testing.T) {
@@ -214,10 +197,11 @@ func TestDeltaQuantifierShadowsHeadVariable(t *testing.T) {
 	}
 }
 
-// TestDeltaKeyEdgeValuesMatchFullEval: values that value.Equal finds equal
-// but whose keys differ — NaN, and an int and a float of 1e16 — join only
-// on equal keys, in Delta's few scanned probes as in full evaluation's
-// index probes, so a refresh matches a cold evaluation.
+// TestDeltaKeyEdgeValuesMatchFullEval: values whose order once tied
+// different keys — NaN, and an int and a float of 1e16 — join exactly when
+// they are equal (NaN with NaN, the int 1e16 with the float 1e16), in
+// Delta's few scanned probes as in full evaluation's index probes, so a
+// refresh matches a cold evaluation.
 func TestDeltaKeyEdgeValuesMatchFullEval(t *testing.T) {
 	db := relation.NewDatabase()
 	r := relation.NewRelation(relation.NewSchema("R", "x"))
@@ -231,7 +215,7 @@ func TestDeltaKeyEdgeValuesMatchFullEval(t *testing.T) {
 		func() { r.Insert(relation.Tuple{value.Float(math.NaN())}); s.Insert(relation.Tuple{value.Float(5)}) },
 		func() { s.Delete(relation.Tuple{value.Float(math.NaN())}) },
 	}
-	wantLen := []int{0, 2, 1}
+	wantLen := []int{1, 3, 2}
 	for i, step := range steps {
 		gen := db.Generation()
 		step()
@@ -279,7 +263,7 @@ func TestDeltaRefusesNonMonotone(t *testing.T) {
 	gen := db.Generation()
 	db.Relation("R").Insert(relation.Ints(8, 8))
 	changes, _ := db.ChangesSince(gen)
-	_, ok, err := Delta(context.Background(), q, db, changes, nil, nil)
+	_, ok, err := Delta(context.Background(), q, db, changes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +369,7 @@ func TestDeltaWriteMixStepExaminesFew(t *testing.T) {
 			t.Fatal("the deleted purchase was absent")
 		}
 		changes, _ := db.ChangesSince(gen)
-		d, ok, err := Delta(context.Background(), parse.MustQuery(src), db, changes, old, nil)
+		d, ok, err := Delta(context.Background(), parse.MustQuery(src), db, changes, old)
 		if err != nil || !ok {
 			t.Fatalf("Delta: ok %v, err %v", ok, err)
 		}
@@ -410,7 +394,7 @@ func TestDeltaCancellation(t *testing.T) {
 	changes, _ := db.ChangesSince(gen)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Delta(ctx, q, db, changes, []relation.Tuple{relation.Ints(1, 2)}, nil)
+	_, _, err := Delta(ctx, q, db, changes, []relation.Tuple{relation.Ints(1, 2)})
 	// A pre-cancelled context may or may not be observed on a tiny
 	// instance (the poller is throttled); what matters is that an error,
 	// when reported, is the context's.

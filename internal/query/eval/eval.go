@@ -19,14 +19,14 @@
 // Variable assignments live in a slot array indexed by a per-query variable
 // table, mutated and restored along the backtracking search; no maps are
 // allocated on the evaluation path. Each distinct answer is keyed once, in
-// a reused buffer, and that dedup map becomes the key index of the sorted
-// answers.
+// a reused buffer, to drop repeated bindings; the sorted answers need no
+// key index, since a binary search in canonical order finds an answer.
 package eval
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ctxpoll"
 	"repro/internal/query"
@@ -252,69 +252,32 @@ func (e *Evaluator) interrupted() bool {
 }
 
 // Evaluate computes Q(D): its distinct answers in canonical order
-// (Tuple.Compare, the order Relation.Sorted gives) and their key index,
-// mapping each answer's Tuple.Key to its position.
-func Evaluate(q *query.Query, db *relation.Database) ([]relation.Tuple, map[string]int) {
+// (Tuple.Compare, the order Relation.Sorted gives).
+func Evaluate(q *query.Query, db *relation.Database) []relation.Tuple {
 	return New(q, db).Result()
 }
 
 // EvaluateContext is Evaluate under a cancellation context; it returns
 // ctx's error (and no answers) when evaluation was interrupted.
-func EvaluateContext(ctx context.Context, q *query.Query, db *relation.Database) ([]relation.Tuple, map[string]int, error) {
+func EvaluateContext(ctx context.Context, q *query.Query, db *relation.Database) ([]relation.Tuple, error) {
 	e := New(q, db).WithContext(ctx)
-	answers, index := e.Result()
+	answers := e.Result()
 	if err := e.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return answers, index, nil
+	return answers, nil
 }
 
-// Result computes Q(D) as Evaluate does. Each answer is keyed once: the
-// dedup map of the enumeration becomes the key index once the answers are
-// sorted, and no answer is copied.
-func (e *Evaluator) Result() ([]relation.Tuple, map[string]int) {
-	index := make(map[string]int)
+// Result computes Q(D) as Evaluate does: the distinct answers, each keyed
+// once and never copied, sorted in canonical order.
+func (e *Evaluator) Result() []relation.Tuple {
 	var found []relation.Tuple
-	e.distinct(index, func(t relation.Tuple) bool {
+	e.distinct(make(map[string]struct{}), func(t relation.Tuple) bool {
 		found = append(found, t)
 		return true
 	})
-	return sortAnswers(found, index)
-}
-
-// Canonical orders distinct answers as Result does and returns them with
-// their key index, for answers that arrived in another order (a stream).
-// The answers slice itself is left as it was.
-func Canonical(answers []relation.Tuple) ([]relation.Tuple, map[string]int) {
-	index := make(map[string]int, len(answers))
-	for i, t := range answers {
-		index[t.Key()] = i
-	}
-	return sortAnswers(answers, index)
-}
-
-// sortAnswers returns found in canonical order, renumbering index (each
-// answer's key → its position in found) to the sorted positions. It sorts
-// a permutation with the sort.Slice call Relation.Sorted makes on the same
-// order, so it makes the same comparisons and swaps, and answers that
-// Compare calls equal (NaN, large int/float pairs) land where Sorted puts
-// them.
-func sortAnswers(found []relation.Tuple, index map[string]int) ([]relation.Tuple, map[string]int) {
-	perm := make([]int, len(found))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(i, j int) bool { return found[perm[i]].Compare(found[perm[j]]) < 0 })
-	sorted := make([]relation.Tuple, len(found))
-	rank := make([]int, len(found))
-	for p, d := range perm {
-		sorted[p] = found[d]
-		rank[d] = p
-	}
-	for k, d := range index {
-		index[k] = rank[d]
-	}
-	return sorted, index
+	slices.SortFunc(found, relation.Tuple.Compare)
+	return found
 }
 
 // headTuple materializes the current binding of the head variables.
@@ -347,16 +310,16 @@ func (e *Evaluator) headKey() []byte {
 }
 
 // distinct enumerates the distinct answers of Q(D) in discovery order,
-// invoking yield for each new one. seen maps the key of every answer found
-// so far to its discovery position. A binding is keyed in keyBuf, so only a
-// new answer allocates its key string and its tuple.
-func (e *Evaluator) distinct(seen map[string]int, yield func(relation.Tuple) bool) bool {
+// invoking yield for each new one. seen holds the key of every answer found
+// so far. A binding is keyed in keyBuf, so only a new answer allocates its
+// key string and its tuple.
+func (e *Evaluator) distinct(seen map[string]struct{}, yield func(relation.Tuple) bool) bool {
 	return e.satisfy(e.q.Body, func() bool {
 		key := e.headKey()
 		if _, dup := seen[string(key)]; dup {
 			return true
 		}
-		seen[string(key)] = len(seen)
+		seen[string(key)] = struct{}{}
 		return yield(e.headTuple())
 	})
 }
@@ -368,7 +331,7 @@ func (e *Evaluator) distinct(seen map[string]int, yield func(relation.Tuple) boo
 // paper's Section 1 motivation for taking (Q, D) rather than Q(D) as input.
 // It reports whether enumeration ran to completion.
 func (e *Evaluator) Stream(yield func(relation.Tuple) bool) bool {
-	return e.distinct(make(map[string]int), yield)
+	return e.distinct(make(map[string]struct{}), yield)
 }
 
 // Member reports whether t ∈ Q(D) without materializing the full answer.
@@ -472,9 +435,9 @@ func (e *Evaluator) satisfy(f query.Formula, yield func() bool) bool {
 }
 
 // satisfyAtom binds the atom's unbound arguments from each matching tuple.
-// A constant or bound argument matches a field with the same Key
-// (value.SameKey), the equality the column indexes group by, so a scan and
-// an index probe keep the same tuples.
+// A constant or bound argument matches an equal field (value.Equal, which
+// is the Key equality the column indexes group by), so a scan and an index
+// probe keep the same tuples.
 func (e *Evaluator) satisfyAtom(a *query.Atom, yield func() bool) bool {
 	rel := e.db.Relation(a.Rel)
 	if rel == nil {
@@ -506,14 +469,14 @@ scan:
 		for i, arg := range a.Args {
 			s := slots[i]
 			if s < 0 {
-				if !value.SameKey(arg.Value, t[i]) {
+				if !value.Equal(arg.Value, t[i]) {
 					ok = false
 					break
 				}
 				continue
 			}
 			if e.bound[s] {
-				if !value.SameKey(e.vals[s], t[i]) {
+				if !value.Equal(e.vals[s], t[i]) {
 					ok = false
 					break
 				}

@@ -88,7 +88,7 @@ func TestOptimizerEquivalence(t *testing.T) {
 		q := randomQuery(rng)
 		var baseline []relation.Tuple
 		for ci, opts := range configs {
-			got, _ := NewWithOptions(q, db, opts).Result()
+			got := NewWithOptions(q, db, opts).Result()
 			if ci == 0 {
 				baseline = got
 				continue
@@ -264,11 +264,11 @@ func TestSatisfySameOrderAcrossBuild(t *testing.T) {
 	}
 }
 
-// TestJoinMatchesByKeyAcrossBuild: a join over values value.Equal finds
-// equal but whose keys differ (NaN, an int and a float of 1e16) answers the
-// same without indexes, through indexes built by the evaluation, and
-// through indexes an earlier evaluation left: arguments match by key
-// throughout.
+// TestJoinMatchesByKeyAcrossBuild: a join over values whose order once
+// tied different keys (NaN, an int and a float of 1e16) answers the same
+// without indexes, through indexes built by the evaluation, and through
+// indexes an earlier evaluation left: arguments match equal values, which
+// share a key, throughout.
 func TestJoinMatchesByKeyAcrossBuild(t *testing.T) {
 	r := relation.NewRelation(relation.NewSchema("R", "x"))
 	s := relation.NewRelation(relation.NewSchema("S", "x"))
@@ -280,7 +280,7 @@ func TestJoinMatchesByKeyAcrossBuild(t *testing.T) {
 		&query.Atom{Rel: "S", Args: []query.Term{query.V("x")}},
 	}})
 	keys := func(e *Evaluator) string {
-		answers, _ := e.Result()
+		answers := e.Result()
 		var ks []string
 		for _, t := range answers {
 			ks = append(ks, t.Key())
@@ -288,7 +288,7 @@ func TestJoinMatchesByKeyAcrossBuild(t *testing.T) {
 		sort.Strings(ks)
 		return strings.Join(ks, " ")
 	}
-	const want = "fNaN i5 i7"
+	const want = "fNaN i10000000000000000 i5 i7"
 	if got := keys(NewWithOptions(q, db, Options{NoIndex: true})); got != want {
 		t.Errorf("unindexed answers %q, want %q", got, want)
 	}
@@ -412,7 +412,7 @@ func TestIndexedJoinMatchesNestedLoopOnChain(t *testing.T) {
 			}
 		}
 	}
-	got, _ := Evaluate(q, db)
+	got := Evaluate(q, db)
 	if len(got) != len(want) {
 		t.Fatalf("join produced %d tuples, want %d", len(got), len(want))
 	}

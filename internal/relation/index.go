@@ -9,7 +9,7 @@
 // bytes a row with no pointer for the garbage collector to scan, a build is
 // one pass and one sort, and a lookup is two binary searches returning the
 // positions in relation order. Keys that collide in 32 bits share a run, so
-// callers filter a run by value.SameKey, exactly as they filter a scan.
+// callers filter a run by value.Equal, exactly as they filter a scan.
 package relation
 
 import (
@@ -49,25 +49,26 @@ func buildIndex(tuples []Tuple, col int) *colIndex {
 	return &colIndex{entries: entries}
 }
 
-// merge files the pending entries: one sort of the pending entries and one
-// backward merge pass, in place when the capacity allows.
+// merge files the pending entries: one sort of the pending entries, then,
+// from the largest down, a binary search of the entries not yet moved and
+// one block copy of those above the pending entry, in place when the
+// capacity allows.
 func (ix *colIndex) merge() {
 	if len(ix.pending) == 0 {
 		return
 	}
 	slices.Sort(ix.pending)
 	n, p := len(ix.entries), len(ix.pending)
-	ix.entries = slices.Grow(ix.entries, p)[:n+p]
-	i, j := n-1, p-1
-	for w := n + p - 1; j >= 0; w-- {
-		if i >= 0 && ix.entries[i] > ix.pending[j] {
-			ix.entries[w] = ix.entries[i]
-			i--
-		} else {
-			ix.entries[w] = ix.pending[j]
-			j--
-		}
+	e := slices.Grow(ix.entries, p)[:n+p]
+	hi := n // e[:hi] have not moved
+	for j := p - 1; j >= 0; j-- {
+		x := ix.pending[j]
+		lo, _ := slices.BinarySearch(e[:hi], x)
+		copy(e[lo+j+1:], e[lo:hi])
+		e[lo+j] = x
+		hi = lo
 	}
+	ix.entries = e
 	ix.pending = ix.pending[:0]
 }
 
@@ -117,11 +118,11 @@ func (r *Relation) Indexed() []int {
 
 // Probe returns the rows that may hold vals[i] at column cols[i] for every
 // i, as a run of one column's index. The run holds every row whose cell in
-// that column has the same key (value.SameKey) as its value, possibly with
-// rows whose keys collide with it, so callers filter it as they would a
-// scan. Probe reads the shortest run among the listed columns that have an
-// index; when none has one it builds the index of cols[0], so a relation
-// indexes only a column some probe bound first. cols must not be empty.
+// that column equals its value (value.Equal), possibly with rows whose keys
+// collide with it, so callers filter it as they would a scan. Probe reads
+// the shortest run among the listed columns that have an index; when none
+// has one it builds the index of cols[0], so a relation indexes only a
+// column some probe bound first. cols must not be empty.
 //
 // Probe is safe for concurrent callers, which may race to build an index:
 // one builds it and the others use it. Insert and Delete must not run

@@ -29,7 +29,7 @@ var indexAbsent = []value.Value{value.Int(-7), value.Float(0.25), value.Str("abs
 // encodes, three bytes each, against a slice model of the relation. After
 // every operation it checks the relation's tuples against the model and,
 // for every built index and every pool value and absent value, that the
-// index's run filtered by value.SameKey equals a filtered scan, in
+// index's run filtered by value.Equal equals a filtered scan, in
 // relation order.
 func runIndexModel(t *testing.T, ops []byte) {
 	r := NewRelation(NewSchema("R", "a", "b"))
@@ -101,12 +101,12 @@ func checkIndexModel(t *testing.T, r *Relation, model []Tuple) {
 				if p >= r.Len() || (i > 0 && p <= run.Pos(i-1)) {
 					t.Fatalf("column %d, %v: run positions %v out of order or range", c, v, run)
 				}
-				if value.SameKey(r.Tuples()[p][c], v) {
+				if value.Equal(r.Tuples()[p][c], v) {
 					got = append(got, p)
 				}
 			}
 			for p, tu := range r.Tuples() {
-				if value.SameKey(tu[c], v) {
+				if value.Equal(tu[c], v) {
 					want = append(want, p)
 				}
 			}

@@ -15,8 +15,10 @@ import (
 	"repro/internal/value"
 )
 
-// Tuple is an ordered list of constants. Tuples of the same arity compare
-// lexicographically; a tuple's Key canonically encodes it for set membership.
+// Tuple is an ordered list of constants. Tuples compare lexicographically
+// (Compare, the canonical order of answer sets), field by field in
+// value.Compare's total order; a tuple's Key canonically encodes it for set
+// membership.
 type Tuple []value.Value
 
 // Key returns a canonical encoding of the tuple, unique per tuple content.
@@ -69,6 +71,40 @@ func (t Tuple) Compare(u Tuple) int {
 	default:
 		return 0
 	}
+}
+
+// Search finds t in sorted, a slice in canonical order (Tuple.Compare):
+// its position and true, or where it would go and false. Tuples compare
+// equal exactly when their fields have the same Keys, so sorted answers
+// are their own index.
+func Search(sorted []Tuple, t Tuple) (int, bool) {
+	return slices.BinarySearchFunc(sorted, t, Tuple.Compare)
+}
+
+// Merge returns sorted without the positions dead lists, merged with added,
+// in canonical order, and for each merged tuple its position in sorted, or
+// -1 for a tuple of added. sorted and added must be in canonical order,
+// dead ascending, and added disjoint from the tuples that stay. Every
+// incrementally maintained answer set merges through it, so the merge
+// order is decided here alone.
+func Merge(sorted []Tuple, dead []int, added []Tuple) (merged []Tuple, from []int) {
+	n := len(sorted) - len(dead) + len(added)
+	merged, from = make([]Tuple, 0, n), make([]int, 0, n)
+	j := 0
+	for i, t := range sorted {
+		if len(dead) > 0 && dead[0] == i {
+			dead = dead[1:]
+			continue
+		}
+		for ; j < len(added) && added[j].Compare(t) < 0; j++ {
+			merged, from = append(merged, added[j]), append(from, -1)
+		}
+		merged, from = append(merged, t), append(from, i)
+	}
+	for ; j < len(added); j++ {
+		merged, from = append(merged, added[j]), append(from, -1)
+	}
+	return merged, from
 }
 
 // Clone returns an independent copy of the tuple.

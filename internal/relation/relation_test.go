@@ -1,6 +1,9 @@
 package relation
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -279,5 +282,65 @@ func TestDatabaseGeneration(t *testing.T) {
 	}
 	if db.Generation() != g2 {
 		t.Error("clone mutations must not advance the original's generation")
+	}
+}
+
+// TestSearchAndMergeModel: over random sorted answer sets of mixed numeric
+// kinds, Search finds exactly the members, and Merge's output is the
+// survivors and the additions in canonical order, each with its
+// provenance.
+func TestSearchAndMergeModel(t *testing.T) {
+	// Distinct values in ascending order, so the tuples built from them in
+	// loop order are sorted.
+	pool := []value.Value{
+		value.Int(-3), value.Int(0), value.Float(0.5), value.Int(1), value.Float(2), value.Int(1 << 53),
+		value.Int(1<<53 + 1), value.Float(1<<53 + 2), value.Float(1e16), value.Float(math.Inf(1)), value.Float(math.NaN()),
+	}
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 300; trial++ {
+		var sorted, added []Tuple
+		for _, a := range pool {
+			for _, b := range pool[:4] {
+				switch tu := (Tuple{a, b}); rng.Intn(3) {
+				case 0:
+					sorted = append(sorted, tu)
+				case 1:
+					added = append(added, tu)
+				}
+			}
+		}
+		var dead []int
+		for i, tu := range sorted {
+			if pos, ok := Search(sorted, tu); !ok || pos != i {
+				t.Fatalf("Search(%v) = %d, %v; want %d", tu, pos, ok, i)
+			}
+			if rng.Intn(3) == 0 {
+				dead = append(dead, i)
+			}
+		}
+		for _, tu := range added {
+			if _, ok := Search(sorted, tu); ok {
+				t.Fatalf("Search found %v, which is not in the set", tu)
+			}
+		}
+		merged, from := Merge(sorted, dead, added)
+		want := slices.Clone(added)
+		for i, tu := range sorted {
+			if !slices.Contains(dead, i) {
+				want = append(want, tu)
+			}
+		}
+		slices.SortFunc(want, Tuple.Compare)
+		if len(merged) != len(want) || len(from) != len(want) {
+			t.Fatalf("merged %d tuples and %d provenances, want %d", len(merged), len(from), len(want))
+		}
+		for i := range want {
+			if merged[i].Compare(want[i]) != 0 {
+				t.Fatalf("merged[%d] = %v, want %v", i, merged[i], want[i])
+			}
+			if o := from[i]; (o < 0) != slices.ContainsFunc(added, func(a Tuple) bool { return a.Compare(merged[i]) == 0 }) || (o >= 0 && sorted[o].Compare(merged[i]) != 0) {
+				t.Fatalf("from[%d] = %d for %v", i, o, merged[i])
+			}
+		}
 	}
 }

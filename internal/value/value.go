@@ -2,7 +2,9 @@
 // the relational substrate. The paper's model works over relations whose
 // attributes carry constants drawn from ordered domains, with built-in
 // predicates =, !=, <, <=, >, >= available in all four query languages; this
-// package supplies those domains and their total order.
+// package supplies those domains and their total order (Compare), in which
+// ints and floats share one exact numeric order with NaN last, and two
+// values are equal exactly when they have the same Key.
 package value
 
 import (
@@ -16,9 +18,9 @@ import (
 // Kind identifies the runtime type of a Value.
 type Kind uint8
 
-// The supported kinds. Ordering between kinds (used only when values of
-// different kinds are compared, which well-typed queries avoid) follows the
-// declaration order below.
+// The supported kinds. Ints and floats share one numeric order; otherwise
+// values of different kinds (which well-typed queries do not compare)
+// order by the declaration order below.
 const (
 	KindInt Kind = iota
 	KindFloat
@@ -123,49 +125,74 @@ func (v Value) AsBool() bool {
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // Compare totally orders values: -1 if v < w, 0 if equal, +1 if v > w.
-// Two ints compare exactly; mixed numeric kinds compare by numeric value
-// (so Int(2) equals Float(2)); other cross-kind comparisons order by Kind
-// first. Within a kind the natural order applies.
+// Ints and floats form one numeric order, compared exactly: no int is
+// rounded to a float64, so Int(2⁵³+1) orders above Float(2⁵³), and an
+// int equals a float only when the float is exactly that int (Int(2)
+// equals Float(2)). NaN equals NaN and orders after every other number;
+// −0 equals +0. Other cross-kind comparisons order by Kind. Within a kind
+// the natural order applies. Two values compare equal exactly when they
+// have the same Key.
 func Compare(v, w Value) int {
-	if v.kind == KindInt && w.kind == KindInt {
-		return cmp.Compare(v.i, w.i)
-	}
 	if v.IsNumeric() && w.IsNumeric() {
-		a, b := v.AsFloat(), w.AsFloat()
 		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
+		case v.kind == KindInt && w.kind == KindInt:
+			return cmp.Compare(v.i, w.i)
+		case v.kind == KindInt:
+			return compareIntFloat(v.i, w.f)
+		case w.kind == KindInt:
+			return -compareIntFloat(w.i, v.f)
 		default:
-			return 0
+			return compareFloats(v.f, w.f)
 		}
 	}
 	if v.kind != w.kind {
-		if v.kind < w.kind {
-			return -1
-		}
-		return 1
+		return cmp.Compare(v.kind, w.kind)
 	}
-	switch v.kind {
-	case KindString:
+	if v.kind == KindString {
 		return strings.Compare(v.s, w.s)
-	case KindBool:
-		switch {
-		case v.i < w.i:
-			return -1
-		case v.i > w.i:
-			return 1
-		default:
-			return 0
-		}
-	default:
-		return 0
 	}
+	return cmp.Compare(v.i, w.i) // bools: false < true
 }
 
-// Equal reports whether v and w are equal under Compare.
-func Equal(v, w Value) bool { return Compare(v, w) == 0 }
+// compareFloats orders floats numerically, with every NaN equal to every
+// other and above every number. cmp.Compare puts NaN first, so comparing
+// the negations, which reverses the numeric order, puts it last.
+func compareFloats(a, b float64) int { return cmp.Compare(-b, -a) }
+
+// compareIntFloat compares i with f exactly. A float in [−2⁶³, 2⁶³) splits
+// exactly into an int64 integral part and a fraction, so the integral
+// parts decide and the fraction breaks their tie; floats outside that
+// range, infinities included, lie beyond every int64, and NaN above all.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f) || f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f)
+}
+
+// Equal reports whether v and w are equal under Compare, which is whether
+// they have the same Key. Values of one kind take a fast path: Equal runs
+// for every field an atom's constant or bound argument is matched against.
+func Equal(v, w Value) bool {
+	if v.kind == w.kind {
+		switch v.kind {
+		case KindFloat:
+			return v.f == w.f || (math.IsNaN(v.f) && math.IsNaN(w.f))
+		case KindString:
+			return v.s == w.s
+		default:
+			return v.i == w.i
+		}
+	}
+	return Compare(v, w) == 0
+}
 
 // Less reports whether v orders strictly before w.
 func Less(v, w Value) bool { return Compare(v, w) < 0 }
@@ -189,12 +216,9 @@ func (v Value) String() string {
 	}
 }
 
-// Key returns a canonical encoding that distinguishes values of different
-// kinds and payloads; it is suitable for use as a map key. Numerically equal
-// int/float values encode identically so that Key-equality matches Equal for
-// the numeric values produced by this package's constructors — except NaN,
-// which Equal finds equal to every number, and integral floats of magnitude
-// 1e15 or more, which keep a float key. SameKey is the equality Key induces.
+// Key returns a canonical encoding of v, suitable as a map key: two values
+// have the same Key exactly when they are Equal. A float that is exactly an
+// int64 takes that int's key, and every NaN has one key.
 func (v Value) Key() string {
 	var buf [24]byte
 	return string(v.AppendKey(buf[:0]))
@@ -222,47 +246,22 @@ func (v Value) AppendKey(dst []byte) []byte {
 }
 
 // intKey reports whether v's Key is an integer key, and its integer: ints,
-// and integral floats below 1e15 in magnitude, which convert exactly.
+// and floats that are exactly an int64.
 func (v Value) intKey() (int64, bool) {
 	switch v.kind {
 	case KindInt:
 		return v.i, true
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
+		if v.f == math.Trunc(v.f) && v.f >= -(1<<63) && v.f < 1<<63 {
 			return int64(v.f), true
 		}
 	}
 	return 0, false
 }
 
-// SameKey reports whether v and w have the same Key, without building
-// either. It is an equivalence that implies Equal, and the equality a hash
-// table keyed by Key groups by, so a scan filtered by SameKey keeps
-// exactly the tuples a Key lookup finds.
-func SameKey(v, w Value) bool {
-	vi, vInt := v.intKey()
-	wi, wInt := w.intKey()
-	if vInt || wInt {
-		return vInt && wInt && vi == wi
-	}
-	if v.kind != w.kind {
-		return false
-	}
-	switch v.kind {
-	case KindFloat:
-		// 'g' formatting is exact, so two floats share a key when they are
-		// the same number; every NaN formats as "NaN".
-		return v.f == w.f || (math.IsNaN(v.f) && math.IsNaN(w.f))
-	case KindString:
-		return v.s == w.s
-	default:
-		return v.i == w.i
-	}
-}
-
 // KeyHash returns a 64-bit hash of v's Key without building the key:
-// values with the same key (SameKey) hash alike, so a table grouping by Key
-// can hold hashes instead of key strings.
+// Equal values hash alike, so a table grouping by Key can hold hashes
+// instead of key strings.
 func (v Value) KeyHash() uint64 {
 	if i, ok := v.intKey(); ok {
 		return mix(uint64(i), 'i')
@@ -272,8 +271,8 @@ func (v Value) KeyHash() uint64 {
 		if math.IsNaN(v.f) {
 			return mix(0, 'n') // every NaN has the key "fNaN"
 		}
-		// Not integral, or too large for an int key: equal floats have
-		// equal bits, since ±0 take the int key.
+		// Not an int64: equal floats have equal bits, since ±0 take the
+		// int key.
 		return mix(math.Float64bits(v.f), 'f')
 	case KindString:
 		h := uint64(14695981039346656037) // FNV-1a

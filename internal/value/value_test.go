@@ -83,8 +83,33 @@ func TestCompareNumericCrossKind(t *testing.T) {
 	if Compare(Float(3.5), Int(3)) != 1 {
 		t.Error("Float(3.5) should be greater than Int(3)")
 	}
-	if Compare(Int(1<<53+1), Float(1<<53)) != 0 {
-		t.Error("an int against a float compares by float64 value")
+	// Exact, with no float64 rounding: 2⁵³+1 is not a float64.
+	if Compare(Int(1<<53+1), Float(1<<53)) != 1 || Compare(Float(1<<53), Int(1<<53+1)) != -1 {
+		t.Error("Int(2⁵³+1) should order above Float(2⁵³)")
+	}
+	if Compare(Int(math.MaxInt64), Float(1<<63)) != -1 || Compare(Int(math.MinInt64), Float(-(1<<63))) != 0 {
+		t.Error("floats at ±2⁶³ should compare exactly against the int64 bounds")
+	}
+}
+
+// TestCompareNaNAndZeros: NaN equals NaN and orders after every other
+// number, infinities included; −0 equals +0 and the int 0.
+func TestCompareNaNAndZeros(t *testing.T) {
+	nan, negNaN := Float(math.NaN()), Float(-math.NaN())
+	for _, v := range []Value{Int(5), Int(math.MaxInt64), Float(math.Inf(1)), Float(math.Inf(-1)), Float(1e300)} {
+		if Compare(v, nan) != -1 || Compare(nan, v) != 1 {
+			t.Errorf("%v should order before NaN", v)
+		}
+	}
+	if Compare(nan, negNaN) != 0 || !Equal(nan, negNaN) {
+		t.Error("every NaN should equal every other")
+	}
+	if Compare(nan, Str("a")) != -1 {
+		t.Error("NaN is a number and orders before strings")
+	}
+	negZero := Float(math.Copysign(0, -1))
+	if !Equal(negZero, Float(0)) || !Equal(negZero, Int(0)) || Compare(negZero, Int(0)) != 0 {
+		t.Error("−0 should equal +0 and the int 0")
 	}
 }
 
@@ -176,10 +201,10 @@ func TestKeyNumericAgreement(t *testing.T) {
 	}
 }
 
-// TestSameKeyMatchesKey: SameKey is exactly Key equality, implies Equal,
-// and AppendKey appends Key, across the values where Key and Equal part:
-// NaN, signed zeros and infinities, and integral floats around 1e15.
-func TestSameKeyMatchesKey(t *testing.T) {
+// TestEqualMatchesKey: Equal is exactly Key equality, equal keys hash
+// alike, and AppendKey appends Key, across NaN, signed zeros and
+// infinities, and integral floats around 1e15 and 2⁵³.
+func TestEqualMatchesKey(t *testing.T) {
 	vals := []Value{
 		Int(0), Int(5), Int(-5), Int(1e15 - 1), Int(1e15), Int(1e16), Int(1 << 53), Int(1<<53 + 1),
 		Float(0), Float(math.Copysign(0, -1)), Float(5), Float(5.5), Float(-5), Float(0.1),
@@ -193,34 +218,31 @@ func TestSameKeyMatchesKey(t *testing.T) {
 		}
 		for _, w := range vals {
 			same := v.Key() == w.Key()
-			if SameKey(v, w) != same {
-				t.Errorf("SameKey(%v %v, %v %v) = %v, keys %q %q", v.Kind(), v, w.Kind(), w, !same, v.Key(), w.Key())
-			}
-			if same && !Equal(v, w) {
-				t.Errorf("%v and %v share key %q but are not Equal", v, w, v.Key())
+			if Equal(v, w) != same || (Compare(v, w) == 0) != same {
+				t.Errorf("Equal(%v %v, %v %v) = %v, keys %q %q", v.Kind(), v, w.Kind(), w, !same, v.Key(), w.Key())
 			}
 			if same && v.KeyHash() != w.KeyHash() {
 				t.Errorf("%v and %v share key %q but hash %x and %x", v, w, v.Key(), v.KeyHash(), w.KeyHash())
 			}
 		}
 	}
-	// The values where the two equalities part.
-	if !Equal(Float(math.NaN()), Int(5)) || SameKey(Float(math.NaN()), Int(5)) {
-		t.Error("NaN: want Equal to 5 and a different key")
+	// The values where the float64-rounding order tied different keys.
+	if Equal(Float(math.NaN()), Int(5)) {
+		t.Error("NaN should differ from 5")
 	}
-	if !Equal(Float(1e16), Int(1e16)) || SameKey(Float(1e16), Int(1e16)) {
-		t.Error("1e16: want the int and float Equal with different keys")
+	if !Equal(Float(1e16), Int(1e16)) || Float(1e16).Key() != Int(1e16).Key() {
+		t.Error("the int and the float 1e16 should be one value with one key")
 	}
 }
 
-// Property: SameKey agrees with Key equality on random numeric pairs, and
+// Property: Equal agrees with Key equality on random numeric pairs, and
 // values with the same key hash alike.
-func TestSameKeyProperty(t *testing.T) {
+func TestEqualKeyProperty(t *testing.T) {
 	f := func(a, b int64, x, y float64, pick uint8) bool {
 		vs := []Value{Int(a), Int(b), Float(x), Float(y), Float(float64(a)), Float(math.Trunc(y))}
 		v, w := vs[int(pick)%len(vs)], vs[int(pick/8)%len(vs)]
 		same := v.Key() == w.Key()
-		return SameKey(v, w) == same && (!same || v.KeyHash() == w.KeyHash())
+		return Equal(v, w) == same && (!same || v.KeyHash() == w.KeyHash())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -110,6 +110,15 @@ func rawSnapshot(schema relation.Schema, tuples ...relation.Tuple) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
 }
 
+// duplicateRows are two rows that were distinct before ints and floats
+// compared exactly and are one row now: the int and the float 1e16.
+var duplicateRows = []relation.Tuple{{value.Int(1e16)}, {value.Float(1e16)}}
+
+// duplicateRowSnapshot is a snapshot whose relation holds duplicateRows.
+func duplicateRowSnapshot() []byte {
+	return rawSnapshot(relation.NewSchema("r", "x"), duplicateRows...)
+}
+
 // fuzzSeed is one checked-in corpus entry.
 type fuzzSeed struct {
 	name     string
@@ -148,6 +157,7 @@ func fuzzSeeds() map[string][]fuzzSeed {
 		{"truncated-tuple", snap[:len(snap)-6], true},
 		{"repeated-attribute", rawSnapshot(relation.Schema{Name: "r", Attrs: []string{"a", "a"}}), false},
 		{"trailing-bytes", append(snap[:len(snap)-4:len(snap)-4], 0, 0, 0, 0, 0), true},
+		{"duplicate-row", duplicateRowSnapshot(), false},
 	}
 	return map[string][]fuzzSeed{"FuzzSegmentReplay": segs, "FuzzSnapshotDecode": snaps}
 }
@@ -205,5 +215,25 @@ func TestReplayArityMismatchIsError(t *testing.T) {
 	}
 	if _, _, err := Recover(dir); !errors.As(err, &arity) {
 		t.Fatalf("snapshot arity mismatch: %v, want an ArityError", err)
+	}
+}
+
+// TestDuplicateRowsAreRefused: a snapshot or a relation record that holds
+// two equal rows fails recovery instead of silently keeping one, as a
+// repeated insert in the log does.
+func TestDuplicateRowsAreRefused(t *testing.T) {
+	if _, _, err := decodeSnapshot(duplicateRowSnapshot()); err == nil {
+		t.Error("a snapshot holding the int and the float 1e16 decoded")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(7)), duplicateRowSnapshot(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(dir); err == nil {
+		t.Error("recovery accepted a snapshot holding a duplicate row")
+	}
+	seg := segment(record{kind: recAddRelation, gen: 1, schema: relation.NewSchema("r", "x"), tuples: duplicateRows})
+	if _, _, _, err := replaySegment(relation.NewDatabase(), seg); err == nil {
+		t.Error("replay accepted a relation record holding a duplicate row")
 	}
 }

@@ -142,7 +142,9 @@ func apply(db *relation.Database, rec record) error {
 	case recAddRelation:
 		r := relation.NewRelation(rec.schema)
 		for _, t := range rec.tuples {
-			r.Insert(t)
+			if !r.Insert(t) {
+				return fmt.Errorf("replayed relation %q repeats row %v", rec.schema.Name, t)
+			}
 		}
 		db.Add(r)
 		return nil

@@ -76,7 +76,9 @@ func writeSnapshot(fs fsio.FS, dir string, db *relation.Database, gen uint64, fs
 
 // decodeSnapshot verifies a snapshot file's bytes and reconstructs the
 // database, restoring the recorded generation so log replay resumes the
-// exact sequence.
+// exact sequence. A relation holding two equal rows (which a data dir
+// written before ints and floats compared exactly can hold: the int and
+// the float 1e16, say) is an error, as a repeated insert is in the log.
 func decodeSnapshot(data []byte) (*relation.Database, uint64, error) {
 	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, 0, fmt.Errorf("not a snapshot file")
@@ -91,7 +93,9 @@ func decodeSnapshot(data []byte) (*relation.Database, uint64, error) {
 	for i, n := uint64(0), r.count(); i < n && r.err == nil; i++ {
 		rel := relation.NewRelation(r.schema())
 		for _, t := range r.rows(rel.Schema()) {
-			rel.Insert(t)
+			if !rel.Insert(t) {
+				return nil, 0, fmt.Errorf("snapshot relation %q repeats row %v", rel.Schema().Name, t)
+			}
 		}
 		db.Add(rel)
 	}

@@ -54,14 +54,14 @@ func TestGiftQueryExcludesPastGifts(t *testing.T) {
 	h := db.Relation("history").Tuples()[0]
 	item, buyer, recipient := h[0].AsString(), h[1].AsString(), h[2].AsString()
 	q := GiftQuery(buyer, recipient, 5, 99)
-	res, _ := eval.Evaluate(q, db)
+	res := eval.Evaluate(q, db)
 	for _, tu := range res {
 		if tu[0].AsString() == item {
 			t.Errorf("item %s was already given by %s to %s", item, buyer, recipient)
 		}
 	}
 	// And the unfiltered CQ query does include it.
-	cq, _ := eval.Evaluate(GiftCQQuery(5, 99), db)
+	cq := eval.Evaluate(GiftCQQuery(5, 99), db)
 	found := false
 	for _, tu := range cq {
 		if tu[0].AsString() == item {

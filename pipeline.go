@@ -316,16 +316,16 @@ func (p *Prepared) plan(ctx context.Context, req Request) (*Plan, error) {
 // set of the pinned snapshot — a repeated row, a row outside Q(D), or a set
 // violating the constraints — as an ArgError on the "set" field.
 func (pl *Plan) checkCandidate() error {
-	seen := make(map[string]bool, len(pl.u))
+	seen := make(map[int]bool, len(pl.u))
 	for i, t := range pl.u {
-		key := t.Key()
-		if seen[key] {
-			return argErrorf("set", "candidate row %d repeats an earlier row", i)
-		}
-		seen[key] = true
-		if _, ok := pl.snap.index[key]; !ok {
+		pos, ok := relation.Search(pl.snap.answers, t)
+		if !ok {
 			return argErrorf("set", "candidate row %d is not an answer of the query", i)
 		}
+		if seen[pos] {
+			return argErrorf("set", "candidate row %d repeats an earlier row", i)
+		}
+		seen[pos] = true
 	}
 	if !pl.newInstance().SatisfiesConstraints(pl.u) {
 		return argErrorf("set", "candidate set violates the constraints")
@@ -480,7 +480,6 @@ func (pl *Plan) newInstance() *core.Instance {
 	in.Parallelism = pl.s.workers()
 	if pl.snap != nil {
 		in.SetAnswers(pl.snap.answers)
-		in.SetAnswerIndex(pl.snap.index)
 		if pl.plane != nil {
 			in.SetPlane(pl.plane)
 		}

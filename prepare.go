@@ -20,9 +20,9 @@ import (
 // objective and constraints bound, and the materialized answer set Q(D) is
 // cached across calls. When the database mutates, the cache is brought up
 // to date incrementally where possible — the relation change journal yields
-// the answer-set delta, the score plane is extended/retired instead of
-// rebuilt, and the answer index is maintained alongside — falling back to
-// a full rebuild when the journal was compacted or the query is not
+// the answer-set delta, which is merged into the sorted answers, and the
+// score plane is rebased instead of rebuilt — falling back to a full
+// rebuild when the journal was compacted or the query is not
 // delta-maintainable.
 // Build work happens once in Prepare; the per-call cost of
 // Diversify/Decide/Count/InTopR/Rank is the solver alone.
@@ -36,7 +36,7 @@ import (
 // A Prepared handle is safe for concurrent use: any number of goroutines
 // may solve against it, and engine mutations (Insert/Delete/CreateTable)
 // serialize against in-flight solves behind the engine's read-write lock,
-// so every response pairs answers, index and plane from one generation.
+// so every response pairs answers and plane from one generation.
 type Prepared struct {
 	eng *Engine
 	// id is unique per handle, from a process-wide counter: the Service
@@ -57,7 +57,7 @@ type Prepared struct {
 
 	// mu guards snap. All derived state lives in one immutable snapshot
 	// swapped atomically, so a reader can never pair answers from one
-	// generation with a plane or index from another — the TOCTOU window of
+	// generation with a plane from another — the TOCTOU window of
 	// the old per-field generation dance. snap.plane and snap.streamPool
 	// are the two lazily attached fields; both transition nil → non-nil
 	// exactly once, under mu.
@@ -66,16 +66,16 @@ type Prepared struct {
 }
 
 // snapshot is one consistent view of the state derived from the database at
-// a single generation: the canonically sorted answer set, its key index,
-// the interned score plane (attached lazily, under the handle's lock) and
-// the stream-order pool an exhausted online evaluation produced (ditto).
+// a single generation: the canonically sorted answer set (its own index:
+// relation.Search finds an answer), the interned score plane (attached
+// lazily, under the handle's lock) and the stream-order pool an exhausted
+// online evaluation produced (ditto).
 // Snapshots are immutable apart from those two monotonic attachments;
 // refreshing publishes a new snapshot rather than mutating the old one, so
 // in-flight solves keep a coherent view.
 type snapshot struct {
 	gen     uint64
 	answers []relation.Tuple
-	index   map[string]int // Tuple.Key() -> answers position
 
 	// plane bakes in the Prepare-time δrel/δdis bindings; calls overriding
 	// them per-call bypass it. Guarded by Prepared.mu.
@@ -85,16 +85,6 @@ type snapshot struct {
 	// byte-identical to re-streaming the (deterministic) evaluator and
 	// skips the query evaluation entirely. Guarded by Prepared.mu.
 	streamPool []relation.Tuple
-}
-
-// indexAnswers builds the key index over the answers a delta merged; a
-// full evaluation returns its own.
-func indexAnswers(answers []relation.Tuple) map[string]int {
-	idx := make(map[string]int, len(answers))
-	for i, t := range answers {
-		idx[t.Key()] = i
-	}
-	return idx
 }
 
 // nextPreparedID issues the process-wide unique handle ids the Service
@@ -231,7 +221,7 @@ type RefreshInfo struct {
 // Refresh brings the handle's cached state up to date with the database:
 // if the change journal still covers the handle's watermark and the query
 // is delta-maintainable, the answer-set delta is applied and the score
-// plane extended/retired in place of a rebuild; otherwise the answer set is
+// plane rebased in place of a rebuild; otherwise the answer set is
 // re-evaluated from scratch. The score plane for the Prepare-time bindings
 // is (re)built and materialized eagerly, so the next solve pays for the
 // solver alone. Refresh is also implicit: every solve lazily revalidates
@@ -289,7 +279,7 @@ func (p *Prepared) snapshotFor(ctx context.Context) (*snapshot, error) {
 // exponential) evaluation and the (possibly quadratic) plane rebase run
 // outside the lock; the generation is re-read afterwards and the work
 // retried if a mutation interleaved, so a published snapshot is always
-// internally consistent — answers, index and plane from one generation.
+// internally consistent — answers and plane from one generation.
 func (p *Prepared) snapshotAt(ctx context.Context) (*snapshot, RefreshInfo, error) {
 	var last *snapshot
 	for attempt := 0; attempt < maxRefreshAttempts; attempt++ {
@@ -329,7 +319,7 @@ func (p *Prepared) snapshotAt(ctx context.Context) (*snapshot, RefreshInfo, erro
 func (p *Prepared) buildSnapshot(ctx context.Context, old *snapshot, gen uint64) (*snapshot, RefreshInfo, error) {
 	if old != nil && p.deltaOK {
 		if changes, ok := p.eng.db.ChangesSince(old.gen); ok {
-			d, ok, err := eval.Delta(ctx, p.q, p.eng.db, changes, old.answers, old.index)
+			d, ok, err := eval.Delta(ctx, p.q, p.eng.db, changes, old.answers)
 			if err != nil {
 				return nil, RefreshInfo{}, err
 			}
@@ -348,77 +338,39 @@ func (p *Prepared) buildSnapshot(ctx context.Context, old *snapshot, gen uint64)
 			}
 		}
 	}
-	answers, index, err := eval.EvaluateContext(ctx, p.q, p.eng.db)
+	answers, err := eval.EvaluateContext(ctx, p.q, p.eng.db)
 	if err != nil {
 		return nil, RefreshInfo{}, err
 	}
-	return &snapshot{gen: gen, answers: answers, index: index},
+	return &snapshot{gen: gen, answers: answers},
 		RefreshInfo{Mode: "rebuild", Answers: len(answers)}, nil
 }
 
 // applyDelta merges an answer-set delta into a new snapshot: removed
-// tuples drop out, added tuples merge in canonical order, the key index is
-// maintained during the merge, and the score plane — when the old snapshot
-// had built one — is rebased (surviving scores copied, only delta pairs
-// evaluated) instead of rebuilt.
+// answers, found by binary search, drop out, added ones merge in canonical
+// order, and the score plane — when the old snapshot had built one — is
+// rebased by each answer's provenance (surviving scores copied, only delta
+// pairs evaluated) instead of rebuilt.
 func (p *Prepared) applyDelta(ctx context.Context, old *snapshot, d eval.DeltaResult, gen uint64) (*snapshot, error) {
-	removedIDs := make([]int, 0, len(d.Removed))
-	dead := make(map[int]bool, len(d.Removed))
+	dead := make([]int, 0, len(d.Removed))
 	for _, t := range d.Removed {
-		if id, ok := old.index[t.Key()]; ok {
-			removedIDs = append(removedIDs, id)
-			dead[id] = true
+		if i, ok := relation.Search(old.answers, t); ok {
+			dead = append(dead, i)
 		}
 	}
+	merged, from := relation.Merge(old.answers, dead, d.Added)
+	snap := &snapshot{gen: gen, answers: merged}
 	p.mu.Lock()
 	oldPlane := old.plane
 	p.mu.Unlock()
-	var merged []relation.Tuple
-	var pl *objective.Plane
 	if oldPlane != nil {
-		var err error
-		pl, err = oldPlane.Rebase(ctx, d.Added, removedIDs)
+		pl, err := oldPlane.Rebase(ctx, merged, from)
 		if err != nil {
 			return nil, err
 		}
-		// Plane IDs must index the snapshot's answers exactly; taking the
-		// rebased plane's own interned order makes that invariant
-		// structural instead of relying on two merges staying in lockstep.
-		merged = pl.Answers()
-	} else {
-		merged = mergeAnswers(old.answers, d.Added, dead)
+		snap.plane = pl
 	}
-	return &snapshot{gen: gen, answers: merged, index: indexAnswers(merged), plane: pl}, nil
-}
-
-// mergeAnswers merges the sorted delta additions into the sorted answers,
-// skipping tombstoned positions. It must order exactly as Plane.Rebase's
-// provenance merge does — applyDelta uses it only when no plane exists to
-// inherit the order from, but a later planeFor build over its output must
-// still agree with what a rebase would have produced.
-func mergeAnswers(answers []relation.Tuple, added []relation.Tuple, dead map[int]bool) []relation.Tuple {
-	merged := make([]relation.Tuple, 0, len(answers)+len(added))
-	i, j := 0, 0
-	for i < len(answers) || j < len(added) {
-		for i < len(answers) && dead[i] {
-			i++
-		}
-		if i >= len(answers) && j >= len(added) {
-			break // only tombstones remained
-		}
-		switch {
-		case i >= len(answers):
-			merged = append(merged, added[j])
-			j++
-		case j >= len(added) || answers[i].Compare(added[j]) < 0:
-			merged = append(merged, answers[i])
-			i++
-		default:
-			merged = append(merged, added[j])
-			j++
-		}
-	}
-	return merged
+	return snap, nil
 }
 
 // storePool installs the stream-order pool an exhausted online evaluation
@@ -439,8 +391,9 @@ func (p *Prepared) storePool(pool []relation.Tuple, gen uint64) {
 		return
 	}
 	p.mu.Unlock()
-	sorted, index := eval.Canonical(pool)
-	snap := &snapshot{gen: gen, answers: sorted, index: index, streamPool: pool}
+	sorted := slices.Clone(pool)
+	slices.SortFunc(sorted, relation.Tuple.Compare)
+	snap := &snapshot{gen: gen, answers: sorted, streamPool: pool}
 	if p.eng.db.Generation() != gen {
 		return
 	}

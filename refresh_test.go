@@ -378,6 +378,53 @@ func TestRefreshOnlinePoolReplay(t *testing.T) {
 	sameSelection(t, "post-mutation", warmSel, coldSel)
 }
 
+// TestRefreshMatchesColdOnNumericEdges: a handle refreshed after an insert
+// picks, kind and bits included, what a cold Prepare picks over the same
+// database, on pairs of numbers that compare equal as float64s but are
+// different values, or one value of two kinds: the int and the float 1e16
+// in both insertion orders (one value, so the second insert is a
+// duplicate), NaN and 5, and 2⁵³+1 and the float 2⁵³. With constant
+// relevance and λ = 0 every answer ties, so the pick is the first answer
+// in canonical order, and a refresh must order answers as a cold
+// evaluation does.
+func TestRefreshMatchesColdOnNumericEdges(t *testing.T) {
+	ctx := context.Background()
+	pairs := []struct {
+		name        string
+		first, next interface{}
+	}{
+		{"int-then-float-1e16", int64(1e16), float64(1e16)},
+		{"float-then-int-1e16", float64(1e16), int64(1e16)},
+		{"nan-then-5", math.NaN(), int64(5)},
+		{"2p53+1-then-float-2p53", int64(1<<53 + 1), float64(1 << 53)},
+	}
+	for _, alg := range []Algorithm{Greedy, Exact} {
+		opts := []Option{WithK(1), WithLambda(0), WithAlgorithm(alg), WithRelevance(func(Row) float64 { return 1 })}
+		for _, c := range pairs {
+			e := NewEngine()
+			e.MustCreateTable("r", "x")
+			e.MustInsert("r", c.first)
+			warm := e.MustPrepare("Q(x) :- r(x)", opts...)
+			if _, err := warm.Diversify(ctx); err != nil {
+				t.Fatal(err)
+			}
+			e.MustInsert("r", c.next)
+			refreshed, err := warm.Diversify(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := e.MustPrepare("Q(x) :- r(x)", opts...).Diversify(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, cv := refreshed.Rows[0].tuple[0], cold.Rows[0].tuple[0]
+			if w.Kind() != cv.Kind() || w.AsInt() != cv.AsInt() || math.Float64bits(w.AsFloat()) != math.Float64bits(cv.AsFloat()) {
+				t.Errorf("%s %s: refreshed pick %v %v, cold pick %v %v", alg, c.name, w.Kind(), w, cv.Kind(), cv)
+			}
+		}
+	}
+}
+
 // TestRefreshRepeatedDeltas chains many single-tuple mutations with a solve
 // after each on one engine, so the relations' column indexes live across
 // the refreshes, pinning the incremental path against a cold rebuild and
@@ -424,14 +471,15 @@ func TestRefreshRepeatedDeltas(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameSelection(t, "step", warmSel, coldSel)
-		scanned, _ := eval.NewWithOptions(warm.q, e.db, eval.Options{NoIndex: true}).Result()
-		got := warm.current().answers
-		if len(got) != len(scanned) {
-			t.Fatalf("step %d: %d answers, unindexed evaluation %d", i, len(got), len(scanned))
+		scanned := eval.NewWithOptions(warm.q, e.db, eval.Options{NoIndex: true}).Result()
+		snap := warm.current()
+		got := snap.answers
+		if len(got) != len(scanned) || snap.plane == nil || snap.plane.Len() != len(got) {
+			t.Fatalf("step %d: %d answers, unindexed evaluation %d, plane %v", i, len(got), len(scanned), snap.plane)
 		}
 		for j := range got {
-			if got[j].Key() != scanned[j].Key() {
-				t.Fatalf("step %d: answer %d = %v, unindexed evaluation %v", i, j, got[j], scanned[j])
+			if got[j].Key() != scanned[j].Key() || snap.plane.Tuple(j).Key() != got[j].Key() {
+				t.Fatalf("step %d: answer %d = %v, unindexed evaluation %v, plane %v", i, j, got[j], scanned[j], snap.plane.Tuple(j))
 			}
 		}
 	}
