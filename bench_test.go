@@ -533,7 +533,7 @@ func planeBenchInstance(n, k int, kind objective.Kind, lambda float64) *core.Ins
 }
 
 // BenchmarkScorePlane tracks the interned score plane: build cost, and
-// solve time on the materialized matrix against the forced memoized regime.
+// solve time on the materialized matrix against direct evaluation.
 func BenchmarkScorePlane(b *testing.B) {
 	b.Run("build-materialized-n1000", func(b *testing.B) {
 		in := planeBenchInstance(1000, 8, objective.MaxSum, 0.5)
@@ -547,13 +547,13 @@ func BenchmarkScorePlane(b *testing.B) {
 		}
 	})
 	b.Run("greedy-fms-n200", func(b *testing.B) {
-		for _, mode := range []string{"plane", "memo-fallback"} {
+		for _, mode := range []string{"plane", "direct"} {
 			b.Run(mode, func(b *testing.B) {
 				in := planeBenchInstance(200, 10, objective.MaxSum, 0.5)
 				if mode == "plane" {
 					in.Plane().Materialize()
 				} else {
-					in.PlaneRegime = objective.RegimeMemoized
+					useDirectPlane(in)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -41,7 +41,7 @@ func main() {
 		budget = flag.Duration("budget", 2*time.Second, "per-size time budget for sweeps")
 		list   = flag.Bool("list", false, "list the experiment catalog and exit")
 
-		planeRegimes = flag.Bool("plane-regimes", false, "sweep the score plane's storage regimes (matrix/index/memo) over growing point sets")
+		planeRegimes = flag.Bool("plane-regimes", false, "time the score plane the planner picks (build, greedy FMS/FMM, bytes) over growing point sets")
 		regimeMaxN   = flag.Int("regime-max-n", 100_000, "plane-regimes: largest point count in the sweep")
 
 		clusterSweep = flag.Bool("cluster", false, "benchmark the sharded coreset-merge cluster against a single engine")
@@ -57,7 +57,7 @@ func main() {
 
 	ran := false
 	if *planeRegimes {
-		runPlaneRegimes(*regimeMaxN, *replaySeed)
+		runPlaneSweep(*regimeMaxN, *replaySeed)
 		ran = true
 	}
 	if *clusterSweep {

@@ -6,15 +6,14 @@ import (
 	"repro/internal/objective"
 )
 
-// TestPlaneRegimesSweepSmoke runs the -plane-regimes experiment at its
-// smallest size so the sweep code cannot rot: every regime arm must build
-// and solve (the 2000-point plane fits all four stores under the default
-// guard), and the report generator must not fatal.
-func TestPlaneRegimesSweepSmoke(t *testing.T) {
+// TestPlaneSweepSmoke runs the -plane-regimes experiment at its
+// smallest size so the sweep code cannot rot: both workloads must build and
+// solve, and the report generator must not fatal.
+func TestPlaneSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plane-regimes sweep skipped in -short mode")
 	}
-	runPlaneRegimes(2_000, 1)
+	runPlaneSweep(2_000, 1)
 }
 
 // TestRegimePointsInstance pins the sweep's two workload shapes: both build

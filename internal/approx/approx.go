@@ -15,7 +15,10 @@
 //   - LocalSearchSwap — hill climbing by single-tuple swaps from any seed,
 //     for any objective, the paper's "heuristic algorithms" workhorse.
 //
-// All run in polynomial time over the instance's interned score plane;
+// All run in polynomial time over the instance's interned score plane,
+// whichever store it serves distances from: the loops read Plane.Dis, which
+// every store answers with the same δdis values, and a category plane runs
+// the same selection over each category's best answers (category.go).
 // Quality measures their objective ratio against the exact optimum for
 // ablation experiments. Every procedure has a Context variant that polls a
 // cancellation context along its scan loops — the heuristics are
@@ -52,20 +55,16 @@ func GreedyMaxSum(in *core.Instance) Result {
 // round is one O(n) array scan plus an O(n) gain update against the newly
 // chosen ID. Gains accumulate in chosen order, matching MaxSumDelta
 // bit-for-bit. A category plane with finite relevance runs the same
-// selection over each category's best answers (category.go), an indexed
-// plane through its metric index (indexed.go).
+// selection over each category's best answers (category.go).
 func GreedyMaxSumContext(ctx context.Context, in *core.Instance) (Result, error) {
 	var res Result
-	p, ix, ok, err := greedyPlane(ctx, in)
+	p, ok, err := planeFor(ctx, in, in.K)
 	if !ok {
 		return res, err
 	}
 	c := ctxpoll.New(ctx)
 	if cs := p.Categories(); cs != nil && cs.Finite() {
 		return greedyMaxSumCategory(c, in, p, cs)
-	}
-	if ix != nil {
-		return greedyMaxSumIndexed(c, in, p, ix)
 	}
 	o := in.Obj
 	n := p.Len()
@@ -118,18 +117,6 @@ func planeFor(ctx context.Context, in *core.Instance, k int) (p *objective.Plane
 	return p, err == nil, err
 }
 
-// greedyPlane is planeFor for the greedy loops over in.K answers, plus the
-// plane's metric index: in the indexed regime the loops run through it
-// (it is nil for every other regime).
-func greedyPlane(ctx context.Context, in *core.Instance) (*objective.Plane, *objective.MetricIndex, bool, error) {
-	p, ok, err := planeFor(ctx, in, in.K)
-	if !ok {
-		return nil, nil, false, err
-	}
-	ix, err := p.IndexContext(ctx)
-	return p, ix, err == nil, err
-}
-
 // planeTuples materializes the tuples interned as ids.
 func planeTuples(p *objective.Plane, ids []int) []relation.Tuple {
 	out := make([]relation.Tuple, len(ids))
@@ -150,20 +137,17 @@ func GreedyMaxMin(in *core.Instance) Result {
 // GreedyMaxMinContext is GreedyMaxMin under a cancellation context. It
 // maintains each candidate's running min-distance to the chosen set on the
 // score plane, so a round is an O(n) scan plus an O(n) min update against
-// the new member. Category and indexed planes run the same selection as
+// the new member. A category plane runs the same selection as
 // GreedyMaxSumContext describes.
 func GreedyMaxMinContext(ctx context.Context, in *core.Instance) (Result, error) {
 	var res Result
-	p, ix, ok, err := greedyPlane(ctx, in)
+	p, ok, err := planeFor(ctx, in, in.K)
 	if !ok {
 		return res, err
 	}
 	c := ctxpoll.New(ctx)
 	if cs := p.Categories(); cs != nil && cs.Finite() {
 		return greedyMaxMinCategory(c, in, p, cs)
-	}
-	if ix != nil {
-		return greedyMaxMinIndexed(c, in, p, ix)
 	}
 	o := in.Obj
 	n := p.Len()

@@ -1,7 +1,7 @@
 // Differential tests for the category plane: greedy FMS, FMM and mono over
 // per-category lists must pick the same answers in the same order, with the
-// same value bits, as the flat loops over the same CategoryDistance forced
-// onto the memoized regime.
+// same value bits, as the flat loops over the same CategoryDistance hidden
+// behind a function, which the plane serves from the matrix or directly.
 package approx_test
 
 import (
@@ -59,26 +59,23 @@ func categoryAnswers(rng *rand.Rand, n int, nonFinite bool) []relation.Tuple {
 
 // categoryInstance builds an instance over answers scored by δrel = column
 // 2 (unclamped, so negative and non-finite values reach the solvers) and the
-// category distance on column 1, on the requested plane regime.
-func categoryInstance(t *testing.T, answers []relation.Tuple, kind objective.Kind, lambda float64, k int, regime objective.Regime) *core.Instance {
+// category distance on column 1: on category lists, or with flat set on
+// the flat loops, the distance's type hidden behind a function.
+func categoryInstance(t *testing.T, answers []relation.Tuple, kind objective.Kind, lambda float64, k int, flat bool) *core.Instance {
 	t.Helper()
 	rel := objective.RelevanceFunc(func(t relation.Tuple) float64 { return t[2].AsFloat() })
-	in := &core.Instance{
-		Obj:         objective.New(kind, rel, objective.CategoryDistance{Col: 1}, lambda),
-		K:           k,
-		PlaneRegime: regime,
+	var dis objective.Distance = objective.CategoryDistance{Col: 1}
+	if flat {
+		dis = objective.DistanceFunc(dis.Dis)
 	}
+	in := &core.Instance{Obj: objective.New(kind, rel, dis, lambda), K: k}
 	in.SetAnswers(answers)
 	p, err := in.PlaneContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := regime
-	if regime == objective.RegimeAuto {
-		want = objective.RegimeCategory
-	}
-	if p.Regime() != want {
-		t.Fatalf("requested regime %v resolved to %v", regime, p.Regime())
+	if got := p.Regime() == objective.RegimeCategory; got == flat {
+		t.Fatalf("flat=%v plane resolved to %v", flat, p.Regime())
 	}
 	return in
 }
@@ -111,8 +108,8 @@ func TestCategoryGreedyMatchesFlatLoops(t *testing.T) {
 		lambda := []float64{0, 0.5, 1, rng.Float64()}[trial%4]
 		for k := 1; k <= n; k++ {
 			for _, kind := range kinds {
-				flat := Greedy(categoryInstance(t, answers, kind, lambda, k, objective.RegimeMemoized))
-				cat := Greedy(categoryInstance(t, answers, kind, lambda, k, objective.RegimeAuto))
+				flat := Greedy(categoryInstance(t, answers, kind, lambda, k, true))
+				cat := Greedy(categoryInstance(t, answers, kind, lambda, k, false))
 				assertSamePicks(t, kind.String(), flat, cat)
 			}
 		}
@@ -135,8 +132,8 @@ func TestCategoryGreedyCollapsedGains(t *testing.T) {
 		lambda := []float64{0.5, 1 - 1e-17, rng.Float64()}[trial%3]
 		k := 1 + rng.Intn(n)
 		for _, kind := range []objective.Kind{objective.MaxSum, objective.MaxMin} {
-			flat := Greedy(categoryInstance(t, answers, kind, lambda, k, objective.RegimeMemoized))
-			cat := Greedy(categoryInstance(t, answers, kind, lambda, k, objective.RegimeAuto))
+			flat := Greedy(categoryInstance(t, answers, kind, lambda, k, true))
+			cat := Greedy(categoryInstance(t, answers, kind, lambda, k, false))
 			assertSamePicks(t, kind.String(), flat, cat)
 		}
 	}
@@ -147,12 +144,12 @@ func TestCategoryGreedyCollapsedGains(t *testing.T) {
 // a prepared statement do; each must match its sequential twin.
 func TestCategoryGreedyConcurrentSolves(t *testing.T) {
 	answers := categoryAnswers(rand.New(rand.NewSource(186)), 200, false)
-	shared := categoryInstance(t, answers, objective.MaxSum, 0.5, 7, objective.RegimeAuto).Plane()
+	shared := categoryInstance(t, answers, objective.MaxSum, 0.5, 7, false).Plane()
 	ins := make([]*core.Instance, 8)
 	want := make([]Result, len(ins))
 	for g := range ins {
 		kind := []objective.Kind{objective.MaxSum, objective.MaxMin}[g%2]
-		ins[g] = categoryInstance(t, answers, kind, float64(g)/8, 7, objective.RegimeAuto)
+		ins[g] = categoryInstance(t, answers, kind, float64(g)/8, 7, false)
 		ins[g].SetPlane(shared)
 		want[g] = Greedy(ins[g])
 	}

@@ -1,8 +1,8 @@
-// The large-n acceptance test: greedy FMS and FMM over 100k candidates in
-// the indexed regime, the workload the metric index exists for. Wall-clock
-// is asserted by the CI job's timeout (machines vary too much for an
-// in-test stopwatch); what the test itself pins is correctness at scale and
-// the O(n) memory claim. Skipped under -short.
+// The large-n acceptance tests: greedy FMS and FMM over 100k candidates on
+// the direct store and on category lists. Wall-clock is asserted by the CI
+// job's timeout (machines vary too much for an in-test stopwatch); what the
+// tests themselves pin is correctness at scale and the O(n) memory claim.
+// Skipped under -short.
 package approx_test
 
 import (
@@ -19,23 +19,23 @@ import (
 	"repro/internal/value"
 )
 
-func TestLargeNIndexedRegime(t *testing.T) {
+func TestLargeNDirectRegime(t *testing.T) {
 	if testing.Short() {
-		t.Skip("large-n indexed smoke skipped in -short mode")
+		t.Skip("large-n direct smoke skipped in -short mode")
 	}
 	const n, dim, k = 100_000, 2, 10
 	rng := rand.New(rand.NewSource(7))
 	pts := regimePoints(rng, n, dim, 1_000_000)
 
-	inSum := regimeInstance(t, pts, dim, objective.EuclideanDistance(), objective.MaxSum, 0.5, k, objective.RegimeAuto)
+	inSum := regimeInstance(t, pts, dim, objective.MaxSum, 0.5, k)
 	plane := inSum.Plane()
 	if plane == nil {
 		t.Fatal("no plane")
 	}
-	// Auto must resolve to the index here: the matrix needs ~40 GB against
-	// a 64 MiB guard.
-	if got := plane.Regime(); got != objective.RegimeIndexed {
-		t.Fatalf("auto regime at n=%d is %v, want indexed", plane.Len(), got)
+	// The planner must pick direct evaluation here: the matrix needs
+	// ~40 GB against a 64 MiB guard.
+	if got := plane.Regime(); got != objective.RegimeDirect {
+		t.Fatalf("regime at n=%d is %v, want direct", plane.Len(), got)
 	}
 
 	start := time.Now()
@@ -45,9 +45,9 @@ func TestLargeNIndexedRegime(t *testing.T) {
 		t.Fatalf("FMS picked %d of %d", len(sum.Set), k)
 	}
 
-	inMin := regimeInstance(t, pts, dim, objective.EuclideanDistance(), objective.MaxMin, 0.5, k, objective.RegimeAuto)
+	inMin := regimeInstance(t, pts, dim, objective.MaxMin, 0.5, k)
 	inMin.SetAnswers(plane.Answers())
-	inMin.SetPlane(plane) // share the built index across both solves
+	inMin.SetPlane(plane)
 	start = time.Now()
 	min := GreedyMaxMin(inMin)
 	minElapsed := time.Since(start)
@@ -56,9 +56,8 @@ func TestLargeNIndexedRegime(t *testing.T) {
 	}
 	t.Logf("n=%d k=%d: FMS %v, FMM %v", plane.Len(), k, sumElapsed, minElapsed)
 
-	// The O(n) plane memory claim: index + memo + score vectors must stay
-	// within a small linear envelope — far under the quadratic stores
-	// (the float64 matrix alone would be ~40 GB).
+	// The O(n) plane memory claim: the score vectors must stay within a
+	// small linear envelope — far under the quadratic matrix (~40 GB).
 	foot := plane.MemoryFootprint()
 	if bound := int64(512)*int64(plane.Len()) + (1 << 20); foot > bound {
 		t.Fatalf("plane footprint %d bytes exceeds the O(n) envelope %d", foot, bound)
@@ -69,10 +68,11 @@ func TestLargeNIndexedRegime(t *testing.T) {
 // TestLargeNCategoryPlane is the same gate for the category plane, on the
 // shape of the end-to-end warm-read workload: 10⁵ answers (id, cat, rel)
 // with cat zipf(1.1)-distributed over 200 categories and rel a permutation
-// of evenly spaced values. Auto must resolve to category lists; greedy FMS
-// and FMM must pick what the flat loops pick (on the same distance forced
-// onto the memo cache), looking at no more than 3·k·m answers per solve,
-// on O(n) plane bytes. All of these are counts, not timings.
+// of evenly spaced values. The planner must pick category lists; greedy FMS
+// and FMM must pick what the flat loops pick (on the same distance hidden
+// behind a function, which the plane evaluates directly at this n), looking
+// at no more than 3·k·m answers per solve, on O(n) plane bytes. All of
+// these are counts, not timings.
 func TestLargeNCategoryPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-n category gate skipped in -short mode")
@@ -89,28 +89,33 @@ func TestLargeNCategoryPlane(t *testing.T) {
 			value.Float((float64(perm[i]) + 0.5) / n),
 		}
 	}
-	instance := func(kind objective.Kind, lambda float64, regime objective.Regime) *core.Instance {
-		obj := objective.New(kind, objective.AttrRelevance(2, 1), objective.CategoryDistance{Col: 1}, lambda)
-		in := &core.Instance{Obj: obj, K: k, PlaneRegime: regime}
+	cd := objective.CategoryDistance{Col: 1}
+	instance := func(kind objective.Kind, lambda float64, dis objective.Distance) *core.Instance {
+		obj := objective.New(kind, objective.AttrRelevance(2, 1), dis, lambda)
+		in := &core.Instance{Obj: obj, K: k}
 		in.SetAnswers(answers)
 		return in
 	}
-	cat := instance(objective.MaxSum, 0.5, objective.RegimeAuto)
+	flatDis := objective.DistanceFunc(cd.Dis)
+	cat := instance(objective.MaxSum, 0.5, cd)
 	plane := cat.Plane()
 	if got := plane.Regime(); got != objective.RegimeCategory {
-		t.Fatalf("auto regime for a category distance at n=%d is %v, want category", n, got)
+		t.Fatalf("regime for a category distance at n=%d is %v, want category", n, got)
 	}
 	m := plane.Categories().Count()
-	flatPlane := instance(objective.MaxSum, 0.5, objective.RegimeMemoized).Plane()
+	flatPlane := instance(objective.MaxSum, 0.5, flatDis).Plane()
+	if got := flatPlane.Regime(); got != objective.RegimeDirect {
+		t.Fatalf("regime for the hidden category distance at n=%d is %v, want direct", n, got)
+	}
 	for _, kind := range []objective.Kind{objective.MaxSum, objective.MaxMin} {
 		for _, lambda := range []float64{0.1, 0.5, 0.9} {
-			in := instance(kind, lambda, objective.RegimeAuto)
+			in := instance(kind, lambda, cd)
 			in.SetPlane(plane)
 			got := Greedy(in)
 			if bound := 3 * k * m; got.Steps > bound {
 				t.Errorf("%v λ=%v: %d steps over the 3·k·m = %d bound", kind, lambda, got.Steps, bound)
 			}
-			flat := instance(kind, lambda, objective.RegimeMemoized)
+			flat := instance(kind, lambda, flatDis)
 			flat.SetPlane(flatPlane)
 			assertSamePicks(t, fmt.Sprintf("%v λ=%v", kind, lambda), Greedy(flat), got)
 		}

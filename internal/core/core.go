@@ -74,11 +74,6 @@ type Instance struct {
 	// from |Q(D)| and the worker count.
 	ParallelDepth int
 
-	// PlaneRegime requests a distance-storage regime for the plane
-	// (materialized matrix, metric index, or memo cache); the zero value
-	// (objective.RegimeAuto) resolves from the answer count alone.
-	PlaneRegime objective.Regime
-
 	answers     []relation.Tuple // memoized Q(D)
 	haveAnswers bool             // distinguishes an empty memo from no memo
 	plane       *objective.Plane // memoized score plane over answers
@@ -142,7 +137,7 @@ func (in *Instance) Plane() *objective.Plane {
 
 // PlaneContext is Plane under a cancellation context: both the answer-set
 // evaluation and the plane's relevance fill poll ctx. The instance-level
-// plane is built unmaterialized — distances memoize on demand — so
+// plane is built unmaterialized — distances are evaluated on demand — so
 // relevance-only consumers stay O(n); the exact search materializes the
 // matrix itself when the memory guard allows.
 func (in *Instance) PlaneContext(ctx context.Context) (*objective.Plane, error) {
@@ -153,7 +148,7 @@ func (in *Instance) PlaneContext(ctx context.Context) (*objective.Plane, error) 
 	if err != nil {
 		return nil, err
 	}
-	p, err := objective.NewPlaneContext(ctx, in.Obj, answers, objective.PlaneOptions{Regime: in.PlaneRegime})
+	p, err := objective.NewPlaneContext(ctx, in.Obj, answers, objective.PlaneOptions{})
 	if err != nil {
 		return nil, err
 	}

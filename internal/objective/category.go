@@ -26,8 +26,9 @@ import (
 // from the float 1.0. A Col outside a tuple reads as a missing value, equal
 // only to another missing one, so a negative Col is the zero distance.
 //
-// The plane recognises this type: under RegimeAuto it serves it from
-// per-category lists (RegimeCategory) instead of a matrix or an index.
+// The plane recognises this type: a non-streaming plane serves it from
+// per-category lists (RegimeCategory) instead of a matrix or direct
+// evaluation.
 type CategoryDistance struct{ Col int }
 
 // Dis reports whether s and t disagree on Col.

@@ -36,6 +36,12 @@ func categoryObjective() *Objective {
 	return New(Mono, rel, CategoryDistance{Col: 1}, 0.5)
 }
 
+// flatObjective is o with its category distance hidden behind a function,
+// so a plane over it takes the matrix or the direct store.
+func flatObjective(o *Objective) *Objective {
+	return New(o.Kind, o.Rel, DistanceFunc(o.Dis.Dis), o.Lambda)
+}
+
 // checkCategoryStore asserts p's lists partition its IDs by δdis, each
 // ordered by δrel descending, then ID ascending.
 func checkCategoryStore(t *testing.T, p *Plane) {
@@ -67,7 +73,7 @@ func checkCategoryStore(t *testing.T, p *Plane) {
 
 // TestCategoryPlaneMatchesFlatPlane: the category store must serve the
 // same distances, row sums and maximum as the same CategoryDistance on
-// the matrix and the memo cache, with no pair stored.
+// the matrix and the direct store, with no pair stored.
 func TestCategoryPlaneMatchesFlatPlane(t *testing.T) {
 	rng := rand.New(rand.NewSource(183))
 	o := categoryObjective()
@@ -75,16 +81,15 @@ func TestCategoryPlaneMatchesFlatPlane(t *testing.T) {
 		answers := categoryTuples(rng, 1+rng.Intn(60), 0)
 		p := NewPlane(o, answers, PlaneOptions{})
 		checkCategoryStore(t, p)
-		for _, regime := range []Regime{RegimeMaterialized, RegimeMemoized} {
-			flat := NewPlane(o, answers, PlaneOptions{Regime: regime})
+		for _, flat := range []*Plane{
+			NewPlane(flatObjective(o), answers, PlaneOptions{}),
+			directPlane(flatObjective(o), answers),
+		} {
 			flat.Materialize()
-			checkPlaneEqual(t, regime.String(), p, flat)
+			checkPlaneEqual(t, flat.Regime().String(), p, flat)
 		}
 		if p.Materialized() {
 			t.Fatal("a category plane filled a matrix")
-		}
-		if entries, _ := p.MemoStats(); entries != 0 {
-			t.Fatalf("a category plane memoized %d pairs", entries)
 		}
 		if foot, bound := p.MemoryFootprint(), int64(64*p.Len()+64); foot > bound {
 			t.Fatalf("footprint %d B over the O(n) bound %d B", foot, bound)
@@ -163,7 +168,7 @@ func TestCategoryPlaneConcurrentReaders(t *testing.T) {
 	answers := categoryTuples(rand.New(rand.NewSource(185)), 80, 0)
 	o := categoryObjective()
 	p := NewPlane(o, answers, PlaneOptions{})
-	flat := NewPlane(o, answers, PlaneOptions{Regime: RegimeMemoized})
+	flat := directPlane(flatObjective(o), answers)
 	want, err := flat.RowSums(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func fuzzInstance(data []byte) (o *Objective, answers []relation.Tuple, ids []in
 }
 
 // FuzzObjectiveEquivalence asserts the plane's contract under adversarial
-// inputs: scoring through the interned plane — materialized, memoized, or
+// inputs: scoring through the interned plane — materialized, direct, or
 // category lists for a category distance — must agree bit-for-bit with
 // scoring through the δrel/δdis interfaces, for full evaluations,
 // per-answer mono scores and greedy marginal gains.
@@ -87,7 +87,7 @@ func FuzzObjectiveEquivalence(f *testing.F) {
 		want := o.Eval(u, answers)
 		for _, plane := range []*Plane{
 			NewPlane(o, answers, PlaneOptions{}),
-			NewPlane(o, answers, PlaneOptions{Regime: RegimeMemoized}),
+			directPlane(o, answers),
 		} {
 			plane.Materialize()
 			if got := o.EvalIDs(plane, ids); got != want {

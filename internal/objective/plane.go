@@ -1,21 +1,18 @@
 // The interned score plane: answer tuples are interned into dense int IDs
 // at prepare time, the relevance vector δrel is precomputed per ID, and the
-// symmetric pairwise distance matrix δdis is served under one of four
-// regimes (see regime.go): from per-category ID lists when δdis is a
-// CategoryDistance (category.go), materialized as a packed triangular
-// []float64 (filled in parallel across GOMAXPROCS workers), indexed by a
-// vantage-point tree with O(n) memory (index.go), or — when neither fits —
-// from a sharded, entry-capped memoizing cache. Every solver then runs on
-// IDs and contiguous float loads instead of interface dispatch plus Tuple.Key()
-// string hashing per lookup: the same compute-shared-subexpressions-once
-// discipline that factorised databases (Bakibayev et al., FDB) apply to
-// query plans, applied here to scoring — and, in the indexed regime, the
-// complementary discipline of never materializing pairs evaluation won't
-// touch.
+// symmetric pairwise distance δdis is served from one of three stores,
+// chosen from the plane's input alone (see regime.go): per-category ID lists
+// when δdis is a CategoryDistance (category.go), a packed triangular
+// []float64 (filled in parallel across GOMAXPROCS workers) when it fits
+// MaxMatrixBytes, and otherwise direct evaluation of δdis with nothing
+// stored. Every solver then runs on IDs and contiguous float loads instead
+// of interface dispatch plus Tuple.Key() string hashing per lookup: the same
+// compute-shared-subexpressions-once discipline that factorised databases
+// (Bakibayev et al., FDB) apply to query plans, applied here to scoring.
 //
 // The plane assumes the paper's contract for δdis: symmetric with a zero
-// diagonal. Pair values are evaluated once in canonical (lower ID, higher
-// ID) argument order; an asymmetric distance function would be observed in
+// diagonal. Pair values are evaluated in canonical (lower ID, higher ID)
+// argument order; an asymmetric distance function would be observed in
 // canonical order only.
 package objective
 
@@ -31,24 +28,15 @@ import (
 )
 
 // MaxMatrixBytes is the memory guard for the materialized distance matrix:
-// 64 MiB holds the packed triangle of n = 4096 answers. Larger planes serve
-// from the metric index (auto) or the sharded memoizing cache (an explicit
-// materialized request), and the memo's entry budget derives from it.
+// 64 MiB holds the packed triangle of n = 4096 answers. Larger planes
+// evaluate δdis directly.
 const MaxMatrixBytes = 64 << 20
-
-// memoShards is the number of lock shards in the fallback cache; a power of
-// two so the hash can mask.
-const memoShards = 64
 
 // PlaneOptions tune plane construction.
 type PlaneOptions struct {
-	// Regime requests a distance-storage strategy; RegimeAuto (the zero
-	// value) resolves from n. See resolveRegime for the fallback rules
-	// when an explicit request does not fit MaxMatrixBytes.
-	Regime Regime
 	// Streaming builds an appendable plane for online procedures: IDs are
-	// assigned in arrival order via Append, distances are always served
-	// from the memoizing cache, and Materialize is a no-op.
+	// assigned in arrival order via Append, distances are always evaluated
+	// directly, and Materialize is a no-op.
 	Streaming bool
 }
 
@@ -59,7 +47,7 @@ type PlaneOptions struct {
 // combine it with the per-call Kind and λ.
 //
 // A plane is safe for concurrent readers (including concurrent lazy
-// materialization and memo fills); Append is single-writer.
+// materialization); Append is single-writer.
 type Plane struct {
 	answers []relation.Tuple
 	rel     []float64
@@ -71,24 +59,12 @@ type Plane struct {
 	keyedRel  KeyedRelevance // non-nil when relFn accepts precomputed keys
 	keyedDis  KeyedDistance  // non-nil when disFn accepts precomputed keys
 	streaming bool
-	want      Regime // the caller's requested regime (for Rebase carry-over)
 	regime    Regime // the resolved serving regime, fixed at construction
 
 	triReady atomic.Bool
 	tri      []float64 // packed lower triangle, index(i<j) = j(j-1)/2 + i
 
-	idx atomic.Pointer[MetricIndex] // lazily built in RegimeIndexed
-
 	cats *Categories // built with the plane in RegimeCategory
-
-	shards []memoShard
-	// shardCap bounds each memo shard by entries (total budget ≈ the
-	// matrix guard for the memoized regime, O(n) for the indexed regime);
-	// a full shard evicts one victim per insert — Go's randomized map
-	// iteration order is the eviction policy — so a long-lived plane
-	// serving on-demand pairs cannot grow O(n²) memory over its lifetime.
-	shardCap      int
-	memoEvictions atomic.Int64
 
 	mu         sync.Mutex // guards materialization and the lazy scalars below
 	haveMaxDis bool
@@ -97,27 +73,8 @@ type Plane struct {
 	rowSums    []float64
 }
 
-type memoShard struct {
-	mu sync.Mutex
-	m  map[uint64]float64
-}
-
-// memoShardCap derives the per-shard entry cap. The memoized regime keeps
-// roughly the matrix guard's byte budget (entries are ~16 bytes of key+value
-// before map overhead); the indexed regime — whose whole point is O(n)
-// memory — caps the memo at ~4 entries per answer, enough to absorb the
-// incidental Dis calls of quality evaluation and local search without
-// re-growing a quadratic cache behind the index's back.
-func memoShardCap(regime Regime, n int) int {
-	entries := MaxMatrixBytes / 16
-	if regime == RegimeIndexed {
-		entries = min(entries, 4*n+1024)
-	}
-	return entries / memoShards
-}
-
 // NewPlane builds a plane over answers. Distances are not computed yet:
-// materialization (or memoization on demand) happens on first use, so
+// the matrix is filled on first use (until then Dis evaluates δdis), so
 // relevance-only consumers pay O(n) and nothing more. A category plane
 // groups and orders its answers here, in O(n log n).
 func NewPlane(o *Objective, answers []relation.Tuple, opts PlaneOptions) *Plane {
@@ -128,16 +85,12 @@ func NewPlane(o *Objective, answers []relation.Tuple, opts PlaneOptions) *Plane 
 // NewPlaneContext is NewPlane under a cancellation context (the O(n)
 // relevance fill polls it).
 func NewPlaneContext(ctx context.Context, o *Objective, answers []relation.Tuple, opts PlaneOptions) (*Plane, error) {
-	regime := resolveRegime(opts.Regime, len(answers), opts.Streaming, o.Dis)
 	p := &Plane{
 		answers:   answers,
 		relFn:     o.Rel,
 		disFn:     o.Dis,
 		streaming: opts.Streaming,
-		want:      opts.Regime,
-		regime:    regime,
-		shardCap:  memoShardCap(regime, len(answers)),
-		shards:    make([]memoShard, memoShards),
+		regime:    resolveRegime(len(answers), opts.Streaming, o.Dis),
 	}
 	if kr, ok := o.Rel.(KeyedRelevance); ok {
 		p.keyedRel = kr
@@ -223,22 +176,10 @@ func (p *Plane) Materialized() bool { return p.triReady.Load() }
 // Regime reports the plane's resolved serving regime.
 func (p *Plane) Regime() Regime { return p.regime }
 
-// MemoStats reports the memo cache's resident entry count and the number of
-// evictions its entry cap has forced so far.
-func (p *Plane) MemoStats() (entries, evictions int64) {
-	for s := range p.shards {
-		shard := &p.shards[s]
-		shard.mu.Lock()
-		entries += int64(len(shard.m))
-		shard.mu.Unlock()
-	}
-	return entries, p.memoEvictions.Load()
-}
-
 // MemoryFootprint estimates the plane's resident bytes: the per-answer
-// score state plus whatever the regime stores (matrix, index, memo
-// entries at ~48 bytes each with map overhead). An estimate for operators
-// and planners, not an allocator-exact accounting.
+// score state plus whatever the regime stores (matrix or category lists).
+// An estimate for operators and planners, not an allocator-exact
+// accounting.
 func (p *Plane) MemoryFootprint() int64 {
 	n := int64(len(p.answers))
 	b := n * 8 // relevance vector
@@ -249,14 +190,9 @@ func (p *Plane) MemoryFootprint() int64 {
 	if p.triReady.Load() {
 		b += int64(len(p.tri)) * 8
 	}
-	if ix := p.idx.Load(); ix != nil {
-		b += ix.Bytes()
-	}
 	if p.cats != nil {
 		b += p.cats.bytes()
 	}
-	entries, _ := p.MemoStats()
-	b += entries * 48
 	return b
 }
 
@@ -269,7 +205,7 @@ func (p *Plane) rawRel(id int) float64 {
 }
 
 // rawDis evaluates δdis for i < j in canonical argument order, through the
-// keyed fast path when available. It does not consult or fill any cache.
+// keyed fast path when available.
 func (p *Plane) rawDis(i, j int) float64 {
 	if p.keyedDis != nil {
 		return p.keyedDis.DisKeys(p.keys[i], p.keys[j])
@@ -284,7 +220,7 @@ func triIndex(i, j int) int { return j*(j-1)/2 + i }
 
 // Dis returns δdis between the answers interned as i and j: a category
 // comparison on a category plane, a contiguous float load when the matrix
-// is filled, a memoized evaluation otherwise, and 0 on the diagonal.
+// is filled, an evaluation of δdis otherwise, and 0 on the diagonal.
 func (p *Plane) Dis(i, j int) float64 {
 	if p.cats != nil {
 		return p.cats.dis(i, j)
@@ -298,40 +234,7 @@ func (p *Plane) Dis(i, j int) float64 {
 	if p.triReady.Load() {
 		return p.tri[triIndex(i, j)]
 	}
-	return p.memoDis(i, j)
-}
-
-// memoDis serves a pair from the sharded cache, computing and storing it on
-// a miss. The user function runs outside the shard lock (it may be slow); a
-// racing duplicate computation stores the same deterministic value. A full
-// shard evicts one resident entry before storing — the victim is whatever
-// Go's randomized map iteration yields first, a zero-bookkeeping stand-in
-// for random replacement — so the cache stays capped while still following
-// the working set of long request streams.
-func (p *Plane) memoDis(i, j int) float64 {
-	key := uint64(i)<<32 | uint64(j)
-	s := &p.shards[(key*0x9E3779B97F4A7C15)>>(64-6)]
-	s.mu.Lock()
-	if d, ok := s.m[key]; ok {
-		s.mu.Unlock()
-		return d
-	}
-	s.mu.Unlock()
-	d := p.rawDis(i, j)
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[uint64]float64)
-	}
-	if _, ok := s.m[key]; !ok && len(s.m) >= p.shardCap {
-		for victim := range s.m {
-			delete(s.m, victim)
-			break
-		}
-		p.memoEvictions.Add(1)
-	}
-	s.m[key] = d
-	s.mu.Unlock()
-	return d
+	return p.rawDis(i, j)
 }
 
 // Materialize is MaterializeContext under context.Background.
@@ -341,10 +244,10 @@ func (p *Plane) Materialize() bool {
 }
 
 // MaterializeContext fills the packed triangular float64 matrix in parallel
-// across GOMAXPROCS workers. Planes whose regime keeps no matrix (indexed,
-// memoized, streaming) report false and keep serving on demand. It is
+// across GOMAXPROCS workers. Planes whose regime keeps no matrix (category,
+// direct, streaming) report false: they have nothing to build. It is
 // idempotent and safe under concurrent readers: until the fill completes,
-// Dis keeps answering from the cache.
+// Dis keeps evaluating δdis.
 func (p *Plane) MaterializeContext(ctx context.Context) (bool, error) {
 	if p.regime != RegimeMaterialized {
 		return false, nil
@@ -364,24 +267,6 @@ func (p *Plane) MaterializeContext(ctx context.Context) (bool, error) {
 	p.maxDis, p.haveMaxDis, p.maxDisN = maxDis, true, n
 	p.triReady.Store(true)
 	return true, nil
-}
-
-// EnsureReadyContext builds whatever the plane's regime serves from — the
-// matrix or the metric index — so prepare-time eager construction pays the
-// build cost once instead of on the first solve. Category planes built
-// their store with the plane; memoized (and streaming) planes have nothing
-// to build.
-func (p *Plane) EnsureReadyContext(ctx context.Context) error {
-	switch p.regime {
-	case RegimeMaterialized:
-		_, err := p.MaterializeContext(ctx)
-		return err
-	case RegimeIndexed:
-		_, err := p.IndexContext(ctx)
-		return err
-	default:
-		return nil
-	}
 }
 
 // fillParallel computes every (i < j) cell of tri, striping whole rows
@@ -480,8 +365,6 @@ func (p *Plane) MaxDisContext(ctx context.Context) (float64, error) {
 		defer p.mu.Unlock()
 		return p.maxDis, nil
 	}
-	// Memoized regime: scan through Dis so the pairs this pass pays for
-	// warm the cache (bounded by memoCap) for the search walk that follows.
 	poll := ctxpoll.New(ctx)
 	maxDis := 0.0
 	for j := 1; j < n; j++ {
@@ -500,36 +383,12 @@ func (p *Plane) MaxDisContext(ctx context.Context) (float64, error) {
 	return maxDis, nil
 }
 
-// MaxDisBoundContext returns an admissible upper bound on the maximum
-// pairwise δdis: the exact maximum where it is already known or cheap (the
-// matrix fill computes it), and in the indexed regime
-// the O(n) triangle-inequality bound 2·max δdis(pivot₀, ·) — so the exact
-// search's optimistic bound never pays the O(n²) scan a large indexed plane
-// exists to avoid. A looser bound only weakens pruning, never correctness.
-func (p *Plane) MaxDisBoundContext(ctx context.Context) (float64, error) {
-	p.mu.Lock()
-	if p.haveMaxDis && p.maxDisN == len(p.answers) {
-		v := p.maxDis
-		p.mu.Unlock()
-		return v, nil
-	}
-	p.mu.Unlock()
-	if p.regime == RegimeIndexed {
-		ix, err := p.IndexContext(ctx)
-		if err != nil {
-			return 0, err
-		}
-		return ix.MaxDisUpperBound(), nil
-	}
-	return p.MaxDisContext(ctx)
-}
-
 // RowSums returns, for each id, Σ over all answers of δdis(id, ·) — the
 // shared subexpression of every Fmono score — accumulated in ascending ID
 // order for reproducible floating point. A category plane counts each
 // answer's category in O(n). Elsewhere the O(n²) scan polls ctx, and only
-// a completed scan is cached; without a matrix the scan computes pairs
-// directly without storing them, so the memory guard holds.
+// a completed scan is cached; without a matrix the scan evaluates pairs
+// without storing them, so the memory guard holds.
 func (p *Plane) RowSums(ctx context.Context) ([]float64, error) {
 	n := len(p.answers)
 	p.mu.Lock()
@@ -548,16 +407,6 @@ func (p *Plane) RowSums(ctx context.Context) ([]float64, error) {
 	if _, err := p.MaterializeContext(ctx); err != nil {
 		return nil, err
 	}
-	dis := p.Dis
-	if !p.triReady.Load() {
-		// The scan never asks for the diagonal (j != i below).
-		dis = func(i, j int) float64 {
-			if i > j {
-				i, j = j, i
-			}
-			return p.rawDis(i, j)
-		}
-	}
 	poll := ctxpoll.New(ctx)
 	sums := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -567,7 +416,7 @@ func (p *Plane) RowSums(ctx context.Context) ([]float64, error) {
 				return nil, poll.Err()
 			}
 			if j != i {
-				g += dis(i, j)
+				g += p.Dis(i, j)
 			}
 		}
 		sums[i] = g
@@ -583,8 +432,8 @@ func (p *Plane) RowSums(ctx context.Context) ([]float64, error) {
 }
 
 // Append interns a new answer on a streaming plane, returning its ID.
-// Distances to it are memoized on first use, so an append is O(1) beyond
-// its relevance evaluation. Single-writer: the streaming procedures append
+// Distances to it are evaluated on use, so an append is O(1) beyond its
+// relevance evaluation. Single-writer: the streaming procedures append
 // from the evaluation goroutine only.
 func (p *Plane) Append(t relation.Tuple) int {
 	if !p.streaming {
@@ -611,10 +460,8 @@ func (p *Plane) Append(t relation.Tuple) int {
 // keys are copied for carried answers, and when the matrix is filled (with
 // the regime re-resolved at the new size) every carried pair is a float
 // copy, so only the O(n·|added|) pairs touching a new answer evaluate δdis.
-// A category store is edited in place of a rebuild. In the memoized and
-// indexed regimes nothing is precomputed, exactly as on a cold build — the
-// metric index rebuilds lazily over the new answers — and the cache
-// entries of carried pairs are carried across under their new IDs.
+// A category store is edited in place of a rebuild. A direct plane stores
+// no pairs, so nothing beyond the per-answer state is carried.
 //
 // The result is bit-identical to a plane built from scratch over answers:
 // δrel/δdis are pure per-pair functions, so copied values equal recomputed
@@ -629,12 +476,11 @@ func (p *Plane) Rebase(ctx context.Context, answers []relation.Tuple, from []int
 	if p.streaming {
 		panic("objective: Rebase on a streaming plane")
 	}
-	n, m := len(p.answers), len(answers)
+	m := len(answers)
 	// The regime is re-resolved at the new size: insert batches can push a
-	// materialized plane over the guard (it degrades) and retire batches
-	// can bring an oversized one back under it (it re-materializes), each
-	// matching what a cold build at the new size would pick.
-	newRegime := resolveRegime(p.want, m, false, p.disFn)
+	// materialized plane over the guard (it evaluates directly) and retire
+	// batches can bring an oversized one back under it (it re-materializes),
+	// each matching what a cold build at the new size would pick.
 	q := &Plane{
 		answers:  answers,
 		rel:      make([]float64, m),
@@ -642,10 +488,7 @@ func (p *Plane) Rebase(ctx context.Context, answers []relation.Tuple, from []int
 		disFn:    p.disFn,
 		keyedRel: p.keyedRel,
 		keyedDis: p.keyedDis,
-		want:     p.want,
-		regime:   newRegime,
-		shardCap: memoShardCap(newRegime, m),
-		shards:   make([]memoShard, memoShards),
+		regime:   resolveRegime(m, false, p.disFn),
 	}
 	if p.keys != nil {
 		q.keys = make([]string, m)
@@ -708,51 +551,9 @@ func (p *Plane) Rebase(ctx context.Context, answers []relation.Tuple, from []int
 		q.tri = tri
 		q.maxDis, q.haveMaxDis, q.maxDisN = maxDis, true, m
 		q.triReady.Store(true)
-		return q, nil
 	}
-	// No matrix to carry (indexed and memoized regimes, or a matrix whose
-	// source wasn't filled): distances stay on demand and — in the
-	// indexed regime — the index rebuilds lazily on first use, which is
-	// trivially identical to a cold build since it is a pure function of
-	// the answer set. Carry cached pairs of carried IDs across
-	// under their new IDs so the memo warmth survives the rebase, holding
-	// the new plane's per-shard cap (no evictions during carry: cold pairs
-	// just stay uncarried).
-	if !p.triReady.Load() {
-		old2new := make([]int, n)
-		for k := range old2new {
-			old2new[k] = -1
-		}
-		for newID, oldID := range from {
-			if oldID >= 0 {
-				old2new[oldID] = newID
-			}
-		}
-		for s := range p.shards {
-			shard := &p.shards[s]
-			shard.mu.Lock()
-			for key, d := range shard.m {
-				oi, oj := int(key>>32), int(key&0xffffffff)
-				ni, nj := old2new[oi], old2new[oj]
-				if ni < 0 || nj < 0 {
-					continue
-				}
-				if ni > nj {
-					ni, nj = nj, ni
-				}
-				nkey := uint64(ni)<<32 | uint64(nj)
-				ns := &q.shards[(nkey*0x9E3779B97F4A7C15)>>(64-6)]
-				if ns.m == nil {
-					ns.m = make(map[uint64]float64)
-				}
-				if len(ns.m) >= q.shardCap {
-					continue
-				}
-				ns.m[nkey] = d
-			}
-			shard.mu.Unlock()
-		}
-	}
+	// Otherwise nothing is stored: a materialized-regime plane without a
+	// source matrix fills its own on first use, as a cold build does.
 	return q, nil
 }
 

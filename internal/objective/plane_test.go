@@ -32,15 +32,24 @@ func planeObjective(n int) *Objective {
 	return New(MaxSum, tr, td, 0.5)
 }
 
+// directPlane builds a plane that stores no pairs at any n: a streaming
+// plane fed answers in order.
+func directPlane(o *Objective, answers []relation.Tuple) *Plane {
+	p := NewPlane(o, nil, PlaneOptions{Streaming: true})
+	for _, t := range answers {
+		p.Append(t)
+	}
+	return p
+}
+
 func TestPlaneMatchesInterfaces(t *testing.T) {
 	const n = 40
 	answers := planeAnswers(n)
 	o := planeObjective(n)
-	for name, opts := range map[string]PlaneOptions{
-		"materialized": {},
-		"memoized":     {Regime: RegimeMemoized},
+	for name, p := range map[string]*Plane{
+		"materialized": NewPlane(o, answers, PlaneOptions{}),
+		"direct":       directPlane(o, answers),
 	} {
-		p := NewPlane(o, answers, opts)
 		if ok := p.Materialize(); ok != (name == "materialized") {
 			t.Fatalf("%s: Materialize() = %v", name, ok)
 		}
@@ -185,17 +194,16 @@ func TestPlaneBuildCancellation(t *testing.T) {
 }
 
 // TestPlaneConcurrentAccess hammers a plane from many goroutines while it
-// materializes and memoizes; run under -race it proves the parallel fill
-// and the sharded cache are data-race free.
+// materializes and fills its lazy scalars; run under -race it proves the
+// parallel fill and the direct store are data-race free.
 func TestPlaneConcurrentAccess(t *testing.T) {
 	const n = 120
 	answers := planeAnswers(n)
 	o := planeObjective(n)
-	for name, opts := range map[string]PlaneOptions{
-		"materialized": {},
-		"memoized":     {Regime: RegimeMemoized},
+	for name, p := range map[string]*Plane{
+		"materialized": NewPlane(o, answers, PlaneOptions{}),
+		"direct":       directPlane(o, answers),
 	} {
-		p := NewPlane(o, answers, opts)
 		var wg sync.WaitGroup
 		errs := make(chan string, 64)
 		for g := 0; g < 8; g++ {
@@ -229,37 +237,6 @@ func TestPlaneConcurrentAccess(t *testing.T) {
 		for e := range errs {
 			t.Fatal(e)
 		}
-	}
-}
-
-func TestPlaneMemoCapBoundsStorage(t *testing.T) {
-	const n = 60
-	answers := planeAnswers(n)
-	o := planeObjective(n)
-	// The indexed regime caps its memo at 4n+1024 entries (19 per shard
-	// here): no matrix, and inserts past the cap evict instead of growing.
-	p := NewPlane(o, answers, PlaneOptions{Regime: RegimeIndexed})
-	if p.Materialize() {
-		t.Fatal("the indexed regime keeps no matrix")
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if got, want := p.Dis(i, j), o.Dis.Dis(answers[i], answers[j]); got != want {
-				t.Fatalf("Dis(%d,%d) = %v, want %v past the memo cap", i, j, got, want)
-			}
-		}
-	}
-	stored, evictions := p.MemoStats()
-	if bound := int64(p.shardCap) * memoShards; stored > bound {
-		t.Fatalf("memo stored %d entries, cap %d", stored, bound)
-	}
-	// 1770 distinct pairs were pushed through a 1216-entry cache: the cap
-	// must have evicted, and the counter must say so.
-	if evictions == 0 {
-		t.Fatal("no evictions recorded after overflowing the memo cap")
-	}
-	if total := stored + evictions; total < n*(n-1)/2-memoShards {
-		t.Fatalf("stored(%d) + evicted(%d) should account for ~every distinct pair", stored, evictions)
 	}
 }
 

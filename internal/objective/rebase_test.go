@@ -67,11 +67,13 @@ func (c *countingDistance) Dis(s, t relation.Tuple) float64 {
 	return c.inner.Dis(s, t)
 }
 
+// The rebase tests run each case twice: from a filled matrix, and from a
+// plane whose matrix is not filled yet, which rebases the way a direct plane
+// does (nothing stored, nothing carried but per-answer state).
+var rebaseArms = map[string]bool{"materialized": true, "unfilled": false}
+
 func TestRebaseExtendMatchesColdBuild(t *testing.T) {
-	for name, opts := range map[string]PlaneOptions{
-		"materialized": {},
-		"memoized":     {Regime: RegimeMemoized},
-	} {
+	for name, fill := range rebaseArms {
 		rng := rand.New(rand.NewSource(3))
 		base := make([]relation.Tuple, 0, 40)
 		for i := 0; i < 40; i++ {
@@ -79,8 +81,10 @@ func TestRebaseExtendMatchesColdBuild(t *testing.T) {
 		}
 		base = sortedTuples(base)
 		o := New(MaxSum, AttrRelevance(0, 1e-3), EuclideanDistance(), 0.5)
-		p := NewPlane(o, base, opts)
-		p.Materialize()
+		p := NewPlane(o, base, PlaneOptions{})
+		if fill {
+			p.Materialize()
+		}
 
 		added := sortedTuples([]relation.Tuple{
 			relation.Ints(-5, 3), relation.Ints(500, 500), relation.Ints(2000, 1),
@@ -92,8 +96,10 @@ func TestRebaseExtendMatchesColdBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold := NewPlane(o, merged, opts)
-		cold.Materialize()
+		cold := NewPlane(o, merged, PlaneOptions{})
+		if fill {
+			cold.Materialize()
+		}
 		if m := got.Materialized(); m != cold.Materialized() {
 			t.Fatalf("%s: Materialized = %v, want %v", name, m, cold.Materialized())
 		}
@@ -107,18 +113,13 @@ func TestRebaseExtendMatchesColdBuild(t *testing.T) {
 }
 
 func TestRebaseRetireMatchesColdBuild(t *testing.T) {
-	for name, opts := range map[string]PlaneOptions{
-		"materialized": {},
-		"memoized":     {Regime: RegimeMemoized},
-	} {
+	for name, fill := range rebaseArms {
 		base := planeAnswers(30)
 		base = sortedTuples(base)
 		o := New(MaxMin, AttrRelevance(0, 1.0/30), EuclideanDistance(), 0.5)
-		p := NewPlane(o, base, opts)
-		p.Materialize()
-		// Warm the memo regime so carried-over entries are exercised.
-		for i := 0; i < 10; i++ {
-			p.Dis(i, i+5)
+		p := NewPlane(o, base, PlaneOptions{})
+		if fill {
+			p.Materialize()
 		}
 
 		retired := []int{0, 7, 19}
@@ -134,8 +135,10 @@ func TestRebaseRetireMatchesColdBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold := NewPlane(o, survivors, opts)
-		cold.Materialize()
+		if got.Materialized() != fill {
+			t.Fatalf("%s: Materialized = %v after rebase", name, got.Materialized())
+		}
+		cold := NewPlane(o, survivors, PlaneOptions{})
 		checkPlaneEqual(t, name+"/retire", got, cold)
 	}
 }
@@ -143,10 +146,7 @@ func TestRebaseRetireMatchesColdBuild(t *testing.T) {
 func TestRebaseMixedRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
-		opts := PlaneOptions{}
-		if trial%2 == 1 {
-			opts.Regime = RegimeMemoized
-		}
+		fill := trial%2 == 0
 		n := 20 + rng.Intn(30)
 		base := make([]relation.Tuple, 0, n)
 		seen := map[string]bool{}
@@ -159,8 +159,10 @@ func TestRebaseMixedRandomized(t *testing.T) {
 		}
 		base = sortedTuples(base)
 		o := New(Mono, AttrRelevance(0, 1e-2), EuclideanDistance(), 0.7)
-		p := NewPlane(o, base, opts)
-		p.Materialize()
+		p := NewPlane(o, base, PlaneOptions{})
+		if fill {
+			p.Materialize()
+		}
 
 		var retired []int
 		for i := range base {
@@ -195,8 +197,7 @@ func TestRebaseMixedRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold := NewPlane(o, want, opts)
-		cold.Materialize()
+		cold := NewPlane(o, want, PlaneOptions{})
 		checkPlaneEqual(t, "mixed", got, cold)
 	}
 }
@@ -226,13 +227,13 @@ func TestRebaseRecomputesOnlyDeltaPairs(t *testing.T) {
 	}
 }
 
-func TestRebaseGuardOverflowFallsToMemo(t *testing.T) {
+func TestRebaseGuardOverflowFallsToDirect(t *testing.T) {
 	// A materialized plane at the largest n whose triangle fits
 	// MaxMatrixBytes loses materialization when the extension pushes the
 	// triangle past it — exactly as a cold build at the new size would.
 	base := sortedTuples(planeAnswers(4096))
 	o := New(MaxSum, ConstRelevance(1), EuclideanDistance(), 0.5)
-	p := NewPlane(o, base, PlaneOptions{Regime: RegimeMaterialized})
+	p := NewPlane(o, base, PlaneOptions{})
 	if !p.Materialize() {
 		t.Fatal("base plane should materialize under the guard")
 	}
@@ -241,11 +242,11 @@ func TestRebaseGuardOverflowFallsToMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Materialized() {
-		t.Error("extension past the guard must fall back to the memoized regime")
+	if q.Materialized() || q.Regime() != RegimeDirect {
+		t.Errorf("extension past the guard resolved %v (materialized=%v), want direct", q.Regime(), q.Materialized())
 	}
 	if got, want := q.Dis(0, q.Len()-1), o.Dis.Dis(q.Tuple(0), q.Tuple(q.Len()-1)); got != want {
-		t.Errorf("memoized Dis = %v, want %v", got, want)
+		t.Errorf("direct Dis = %v, want %v", got, want)
 	}
 }
 

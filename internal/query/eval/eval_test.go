@@ -325,6 +325,19 @@ func TestContextCancelsEvaluation(t *testing.T) {
 	}
 }
 
+// TestEvaluateKeepsAnswersSplitAtSeparator: two answers whose string fields
+// join to the same bytes around 0x1f are two answers of Q(D).
+func TestEvaluateKeepsAnswersSplitAtSeparator(t *testing.T) {
+	str := func(s string) relation.Tuple { return relation.Tuple{value.Str(s)} }
+	r := relation.NewRelation(relation.NewSchema("R", "x"))
+	r.InsertAll(str("a\x1fsb"), str("a"))
+	s := relation.NewRelation(relation.NewSchema("S", "y"))
+	s.InsertAll(str("c"), str("b\x1fsc"))
+	got := results(t, "Q(x, y) :- R(x), S(y)", relation.NewDatabase().Add(r).Add(s))
+	pair := func(x, y string) relation.Tuple { return relation.Tuple{value.Str(x), value.Str(y)} }
+	wantTuples(t, got, pair("a", "b\x1fsc"), pair("a", "c"), pair("a\x1fsb", "b\x1fsc"), pair("a\x1fsb", "c"))
+}
+
 // TestComparisonsOrderNaNLast: comparisons follow value.Compare's total
 // order, in which NaN equals only NaN and orders after every other number.
 func TestComparisonsOrderNaNLast(t *testing.T) {

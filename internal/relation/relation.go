@@ -31,7 +31,7 @@ func (t Tuple) Key() string {
 func (t Tuple) AppendKey(dst []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
-			dst = append(dst, 0x1f) // unit separator: cannot collide with payloads
+			dst = append(dst, 0x1f) // unit separator: string payloads escape it
 		}
 		dst = v.AppendKey(dst)
 	}

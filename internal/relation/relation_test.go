@@ -201,7 +201,9 @@ func TestDatabaseCloneIsDeep(t *testing.T) {
 	}
 }
 
-// Property: tuple Key is injective on integer tuples of equal arity.
+// Property: tuple Key is injective, on integer tuples of equal arity and on
+// string tuples of any arity over an alphabet holding the separator 0x1f
+// and its escape 0x1e.
 func TestTupleKeyInjectiveProperty(t *testing.T) {
 	f := func(a, b [3]int64) bool {
 		ta := Ints(a[0], a[1], a[2])
@@ -210,6 +212,46 @@ func TestTupleKeyInjectiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	const alphabet = "as\x1e\x1f"
+	rng := rand.New(rand.NewSource(33))
+	seen := map[string]Tuple{}
+	for i := 0; i < 20000; i++ {
+		tu := make(Tuple, 1+rng.Intn(3))
+		for c := range tu {
+			b := make([]byte, rng.Intn(5))
+			for j := range b {
+				b[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+			tu[c] = value.Str(string(b))
+		}
+		if prev, ok := seen[tu.Key()]; ok && !prev.Equal(tu) {
+			t.Fatalf("%q and %q share the key %q", prev, tu, tu.Key())
+		}
+		seen[tu.Key()] = tu
+	}
+}
+
+// TestRelationKeepsTuplesSplitAtSeparator: two string tuples whose fields
+// join to the same bytes around 0x1f are two rows, each found and deleted
+// on its own.
+func TestRelationKeepsTuplesSplitAtSeparator(t *testing.T) {
+	a := Tuple{value.Str("a\x1fsb"), value.Str("c")}
+	b := Tuple{value.Str("a"), value.Str("b\x1fsc")}
+	r := NewRelation(NewSchema("R", "x", "y"))
+	if !r.Insert(a) || !r.Insert(b) || r.Len() != 2 {
+		t.Fatalf("inserting both left Len %d", r.Len())
+	}
+	for _, tu := range []Tuple{a, b} {
+		if !r.Contains(tu) {
+			t.Fatalf("%q not found", tu)
+		}
+	}
+	if !r.Delete(a) || !r.Contains(b) || r.Contains(a) {
+		t.Fatalf("deleting %q: contains a %v, b %v", a, r.Contains(a), r.Contains(b))
+	}
+	if !r.Delete(b) || r.Len() != 0 {
+		t.Fatalf("deleting %q left Len %d", b, r.Len())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -245,57 +244,6 @@ func TestParallelSearchCancel(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	if _, err := QRDBestContext(ctx, in); err == nil {
 		t.Fatal("expected a cancellation error")
-	}
-}
-
-// TestParallelSearchSharedMemoPlane hammers one memoized plane with
-// concurrent parallel exact solves, each of which must find the sequential
-// optimum. Under -race it proves the memo cache's sharded fills are safe
-// across solves as well as across the frames of one.
-func TestParallelSearchSharedMemoPlane(t *testing.T) {
-	ctx := context.Background()
-	pts := randomPoints(rand.New(rand.NewSource(31)), 40)
-	want, err := QRDBestContext(ctx, pointsInstance(pts, objective.MaxSum, 0.5, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo := func() *core.Instance {
-		in := pointsInstance(pts, objective.MaxSum, 0.5, 3)
-		in.PlaneRegime = objective.RegimeMemoized
-		in.Parallelism = 4
-		return in
-	}
-	plane, err := memo().PlaneContext(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plane.Regime() != objective.RegimeMemoized {
-		t.Fatalf("plane regime %v, want memoized", plane.Regime())
-	}
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			in := memo()
-			in.SetAnswers(plane.Answers())
-			in.SetPlane(plane)
-			got, err := QRDBestContext(ctx, in)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if got.Value != want.Value {
-				errs <- fmt.Errorf("shared memo plane solve = %v, sequential optimum %v", got.Value, want.Value)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }
 

@@ -126,13 +126,11 @@ func newSearch(ctx context.Context, in *core.Instance, cutoff float64, strict bo
 	case objective.MaxSum, objective.MaxMin:
 		// The plane builds its matrix here (when the regime has one) and
 		// hands back the max distance as a byproduct; the walk then reads
-		// distances as contiguous float loads. Indexed planes return the
-		// O(n) triangle-inequality bound instead of scanning all pairs — an
-		// admissible (≥ true max) stand-in that only loosens pruning — and
-		// the walk falls back to on-demand pair evaluation through the
-		// capped memo.
+		// distances as contiguous float loads. A direct plane scans every
+		// pair once for the maximum without storing any, and the walk
+		// evaluates the pairs it visits.
 		s.maxRel = plane.MaxRel()
-		md, err := plane.MaxDisBoundContext(ctx)
+		md, err := plane.MaxDisContext(ctx)
 		if err != nil {
 			s.canceled = true
 			return s

@@ -234,7 +234,18 @@ func (v Value) AppendKey(dst []byte) []byte {
 	case KindFloat:
 		return strconv.AppendFloat(append(dst, 'f'), v.f, 'g', -1, 64)
 	case KindString:
-		return append(append(dst, 's'), v.s...)
+		// Tuple keys separate fields with 0x1f, so a string writes 0x1e
+		// and 0x1f each behind a 0x1e: an unescaped 0x1f is always a
+		// separator, and a tuple's key decodes to its fields alone.
+		dst = append(dst, 's')
+		start := 0
+		for i := 0; i < len(v.s); i++ {
+			if c := v.s[i]; c == 0x1e || c == 0x1f {
+				dst = append(append(dst, v.s[start:i]...), 0x1e)
+				start = i
+			}
+		}
+		return append(dst, v.s[start:]...)
 	case KindBool:
 		if v.i != 0 {
 			return append(dst, "bt"...)

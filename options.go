@@ -261,12 +261,11 @@ type Distance interface {
 // greedy round from per-category lists, in O(n) memory at any answer
 // count.
 //
-// A function is opaque to the plane, which fills a distance matrix across
-// GOMAXPROCS workers, so it must be safe for concurrent use. It must be
-// symmetric with a zero diagonal, and a metric (it obeys the triangle
-// inequality) once the query has more than 4,096 answers: above that the
-// plane serves distances from a metric index that prunes by the triangle
-// inequality, and there is no override.
+// A function is opaque to the plane: it must be symmetric with a zero
+// diagonal and safe for concurrent use (the plane fills its distance
+// matrix across GOMAXPROCS workers), and nothing more. Above 4,096 answers
+// the plane stores no distances and calls the function for each pair it
+// needs.
 func WithDistance[D Distance](d D) Option {
 	return func(s *settings) {
 		switch d := any(d).(type) {

@@ -434,18 +434,16 @@ func degradeChain(base, abandoned string) string {
 	return base + "→" + abandoned
 }
 
-// planeRegime names how a plane serves distances: which of the four storage
-// regimes the planner resolved for it.
+// planeRegime names how a plane serves distances: which of the three
+// stores the planner resolved for it.
 func planeRegime(p *objective.Plane) string {
 	switch p.Regime() {
 	case objective.RegimeCategory:
 		return "category lists"
 	case objective.RegimeMaterialized:
 		return "materialized matrix"
-	case objective.RegimeIndexed:
-		return "metric index"
 	default:
-		return "memoized cache"
+		return "direct evaluation"
 	}
 }
 

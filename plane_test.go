@@ -41,6 +41,17 @@ func tableInstance(n, k int, kind objective.Kind, lambda float64) *core.Instance
 	return in
 }
 
+// useDirectPlane installs on in a plane that stores no pairs at any n: a
+// streaming plane fed in's answers in order.
+func useDirectPlane(in *core.Instance) *core.Instance {
+	p := objective.NewPlane(in.Obj, nil, objective.PlaneOptions{Streaming: true})
+	for _, t := range in.Answers() {
+		p.Append(t)
+	}
+	in.SetPlane(p)
+	return in
+}
+
 // preparedPlaneEngine builds a small engine + prepared handle pair for the
 // public-API plane tests.
 func preparedPlaneEngine(t *testing.T, opts ...Option) (*Engine, *Prepared) {
@@ -154,6 +165,58 @@ func TestPreparedPlanePerCallOverride(t *testing.T) {
 	}
 }
 
+// TestFunctionDistanceLargeNMatchesFlatGreedy: a distance given as a
+// function is opaque to the plane, so above the 4,096 answers the matrix
+// holds it must still drive greedy FMS and FMM to the flat loops' picks,
+// whatever the function is. Squared Euclidean distance breaks the triangle
+// inequality, so a store that pruned by it would pick other answers.
+func TestFunctionDistanceLargeNMatchesFlatGreedy(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine()
+	e.MustCreateTable("P", "x", "y")
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 5000; i++ {
+		e.MustInsert("P", rng.Int63n(1000), rng.Int63n(1000))
+	}
+	coord := func(r Row, attr string) float64 { return float64(r.Get(attr).(int64)) }
+	p, err := e.Prepare("Q(x, y) :- P(x, y)",
+		WithK(10), WithLambda(0.5), WithAlgorithm(Greedy),
+		WithRelevance(func(r Row) float64 { return coord(r, "y") / 1000 }),
+		WithDistance(func(a, b Row) float64 {
+			dx, dy := coord(a, "x")-coord(b, "x"), coord(a, "y")-coord(b, "y")
+			return dx*dx + dy*dy
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []Objective{MaxSum, MaxMin} {
+		sel, err := p.Diversify(ctx, WithObjective(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := p.current()
+		if snap.plane.Len() <= 4096 || snap.plane.Regime() != objective.RegimeDirect {
+			t.Fatalf("%v: shared plane over %d answers is %v, want direct", kind, snap.plane.Len(), snap.plane.Regime())
+		}
+		s, err := p.call([]Option{WithObjective(kind)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := &core.Instance{Obj: s.objectiveOver(p.schema), K: 10}
+		in.SetAnswers(snap.answers)
+		want := approx.Greedy(useDirectPlane(in))
+		if len(sel.Rows) != len(want.Set) || sel.Value != want.Value {
+			t.Fatalf("%v: served %d rows of value %v, flat greedy %d of value %v",
+				kind, len(sel.Rows), sel.Value, len(want.Set), want.Value)
+		}
+		for i, r := range sel.Rows {
+			if !r.tuple.Equal(want.Set[i]) {
+				t.Fatalf("%v: pick %d is %v, flat greedy picked %v", kind, i, r.tuple, want.Set[i])
+			}
+		}
+	}
+}
+
 // TestExplainFormatting pins the Explain helpers white-box: formatBytes
 // picks the binary-prefix unit at each power-of-two threshold, and
 // planeRegime names every resolved store.
@@ -178,20 +241,19 @@ func TestExplainFormatting(t *testing.T) {
 		answers[i] = relation.Ints(int64(i), int64((i*7)%13))
 	}
 	o := objective.New(objective.MaxSum, nil, objective.EuclideanDistance(), 0.5)
+	direct := objective.NewPlane(o, nil, objective.PlaneOptions{Streaming: true})
+	for _, a := range answers {
+		direct.Append(a)
+	}
 	for _, c := range []struct {
-		regime objective.Regime
-		want   string
+		plane *objective.Plane
+		want  string
 	}{
-		{objective.RegimeMaterialized, "materialized matrix"},
-		{objective.RegimeIndexed, "metric index"},
-		{objective.RegimeMemoized, "memoized cache"},
+		{objective.NewPlane(o, answers, objective.PlaneOptions{}), "materialized matrix"},
+		{direct, "direct evaluation"},
 	} {
-		p := objective.NewPlane(o, answers, objective.PlaneOptions{Regime: c.regime})
-		if err := p.EnsureReadyContext(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if got := planeRegime(p); got != c.want {
-			t.Fatalf("planeRegime(%v) = %q, want %q", c.regime, got, c.want)
+		if got := planeRegime(c.plane); got != c.want {
+			t.Fatalf("planeRegime(%v) = %q, want %q", c.plane.Regime(), got, c.want)
 		}
 	}
 	cat := objective.New(objective.MaxSum, nil, objective.CategoryDistance{Col: 1}, 0.5)
@@ -260,7 +322,7 @@ func writeOnline(b *strings.Builder, label string, r online.Result, err error) {
 // TestSolverGolden pins every solver family on the score plane: the exact
 // QRD/DRP/RDC searches, the paper's PTIME cells, the Section-10 heuristics,
 // the online procedures and constrained (Σ) instances, across the objective
-// kind × λ grid and the materialized and memoized plane regimes. Each line
+// kind × λ grid and the materialized and direct plane stores. Each line
 // records the selected set, the objective value to the last bit and the
 // deterministic sequential work statistics, so any change to what a solver
 // returns or how much work it does shows up as a diff. Regenerate with
@@ -272,10 +334,10 @@ func TestSolverGolden(t *testing.T) {
 	lambdas := []float64{0, 0.5, 1}
 	regimes := []struct {
 		name   string
-		regime objective.Regime
+		direct bool
 	}{
-		{"materialized", objective.RegimeAuto}, // auto materializes at these sizes
-		{"memoized", objective.RegimeMemoized},
+		{"materialized", false}, // the planner materializes at these sizes
+		{"direct", true},
 	}
 
 	t.Run("exact", func(t *testing.T) {
@@ -286,7 +348,9 @@ func TestSolverGolden(t *testing.T) {
 					label := fmt.Sprintf("%s λ=%v %s", kind, lambda, regime.name)
 					mk := func() *core.Instance {
 						in := tableInstance(16, 4, kind, lambda)
-						in.PlaneRegime = regime.regime
+						if regime.direct {
+							useDirectPlane(in)
+						}
 						return in
 					}
 					best := solver.QRDBest(mk())
@@ -359,7 +423,9 @@ func TestSolverGolden(t *testing.T) {
 					label := fmt.Sprintf("%s λ=%v %s", kind, lambda, regime.name)
 					mk := func() *core.Instance {
 						in := tableInstance(60, 6, kind, lambda)
-						in.PlaneRegime = regime.regime
+						if regime.direct {
+							useDirectPlane(in)
+						}
 						return in
 					}
 					writeHeuristic(&b, label+" GreedyMaxSum", approx.GreedyMaxSum(mk()))

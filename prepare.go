@@ -482,10 +482,10 @@ func (p *Prepared) planeFor(ctx context.Context, snap *snapshot) (*objective.Pla
 	if err != nil {
 		return nil, err
 	}
-	// Build the regime's store eagerly: a Prepared handle exists to be
-	// solved against many times, so the fill (the parallel matrix or the
-	// O(n log n) metric index) is paid once here rather than per solve.
-	if err := pl.EnsureReadyContext(ctx); err != nil {
+	// Fill the matrix eagerly when the plane keeps one: a Prepared handle
+	// exists to be solved against many times, so the parallel fill is paid
+	// once here rather than per solve.
+	if _, err := pl.MaterializeContext(ctx); err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
@@ -497,10 +497,10 @@ func (p *Prepared) planeFor(ctx context.Context, snap *snapshot) (*objective.Pla
 }
 
 // planeMetrics reports the score plane cached by the latest published
-// snapshot, for the service's /metrics aggregation: the regime name, the
-// estimated resident bytes and the memo cache counters. ok is false while
-// no plane is cached (cold handle, or the snapshot was invalidated).
-func (p *Prepared) planeMetrics() (regime string, bytes, entries, evictions int64, ok bool) {
+// snapshot, for the service's /metrics aggregation: the regime name and the
+// estimated resident bytes. ok is false while no plane is cached (cold
+// handle, or the snapshot was invalidated).
+func (p *Prepared) planeMetrics() (regime string, bytes int64, ok bool) {
 	p.mu.Lock()
 	var pl *objective.Plane
 	if p.snap != nil {
@@ -508,10 +508,9 @@ func (p *Prepared) planeMetrics() (regime string, bytes, entries, evictions int6
 	}
 	p.mu.Unlock()
 	if pl == nil {
-		return "", 0, 0, 0, false
+		return "", 0, false
 	}
-	entries, evictions = pl.MemoStats()
-	return pl.Regime().String(), pl.MemoryFootprint(), entries, evictions, true
+	return pl.Regime().String(), pl.MemoryFootprint(), true
 }
 
 // checkSet validates and converts a caller-provided candidate set: it must

@@ -98,14 +98,11 @@ type Metrics struct {
 
 // PlaneMetrics aggregates the score planes cached by the registered
 // statements' published snapshots: how many are resident, how each serves
-// distances (regime name -> count), the estimated bytes they hold, and the
-// memo caches' entry/eviction counters.
+// distances (regime name -> count) and the estimated bytes they hold.
 type PlaneMetrics struct {
 	Planes         int64            `json:"planes"`
 	Regimes        map[string]int64 `json:"regimes,omitempty"`
 	EstimatedBytes int64            `json:"estimated_bytes"`
-	MemoEntries    int64            `json:"memo_entries"`
-	MemoEvictions  int64            `json:"memo_evictions"`
 }
 
 // Service is the serving facade over one Engine: a named statement
@@ -261,7 +258,7 @@ func (s *Service) Metrics() Metrics {
 	}
 	var pm PlaneMetrics
 	for _, st := range stmts {
-		regime, bytes, entries, evictions, ok := st.planeMetrics()
+		regime, bytes, ok := st.planeMetrics()
 		if !ok {
 			continue
 		}
@@ -271,8 +268,6 @@ func (s *Service) Metrics() Metrics {
 		}
 		pm.Regimes[regime]++
 		pm.EstimatedBytes += bytes
-		pm.MemoEntries += entries
-		pm.MemoEvictions += evictions
 	}
 	if pm.Planes > 0 {
 		m.Plane = &pm
