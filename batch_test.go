@@ -43,7 +43,7 @@ const batchQuery = "Q(item, type, price) :- catalog(item, type, price, s), price
 
 // TestWithParallelismMatchesSequential is the public-API face of the
 // determinism guarantee: WithParallelism(n) must return the same rows and
-// score as the default sequential solve, for every objective and algorithm
+// score as the default one-worker solve, for every objective and algorithm
 // the exact search backs.
 func TestWithParallelismMatchesSequential(t *testing.T) {
 	e := batchEngine(t, 24)

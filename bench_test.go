@@ -648,16 +648,15 @@ func BenchmarkPreparedVsOneShot(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelSearch measures the PR 3 tentpole: the work-stealing
-// parallel branch-and-bound with a warm-started shared incumbent against
-// the sequential exact search, at n≈30, k=8 across the three objectives.
-// Results are byte-identical between the two paths (asserted by the
-// differential and fuzz suites); what changes is wall-clock and the node
-// count — the warm-started incumbent prunes the bulk of the tree for the
-// min-based and modular objectives before any frame is explored, and on
-// multi-core hardware the frames then divide the surviving work. The
-// "nodes/op" metric records visited search-tree nodes so the pruning effect
-// is visible independently of the host's core count.
+// BenchmarkParallelSearch measures the exact search at 1, 2 and 4 workers,
+// at n≈30, k=8 across the three objectives. Every arm warm-starts from the
+// greedy incumbent: w1 walks the whole tree as one frame, w2 and w4 split it
+// into frames against the shared incumbent. Results are byte-identical
+// across arms (asserted by the brute-force differential and fuzz suites);
+// what changes is wall-clock and the node count, which on multi-core
+// hardware the frames divide. The "nodes/op" metric records visited
+// search-tree nodes so the work is visible independently of the host's core
+// count.
 func BenchmarkParallelSearch(b *testing.B) {
 	kinds := []struct {
 		name string
@@ -669,11 +668,7 @@ func BenchmarkParallelSearch(b *testing.B) {
 	}
 	for _, k := range kinds {
 		for _, workers := range []int{1, 2, 4} {
-			name := fmt.Sprintf("%s/seq", k.name)
-			if workers > 1 {
-				name = fmt.Sprintf("%s/par%d", k.name, workers)
-			}
-			b.Run(name, func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/w%d", k.name, workers), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(42))
 				in := workload.Points(rng, 30, 2, 64, k.kind, 0.5, 8)
 				in.Parallelism = workers

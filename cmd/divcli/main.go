@@ -30,8 +30,9 @@
 //	                    the query allows, and each checkpoint reports the
 //	                    refresh mode (delta vs rebuild) and the delta size
 //	-timeout D          abort long-running (exponential) solves after D, e.g. 30s
-//	-parallel N         exact-search workers (0 = all cores, 1 = sequential);
-//	                    results are byte-identical to the sequential search
+//	-parallel N         exact-search workers (0 = all cores, 1 = one
+//	                    warm-started walk); results are byte-identical at
+//	                    every worker count
 //	-batch SPEC         solve an extra variant concurrently over the shared
 //	                    plane (repeatable), e.g. -batch k=4,lambda=0.8,objective=max-min
 //	-explain            print the query's language class and the answer set
@@ -72,7 +73,7 @@ func main() {
 		countBound  = flag.Float64("count", -1, "count valid k-sets with F >= bound instead of selecting")
 		updates     = flag.String("updates", "", "replay an update stream between solves (see divgen -stream)")
 		timeout     = flag.Duration("timeout", 0, "abort the solve after this long (0 = no limit)")
-		parallel    = flag.Int("parallel", 1, "exact-search workers (0 = all cores, 1 = sequential)")
+		parallel    = flag.Int("parallel", 1, "exact-search workers (0 = all cores, 1 = one warm-started walk)")
 		explain     = flag.Bool("explain", false, "print language class and the full answer set")
 	)
 	flag.Var(&loads, "load", "relation to load, as name=file.tsv (repeatable)")
@@ -185,9 +186,9 @@ func main() {
 	}
 
 	// The main solve goes through the request pipeline rather than bare
-	// Diversify: under a -timeout too tight for the exact route the plan
-	// degrades to greedy (or the solver abandons mid-search and returns its
-	// greedy incumbent), and the response says so instead of timing out.
+	// Diversify: under a -timeout too tight for the exact route the search
+	// abandons at 80% of it and returns its greedy incumbent, and the
+	// response says so instead of timing out.
 	resp, err := p.Do(ctx, diversification.Request{Problem: diversification.ProblemDiversify})
 	if err != nil {
 		fatalf("diversify: %v", err)

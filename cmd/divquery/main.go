@@ -181,12 +181,8 @@ func main() {
 		}
 		fmt.Printf("problem=%s route=%s generation=%d elapsed=%s\n",
 			resp.Problem, resp.Route, resp.Generation, resp.Elapsed)
-		if resp.DegradedFrom != "" {
-			if resp.Degraded {
-				fmt.Printf("degraded: %s abandoned under deadline pressure; answer is approximate\n", resp.DegradedFrom)
-			} else {
-				fmt.Printf("degraded: downgraded from %s under deadline pressure; answer is exact\n", resp.DegradedFrom)
-			}
+		if resp.Degraded {
+			fmt.Printf("degraded: %s abandoned under deadline pressure; answer is approximate\n", resp.DegradedFrom)
 		}
 		if resp.Explain != "" {
 			fmt.Print(resp.Explain)

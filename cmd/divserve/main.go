@@ -47,7 +47,8 @@
 //	-relevance-attr A   numeric attribute used as δrel
 //	-distance-attr A    attribute whose inequality defines δdis
 //	-constraint C       compatibility constraint in Cm syntax (repeatable)
-//	-parallel N         exact-search workers per request (0 = all cores)
+//	-parallel N         exact-search workers per request (0 = all cores,
+//	                    1 = one warm-started walk)
 //	-max-concurrent N   execution slots (0 = GOMAXPROCS)
 //	-max-queue N        admission queue bound (0 = 4×slots, -1 = none)
 //	-timeout D          default per-request deadline, e.g. 5s (0 = none)
@@ -60,8 +61,6 @@
 //	-fsync-interval D   period of the "interval" policy (default 100ms)
 //	-snapshot-every N   automatic snapshot after N mutations (0 = manual)
 //	-shutdown-grace D   how long shutdown waits for in-flight requests
-//	-cost-hint R=D      seed the deadline-degradation cost model, e.g.
-//	                    exact=300ms (repeatable)
 //	-wal-probe D        read-only recovery probe base backoff (default 100ms)
 //	-wal-probe-max D    read-only recovery probe backoff cap (default 5s)
 //	-chaos-wal SPEC     TESTING: WAL fault schedule, e.g. sync:5 or write:3+
@@ -92,9 +91,9 @@
 // A WAL failure degrades the server to read-only instead of killing it:
 // queries keep serving, mutations return 503 with Retry-After, /healthz
 // reports "degraded", and a background probe restores write mode when the
-// disk recovers. A request deadline too tight for the exact search
-// degrades the route (exact -> parallel -> greedy), flagged in the
-// response rather than answered with a 504.
+// disk recovers. An exact diversify that cannot finish within 80% of its
+// deadline answers with the greedy set its search warm-started from,
+// flagged degraded in the response rather than answered with a 504.
 package main
 
 import (
@@ -136,7 +135,7 @@ func main() {
 		algName     = flag.String("algorithm", "auto", "auto | exact | greedy | local-search | online")
 		relAttr     = flag.String("relevance-attr", "", "numeric attribute used as relevance")
 		disAttr     = flag.String("distance-attr", "", "attribute whose inequality is the distance")
-		parallel    = flag.Int("parallel", 1, "exact-search workers per request (0 = all cores)")
+		parallel    = flag.Int("parallel", 1, "exact-search workers per request (0 = all cores, 1 = one warm-started walk)")
 		maxConc     = flag.Int("max-concurrent", 0, "execution slots (0 = GOMAXPROCS)")
 		maxQueue    = flag.Int("max-queue", 0, "admission queue bound (0 = 4×slots, -1 = none)")
 		timeout     = flag.Duration("timeout", 0, "default per-request deadline (0 = none)")
@@ -156,11 +155,9 @@ func main() {
 		shardID     = flag.Int("shard-id", -1, "shard mode: this server's shard index (with -shard-count)")
 		shardCount  = flag.Int("shard-count", 0, "shard mode: total shards in the cluster")
 	)
-	var costHints multiFlag
 	flag.Var(&loads, "load", "relation to load, as name=file.tsv (repeatable)")
 	flag.Var(&stmts, "stmt", "statement to register, as name=query (repeatable)")
 	flag.Var(&constraints, "constraint", "compatibility constraint in Cm syntax (repeatable)")
-	flag.Var(&costHints, "cost-hint", "seed the deadline-degradation cost model, as route=duration, e.g. exact=300ms (repeatable)")
 	flag.Parse()
 
 	if *shards != "" {
@@ -283,18 +280,6 @@ func main() {
 	}
 	if *disAttr != "" {
 		opts = append(opts, diversification.WithDistance(diversification.AttrDistance(*disAttr)))
-	}
-
-	for _, spec := range costHints {
-		route, durStr, ok := strings.Cut(spec, "=")
-		if !ok {
-			fatalf("bad -cost-hint %q: want route=duration", spec)
-		}
-		d, err := time.ParseDuration(durStr)
-		if err != nil {
-			fatalf("bad -cost-hint %q: %v", spec, err)
-		}
-		e.SeedCostHint(route, d)
 	}
 
 	cacheEntries := *cacheSize

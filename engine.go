@@ -70,10 +70,6 @@ type Engine struct {
 	walFailures   atomic.Int64
 	probeAttempts atomic.Int64
 	walRecoveries atomic.Int64
-
-	// cost feeds the plan stage's deadline-aware route degradation with
-	// per-route latency observations (see cost.go).
-	cost costModel
 }
 
 // NewEngine creates an engine with an empty database.

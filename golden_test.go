@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -245,13 +246,15 @@ var (
 	elapsedIndentRE = regexp.MustCompile(`"elapsed_ns": [0-9]+`)
 )
 
-// TestDegradedQueryGolden boots divserve with a poisoned cost model (the
-// exact route claims an hour per solve) and a 2s default deadline, so every
-// diversify request plan-degrades to the greedy route, then records the
-// divquery view of it — the human degraded line and the degraded /
-// degraded_from wire fields — as a golden transcript. The note text with
-// its wall-clock numbers stays out (no -explain): everything captured here
-// is deterministic.
+// TestDegradedQueryGolden boots divserve with a 2s default deadline on a
+// loaded table shaped like intractableEngine's: 55 ids, relevance 1000 for
+// id 0 and 1 + (id mod 13)·0.001 otherwise, k = 12, FMS at λ = ½ and no
+// distance. The relevance bound cannot prune C(55, 12) ≈ 2.3·10¹¹ leaves, so
+// every exact diversify hits its soft deadline and ships the greedy answer
+// its search warm-started from. The test records the divquery view of it —
+// the human degraded line and the degraded / degraded_from wire fields — as
+// a golden transcript; the greedy answer is fixed, so everything captured
+// here is deterministic.
 func TestDegradedQueryGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run and a TCP listener")
@@ -274,7 +277,22 @@ func TestDegradedQueryGolden(t *testing.T) {
 		}
 	}
 
-	cmd := exec.Command(serveBin, "-demo", "-addr", addr, "-cost-hint", "exact=1h", "-timeout", "2s")
+	var tsv strings.Builder
+	tsv.WriteString("id\trel\n")
+	for id := 0; id < 55; id++ {
+		rel := 1 + float64(id%13)*0.001
+		if id == 0 {
+			rel = 1000
+		}
+		fmt.Fprintf(&tsv, "%d\t%s\n", id, strconv.FormatFloat(rel, 'g', -1, 64))
+	}
+	points := filepath.Join(dir, "points.tsv")
+	if err := os.WriteFile(points, []byte(tsv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(serveBin, "-addr", addr, "-timeout", "2s", "-load", "points="+points,
+		"-stmt", "spread=Q(id, rel) :- points(id, rel)",
+		"-k", "12", "-objective", "max-sum", "-lambda", "0.5", "-relevance-attr", "rel")
 	cmd.Env = os.Environ()
 	var serverLog bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &serverLog, &serverLog
@@ -303,8 +321,8 @@ func TestDegradedQueryGolden(t *testing.T) {
 
 	var transcript strings.Builder
 	for _, args := range [][]string{
-		{"-stmt", "gifts"},
-		{"-stmt", "gifts", "-json"},
+		{"-stmt", "spread"},
+		{"-stmt", "spread", "-json"},
 	} {
 		fmt.Fprintf(&transcript, "$ divquery %s\n", strings.Join(args, " "))
 		q := exec.Command(queryBin, append([]string{"-addr", base}, args...)...)

@@ -63,7 +63,8 @@ type QueryRequest struct {
 	Constraints []string `json:"constraints,omitempty"`
 
 	// TimeoutMillis bounds this request (queue wait + solve); 0 defers to
-	// the server's default deadline.
+	// the server's default deadline. A negative value, or one above
+	// math.MaxInt64/10⁶, is refused with a 400 on "timeout_ms".
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 
 	// Explain asks the response to include the plan's human-readable
@@ -129,7 +130,7 @@ type CoresetRequest struct {
 	Slack     *int     `json:"slack,omitempty"`
 
 	// TimeoutMillis bounds the shard-side extraction; 0 defers to the
-	// shard's default deadline.
+	// shard's default deadline. It is bounded as QueryRequest's is.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 }
 

@@ -242,20 +242,55 @@ func TestWriteErrorStatuses(t *testing.T) {
 
 func TestPerRequestTimeout(t *testing.T) {
 	client, _ := testClient(t)
-	// A 0ms wire timeout is "no override"; an (unrealistically) tiny one
-	// must come back as a gateway-timeout class error.
+	// A 0ms wire timeout is "no override", a negative one is refused, and
+	// an (unrealistically) tiny one must come back as a gateway-timeout
+	// class error.
+	if _, err := client.Query(context.Background(), "catalog", QueryRequest{}); err != nil {
+		t.Errorf("a zero timeout must defer to the server default: %v", err)
+	}
+	var serr *StatusError
 	_, err := client.Query(context.Background(), "catalog", QueryRequest{TimeoutMillis: -1})
-	if err != nil {
-		t.Errorf("non-positive timeout must be ignored: %v", err)
+	if !errors.As(err, &serr) || serr.Code != http.StatusBadRequest || serr.Body.Field != "timeout_ms" {
+		t.Errorf("negative timeout returned %v, want a 400 on timeout_ms", err)
 	}
 	start := time.Now()
 	_, err = client.Query(context.Background(), "catalog", QueryRequest{TimeoutMillis: 1, Problem: "count", K: intPtr(3)})
-	var serr *StatusError
 	if err != nil && (!errors.As(err, &serr) || serr.Code != http.StatusGatewayTimeout) {
 		t.Errorf("tiny timeout returned %v", err)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Error("timeout did not bound the request")
+	}
+}
+
+// TestTimeoutMillisBound: a timeout_ms whose nanoseconds overflow a
+// time.Duration is a 400 on "timeout_ms", on the query and coreset routes
+// alike, before any work; the largest timeout that fits still answers.
+func TestTimeoutMillisBound(t *testing.T) {
+	h := demoHandler(t)
+	for _, tc := range []struct {
+		path, body string
+		code       int
+	}{
+		{"/v1/query/gifts", `{"timeout_ms":9300000000000}`, http.StatusBadRequest},
+		{"/v1/query/gifts", `{"timeout_ms":9223372036855}`, http.StatusBadRequest},
+		{"/v1/query/gifts", `{"timeout_ms":-5}`, http.StatusBadRequest},
+		{"/v1/query/gifts", `{"timeout_ms":9000000000000}`, http.StatusOK},
+		{"/v1/query/gifts", `{"timeout_ms":9223372036854}`, http.StatusOK},
+		{"/v1/coreset/gifts", `{"timeout_ms":9300000000000}`, http.StatusBadRequest},
+		{"/v1/coreset/gifts", `{"timeout_ms":-1}`, http.StatusBadRequest},
+		{"/v1/coreset/gifts", `{"timeout_ms":9000000000000}`, http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != tc.code {
+			t.Errorf("POST %s %s: status %d, want %d: %s", tc.path, tc.body, rec.Code, tc.code, rec.Body)
+			continue
+		}
+		var eb ErrorBody
+		if tc.code == http.StatusBadRequest && (json.Unmarshal(rec.Body.Bytes(), &eb) != nil || eb.Field != "timeout_ms") {
+			t.Errorf("POST %s %s: body %s, want an ErrorBody naming timeout_ms", tc.path, tc.body, rec.Body)
+		}
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -69,7 +71,11 @@ func newHandler(b Backend) http.Handler {
 		if !readJSON(w, r, &qr) {
 			return
 		}
-		ctx, cancel := requestContext(r.Context(), qr.TimeoutMillis)
+		ctx, cancel, err := requestContext(r.Context(), qr.TimeoutMillis)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
 		defer cancel()
 		resp, err := b.Do(ctx, r.PathValue("name"), qr)
 		reply(w, resp, err)
@@ -80,7 +86,11 @@ func newHandler(b Backend) http.Handler {
 			if !readJSON(w, r, &cr) {
 				return
 			}
-			ctx, cancel := requestContext(r.Context(), cr.TimeoutMillis)
+			ctx, cancel, err := requestContext(r.Context(), cr.TimeoutMillis)
+			if err != nil {
+				writeError(w, err)
+				return
+			}
 			defer cancel()
 			cs, err := cb.Coreset(ctx, r.PathValue("name"), cr)
 			reply(w, cs, err)
@@ -163,12 +173,25 @@ func (s service) Health(context.Context) HealthBody {
 	return HealthBody{Status: "ok"}
 }
 
-// requestContext applies the wire-level per-request timeout, if any.
-func requestContext(ctx context.Context, timeoutMillis int64) (context.Context, context.CancelFunc) {
-	if timeoutMillis <= 0 {
-		return ctx, func() {}
+// maxTimeoutMillis is the largest wire timeout whose nanoseconds fit a
+// time.Duration.
+const maxTimeoutMillis = math.MaxInt64 / int64(time.Millisecond)
+
+// requestContext applies the wire-level per-request timeout, if any. A
+// negative timeout, or one too large for a time.Duration, is an ArgError on
+// timeout_ms.
+func requestContext(ctx context.Context, timeoutMillis int64) (context.Context, context.CancelFunc, error) {
+	if timeoutMillis < 0 || timeoutMillis > maxTimeoutMillis {
+		return nil, nil, &diversification.ArgError{
+			Field:  "timeout_ms",
+			Reason: fmt.Sprintf("must be between 0 and %d milliseconds, got %d", maxTimeoutMillis, timeoutMillis),
+		}
 	}
-	return context.WithTimeout(ctx, time.Duration(timeoutMillis)*time.Millisecond)
+	if timeoutMillis == 0 {
+		return ctx, func() {}, nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, time.Duration(timeoutMillis)*time.Millisecond)
+	return ctx, cancel, nil
 }
 
 // readJSON decodes the request body into dst (empty bodies decode as the

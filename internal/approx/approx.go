@@ -349,31 +349,28 @@ func monoTopK(ctx context.Context, in *core.Instance) (Result, error) {
 	return res, nil
 }
 
-// Incumbent runs the objective-matched greedy heuristic and returns the
-// chosen answers as ascending answer indices — the warm-start incumbent
-// the exact branch-and-bound search seeds its pruning bound from, so
-// pruning bites from the first node instead of only after the walk finds
-// its own first good set. ok is false when no heuristic incumbent is
-// available: constraints are present (a greedy set could violate them,
-// which would make its score an unsound pruning bound), or the heuristic
-// could not produce a full k-set.
-func Incumbent(ctx context.Context, in *core.Instance) (ids []int, ok bool, err error) {
+// Incumbent runs the objective-matched greedy heuristic for the exact
+// branch-and-bound search's warm start: its result, and the chosen answers as
+// ascending answer indices, from which the search seeds its pruning bound so
+// that pruning bites from the first node instead of only after the walk finds
+// its own first good set. ids is nil when no heuristic incumbent is
+// available: constraints are present (a greedy set could violate them, which
+// would make its score an unsound pruning bound), or the heuristic could not
+// produce a full k-set.
+func Incumbent(ctx context.Context, in *core.Instance) (res Result, ids []int, err error) {
 	if in.Sigma.Len() > 0 || in.K <= 0 {
-		return nil, false, nil
+		return res, nil, nil
 	}
-	res, err := GreedyContext(ctx, in)
-	if err != nil {
-		return nil, false, err
+	res, err = GreedyContext(ctx, in)
+	if err != nil || len(res.Set) != in.K {
+		return res, nil, err
 	}
-	if len(res.Set) != in.K {
-		return nil, false, nil
-	}
-	ids, ok = internSeed(in, res.Set)
+	ids, ok := internSeed(in, res.Set)
 	if !ok {
-		return nil, false, nil
+		return res, nil, nil
 	}
 	sort.Ints(ids)
-	return ids, true, nil
+	return res, ids, nil
 }
 
 // Quality compares a heuristic value against the exact optimum, returning

@@ -93,60 +93,22 @@ func Classify(s Series) Fit {
 	return f
 }
 
-// PredictAt extrapolates a series' wall-clock cost (the Secs column) to
-// problem size n, fitting both growth models the way Classify does and
-// predicting through the better one. ok is false when the series has too
-// few usable points to fit (under three) — callers fall back to their own
-// cold-start estimates.
-func PredictAt(s Series, n int) (secs float64, ok bool) {
-	if n <= 0 {
-		return 0, false
-	}
-	xsPoly, xsExp, ys := make([]float64, 0, len(s)), make([]float64, 0, len(s)), make([]float64, 0, len(s))
-	for _, m := range s {
-		if m.Secs <= 0 || m.N <= 0 {
-			continue
-		}
-		xsPoly = append(xsPoly, math.Log(float64(m.N)))
-		xsExp = append(xsExp, float64(m.N))
-		ys = append(ys, math.Log(m.Secs))
-	}
-	if len(ys) < 3 {
-		return 0, false
-	}
-	slopeP, interceptP, r2Poly := linfitFull(xsPoly, ys)
-	slopeE, interceptE, r2Exp := linfitFull(xsExp, ys)
-	// Same model choice as Classify, including the base guard that keeps
-	// timer jitter from masquerading as exponential growth.
-	if r2Exp > r2Poly && math.Exp(slopeE) >= 1.04 {
-		return math.Exp(interceptE + slopeE*float64(n)), true
-	}
-	return math.Exp(interceptP + slopeP*math.Log(float64(n))), true
-}
-
 // linfit returns the least-squares slope of y on x and the fit's R².
 func linfit(xs, ys []float64) (slope, r2 float64) {
-	slope, _, r2 = linfitFull(xs, ys)
-	return slope, r2
-}
-
-// linfitFull is linfit exposing the intercept, for absolute predictions.
-func linfitFull(xs, ys []float64) (slope, intercept, r2 float64) {
 	n := float64(len(xs))
-	var sx, sy, sxx, sxy, syy float64
+	var sx, sy, sxx, sxy float64
 	for i := range xs {
 		sx += xs[i]
 		sy += ys[i]
 		sxx += xs[i] * xs[i]
 		sxy += xs[i] * ys[i]
-		syy += ys[i] * ys[i]
 	}
 	den := n*sxx - sx*sx
 	if den == 0 {
-		return 0, 0, 0
+		return 0, 0
 	}
 	slope = (n*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / n
+	intercept := (sy - slope*sx) / n
 	var ssRes, ssTot float64
 	meanY := sy / n
 	for i := range xs {
@@ -155,9 +117,9 @@ func linfitFull(xs, ys []float64) (slope, intercept, r2 float64) {
 		ssTot += (ys[i] - meanY) * (ys[i] - meanY)
 	}
 	if ssTot == 0 {
-		return slope, intercept, 1
+		return slope, 1
 	}
-	return slope, intercept, 1 - ssRes/ssTot
+	return slope, 1 - ssRes/ssTot
 }
 
 func maxOf(xs []float64) float64 {

@@ -390,14 +390,14 @@ func Catalog() []*Experiment {
 		},
 	})
 
-	// ---- Ablation: parallel branch-and-bound (warm-started incumbent) ----
+	// ---- Ablation: parallel branch-and-bound ----
 
-	// The sequential exact search against the frame-parallel one with the
-	// greedy warm start, on the FMM dispersion family where the incumbent
-	// bound bites hardest. Work counts visited nodes, so the ablation shows
-	// the pruning gain even on single-core hosts; wall-clock additionally
-	// shows the frame parallelism on multi-core ones. Both paths return
-	// byte-identical results (asserted by the differential/fuzz suites).
+	// The exact search walked by one worker against the tree split into
+	// frames for several, on the FMM dispersion family. Both warm-start
+	// from the greedy incumbent, so the pair isolates the frame split. Work
+	// counts visited nodes; wall-clock shows the frame parallelism on
+	// multi-core hosts. Both return byte-identical results (asserted by the
+	// brute-force differential and fuzz suites).
 	parallelInstance := func(n int, workers int) *core.Instance {
 		rng := rand.New(rand.NewSource(int64(n)))
 		in := workload.Points(rng, n, 2, 64, objective.MaxMin, 0.5, 8)
@@ -405,7 +405,7 @@ func Catalog() []*Experiment {
 		return in
 	}
 	exps = append(exps, &Experiment{
-		ID:      "ablation/QRD-sequential-search",
+		ID:      "ablation/QRD-one-worker-search",
 		Table:   "ablation",
 		Setting: core.Setting{Problem: core.QRD, Language: query.Identity, Objective: objective.MaxMin, Data: true},
 		Sizes:   []int{16, 20, 24, 28, 32},
@@ -422,9 +422,7 @@ func Catalog() []*Experiment {
 		Sizes:   []int{16, 20, 24, 28, 32},
 		Run: func(n int) Measurement {
 			// At least 2 workers even on single-core hosts: Parallelism <= 1
-			// would fall back to the sequential walk and the ablation would
-			// measure nothing. With 2+ the warm-started shared incumbent is
-			// active regardless of how many frames truly run simultaneously.
+			// walks one frame and the pair would measure nothing.
 			workers := runtime.GOMAXPROCS(0)
 			if workers < 2 {
 				workers = 2

@@ -66,8 +66,8 @@ type Instance struct {
 	// Parallelism is the worker count for the exact branch-and-bound
 	// search: values above 1 split the search tree into frames solved by
 	// that many goroutines against a shared atomic incumbent bound. 0 and 1
-	// run the sequential walk. The parallel search returns byte-identical
-	// results to the sequential one; only Stats differ.
+	// walk the whole tree with one worker. Every count returns
+	// byte-identical results; only Stats differ.
 	Parallelism int
 	// ParallelDepth is the tree depth at which the parallel search splits
 	// the selection prefixes into frames; 0 picks a depth automatically
@@ -112,7 +112,8 @@ func (in *Instance) AnswersContext(ctx context.Context) ([]relation.Tuple, error
 // ResetAnswers to force re-evaluation. IsCandidate and the warm starts that
 // intern a heuristic's set find answers by binary search, so they need ts
 // in canonical order (relation.Tuple.Compare); solvers that look nothing
-// up, such as greedy and the sequential exact search, take any order.
+// up, such as greedy and the exact search, take any order (a best-set
+// search over unsorted answers may then miss its warm start).
 func (in *Instance) SetAnswers(ts []relation.Tuple) {
 	in.answers = ts
 	in.haveAnswers = true

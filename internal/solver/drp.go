@@ -42,22 +42,13 @@ func DRPExactContext(ctx context.Context, in *core.Instance) (DRPResult, error) 
 		return res, errors.New("solver: U is not a candidate set for (Q, D, k)")
 	}
 	res.FU = in.Eval(in.U)
-	if w := parallelism(in); w > 1 {
-		better, ok, err := drpCountParallel(ctx, in, res.FU, &res.Stats, w)
-		res.Better = better // partial on cancellation, as sequentially
-		if !ok {
-			return res, err
-		}
-		res.InTopR = res.Better < in.R
-		return res, nil
-	}
-	s := newSearch(ctx, in, res.FU, true, &res.Stats, func(sel []int, f float64) bool {
-		res.Better++
-		return res.Better < in.R // stop once rank(U) > r is certain
-	})
-	s.run()
-	if s.canceled {
-		return res, ctx.Err()
+	// The walk stops once rank(U) > r is certain. It always counts at least
+	// one qualifying leaf before noticing the cap, so the cap floor is 1.
+	capR := max(in.R, 1)
+	out := frameWalk(ctx, newSearch(ctx, in, res.FU, true, &res.Stats), modeCountCap, parallelism(in), capR)
+	res.Better = int(min(out.count, int64(capR)))
+	if out.canceled {
+		return res, ctx.Err() // partial count rides along
 	}
 	res.InTopR = res.Better < in.R
 	return res, nil

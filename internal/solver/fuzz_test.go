@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -12,15 +11,15 @@ import (
 // fuzzSearchInstance decodes the fuzz input into a small exact-search
 // instance: up to 10 two-column integer points, a kind, a λ, a k, and a
 // split depth. Never fails; malformed inputs wrap around.
-func fuzzSearchInstance(data []byte) (mk func() *core.Instance, depth int) {
+func fuzzSearchInstance(data []byte) func() *core.Instance {
 	if len(data) < 5 {
-		return nil, 0
+		return nil
 	}
 	n := 3 + int(data[0])%8
 	kind := objective.Kind(int(data[1]) % 3)
 	lambda := float64(data[2]%101) / 100
 	k := 1 + int(data[3])%5
-	depth = int(data[4]) % 4 // 0 = auto
+	depth := int(data[4]) % 4 // 0 = auto
 	rest := data[5:]
 	at := func(i int) int64 {
 		if len(rest) == 0 {
@@ -39,101 +38,22 @@ func fuzzSearchInstance(data []byte) (mk func() *core.Instance, depth int) {
 		in.SetAnswers(r.Sorted())
 		in.ParallelDepth = depth
 		return in
-	}, depth
+	}
 }
 
-// FuzzSearchParallelSeq asserts the tentpole acceptance criterion under
-// adversarial inputs: the parallel branch-and-bound must return identical
-// sets and scores to the sequential search — best set, first witness and
-// counts alike — across random instances, objectives, λ and split depths.
-func FuzzSearchParallelSeq(f *testing.F) {
+// FuzzSearchWorkers holds the exact search, at one and at four workers, to
+// the brute-force reference under adversarial inputs: best set, first
+// witness and counts alike, across random instances, objectives, λ and split
+// depths.
+func FuzzSearchWorkers(f *testing.F) {
 	f.Add([]byte{8, 0, 50, 3, 2, 9, 3, 7, 2, 8, 6, 4, 1, 0, 12})
 	f.Add([]byte{9, 1, 100, 4, 1, 250, 3, 17, 99, 5, 5, 5, 6, 120, 0})
 	f.Add([]byte{6, 2, 25, 2, 3, 1, 2, 3, 4, 9, 9, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mk, _ := fuzzSearchInstance(data)
+		mk := fuzzSearchInstance(data)
 		if mk == nil {
 			return
 		}
-		ctx := context.Background()
-		seqIn, parIn := mk(), mk()
-		parIn.Parallelism = 4
-
-		seqBest, err := QRDBestContext(ctx, seqIn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parBest, err := QRDBestContext(ctx, parIn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seqBest.Exists != parBest.Exists || seqBest.Value != parBest.Value {
-			t.Fatalf("best: parallel (%v, %v) != sequential (%v, %v)",
-				parBest.Exists, parBest.Value, seqBest.Exists, seqBest.Value)
-		}
-		if len(seqBest.Witness) != len(parBest.Witness) {
-			t.Fatalf("best witness length %d != %d", len(parBest.Witness), len(seqBest.Witness))
-		}
-		for i := range seqBest.Witness {
-			if !seqBest.Witness[i].Equal(parBest.Witness[i]) {
-				t.Fatalf("best witness[%d]: parallel %v != sequential %v",
-					i, parBest.Witness[i], seqBest.Witness[i])
-			}
-		}
-
-		// Decision and counting at bounds straddling the optimum.
-		for _, b := range []float64{0, seqBest.Value * 0.5, seqBest.Value, seqBest.Value + 1} {
-			seqIn.B, parIn.B = b, b
-			seqQ, err := QRDExactContext(ctx, seqIn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parQ, err := QRDExactContext(ctx, parIn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seqQ.Exists != parQ.Exists || seqQ.Value != parQ.Value {
-				t.Fatalf("qrd(B=%v): parallel (%v, %v) != sequential (%v, %v)",
-					b, parQ.Exists, parQ.Value, seqQ.Exists, seqQ.Value)
-			}
-			for i := range seqQ.Witness {
-				if !seqQ.Witness[i].Equal(parQ.Witness[i]) {
-					t.Fatalf("qrd(B=%v) witness[%d]: parallel %v != sequential %v",
-						b, i, parQ.Witness[i], seqQ.Witness[i])
-				}
-			}
-			seqC, err := RDCExactContext(ctx, seqIn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parC, err := RDCExactContext(ctx, parIn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seqC.Count.Cmp(parC.Count) != 0 {
-				t.Fatalf("rdc(B=%v): parallel %v != sequential %v", b, parC.Count, seqC.Count)
-			}
-		}
-
-		// Ranking the first k answers.
-		if seqBest.Exists {
-			u := append([]relation.Tuple(nil), seqIn.Answers()[:seqIn.K]...)
-			for _, r := range []int{1, 2, 1 << 20} {
-				seqIn.U, parIn.U = u, u
-				seqIn.R, parIn.R = r, r
-				seqD, err := DRPExactContext(ctx, seqIn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				parD, err := DRPExactContext(ctx, parIn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if seqD.InTopR != parD.InTopR || seqD.Better != parD.Better || seqD.FU != parD.FU {
-					t.Fatalf("drp(r=%d): parallel (%v, %d, %v) != sequential (%v, %d, %v)",
-						r, parD.InTopR, parD.Better, parD.FU, seqD.InTopR, seqD.Better, seqD.FU)
-				}
-			}
-		}
+		checkAgainstReference(t, "fuzz", mk)
 	})
 }

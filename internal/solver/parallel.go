@@ -1,29 +1,29 @@
-// Parallel branch-and-bound: the exact subset search split at a configurable
-// depth into prefix frames fed to a pool of workers, all pruning against one
-// shared atomic incumbent bound. The frames partition the sequential walk's
+// The exact search: one frame walk for every worker count, all pruning
+// against one shared atomic incumbent bound. One worker walks the whole tree
+// as a single root frame. More workers cut the tree at a split depth into
+// prefix frames fed to a pool. The frames partition the one-worker walk's
 // leaf order into contiguous blocks, so merging frame results in frame order
-// reproduces the sequential outcome byte-for-byte:
+// reproduces the one-worker outcome byte-for-byte:
 //
 //   - First-witness searches (QRD existence) take the earliest frame's
 //     witness — exactly the first valid set in DFS order.
 //   - Best-set searches (the optimization form) take the earliest frame
 //     achieving the global maximum, whose recorded witness is its first
-//     maximal leaf — exactly the sequential incumbent. Scores are replayed
-//     through the same incremental push order, so they agree to the last bit.
+//     maximal leaf. Scores are replayed through the same incremental push
+//     order, so they agree to the last bit.
 //   - Counting searches add per-frame counts; each qualifying leaf is
 //     counted exactly once regardless of scheduling.
 //
 // Pruning stays admissible throughout: the shared incumbent never exceeds
 // the true optimum (it only ever holds achievable leaf values), so no
 // optimal leaf is ever cut, only the order and amount of wasted work differ
-// between runs. The incumbent is warm-started from the greedy heuristics of
-// internal/approx, so pruning bites from the first node of every frame.
+// between runs. A best-set search warm-starts the incumbent from the greedy
+// heuristics of internal/approx, so pruning bites from the first node.
 package solver
 
 import (
 	"context"
 	"math"
-	"math/big"
 	"sync"
 	"sync/atomic"
 
@@ -47,34 +47,29 @@ const (
 )
 
 // parallelism resolves the effective worker count for the exact search on
-// in: the instance's Parallelism when above 1 and the instance is worth
-// splitting, 1 (sequential) otherwise.
+// in: the instance's Parallelism when above 1, one worker otherwise.
 func parallelism(in *core.Instance) int {
-	if in.Parallelism <= 1 || in.K < 1 {
+	if in.Parallelism <= 1 {
 		return 1
 	}
 	return in.Parallelism
 }
 
-// splitDepth picks the prefix depth at which the tree is cut into frames:
-// the instance's ParallelDepth when set, otherwise the smallest depth whose
-// frame count comfortably oversubscribes the workers (so the atomic frame
-// queue balances skewed subtree sizes — cheap work stealing).
+// splitDepth picks the prefix depth, at most k, at which the tree is cut
+// into frames: the instance's ParallelDepth when set, otherwise the smallest
+// depth whose frame count comfortably oversubscribes the workers (so the
+// atomic frame queue balances skewed subtree sizes — cheap work stealing).
 func splitDepth(in *core.Instance, n, k, workers int) int {
-	if d := in.ParallelDepth; d > 0 {
-		if d > k {
-			d = k
+	d := in.ParallelDepth
+	if d <= 0 {
+		const oversubscribe = 8
+		d = 1
+		for frames := n; frames < oversubscribe*workers && d < k && d < 3; {
+			d++
+			frames = frames * (n - d + 1) / d // C(n, d) from C(n, d-1)
 		}
-		return d
 	}
-	const oversubscribe = 8
-	target := oversubscribe * workers
-	d, frames := 1, n
-	for frames < target && d < k && d < 3 {
-		d++
-		frames = frames * (n - d + 1) / d // C(n, d) from C(n, d-1)
-	}
-	return d
+	return min(d, k)
 }
 
 // atomicMax is a lock-free monotone float64 maximum. Floats are stored as
@@ -119,14 +114,15 @@ func (m *atomicMax) Raise(f float64) {
 
 // parShared is the cross-frame coordination state.
 type parShared struct {
-	best   *atomicMax   // modeBest: global incumbent bound
-	winner atomic.Int64 // modeFirst: earliest frame index holding a witness
-	count  atomic.Int64 // modeCountCap: qualifying leaves found so far
+	best    *atomicMax   // modeBest: global incumbent bound
+	winner  atomic.Int64 // modeFirst: earliest frame index holding a witness
+	count   atomic.Int64 // modeCountCap: qualifying leaves found so far
+	several bool         // more than one frame, so frames stop on each other's results
 }
 
-// frameSpec is one unit of parallel work: a selection prefix (pushed in
-// ascending index order, exactly as the sequential walk would) plus the
-// index its extension resumes from.
+// frameSpec is one unit of work: a selection prefix (pushed in ascending
+// index order, exactly as the one-worker walk would) plus the index its
+// extension resumes from. The root frame has no prefix.
 type frameSpec struct {
 	prefix []int
 	next   int
@@ -140,80 +136,38 @@ type frameRes struct {
 	count  int64
 }
 
-// parOutcome is the merged result of a parallel walk.
+// parOutcome is the merged result of a frame walk.
 type parOutcome struct {
-	exists   bool
-	value    float64
-	sel      []int
-	count    int64
+	frameRes
 	canceled bool
 }
 
-// genFrames expands the tree to depth, applying the same feasibility, bound
-// and constraint pruning as the sequential walk, and returns the surviving
-// prefixes in DFS order. Prefixes that complete a k-set before depth are
-// emitted as (trivial) frames so small k degrades gracefully.
-func (s *search) genFrames(depth int) []frameSpec {
-	var frames []frameSpec
-	var walk func(next int) bool
-	walk = func(next int) bool {
-		if s.interrupted() {
-			return false
-		}
-		if len(s.sel) == s.k || len(s.sel) == depth {
-			frames = append(frames, frameSpec{prefix: append([]int(nil), s.sel...), next: next})
-			return true
-		}
-		if len(s.answers)-next < s.k-len(s.sel) {
-			return true
-		}
-		if s.prunes(next, s.cut()) {
-			s.stats.Pruned++
-			return true
-		}
-		for i := next; i < len(s.answers); i++ {
-			saved := s.push(i)
-			if s.pruneSigma && !s.in.SatisfiesConstraints(s.tuples(s.sel)) {
-				s.stats.Pruned++
-				s.pop(i, saved)
-				continue
-			}
-			ok := walk(i + 1)
-			s.pop(i, saved)
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	s.sel = make([]int, 0, s.k)
-	walk(0)
-	return frames
-}
-
-// parallelWalk runs the frame pool and merges the outcome. master must be a
-// freshly built search (no pushes) whose found callback is unused; each
-// worker clones it per frame with frame-local stats, poller and callbacks.
-func parallelWalk(ctx context.Context, master *search, mode parMode, workers, capR int) parOutcome {
+// frameWalk runs the exact search and merges the outcome. One worker walks
+// the whole tree as a single root frame; more workers cut it at the split
+// depth into prefix frames (the same recursion, stopping there) and drain
+// them from an atomic queue. master must be a freshly built search (no
+// pushes); each worker clones it per frame with frame-local stats, poller
+// and callbacks.
+func frameWalk(ctx context.Context, master *search, mode parMode, workers, capR int) parOutcome {
 	var out parOutcome
 	if master.canceled {
 		out.canceled = true
 		return out
 	}
 	if master.k < 0 || master.k > len(master.answers) {
-		// Mirror the sequential run(), which returns without exploring.
-		return out
+		return out // no k-subset exists: nothing to explore
 	}
-	sh := &parShared{best: master.sharedBest}
+	frames := []frameSpec{{}}
+	if workers > 1 {
+		frames = master.cutFrames(splitDepth(master.in, len(master.answers), master.k, workers))
+		if master.canceled {
+			out.canceled = true
+			return out
+		}
+		master.stats.Frames = len(frames)
+	}
+	sh := &parShared{best: master.sharedBest, several: len(frames) > 1}
 	sh.winner.Store(math.MaxInt64)
-
-	depth := splitDepth(master.in, len(master.answers), master.k, workers)
-	frames := master.genFrames(depth)
-	if master.canceled {
-		out.canceled = true
-		return out
-	}
-	master.stats.Frames = len(frames)
 
 	results := make([]frameRes, len(frames))
 	stats := make([]Stats, len(frames))
@@ -249,26 +203,24 @@ func parallelWalk(ctx context.Context, master *search, mode parMode, workers, ca
 		master.stats.Leaves += stats[i].Leaves
 		master.stats.Pruned += stats[i].Pruned
 	}
-	// Merge even when cancelled: the sequential procedures hand back their
-	// partial incumbent / count alongside ctx's error, and the parallel
-	// twins keep that anytime contract. Only a completed walk is Explored
-	// (and only a completed walk's merge carries any guarantee).
+	// Merge even when cancelled: the partial incumbent / count rides along
+	// with ctx's error (the anytime contract). Only a completed walk is
+	// Explored, and only a completed walk's merge carries any guarantee.
 	out.canceled = anyCanceled.Load()
 	master.stats.Explored = !out.canceled
 
 	switch mode {
 	case modeFirst:
-		for i := range results {
-			if results[i].exists {
-				out.exists, out.value, out.sel = true, results[i].value, results[i].sel
+		for _, r := range results {
+			if r.exists {
+				out.frameRes = r
 				break
 			}
 		}
 	case modeBest:
-		for i := range results {
-			r := &results[i]
+		for _, r := range results {
 			if r.exists && (!out.exists || r.value > out.value) {
-				out.exists, out.value, out.sel = true, r.value, r.sel
+				out.frameRes = r
 			}
 		}
 	case modeCountAll, modeCountCap:
@@ -316,7 +268,9 @@ func runFrame(ctx context.Context, master *search, fr frameSpec, mode parMode, i
 			}
 			return false
 		}
-		fs.abandon = func() bool { return sh.winner.Load() < int64(idx) }
+		if idx > 0 { // frame 0 has no earlier frame to defer to
+			fs.abandon = func() bool { return sh.winner.Load() < int64(idx) }
+		}
 	case modeBest:
 		fs.found = func(sel []int, f float64) bool {
 			if !res.exists || f > res.value {
@@ -336,7 +290,9 @@ func runFrame(ctx context.Context, master *search, fr frameSpec, mode parMode, i
 			res.count++
 			return sh.count.Add(1) < int64(capR)
 		}
-		fs.abandon = func() bool { return sh.count.Load() >= int64(capR) }
+		if sh.several {
+			fs.abandon = func() bool { return sh.count.Load() >= int64(capR) }
+		}
 	}
 	for _, i := range fr.prefix {
 		fs.push(i)
@@ -348,88 +304,15 @@ func runFrame(ctx context.Context, master *search, fr frameSpec, mode parMode, i
 // warmStart seeds the shared incumbent from the objective-matched greedy
 // heuristic: its set's exact leaf value (replayed through the incremental
 // push order, so it is achievable bit-for-bit) becomes the initial pruning
-// bound. Skipped under constraints — a greedy set may violate Σ, and an
-// unachievable bound would prune soundly-scored optima.
-func warmStart(ctx context.Context, in *core.Instance, master *search) (bool, error) {
-	ids, ok, err := approx.Incumbent(ctx, in)
-	if err != nil || !ok {
-		return false, err
+// bound. It returns the greedy result, nil when skipped: under constraints a
+// greedy set may violate Σ, and an unachievable bound would prune
+// soundly-scored optima.
+func warmStart(ctx context.Context, in *core.Instance, master *search) (*approx.Result, error) {
+	g, ids, err := approx.Incumbent(ctx, in)
+	if err != nil || ids == nil {
+		return nil, err
 	}
 	master.sharedBest.Raise(master.valueAt(ids))
 	master.stats.Warm = true
-	return true, nil
-}
-
-// qrdBestParallel is the parallel twin of QRDBestContext.
-func qrdBestParallel(ctx context.Context, in *core.Instance, workers int) (QRDResult, error) {
-	var res QRDResult
-	master := newSearch(ctx, in, 0, false, &res.Stats, nil)
-	if master.canceled {
-		return res, ctx.Err()
-	}
-	master.sharedBest = newAtomicMax()
-	if _, err := warmStart(ctx, in, master); err != nil {
-		return res, err
-	}
-	out := parallelWalk(ctx, master, modeBest, workers, 0)
-	if out.exists {
-		res.Exists = true
-		res.Value = out.value
-		res.Witness = master.tuples(out.sel)
-	}
-	if out.canceled {
-		// The partial incumbent (if any) rides along with the error, as in
-		// the sequential path; it carries no optimality guarantee.
-		return res, ctx.Err()
-	}
-	return res, nil
-}
-
-// qrdExactParallel is the parallel twin of QRDExactContext's search phase.
-func qrdExactParallel(ctx context.Context, in *core.Instance, workers int) (QRDResult, error) {
-	var res QRDResult
-	master := newSearch(ctx, in, in.B, false, &res.Stats, nil)
-	out := parallelWalk(ctx, master, modeFirst, workers, 0)
-	if out.exists {
-		res.Exists = true
-		res.Value = out.value
-		res.Witness = master.tuples(out.sel)
-	}
-	if out.canceled {
-		return res, ctx.Err()
-	}
-	return res, nil
-}
-
-// rdcExactParallel is the parallel twin of RDCExactContext's search phase.
-func rdcExactParallel(ctx context.Context, in *core.Instance, workers int) (RDCResult, error) {
-	res := RDCResult{Count: new(big.Int)}
-	master := newSearch(ctx, in, in.B, false, &res.Stats, nil)
-	out := parallelWalk(ctx, master, modeCountAll, workers, 0)
-	res.Count.SetInt64(out.count)
-	if out.canceled {
-		return res, ctx.Err() // partial count, as in the sequential path
-	}
-	return res, nil
-}
-
-// drpCountParallel is the parallel twin of DRPExactContext's counting phase:
-// it counts candidate sets scoring strictly above fu, stopping once capR are
-// certain. The sequential walk always counts at least one qualifying leaf
-// before noticing the cap, so the cap floor is 1.
-func drpCountParallel(ctx context.Context, in *core.Instance, fu float64, stats *Stats, workers int) (int, bool, error) {
-	capR := in.R
-	if capR < 1 {
-		capR = 1
-	}
-	master := newSearch(ctx, in, fu, true, stats, nil)
-	out := parallelWalk(ctx, master, modeCountCap, workers, capR)
-	better := out.count
-	if better > int64(capR) {
-		better = int64(capR)
-	}
-	if out.canceled {
-		return int(better), false, ctx.Err() // partial count rides along
-	}
-	return int(better), true, nil
+	return &g, nil
 }

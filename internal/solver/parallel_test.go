@@ -12,6 +12,7 @@ import (
 	"repro/internal/objective"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/subset"
 )
 
 // pointsInstance builds an identity-query instance over 2-column integer
@@ -34,113 +35,170 @@ func randomPoints(rng *rand.Rand, n int) [][2]int64 {
 	return pts
 }
 
-// sameWitness asserts two witness slices hold identical tuples in order.
-func sameWitness(t *testing.T, label string, seq, par []relation.Tuple) {
-	t.Helper()
-	if len(seq) != len(par) {
-		t.Fatalf("%s: witness length %d != %d", label, len(par), len(seq))
+// refLeaf is one k-subset that satisfies Σ, with its value.
+type refLeaf struct {
+	ids []int
+	f   float64
+}
+
+// referenceLeaves is the brute-force oracle for the exact search: every
+// k-subset of in's answers that satisfies Σ, in lexicographic index order —
+// the walk's leaf order — scored through the walk's push order (valueAt), so
+// each value agrees with the walk's to the bit.
+func referenceLeaves(in *core.Instance) []refLeaf {
+	s := newSearch(context.Background(), in, 0, false, &Stats{})
+	var leaves []refLeaf
+	subset.ForEach(len(s.answers), s.k, func(idx []int) bool {
+		if in.SatisfiesConstraints(s.tuples(idx)) {
+			leaves = append(leaves, refLeaf{append([]int(nil), idx...), s.valueAt(idx)})
+		}
+		return true
+	})
+	return leaves
+}
+
+// firstWitness is the first leaf scoring at least b: QRD's witness.
+func firstWitness(leaves []refLeaf, b float64) *refLeaf {
+	for i := range leaves {
+		if leaves[i].f >= b {
+			return &leaves[i]
+		}
 	}
-	for i := range seq {
-		if !seq[i].Equal(par[i]) {
-			t.Fatalf("%s: witness[%d] = %v, sequential has %v", label, i, par[i], seq[i])
+	return nil
+}
+
+// firstBest is the first leaf of maximal score among those scoring at least
+// 0, the best-set search's floor.
+func firstBest(leaves []refLeaf) *refLeaf {
+	var best *refLeaf
+	for i := range leaves {
+		if l := &leaves[i]; l.f >= 0 && (best == nil || l.f > best.f) {
+			best = l
+		}
+	}
+	return best
+}
+
+// countLeaves counts the leaves scoring at least b, or above b when strict.
+func countLeaves(leaves []refLeaf, b float64, strict bool) int64 {
+	n := int64(0)
+	for _, l := range leaves {
+		if l.f > b || (!strict && l.f == b) {
+			n++
+		}
+	}
+	return n
+}
+
+// sameAsLeaf asserts a QRD result reports exactly the reference leaf (or,
+// for a nil leaf, no set).
+func sameAsLeaf(t *testing.T, label string, in *core.Instance, res QRDResult, want *refLeaf) {
+	t.Helper()
+	if want == nil {
+		if res.Exists {
+			t.Fatalf("%s: found %v (F = %v), the reference has no set", label, res.Witness, res.Value)
+		}
+		return
+	}
+	if !res.Exists || res.Value != want.f {
+		t.Fatalf("%s: (exists %v, F = %v), the reference has F = %v", label, res.Exists, res.Value, want.f)
+	}
+	answers := in.Answers()
+	if len(res.Witness) != len(want.ids) {
+		t.Fatalf("%s: witness has %d rows, the reference %d", label, len(res.Witness), len(want.ids))
+	}
+	for i, id := range want.ids {
+		if !res.Witness[i].Equal(answers[id]) {
+			t.Fatalf("%s: witness[%d] = %v, the reference has %v", label, i, res.Witness[i], answers[id])
 		}
 	}
 }
 
-// TestParallelSearchMatchesSequential is the differential core of the
-// acceptance criterion: across FMS/FMM/Fmono × λ ∈ {0, ½, 1} × instance
-// sizes, the parallel search must return byte-identical sets and scores to
-// the sequential path for all four exact procedures.
-func TestParallelSearchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// checkAgainstReference runs every exact procedure on an instance from mk at
+// 1 and 4 workers and holds each to the brute-force reference: the best set,
+// the first witness and the count at bounds straddling the optimum, and the
+// rank of the first k answers.
+func checkAgainstReference(t *testing.T, label string, mk func() *core.Instance) {
+	t.Helper()
 	ctx := context.Background()
+	leaves := referenceLeaves(mk())
+	best := firstBest(leaves)
+	bounds := []float64{0}
+	if best != nil {
+		bounds = append(bounds, best.f/2, best.f, best.f+1)
+	}
+	for _, workers := range []int{1, 4} {
+		in := mk()
+		in.Parallelism = workers
+		lbl := fmt.Sprintf("%s/w%d", label, workers)
+
+		res, err := QRDBestContext(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsLeaf(t, lbl+" best", in, res, best)
+		if workers == 1 && res.Stats.Frames != 0 {
+			t.Fatalf("%s: one worker cut %d frames", lbl, res.Stats.Frames)
+		}
+
+		for _, b := range bounds {
+			in.B = b
+			q, err := QRDExactContext(ctx, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAsLeaf(t, fmt.Sprintf("%s qrd(B=%v)", lbl, b), in, q, firstWitness(leaves, b))
+			c, err := RDCExactContext(ctx, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := countLeaves(leaves, b, false); c.Count.Int64() != want {
+				t.Fatalf("%s rdc(B=%v): count %v, the reference %d", lbl, b, c.Count, want)
+			}
+		}
+
+		if in.K < 0 || in.K > len(in.Answers()) || !in.SatisfiesConstraints(in.Answers()[:in.K]) {
+			continue
+		}
+		in.U = append([]relation.Tuple(nil), in.Answers()[:in.K]...)
+		better := countLeaves(leaves, in.Eval(in.U), true)
+		for _, r := range []int{1, 3, 1 << 20} {
+			in.R = r
+			d, err := DRPExactContext(ctx, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := min(better, int64(max(r, 1)))
+			if int64(d.Better) != want || d.InTopR != (want < int64(r)) {
+				t.Fatalf("%s drp(r=%d): (better %d, in-top-r %v), the reference counts %d better sets",
+					lbl, r, d.Better, d.InTopR, better)
+			}
+		}
+	}
+}
+
+// TestSearchMatchesBruteForce holds the exact search, at one and at four
+// workers, to the brute-force reference across FMS/FMM/Fmono × λ ∈ {0, ½, 1}
+// × instance sizes: byte-identical sets and scores, and exact counts, for
+// all four exact procedures.
+func TestSearchMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
 	kinds := []objective.Kind{objective.MaxSum, objective.MaxMin, objective.Mono}
-	lambdas := []float64{0, 0.5, 1}
 	sizes := []struct{ n, k int }{{7, 3}, {12, 4}, {18, 5}}
 	for _, kind := range kinds {
-		for _, lambda := range lambdas {
+		for _, lambda := range []float64{0, 0.5, 1} {
 			for _, sz := range sizes {
 				pts := randomPoints(rng, sz.n)
-				seqIn := pointsInstance(pts, kind, lambda, sz.k)
-				parIn := pointsInstance(pts, kind, lambda, sz.k)
-				parIn.Parallelism = 4
-
-				label := fmt.Sprintf("%s/λ=%v/n%dk%d", kind, lambda, sz.n, sz.k)
-
-				seqBest, err := QRDBestContext(ctx, seqIn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				parBest, err := QRDBestContext(ctx, parIn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if seqBest.Exists != parBest.Exists || seqBest.Value != parBest.Value {
-					t.Fatalf("%s best: parallel (%v, %v) != sequential (%v, %v)",
-						label, parBest.Exists, parBest.Value, seqBest.Exists, seqBest.Value)
-				}
-				sameWitness(t, label+" best", seqBest.Witness, parBest.Witness)
-
-				// Decision QRD at a mid-range bound: same witness (the first
-				// valid set in DFS order) and same value.
-				for _, b := range []float64{0, seqBest.Value / 2, seqBest.Value} {
-					seqIn.B, parIn.B = b, b
-					seqQ, err := QRDExactContext(ctx, seqIn)
-					if err != nil {
-						t.Fatal(err)
-					}
-					parQ, err := QRDExactContext(ctx, parIn)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if seqQ.Exists != parQ.Exists || seqQ.Value != parQ.Value {
-						t.Fatalf("%s qrd(B=%v): parallel (%v, %v) != sequential (%v, %v)",
-							label, b, parQ.Exists, parQ.Value, seqQ.Exists, seqQ.Value)
-					}
-					sameWitness(t, label+" qrd", seqQ.Witness, parQ.Witness)
-
-					seqC, err := RDCExactContext(ctx, seqIn)
-					if err != nil {
-						t.Fatal(err)
-					}
-					parC, err := RDCExactContext(ctx, parIn)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if seqC.Count.Cmp(parC.Count) != 0 {
-						t.Fatalf("%s rdc(B=%v): parallel count %v != sequential %v",
-							label, b, parC.Count, seqC.Count)
-					}
-				}
-
-				// DRP against the greedy-ish set of the first k answers.
-				u := make([]relation.Tuple, sz.k)
-				copy(u, seqIn.Answers()[:sz.k])
-				for _, r := range []int{1, 3, 1 << 20} {
-					seqIn.U, parIn.U = u, u
-					seqIn.R, parIn.R = r, r
-					seqD, err := DRPExactContext(ctx, seqIn)
-					if err != nil {
-						t.Fatal(err)
-					}
-					parD, err := DRPExactContext(ctx, parIn)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if seqD.InTopR != parD.InTopR || seqD.Better != parD.Better || seqD.FU != parD.FU {
-						t.Fatalf("%s drp(r=%d): parallel (%v, %d, %v) != sequential (%v, %d, %v)",
-							label, r, parD.InTopR, parD.Better, parD.FU, seqD.InTopR, seqD.Better, seqD.FU)
-					}
-				}
+				checkAgainstReference(t, fmt.Sprintf("%s/λ=%v/n%dk%d", kind, lambda, sz.n, sz.k),
+					func() *core.Instance { return pointsInstance(pts, kind, lambda, sz.k) })
 			}
 		}
 	}
 }
 
 // TestParallelSearchWithConstraints checks the constrained path (no warm
-// start; Σ pruning replayed identically in frame generation).
+// start; Σ pruning in the frame cut as in the walk) against the reference.
 func TestParallelSearchWithConstraints(t *testing.T) {
-	ctx := context.Background()
 	build := func() *core.Instance {
 		rng := rand.New(rand.NewSource(11))
 		in := pointsInstance(randomPoints(rng, 14), objective.MaxSum, 0.5, 4)
@@ -151,29 +209,17 @@ func TestParallelSearchWithConstraints(t *testing.T) {
 		in.Sigma = compat.NewSet(4).MustAdd(c)
 		return in
 	}
-	seqIn, parIn := build(), build()
-	parIn.Parallelism = 4
-	seqRes, err := QRDBestContext(ctx, seqIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRes, err := QRDBestContext(ctx, parIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqRes.Exists != parRes.Exists || seqRes.Value != parRes.Value {
-		t.Fatalf("constrained best: parallel (%v, %v) != sequential (%v, %v)",
-			parRes.Exists, parRes.Value, seqRes.Exists, seqRes.Value)
-	}
-	sameWitness(t, "constrained", seqRes.Witness, parRes.Witness)
-	if parRes.Stats.Warm {
-		t.Error("warm start must be skipped under constraints")
-	}
-	seqIn.B, parIn.B = seqRes.Value/2, seqRes.Value/2
-	seqC, _ := RDCExactContext(ctx, seqIn)
-	parC, _ := RDCExactContext(ctx, parIn)
-	if seqC.Count.Cmp(parC.Count) != 0 {
-		t.Fatalf("constrained count: parallel %v != sequential %v", parC.Count, seqC.Count)
+	checkAgainstReference(t, "constrained", build)
+	for _, workers := range []int{1, 4} {
+		in := build()
+		in.Parallelism = workers
+		res, err := QRDBestContext(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Warm || res.Incumbent != nil {
+			t.Errorf("%d workers: warm start must be skipped under constraints", workers)
+		}
 	}
 }
 
@@ -182,11 +228,7 @@ func TestParallelSearchWithConstraints(t *testing.T) {
 func TestParallelSearchDepths(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := randomPoints(rng, 15)
-	ref := pointsInstance(pts, objective.MaxSum, 0.7, 5)
-	want, err := QRDBestContext(context.Background(), ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := firstBest(referenceLeaves(pointsInstance(pts, objective.MaxSum, 0.7, 5)))
 	for depth := 1; depth <= 4; depth++ {
 		in := pointsInstance(pts, objective.MaxSum, 0.7, 5)
 		in.Parallelism = 4
@@ -195,40 +237,32 @@ func TestParallelSearchDepths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Value != want.Value {
-			t.Fatalf("depth %d: value %v != %v", depth, got.Value, want.Value)
-		}
-		sameWitness(t, "depth", want.Witness, got.Witness)
+		sameAsLeaf(t, fmt.Sprintf("depth %d", depth), in, got, want)
 		if got.Stats.Frames == 0 {
-			t.Errorf("depth %d: expected a parallel run (Frames > 0)", depth)
+			t.Errorf("depth %d: expected a cut into frames (Frames > 0)", depth)
 		}
 	}
 }
 
-// TestParallelSearchWarmStart asserts the heuristic incumbent is installed
-// and that it does not change the result.
+// TestParallelSearchWarmStart asserts the greedy incumbent is installed at
+// every worker count, is carried on the result, and does not change it.
 func TestParallelSearchWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pts := randomPoints(rng, 20)
 	for _, kind := range []objective.Kind{objective.MaxSum, objective.MaxMin, objective.Mono} {
-		seqIn := pointsInstance(pts, kind, 0.5, 5)
-		parIn := pointsInstance(pts, kind, 0.5, 5)
-		parIn.Parallelism = 4
-		seqRes, err := QRDBestContext(context.Background(), seqIn)
-		if err != nil {
-			t.Fatal(err)
+		want := firstBest(referenceLeaves(pointsInstance(pts, kind, 0.5, 5)))
+		for _, workers := range []int{1, 4} {
+			in := pointsInstance(pts, kind, 0.5, 5)
+			in.Parallelism = workers
+			res, err := QRDBestContext(context.Background(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Stats.Warm || res.Incumbent == nil || len(res.Incumbent.Set) != 5 {
+				t.Errorf("%s/w%d: expected a warm start from a full greedy set", kind, workers)
+			}
+			sameAsLeaf(t, fmt.Sprintf("%s/w%d", kind, workers), in, res, want)
 		}
-		parRes, err := QRDBestContext(context.Background(), parIn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !parRes.Stats.Warm {
-			t.Errorf("%s: expected a warm-started incumbent", kind)
-		}
-		if seqRes.Value != parRes.Value {
-			t.Fatalf("%s: warm-started parallel %v != sequential %v", kind, parRes.Value, seqRes.Value)
-		}
-		sameWitness(t, kind.String(), seqRes.Witness, parRes.Witness)
 	}
 }
 
@@ -247,31 +281,13 @@ func TestParallelSearchCancel(t *testing.T) {
 	}
 }
 
-// TestParallelSearchKEdgeCases: k larger than |Q(D)| and k equal to it.
+// TestParallelSearchKEdgeCases: k larger than |Q(D)|, k equal to it, and
+// k = 0, which has one candidate set: the empty one.
 func TestParallelSearchKEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	pts := randomPoints(rng, 5)
-	tooBig := pointsInstance(pts, objective.MaxSum, 0.5, 9)
-	tooBig.Parallelism = 4
-	res, err := QRDBestContext(context.Background(), tooBig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exists {
-		t.Error("k > |Q(D)| must not find a set")
-	}
-	exact := pointsInstance(pts, objective.MaxSum, 0.5, 5)
-	exact.Parallelism = 4
-	seq := pointsInstance(pts, objective.MaxSum, 0.5, 5)
-	parRes, err := QRDBestContext(context.Background(), exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRes, err := QRDBestContext(context.Background(), seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parRes.Value != seqRes.Value {
-		t.Fatalf("k = n: parallel %v != sequential %v", parRes.Value, seqRes.Value)
+	for _, k := range []int{9, 5, 0} {
+		checkAgainstReference(t, fmt.Sprintf("k=%d", k),
+			func() *core.Instance { return pointsInstance(pts, objective.MaxSum, 0.5, k) })
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sort"
 
+	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/objective"
 	"repro/internal/relation"
@@ -22,6 +23,9 @@ type QRDResult struct {
 	Witness []relation.Tuple // a valid set when Exists
 	Value   float64          // F(Witness)
 	Stats   Stats
+	// Incumbent is the greedy answer a best-set search warm-started from,
+	// nil when it did not warm-start (constraints, or no full greedy set).
+	Incumbent *approx.Result
 }
 
 // QRDExact decides QRD(LQ, F) by exhaustive search over candidate sets with
@@ -42,23 +46,22 @@ func QRDExactContext(ctx context.Context, in *core.Instance) (QRDResult, error) 
 	if _, err := in.AnswersContext(ctx); err != nil {
 		return res, err
 	}
-	if w := parallelism(in); w > 1 {
-		return qrdExactParallel(ctx, in, w)
+	err := qrdWalk(ctx, newSearch(ctx, in, in.B, false, &res.Stats), modeFirst, &res)
+	return res, err
+}
+
+// qrdWalk runs a witness or best-set walk over s and lowers its outcome into
+// res. A cancelled walk returns ctx's error with its partial incumbent, if
+// any, which carries no guarantee.
+func qrdWalk(ctx context.Context, s *search, mode parMode, res *QRDResult) error {
+	out := frameWalk(ctx, s, mode, parallelism(s.in), 0)
+	if out.exists {
+		res.Exists, res.Value, res.Witness = true, out.value, s.tuples(out.sel)
 	}
-	s := newSearch(ctx, in, in.B, false, &res.Stats, func(sel []int, f float64) bool {
-		res.Exists = true
-		res.Value = f
-		res.Witness = make([]relation.Tuple, len(sel))
-		for i, idx := range sel {
-			res.Witness[i] = in.Answers()[idx]
-		}
-		return false // stop at first witness
-	})
-	s.run()
-	if s.canceled {
-		return res, ctx.Err()
+	if out.canceled {
+		return ctx.Err()
 	}
-	return res, nil
+	return nil
 }
 
 // QRDMonoPTime decides QRD(LQ, Fmono) for a fixed query — the PTIME
@@ -145,7 +148,8 @@ func QRDRelevanceOnlyPTime(in *core.Instance) (QRDResult, error) {
 
 // QRDBest finds a maximum-F candidate set (the optimization version of
 // diversification from Section 3), by exact search. It prunes with a rising
-// incumbent bound. Returns Exists=false when no candidate set exists (e.g.
+// incumbent bound, warm-started from the greedy answer on unconstrained
+// instances. Returns Exists=false when no candidate set exists (e.g.
 // k > |Q(D)| or constraints unsatisfiable).
 func QRDBest(in *core.Instance) QRDResult {
 	res, _ := QRDBestContext(context.Background(), in)
@@ -153,36 +157,25 @@ func QRDBest(in *core.Instance) QRDResult {
 }
 
 // QRDBestContext is QRDBest under a cancellation context. A cancelled run
-// returns ctx's error; the partial incumbent (if any) is in the result but
-// carries no optimality guarantee.
+// returns ctx's error; the partial incumbent (if any) and the greedy
+// Incumbent are in the result, but carry no optimality guarantee.
 func QRDBestContext(ctx context.Context, in *core.Instance) (QRDResult, error) {
 	var res QRDResult
 	if _, err := in.AnswersContext(ctx); err != nil {
 		return res, err
 	}
-	if w := parallelism(in); w > 1 {
-		return qrdBestParallel(ctx, in, w)
-	}
-	var s *search
-	s = newSearch(ctx, in, 0, false, &res.Stats, func(sel []int, f float64) bool {
-		if !res.Exists || f > res.Value {
-			res.Exists = true
-			res.Value = f
-			res.Witness = make([]relation.Tuple, len(sel))
-			for i, idx := range sel {
-				res.Witness[i] = in.Answers()[idx]
-			}
-			// Raise the pruning bar to the incumbent: only strictly
-			// better completions are interesting from here on.
-			s.cutoff = f
-		}
-		return true
-	})
-	s.run()
+	s := newSearch(ctx, in, 0, false, &res.Stats)
 	if s.canceled {
 		return res, ctx.Err()
 	}
-	return res, nil
+	s.sharedBest = newAtomicMax()
+	g, err := warmStart(ctx, in, s)
+	if err != nil {
+		return res, err
+	}
+	res.Incumbent = g
+	err = qrdWalk(ctx, s, modeBest, &res)
+	return res, err
 }
 
 // sortedByScore returns indices ordered by descending score (stable, so

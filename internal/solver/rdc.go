@@ -35,17 +35,10 @@ func RDCExactContext(ctx context.Context, in *core.Instance) (RDCResult, error) 
 	if _, err := in.AnswersContext(ctx); err != nil {
 		return res, err
 	}
-	if w := parallelism(in); w > 1 {
-		return rdcExactParallel(ctx, in, w)
-	}
-	one := big.NewInt(1)
-	s := newSearch(ctx, in, in.B, false, &res.Stats, func(sel []int, f float64) bool {
-		res.Count.Add(res.Count, one)
-		return true
-	})
-	s.run()
-	if s.canceled {
-		return res, ctx.Err()
+	out := frameWalk(ctx, newSearch(ctx, in, in.B, false, &res.Stats), modeCountAll, parallelism(in), 0)
+	res.Count.SetInt64(out.count)
+	if out.canceled {
+		return res, ctx.Err() // partial count
 	}
 	return res, nil
 }

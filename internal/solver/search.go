@@ -29,9 +29,9 @@ import (
 )
 
 // Stats reports work done by a solver run, used by the bench harness to
-// expose the exponential/polynomial gap empirically. For parallel runs,
-// Nodes/Leaves/Pruned aggregate over every worker frame; the totals differ
-// from a sequential run of the same instance (the shared incumbent prunes
+// expose the exponential/polynomial gap empirically. With several workers,
+// Nodes/Leaves/Pruned aggregate over every frame; the totals differ from a
+// one-worker run of the same instance (the shared incumbent prunes
 // differently) even though the returned sets and scores are identical.
 type Stats struct {
 	Nodes    int // search-tree nodes visited (partial sets)
@@ -39,7 +39,7 @@ type Stats struct {
 	Pruned   int // subtrees cut by the admissible bound
 	Answers  int // |Q(D)|
 	Explored bool
-	Frames   int  // parallel search frames (0: sequential walk)
+	Frames   int  // search frames (0: one worker walked the whole tree)
 	Warm     bool // pruning bound warm-started from a heuristic incumbent
 }
 
@@ -49,7 +49,8 @@ type Stats struct {
 //
 // cutoff is the score threshold; strict selects F > cutoff (DRP counting)
 // versus F >= cutoff (QRD/RDC validity). found is invoked with each
-// qualifying candidate set and may return false to stop (QRD existence).
+// qualifying candidate set and may return false to stop (QRD existence);
+// frameWalk sets it per frame.
 type search struct {
 	in      *core.Instance
 	answers []relation.Tuple
@@ -73,12 +74,18 @@ type search struct {
 	poller   *ctxpoll.Poller
 	canceled bool
 
-	// sharedBest, when non-nil, is the global incumbent bound of a parallel
-	// best-set search: every worker frame prunes (and admits) against
-	// max(cutoff, sharedBest), so a bound raised by one worker cuts the
-	// others' subtrees too. It only ever rises, and it never exceeds the
-	// true optimum, so pruning stays admissible.
+	// sharedBest, when non-nil, is the global incumbent bound of a best-set
+	// search: every frame prunes (and admits) against max(cutoff,
+	// sharedBest), so a bound raised by one worker cuts the others' subtrees
+	// too. It only ever rises, and it never exceeds the true optimum, so
+	// pruning stays admissible.
 	sharedBest *atomicMax
+
+	// split is the selection size at which the walk queues its node onto
+	// frames instead of descending: the split depth while cutting the tree
+	// for several workers, noSplit otherwise.
+	split  int
+	frames []frameSpec
 
 	// abandon, when non-nil, reports that this frame's result can no longer
 	// influence the merged outcome (an earlier frame already holds the
@@ -100,7 +107,10 @@ type search struct {
 	monoSuffix []float64 // monoSuffix[i] = sum of top (k) scores among answers[i:]... see build
 }
 
-func newSearch(ctx context.Context, in *core.Instance, cutoff float64, strict bool, stats *Stats, found func([]int, float64) bool) *search {
+// noSplit is the split of a walk that never cuts frames.
+const noSplit = -1
+
+func newSearch(ctx context.Context, in *core.Instance, cutoff float64, strict bool, stats *Stats) *search {
 	s := &search{
 		poller:  ctxpoll.New(ctx),
 		in:      in,
@@ -108,8 +118,8 @@ func newSearch(ctx context.Context, in *core.Instance, cutoff float64, strict bo
 		k:       in.K,
 		cutoff:  cutoff,
 		strict:  strict,
-		found:   found,
 		stats:   stats,
+		split:   noSplit,
 		minRel:  math.Inf(1),
 		minDis:  math.Inf(1),
 	}
@@ -147,14 +157,14 @@ func newSearch(ctx context.Context, in *core.Instance, cutoff float64, strict bo
 	return s
 }
 
-// run walks the subset tree.
-func (s *search) run() {
-	if s.k < 0 || s.k > len(s.answers) || s.canceled {
-		return
-	}
+// cutFrames walks the tree down to depth, with the pruning of the walk
+// proper, and returns the surviving prefixes in DFS order.
+func (s *search) cutFrames(depth int) []frameSpec {
+	s.split = depth
 	s.sel = make([]int, 0, s.k)
 	s.recurse(0)
-	s.stats.Explored = !s.canceled
+	s.split = noSplit
+	return s.frames
 }
 
 // interrupted reports whether the search must stop. Once true it stays
@@ -167,7 +177,7 @@ func (s *search) interrupted() bool {
 }
 
 // cut returns the effective score threshold: the static cutoff, raised to
-// the shared incumbent in a parallel best-set search.
+// the shared incumbent in a best-set search.
 func (s *search) cut() float64 {
 	c := s.cutoff
 	if s.sharedBest != nil {
@@ -261,6 +271,10 @@ func topSum(xs []float64, r int) float64 {
 // recurse extends the selection with indices >= next. It returns false when
 // the caller requested a stop.
 func (s *search) recurse(next int) bool {
+	if len(s.sel) == s.split {
+		s.frames = append(s.frames, frameSpec{prefix: append([]int(nil), s.sel...), next: next})
+		return true
+	}
 	s.stats.Nodes++
 	if s.interrupted() {
 		return false
@@ -303,9 +317,7 @@ func (s *search) recurse(next int) bool {
 // sums in a different order than the leaf evaluation, so a subtree whose
 // best completion ties the threshold exactly may see its upper bound round
 // one ulp below it. That matters once thresholds can equal achievable leaf
-// values bit-for-bit — the warm-started incumbent of the parallel search —
-// and the sequential walk uses the same rule so the two paths prune (and
-// therefore report) identically.
+// values bit-for-bit, as the warm-started incumbent does.
 func (s *search) prunes(next int, c float64) bool {
 	ub := s.bound(next)
 	c -= floatSlack(c)

@@ -163,7 +163,7 @@ type settings struct {
 	constraints []string
 	bound       float64
 	rank        int
-	parallelism int  // solver workers; 0 = GOMAXPROCS, 1 = sequential
+	parallelism int  // solver workers; 0 = GOMAXPROCS, 1 = one walk
 	parallelSet bool // WithParallelism given (0 means auto, not default)
 
 	// dirty records which scoring bindings a per-call option replaced;
@@ -208,8 +208,8 @@ func (s *settings) validate() error {
 }
 
 // workers resolves the effective solver worker count: the explicit
-// WithParallelism value, GOMAXPROCS for WithParallelism(0), and 1
-// (sequential) when the option was never given.
+// WithParallelism value, GOMAXPROCS for WithParallelism(0), and 1 (one
+// worker walking the whole tree) when the option was never given.
 func (s *settings) workers() int {
 	if !s.parallelSet {
 		return 1
@@ -279,12 +279,12 @@ func WithDistance[D Distance](d D) Option {
 }
 
 // WithParallelism sets the worker count for the exact branch-and-bound
-// search: n > 1 splits the search tree into prefix frames solved by n
-// goroutines pruning against a shared atomic incumbent bound that is
-// warm-started from the greedy heuristics, n = 1 keeps the sequential walk,
-// and n = 0 uses GOMAXPROCS. The parallel search is deterministic: it
-// returns byte-identical sets and scores to the sequential path — only the
-// visited-node statistics differ run to run.
+// search. Every count prunes against one incumbent bound, warm-started from
+// the greedy heuristics for the best-set search. n = 1, the default, walks
+// the whole tree with one worker; n > 1 splits it into prefix frames solved
+// by n goroutines sharing the bound atomically; n = 0 uses GOMAXPROCS. The
+// search is deterministic: every worker count returns byte-identical sets
+// and scores — only the visited-node statistics differ run to run.
 func WithParallelism(n int) Option {
 	return func(s *settings) {
 		s.parallelism = n

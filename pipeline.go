@@ -28,7 +28,7 @@ type Stats struct {
 	Pruned    int  `json:"pruned,omitempty"`    // subtrees cut by the admissible bound
 	Answers   int  `json:"answers,omitempty"`   // |Q(D)| the solver ran over
 	Explored  bool `json:"explored,omitempty"`  // the search ran (vs a shortcut)
-	Frames    int  `json:"frames,omitempty"`    // parallel search frames (0: sequential)
+	Frames    int  `json:"frames,omitempty"`    // search frames (0: one worker walked the whole tree)
 	Warm      bool `json:"warm,omitempty"`      // bound warm-started from a heuristic
 	Steps     int  `json:"steps,omitempty"`     // heuristic candidate evaluations
 	Seen      int  `json:"seen,omitempty"`      // answers streamed before stopping
@@ -76,16 +76,14 @@ type Response struct {
 	Count     *big.Int   `json:"count,omitempty"`
 	Rank      int        `json:"rank,omitempty"`
 
-	// Degraded marks the answer as approximate: deadline pressure made the
-	// plan (or a mid-solve abort at the soft deadline) answer with the
-	// greedy heuristic instead of the exact solver. A Degraded selection is
-	// a valid candidate set with the heuristic's guarantees, not the
-	// optimum.
+	// Degraded marks the answer as approximate: the exact search hit its
+	// soft deadline, and the greedy answer it warm-started from shipped
+	// instead. A Degraded selection is a valid candidate set with the
+	// heuristic's guarantees, not the optimum.
 	Degraded bool `json:"degraded,omitempty"`
-	// DegradedFrom records the route chain abandoned under deadline
-	// pressure (e.g. "exact" or "exact→parallel-exact"); non-empty whenever
-	// the deadline changed the plan, even when the answer stayed exact
-	// (the parallel downgrade).
+	// DegradedFrom names what was abandoned, set only together with
+	// Degraded: "exact" for the soft-deadline abort, or the shards a
+	// coordinator's merge went without.
 	DegradedFrom string `json:"degraded_from,omitempty"`
 
 	// Cached marks a response served by the Service result cache — a hit
@@ -139,13 +137,6 @@ type Plan struct {
 
 	route    string
 	fallback string // secondary route when the primary can refuse, "" otherwise
-
-	// Deadline degradation (see maybeDegrade): degraded marks the answer
-	// approximate, degradedFrom records the abandoned route chain, and
-	// degradeNote is Explain's account of the decision.
-	degraded     bool
-	degradedFrom string
-	degradeNote  string
 
 	// snap/plane/refresh/gen are resolved at plan time for materialized
 	// routes; streaming routes leave snap nil and fill refresh/gen only if
@@ -306,9 +297,6 @@ func (p *Prepared) plan(ctx context.Context, req Request) (*Plan, error) {
 			return nil, err
 		}
 	}
-	if req.Problem == ProblemDiversify && pl.route == "exact" {
-		pl.maybeDegrade(ctx)
-	}
 	return pl, nil
 }
 
@@ -333,66 +321,10 @@ func (pl *Plan) checkCandidate() error {
 	return nil
 }
 
-// degradeBudgetFraction is how much of the remaining deadline a predicted
-// solve may consume before the plan downgrades the route; the same
-// fraction sets the mid-solve soft deadline, leaving headroom to assemble
-// and ship the fallback answer instead of timing out empty-handed.
+// degradeBudgetFraction sets the soft deadline of an exact diversify: the
+// search may use this share of the remaining time, leaving headroom to ship
+// the greedy answer instead of timing out empty-handed.
 const degradeBudgetFraction = 0.8
-
-// maybeDegrade downgrades a deadline-pressured exact diversify route
-// along the chain exact → parallel-exact → greedy. The parallel step
-// still answers exactly (only DegradedFrom records it); the greedy step
-// flags the answer Degraded. Constraints rule the greedy step out (the
-// heuristic cannot honor σ), and with no cost signal at all the plan
-// stands pat — the mid-solve soft-deadline abort in execDiversify still
-// guards the deadline. Only diversify degrades: decide/count/rank answers
-// have no meaningful approximate form.
-func (pl *Plan) maybeDegrade(ctx context.Context) {
-	deadline, has := ctx.Deadline()
-	if !has || pl.snap == nil {
-		return
-	}
-	budget := time.Until(deadline).Seconds() * degradeBudgetFraction
-	if budget <= 0 {
-		return
-	}
-	n := len(pl.snap.answers)
-	exact, par, ok := pl.p.eng.cost.predictExactChain(n)
-	if !ok {
-		return
-	}
-	chain := costRouteKey(pl.s.workers())
-	pred := exact
-	if pl.s.workers() > 1 {
-		pred = par
-	}
-	if pred <= budget {
-		return
-	}
-	if pl.s.workers() == 1 && par <= budget {
-		// The parallel search is predicted to fit: same exact answer,
-		// faster route.
-		pl.s.parallelism = 0 // auto: GOMAXPROCS workers
-		pl.s.parallelSet = true
-		pl.degradedFrom = chain
-		pl.degradeNote = fmt.Sprintf("exact predicted %.3fs > %.3fs budget; running parallel (predicted %.3fs), answer still exact",
-			exact, budget, par)
-		return
-	}
-	if pl.s.workers() == 1 {
-		chain += "→parallel-exact"
-	}
-	if pl.sigma.Len() > 0 {
-		// Greedy cannot honor constraints; the mid-solve abort is the only
-		// remaining guard.
-		return
-	}
-	pl.route = "greedy"
-	pl.degraded = true
-	pl.degradedFrom = chain
-	pl.degradeNote = fmt.Sprintf("%s predicted %.3fs > %.3fs budget; answering with the greedy heuristic",
-		chain, pred, budget)
-}
 
 // materialize acquires the snapshot for the current generation and attaches
 // the handle-cached score plane when this request's scoring bindings are
@@ -420,18 +352,6 @@ func (pl *Plan) materialize(ctx context.Context) error {
 	pl.planeNote = fmt.Sprintf("shared, %s, ~%s (%d ids)",
 		planeRegime(plane), formatBytes(plane.MemoryFootprint()), plane.Len())
 	return nil
-}
-
-// degradeChain appends the abandoned route to the chain DegradedFrom
-// reports, avoiding a duplicate when the plan stage already recorded it.
-func degradeChain(base, abandoned string) string {
-	if base == "" {
-		return abandoned
-	}
-	if strings.HasSuffix(base, abandoned) {
-		return base
-	}
-	return base + "→" + abandoned
 }
 
 // planeRegime names how a plane serves distances: which of the three
@@ -492,12 +412,10 @@ func (pl *Plan) newInstance() *core.Instance {
 // Callers hold the engine's read lock.
 func (pl *Plan) execute(ctx context.Context) (*Response, error) {
 	resp := &Response{
-		Problem:      pl.req.Problem,
-		Route:        pl.route,
-		Degraded:     pl.degraded,
-		DegradedFrom: pl.degradedFrom,
-		Refresh:      pl.refresh,
-		Generation:   pl.gen,
+		Problem:    pl.req.Problem,
+		Route:      pl.route,
+		Refresh:    pl.refresh,
+		Generation: pl.gen,
 	}
 	var err error
 	switch pl.req.Problem {
@@ -528,39 +446,28 @@ func (pl *Plan) execDiversify(ctx context.Context, resp *Response) error {
 	in := pl.newInstance()
 	switch pl.route {
 	case "exact":
-		// With a deadline, hold a greedy incumbent in hand and run the
-		// search under a soft deadline at degradeBudgetFraction of the
-		// remaining time: if the search cannot finish, the incumbent ships
-		// as a flagged approximate answer instead of a 504 with nothing.
+		// With a deadline, run the search under a soft deadline at
+		// degradeBudgetFraction of the remaining time: if it cannot finish,
+		// the greedy answer it warm-started from ships as a flagged
+		// approximate answer instead of a 504 with nothing.
 		softCtx := ctx
-		var incumbent *approx.Result
-		if deadline, has := ctx.Deadline(); has && pl.sigma.Len() == 0 && pl.snap != nil {
-			if g, err := approx.GreedyContext(ctx, in); err == nil && len(g.Set) > 0 {
-				incumbent = &g
-				soft := time.Duration(float64(time.Until(deadline)) * degradeBudgetFraction)
-				if soft > 0 {
-					var cancel context.CancelFunc
-					softCtx, cancel = context.WithTimeout(ctx, soft)
-					defer cancel()
-				}
-			}
+		if deadline, has := ctx.Deadline(); has && pl.sigma.Len() == 0 {
+			var cancel context.CancelFunc
+			softCtx, cancel = context.WithTimeout(ctx, time.Duration(float64(time.Until(deadline))*degradeBudgetFraction))
+			defer cancel()
 		}
-		start := time.Now()
 		res, err := solver.QRDBestContext(softCtx, in)
 		if err != nil {
-			if incumbent != nil && softCtx.Err() != nil && ctx.Err() == nil {
-				// The soft deadline fired but the request is still alive:
-				// answer approximately rather than time out.
+			if g := res.Incumbent; g != nil && softCtx.Err() != nil && ctx.Err() == nil {
 				resp.Route = "greedy"
 				resp.Degraded = true
-				resp.DegradedFrom = degradeChain(pl.degradedFrom, costRouteKey(in.Parallelism))
-				resp.Stats = Stats{Steps: incumbent.Steps, Answers: len(pl.snap.answers)}
-				resp.Selection = newSelection(p.schema, incumbent.Set, incumbent.Value, "greedy")
+				resp.DegradedFrom = "exact"
+				resp.Stats = Stats{Steps: g.Steps, Answers: len(pl.snap.answers)}
+				resp.Selection = newSelection(p.schema, g.Set, g.Value, "greedy")
 				return nil
 			}
 			return err
 		}
-		p.eng.cost.observe(costRouteKey(in.Parallelism), res.Stats.Answers, time.Since(start).Seconds())
 		resp.Stats = searchStats(res.Stats)
 		if !res.Exists {
 			return ErrNoCandidate
@@ -733,9 +640,6 @@ func (pl *Plan) Explain() string {
 		fmt.Fprintf(&b, "route:     %s (fallback: %s)\n", pl.route, pl.fallback)
 	} else {
 		fmt.Fprintf(&b, "route:     %s\n", pl.route)
-	}
-	if pl.degradeNote != "" {
-		fmt.Fprintf(&b, "degraded:  %s\n", pl.degradeNote)
 	}
 	fmt.Fprintf(&b, "sigma:     %d constraints\n", pl.sigma.Len())
 	if pl.snap != nil {

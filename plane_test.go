@@ -264,7 +264,7 @@ func TestExplainFormatting(t *testing.T) {
 
 // The solver golden's line format: a selected set prints as its tuple keys
 // (fields comma-separated), a score with every bit of its float64, and an
-// exact search with its deterministic sequential work statistics.
+// exact search with its deterministic one-worker work statistics.
 func goldenSet(ts []relation.Tuple) string {
 	keys := make([]string, len(ts))
 	for i, t := range ts {
@@ -324,7 +324,7 @@ func writeOnline(b *strings.Builder, label string, r online.Result, err error) {
 // the online procedures and constrained (Σ) instances, across the objective
 // kind × λ grid and the materialized and direct plane stores. Each line
 // records the selected set, the objective value to the last bit and the
-// deterministic sequential work statistics, so any change to what a solver
+// deterministic one-worker work statistics, so any change to what a solver
 // returns or how much work it does shows up as a diff. Regenerate with
 //
 //	go test -run TestSolverGolden -update .

@@ -432,7 +432,7 @@ func (s *Service) Do(ctx context.Context, name string, req Request) (*Response, 
 		// would otherwise re-solve), and followers must be woken even if
 		// the pipeline panics.
 		defer func() {
-			if err == nil && resp != nil && !resp.Degraded && resp.DegradedFrom == "" && resp.Generation != 0 {
+			if err == nil && resp != nil && !resp.Degraded && resp.Generation != 0 {
 				// Store under the generation the solve actually ran at (a
 				// mutation may have slipped between key computation and
 				// the engine lock); degraded and deadline-shaped responses
