@@ -216,6 +216,30 @@ func TestDiversifyExact(t *testing.T) {
 	}
 }
 
+// TestDiversifyExactNegativeScores: when every candidate set scores below
+// 0, exact diversify still answers the best one. Six ids with relevance
+// −1−id, k = 2, max-sum at λ = 0: the best set is {0, 1} with F = −3,
+// which greedy answers too.
+func TestDiversifyExactNegativeScores(t *testing.T) {
+	e := NewEngine()
+	e.MustCreateTable("points", "id")
+	for i := 0; i < 6; i++ {
+		e.MustInsert("points", i)
+	}
+	for _, alg := range []Algorithm{Exact, Greedy} {
+		sel, err := e.MustPrepare("Q(id) :- points(id)",
+			WithK(2), WithObjective(MaxSum), WithLambda(0), WithAlgorithm(alg),
+			WithRelevance(func(r Row) float64 { return -1 - float64(r.Get("id").(int64)) }),
+		).Diversify(context.Background())
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if len(sel.Rows) != 2 || sel.Rows[0].Get("id") != int64(0) || sel.Rows[1].Get("id") != int64(1) || sel.Value != -3 {
+			t.Errorf("%v selected %v with F = %v, want ids 0 and 1 with F = -3", alg, sel.Rows, sel.Value)
+		}
+	}
+}
+
 func TestDiversifyGreedyAndLocalSearch(t *testing.T) {
 	e := giftEngine(t)
 	ctx := context.Background()

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -291,15 +292,18 @@ func BenchmarkColdStart(b *testing.B) {
 
 // coldRefreshAllocBudget is the allocation budget per answer of a cold
 // Refresh of the identity query, Prepare included. Measured at 10^4 rows
-// (go1.24.0): 3.0 per answer — the answer's key string and tuple, and its
-// share of map growth and the category plane. The budget adds a margin of
-// 1.0. Building the active domain up front, collecting the answers in a
-// relation and keying them a second time cost 14.1.
-const coldRefreshAllocBudget = 4.0
+// (go1.24.0): 1.02 per answer — the answer's key string in the dedup set,
+// and its share of map growth and the category plane; the answer itself is
+// the relation's stored tuple. The budget adds a margin of about 1.0.
+// Copying each answer out of its binding cost 2.02, and building the
+// active domain up front, collecting the answers in a relation and keying
+// them a second time 14.1.
+const coldRefreshAllocBudget = 2.0
 
 // TestColdRefreshAllocs holds a cold Refresh to its allocation budget, so
-// the cold path cannot quietly go back to building the active domain,
-// collecting answers in a relation or keying each answer twice.
+// the cold path cannot quietly go back to copying each answer, building
+// the active domain, collecting answers in a relation or keying each
+// answer twice.
 func TestColdRefreshAllocs(t *testing.T) {
 	const n = 10_000
 	e := diversification.NewEngine()
@@ -321,5 +325,46 @@ func TestColdRefreshAllocs(t *testing.T) {
 		t.Errorf("cold refresh made %.0f allocations, %.2f per answer; budget %.1f", allocs, perAnswer, coldRefreshAllocBudget)
 	} else {
 		t.Logf("cold refresh: %.2f allocations per answer (budget %.1f)", perAnswer, coldRefreshAllocBudget)
+	}
+}
+
+// coldLiveHeapBudget bounds the live heap a 10^5-row table and its cold
+// identity statement hold after a collection. Each row is stored once: the
+// answers share the relation's tuples, and a three-field tuple of 32-byte
+// Values takes a 96-byte size class.
+const coldLiveHeapBudget = 28 << 20
+
+// TestColdLiveHeap loads the warm-read shape, prepares and cold-refreshes
+// its statement, and holds the heap that survives a collection to
+// coldLiveHeapBudget, so the answers cannot quietly go back to copying
+// every row. It reads process-wide heap statistics, so it does not run in
+// parallel with other tests.
+func TestColdLiveHeap(t *testing.T) {
+	const n = 100_000
+	file := writeItems(t, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := diversification.NewEngine()
+	if err := TSV(e, "items", file); err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.Prepare(itemsStmt, itemsOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := p.Refresh(context.Background())
+	if err != nil || info.Mode != "rebuild" || info.Answers != n {
+		t.Fatalf("cold refresh = %+v, %v; want a rebuild of %d answers", info, err, n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	objects := int64(after.HeapObjects) - int64(before.HeapObjects)
+	if growth > coldLiveHeapBudget {
+		t.Errorf("live heap grew %.1f MiB in %d objects over %d rows; budget %d MiB", float64(growth)/(1<<20), objects, n, coldLiveHeapBudget>>20)
+	} else {
+		t.Logf("live heap grew %.1f MiB in %d objects over %d rows (budget %d MiB)", float64(growth)/(1<<20), objects, n, coldLiveHeapBudget>>20)
 	}
 }

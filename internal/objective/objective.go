@@ -27,23 +27,6 @@ type Distance interface {
 	Dis(s, t relation.Tuple) float64
 }
 
-// KeyedRelevance is implemented by relevance functions that can score from
-// a precomputed Tuple.Key(), sparing the per-lookup key rebuild that
-// dominates table-backed scoring in tight loops. The score plane interns
-// each answer's key once and drives every subsequent lookup through this
-// interface when available.
-type KeyedRelevance interface {
-	// RelKey is Rel for the tuple whose canonical key is key.
-	RelKey(key string) float64
-}
-
-// KeyedDistance is the pairwise twin of KeyedRelevance: a distance that can
-// be looked up from two precomputed tuple keys.
-type KeyedDistance interface {
-	// DisKeys is Dis for the tuples whose canonical keys are a and b.
-	DisKeys(a, b string) float64
-}
-
 // RelevanceFunc adapts a function to the Relevance interface.
 type RelevanceFunc func(t relation.Tuple) float64
 
@@ -76,11 +59,8 @@ type TableRelevance struct {
 }
 
 // Rel returns the stored score or the default.
-func (tr *TableRelevance) Rel(t relation.Tuple) float64 { return tr.RelKey(t.Key()) }
-
-// RelKey is Rel from a precomputed tuple key (KeyedRelevance).
-func (tr *TableRelevance) RelKey(key string) float64 {
-	if s, ok := tr.Scores[key]; ok {
+func (tr *TableRelevance) Rel(t relation.Tuple) float64 {
+	if s, ok := tr.Scores[t.Key()]; ok {
 		return s
 	}
 	return tr.Default
@@ -180,12 +160,7 @@ func (td *TableDistance) Set(s, t relation.Tuple, d float64) *TableDistance {
 // Dis looks up the pair, returning 0 on identical tuples and the default on
 // misses.
 func (td *TableDistance) Dis(s, t relation.Tuple) float64 {
-	return td.DisKeys(s.Key(), t.Key())
-}
-
-// DisKeys is Dis from precomputed tuple keys (KeyedDistance): it spares the
-// two Tuple.Key() string builds that otherwise dominate every lookup.
-func (td *TableDistance) DisKeys(a, b string) float64 {
+	a, b := s.Key(), t.Key()
 	if a == b {
 		return 0
 	}

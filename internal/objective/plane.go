@@ -52,12 +52,9 @@ type Plane struct {
 	answers []relation.Tuple
 	rel     []float64
 	maxRel  float64
-	keys    []string // precomputed Tuple.Key()s when a Keyed impl is present
 
 	relFn     Relevance
 	disFn     Distance
-	keyedRel  KeyedRelevance // non-nil when relFn accepts precomputed keys
-	keyedDis  KeyedDistance  // non-nil when disFn accepts precomputed keys
 	streaming bool
 	regime    Regime // the resolved serving regime, fixed at construction
 
@@ -92,22 +89,7 @@ func NewPlaneContext(ctx context.Context, o *Objective, answers []relation.Tuple
 		streaming: opts.Streaming,
 		regime:    resolveRegime(len(answers), opts.Streaming, o.Dis),
 	}
-	if kr, ok := o.Rel.(KeyedRelevance); ok {
-		p.keyedRel = kr
-	}
-	if kd, ok := o.Dis.(KeyedDistance); ok {
-		p.keyedDis = kd
-	}
 	poll := ctxpoll.New(ctx)
-	if p.keyedRel != nil || p.keyedDis != nil {
-		p.keys = make([]string, len(answers))
-		for i, t := range answers {
-			if poll.Stop() {
-				return nil, poll.Err()
-			}
-			p.keys[i] = t.Key()
-		}
-	}
 	p.rel = make([]float64, len(answers))
 	for i := range answers {
 		if poll.Stop() {
@@ -184,9 +166,6 @@ func (p *Plane) MemoryFootprint() int64 {
 	n := int64(len(p.answers))
 	b := n * 8 // relevance vector
 	b += n * 8 // answer slice headers (tuples themselves are shared)
-	if p.keys != nil {
-		b += n * 16 // string headers; backing bytes are shared with tuples
-	}
 	if p.triReady.Load() {
 		b += int64(len(p.tri)) * 8
 	}
@@ -196,22 +175,11 @@ func (p *Plane) MemoryFootprint() int64 {
 	return b
 }
 
-// rawRel evaluates δrel for id through the keyed fast path when available.
-func (p *Plane) rawRel(id int) float64 {
-	if p.keyedRel != nil {
-		return p.keyedRel.RelKey(p.keys[id])
-	}
-	return p.relFn.Rel(p.answers[id])
-}
+// rawRel evaluates δrel for id.
+func (p *Plane) rawRel(id int) float64 { return p.relFn.Rel(p.answers[id]) }
 
-// rawDis evaluates δdis for i < j in canonical argument order, through the
-// keyed fast path when available.
-func (p *Plane) rawDis(i, j int) float64 {
-	if p.keyedDis != nil {
-		return p.keyedDis.DisKeys(p.keys[i], p.keys[j])
-	}
-	return p.disFn.Dis(p.answers[i], p.answers[j])
-}
+// rawDis evaluates δdis for i < j in canonical argument order.
+func (p *Plane) rawDis(i, j int) float64 { return p.disFn.Dis(p.answers[i], p.answers[j]) }
 
 // triIndex packs the lower triangle row-by-row: cell (i, j) with i < j lives
 // at j(j-1)/2 + i. The packing is independent of n, so streaming planes
@@ -441,9 +409,6 @@ func (p *Plane) Append(t relation.Tuple) int {
 	}
 	id := len(p.answers)
 	p.answers = append(p.answers, t)
-	if p.keys != nil {
-		p.keys = append(p.keys, t.Key())
-	}
 	p.rel = append(p.rel, 0)
 	r := p.rawRel(id)
 	p.rel[id] = r
@@ -456,8 +421,8 @@ func (p *Plane) Append(t relation.Tuple) int {
 // Rebase builds the plane over answers, an incrementally maintained answer
 // set, given each answer's provenance: from[i] is the ID answers[i] had on
 // p, or -1 for an answer p does not hold (relation.Merge returns both).
-// Score state is carried over instead of recomputed — relevance values and
-// keys are copied for carried answers, and when the matrix is filled (with
+// Score state is carried over instead of recomputed — relevance values are
+// copied for carried answers, and when the matrix is filled (with
 // the regime re-resolved at the new size) every carried pair is a float
 // copy, so only the O(n·|added|) pairs touching a new answer evaluate δdis.
 // A category store is edited in place of a rebuild. A direct plane stores
@@ -482,16 +447,11 @@ func (p *Plane) Rebase(ctx context.Context, answers []relation.Tuple, from []int
 	// batches can bring an oversized one back under it (it re-materializes),
 	// each matching what a cold build at the new size would pick.
 	q := &Plane{
-		answers:  answers,
-		rel:      make([]float64, m),
-		relFn:    p.relFn,
-		disFn:    p.disFn,
-		keyedRel: p.keyedRel,
-		keyedDis: p.keyedDis,
-		regime:   resolveRegime(m, false, p.disFn),
-	}
-	if p.keys != nil {
-		q.keys = make([]string, m)
+		answers: answers,
+		rel:     make([]float64, m),
+		relFn:   p.relFn,
+		disFn:   p.disFn,
+		regime:  resolveRegime(m, false, p.disFn),
 	}
 	poll := ctxpoll.New(ctx)
 	for id, o := range from {
@@ -500,13 +460,7 @@ func (p *Plane) Rebase(ctx context.Context, answers []relation.Tuple, from []int
 		}
 		if o >= 0 {
 			q.rel[id] = p.rel[o]
-			if q.keys != nil {
-				q.keys[id] = p.keys[o]
-			}
 		} else {
-			if q.keys != nil {
-				q.keys[id] = answers[id].Key()
-			}
 			q.rel[id] = q.rawRel(id)
 		}
 		if q.rel[id] > q.maxRel {

@@ -240,33 +240,6 @@ func TestPlaneConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestPlaneKeyedFastPath(t *testing.T) {
-	// TableRelevance / TableDistance implement the Keyed interfaces, so the
-	// plane must intern each tuple's key exactly once and score via ByKey.
-	answers := planeAnswers(10)
-	tr := &TableRelevance{Scores: map[string]float64{}, Default: 1}
-	td := NewTableDistance(2)
-	tr.Set(answers[3], 7)
-	td.Set(answers[1], answers[4], 9)
-	var kr KeyedRelevance = tr
-	var kd KeyedDistance = td
-	if kr.RelKey(answers[3].Key()) != 7 || kr.RelKey(answers[0].Key()) != 1 {
-		t.Fatal("RelKey lookup wrong")
-	}
-	if kd.DisKeys(answers[1].Key(), answers[4].Key()) != 9 ||
-		kd.DisKeys(answers[4].Key(), answers[1].Key()) != 9 ||
-		kd.DisKeys(answers[2].Key(), answers[2].Key()) != 0 ||
-		kd.DisKeys(answers[0].Key(), answers[2].Key()) != 2 {
-		t.Fatal("DisKeys lookup wrong")
-	}
-	o := New(MaxSum, tr, td, 0.5)
-	p := NewPlane(o, answers, PlaneOptions{})
-	p.Materialize()
-	if p.Rel(3) != 7 || p.Dis(1, 4) != 9 || p.Dis(0, 2) != 2 {
-		t.Fatal("keyed plane values wrong")
-	}
-}
-
 func TestTriIndex(t *testing.T) {
 	// The packing must be a bijection onto [0, n(n-1)/2).
 	const n = 17

@@ -229,7 +229,7 @@ func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes [
 						return true
 					}
 				}
-				res.Added = append(res.Added, t.Clone())
+				res.Added = append(res.Added, t)
 				return true
 			})
 			if !ok {
@@ -393,13 +393,20 @@ func pairKey(dst []byte, head [][2]int, t relation.Tuple, side int) []byte {
 // outer variable sharing its name (its slot) to the inner value. The
 // restriction may then under-constrain inside the quantifier — the
 // enumeration yields a superset of the derivations through (atom, t), which
-// is sound: every yield satisfies the body. It reports whether enumeration
-// ran to completion.
+// is sound: every yield satisfies the body. An atom that covers the head
+// (satisfyAtom) and no quantifier re-binds makes t itself the answer of
+// every yield, the journaled stored tuple rather than a copy. It reports
+// whether enumeration ran to completion.
 func (e *Evaluator) bindAtom(sc atomScope, t relation.Tuple, emit func(relation.Tuple) bool) bool {
 	if len(sc.atom.Args) != len(t) {
 		return true
 	}
 	slots := e.argSlotsOf(sc.atom)
+	if e.covers(slots) && !slices.Contains(sc.quantified, true) {
+		outer := e.cover
+		e.cover = t
+		defer func() { e.cover = outer }()
+	}
 	var newly []int
 	defer func() {
 		for _, s := range newly {

@@ -20,7 +20,9 @@
 // table, mutated and restored along the backtracking search; no maps are
 // allocated on the evaluation path. Each distinct answer is keyed once, in
 // a reused buffer, to drop repeated bindings; the sorted answers need no
-// key index, since a binary search in canonical order finds an answer.
+// key index, since a binary search in canonical order finds an answer. An
+// answer bound wholly by one atom's tuple, read in head order (identity
+// queries and selections), is that stored tuple, not a copy of it.
 package eval
 
 import (
@@ -48,6 +50,15 @@ type Evaluator struct {
 	vals      []value.Value  // slot values (valid where bound)
 	bound     []bool         // slot bound flags
 	headSlots []int
+	// headDistinct reports whether the head names each variable once, so
+	// an atom whose arguments are the head variables in order binds the
+	// head field by field from its tuple.
+	headDistinct bool
+	// cover is the stored tuple the current head binding was read from, or
+	// nil: set by a relation atom whose arguments are the head variables
+	// in order and which bound every one of them, for as long as that
+	// binding stands. headTuple returns it instead of a copy.
+	cover relation.Tuple
 
 	// probeCols and probeVals are scratch for the bound arguments of a
 	// probe (index.go), so a probe allocates nothing.
@@ -109,8 +120,11 @@ func New(q *query.Query, db *relation.Database) *Evaluator {
 	e.vals = make([]value.Value, len(e.slots))
 	e.bound = make([]bool, len(e.slots))
 	e.headSlots = make([]int, len(q.Head))
+	e.headDistinct = true
 	for i, h := range q.Head {
-		e.headSlots[i] = e.slots[h]
+		s := e.slots[h]
+		e.headDistinct = e.headDistinct && !slices.Contains(e.headSlots[:i], s)
+		e.headSlots[i] = s
 	}
 	e.freeVars = make(map[query.Formula][]int)
 	e.atomSlots = make(map[*query.Atom][]int)
@@ -280,8 +294,13 @@ func (e *Evaluator) Result() []relation.Tuple {
 	return found
 }
 
-// headTuple materializes the current binding of the head variables.
+// headTuple materializes the current binding of the head variables: the
+// stored tuple it was read from when one atom bound it (cover), else a new
+// tuple.
 func (e *Evaluator) headTuple() relation.Tuple {
+	if e.cover != nil {
+		return e.cover
+	}
 	t := make(relation.Tuple, len(e.headSlots))
 	for i, s := range e.headSlots {
 		if !e.bound[s] {
@@ -434,10 +453,28 @@ func (e *Evaluator) satisfy(f query.Formula, yield func() bool) bool {
 	}
 }
 
+// covers reports whether binding the atom's arguments from a tuple binds
+// the head to exactly that tuple: the arguments are the head variables in
+// head order, the head names each once, and none is bound yet. A bound one
+// would keep its own value, which may be another kind than the tuple's
+// field (Int 5 matches Float 5).
+func (e *Evaluator) covers(slots []int) bool {
+	if !e.headDistinct || len(slots) != len(e.headSlots) {
+		return false
+	}
+	for i, s := range slots {
+		if s != e.headSlots[i] || e.bound[s] {
+			return false
+		}
+	}
+	return true
+}
+
 // satisfyAtom binds the atom's unbound arguments from each matching tuple.
 // A constant or bound argument matches an equal field (value.Equal, which
 // is the Key equality the column indexes group by), so a scan and an index
-// probe keep the same tuples.
+// probe keep the same tuples. When the atom covers the head, the tuple is
+// the answer's cover while its binding stands.
 func (e *Evaluator) satisfyAtom(a *query.Atom, yield func() bool) bool {
 	rel := e.db.Relation(a.Rel)
 	if rel == nil {
@@ -447,6 +484,11 @@ func (e *Evaluator) satisfyAtom(a *query.Atom, yield func() bool) bool {
 		panic(fmt.Sprintf("eval: atom %s has arity %d, relation has %d", a.Rel, len(a.Args), rel.Schema().Arity()))
 	}
 	slots := e.argSlotsOf(a)
+	covers := e.covers(slots)
+	if covers {
+		outer := e.cover
+		defer func() { e.cover = outer }()
+	}
 	tuples := rel.Tuples()
 	run, indexed := e.probe(a, rel)
 	n := len(tuples)
@@ -492,6 +534,9 @@ scan:
 			}
 			continue scan
 		}
+		if covers {
+			e.cover = t
+		}
 		cont := yield()
 		for _, s := range newly {
 			e.bound[s] = false
@@ -515,15 +560,20 @@ func (e *Evaluator) satisfyAnd(fs []query.Formula, i int, yield func() bool) boo
 // satisfyExists enumerates witnesses of the quantified body. Quantified
 // variables shadow outer bindings: the outer slot state is saved and
 // cleared for the inner enumeration, and restored — with the inner
-// witnesses hidden — around each yield to the continuation.
+// witnesses hidden — around each yield to the continuation. So is the
+// cover: an inner atom's tuple no longer holds the head binding the
+// continuation sees.
 func (e *Evaluator) satisfyExists(n *query.Exists, yield func() bool) bool {
 	outer := e.saveSlots(n.Vars)
+	outerCover := e.cover
 	e.clearSlots(n.Vars)
 	ok := e.satisfy(n.F, func() bool {
-		inner := e.saveSlots(n.Vars)
+		inner, innerCover := e.saveSlots(n.Vars), e.cover
 		e.restoreSlots(n.Vars, outer)
+		e.cover = outerCover
 		cont := yield()
 		e.restoreSlots(n.Vars, inner)
+		e.cover = innerCover
 		return cont
 	})
 	e.restoreSlots(n.Vars, outer)

@@ -7,6 +7,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -181,13 +182,26 @@ func (s Schema) String() string {
 
 // Relation is a set of tuples under a schema. Insertion order is preserved
 // for deterministic iteration; duplicates are ignored (set semantics).
+//
+// Stored tuples are immutable: Insert stores a clone of its argument,
+// Delete moves slice headers only, and nothing writes a stored tuple's
+// fields afterwards. Tuples, the change journal and query answers hand
+// out the stored tuples themselves, so none of their holders may write
+// into one either.
 type Relation struct {
 	schema Schema
 	tuples []Tuple
-	// ords maps each tuple's Key to its insertion ordinal. Ordinals grow
-	// along tuples, so Delete finds a row by binary search.
-	ords map[string]int
-	next int // the ordinal of the next insert
+	// ords holds each row's insertion ordinal, parallel to tuples. Ordinals
+	// grow along tuples, so a binary search finds a row's position from its
+	// ordinal, which Delete does not change.
+	ords []uint32
+	next uint32 // the ordinal of the next insert; ordinals start at 1
+	// set is the rows' hash table, open-addressed with linear probing and
+	// at most four fifths full: a used slot packs the hash of a row's
+	// fields (tupleHash) above the row's ordinal, and 0 marks a free slot.
+	// A lookup checks a row whose hash matches with Tuple.Equal, so rows
+	// keep no key strings.
+	set []uint64
 
 	// mu serializes probes, which build and merge column indexes while
 	// the caller holds only a reader's lock (index.go). Insert and Delete
@@ -206,7 +220,7 @@ type Relation struct {
 
 // NewRelation creates an empty relation instance of the schema.
 func NewRelation(schema Schema) *Relation {
-	return &Relation{schema: schema, ords: make(map[string]int)}
+	return &Relation{schema: schema, next: 1, set: make([]uint64, 8)}
 }
 
 // Schema returns the relation's schema.
@@ -215,17 +229,108 @@ func (r *Relation) Schema() Schema { return r.schema }
 // Len reports the number of tuples.
 func (r *Relation) Len() int { return len(r.tuples) }
 
+// tupleHash hashes t's field keys (value.KeyHash) into 32 bits, so Equal
+// tuples hash alike.
+func tupleHash(t Tuple) uint32 {
+	var h uint64
+	for _, v := range t {
+		h = (h ^ v.KeyHash()) * 0x9E3779B97F4A7C15
+	}
+	return uint32(h >> 32)
+}
+
+// find looks t, whose tupleHash is h, up in the hash table: its slot and
+// position and true, or the free slot where it would go and false.
+func (r *Relation) find(t Tuple, h uint32) (slot, pos int, ok bool) {
+	mask := len(r.set) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		e := r.set[i]
+		if e == 0 {
+			return i, -1, false
+		}
+		if uint32(e>>32) == h {
+			if pos := r.position(uint32(e)); r.tuples[pos].Equal(t) {
+				return i, pos, true
+			}
+		}
+	}
+}
+
+// position returns the position of the row with insertion ordinal ord.
+func (r *Relation) position(ord uint32) int {
+	pos, _ := slices.BinarySearch(r.ords, ord)
+	return pos
+}
+
+// place files a hash table entry at the first free slot from its home.
+func (r *Relation) place(e uint64) {
+	mask := len(r.set) - 1
+	i := int(e>>32) & mask
+	for r.set[i] != 0 {
+		i = (i + 1) & mask
+	}
+	r.set[i] = e
+}
+
+// unset frees slot i and moves back each later entry of its probe run
+// whose home does not lie between the hole and the entry, so a lookup
+// meets no free slot before the entry it seeks.
+func (r *Relation) unset(i int) {
+	mask := len(r.set) - 1
+	for j := (i + 1) & mask; r.set[j] != 0; j = (j + 1) & mask {
+		if home := int(r.set[j]>>32) & mask; (j-home)&mask >= (j-i)&mask {
+			r.set[i], i = r.set[j], j
+		}
+	}
+	r.set[i] = 0
+}
+
+// reserve sizes the hash table for n rows.
+func (r *Relation) reserve(n int) {
+	size := len(r.set)
+	for 5*n > 4*size {
+		size *= 2
+	}
+	if size == len(r.set) {
+		return
+	}
+	old := r.set
+	r.set = make([]uint64, size)
+	for _, e := range old {
+		if e != 0 {
+			r.place(e)
+		}
+	}
+}
+
+// renumber gives the rows the ordinals 1..n again, once inserts have used
+// up the 32-bit ordinals.
+func (r *Relation) renumber() {
+	clear(r.set)
+	for pos, t := range r.tuples {
+		r.ords[pos] = uint32(pos + 1)
+		r.place(uint64(tupleHash(t))<<32 | uint64(pos+1))
+	}
+	r.next = uint32(len(r.tuples) + 1)
+}
+
 // Insert adds a tuple, ignoring duplicates. It reports whether the tuple was
-// new. Inserting a tuple of the wrong arity is a programming error.
+// new. Inserting a tuple of the wrong arity is a programming error. The
+// relation stores a clone of t, which it never writes again.
 func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.schema.Arity() {
 		panic(fmt.Sprintf("relation: tuple arity %d does not match schema %s", len(t), r.schema))
 	}
-	k := t.Key()
-	if _, ok := r.ords[k]; ok {
+	h := tupleHash(t)
+	if _, _, ok := r.find(t, h); ok {
 		return false
 	}
-	r.ords[k] = r.next
+	if r.next == math.MaxUint32 {
+		r.renumber()
+	}
+	r.reserve(len(r.tuples) + 1)
+	r.place(uint64(h)<<32 | uint64(r.next))
+	r.ords = append(r.ords, r.next)
 	r.next++
 	stored := t.Clone()
 	r.tuples = append(r.tuples, stored)
@@ -240,31 +345,29 @@ func (r *Relation) Insert(t Tuple) bool {
 	return true
 }
 
-// Grow makes room for n more tuples: an empty relation sizes its key map
-// for them, so a batch of inserts does not rehash it as it grows.
+// Grow makes room for n more tuples, so a batch of inserts does not rehash
+// the relation's hash table or move its rows as it grows.
 func (r *Relation) Grow(n int) {
-	if len(r.tuples) == 0 {
-		r.ords = make(map[string]int, n)
-	}
+	r.reserve(len(r.tuples) + n)
 	r.tuples = slices.Grow(r.tuples, n)
+	r.ords = slices.Grow(r.ords, n)
 }
 
 // Delete removes a tuple, reporting whether it was present. Later tuples
-// keep their relative (insertion) order: finding the row is a binary
-// search, and removing it moves the tuples after it down one slot and
-// lowers their positions in each column index.
+// keep their relative (insertion) order: finding the row is a hash lookup
+// and a binary search of the ordinals, and removing it moves the tuples
+// after it down one slot and lowers their positions in each column index.
 func (r *Relation) Delete(t Tuple) bool {
-	k := t.Key()
-	ord, ok := r.ords[k]
+	slot, pos, ok := r.find(t, tupleHash(t))
 	if !ok {
 		return false
 	}
-	pos := r.position(ord)
+	r.unset(slot)
 	stored := r.tuples[pos]
-	delete(r.ords, k)
 	copy(r.tuples[pos:], r.tuples[pos+1:])
 	r.tuples[len(r.tuples)-1] = nil
 	r.tuples = r.tuples[:len(r.tuples)-1]
+	r.ords = slices.Delete(r.ords, pos, pos+1)
 	for c, ix := range r.cols {
 		if ix != nil {
 			ix.remove(stored[c], pos)
@@ -274,16 +377,6 @@ func (r *Relation) Delete(t Tuple) bool {
 		r.onMutate(OpDelete, stored)
 	}
 	return true
-}
-
-// position returns the position of the row with insertion ordinal ord.
-// Ordinals grow along the tuples, so a binary search reads O(log n) rows'
-// ordinals from the key map and needs no state of its own.
-func (r *Relation) position(ord int) int {
-	var buf [64]byte
-	return sort.Search(len(r.tuples), func(i int) bool {
-		return r.ords[string(r.tuples[i].AppendKey(buf[:0]))] >= ord
-	})
 }
 
 // InsertAll inserts every tuple, returning the count of new tuples.
@@ -299,12 +392,12 @@ func (r *Relation) InsertAll(ts ...Tuple) int {
 
 // Contains reports membership of t.
 func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.ords[t.Key()]
+	_, _, ok := r.find(t, tupleHash(t))
 	return ok
 }
 
-// Tuples returns the tuples in insertion order. The slice is shared; callers
-// must not mutate it.
+// Tuples returns the stored tuples in insertion order. The slice and the
+// tuples are shared; callers must not mutate either.
 func (r *Relation) Tuples() []Tuple { return r.tuples }
 
 // Sorted returns the tuples in lexicographic order (a fresh slice).

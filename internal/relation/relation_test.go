@@ -386,3 +386,97 @@ func TestSearchAndMergeModel(t *testing.T) {
 		}
 	}
 }
+
+// TestRelationHashTableModel drives random inserts, deletes and lookups
+// over few distinct rows, so probe runs interleave and deletes move
+// entries back, against a slice model: the same answers, and the same rows
+// in insertion order. Fields mix ints with equal floats, which must be one
+// row.
+func TestRelationHashTableModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	field := func() value.Value {
+		n := rng.Intn(6)
+		if rng.Intn(2) == 0 {
+			return value.Float(float64(n))
+		}
+		return value.Int(int64(n))
+	}
+	for trial := 0; trial < 20; trial++ {
+		r := NewRelation(NewSchema("R", "a", "b"))
+		var model []Tuple
+		at := func(u Tuple) int {
+			return slices.IndexFunc(model, func(m Tuple) bool { return m.Equal(u) })
+		}
+		for op := 0; op < 400; op++ {
+			u := Tuple{field(), field()}
+			switch rng.Intn(3) {
+			case 0:
+				if got, want := r.Insert(u), at(u) < 0; got != want {
+					t.Fatalf("trial %d op %d: Insert(%v) = %v, model %v", trial, op, u, got, want)
+				}
+				if at(u) < 0 {
+					model = append(model, u)
+				}
+			case 1:
+				i := at(u)
+				if got := r.Delete(u); got != (i >= 0) {
+					t.Fatalf("trial %d op %d: Delete(%v) = %v, model %v", trial, op, u, got, i >= 0)
+				}
+				if i >= 0 {
+					model = slices.Delete(model, i, i+1)
+				}
+			default:
+				if got := r.Contains(u); got != (at(u) >= 0) {
+					t.Fatalf("trial %d op %d: Contains(%v) = %v", trial, op, u, got)
+				}
+			}
+			if !slices.EqualFunc(r.Tuples(), model, Tuple.Equal) {
+				t.Fatalf("trial %d op %d: rows %v, model %v", trial, op, r.Tuples(), model)
+			}
+		}
+	}
+}
+
+// TestRelationHashCollision: two different rows whose 32-bit hashes
+// collide are both kept, found and deleted apart, since a lookup checks a
+// matching hash with Tuple.Equal.
+func TestRelationHashCollision(t *testing.T) {
+	seen := make(map[uint32]int64)
+	var a, b Tuple
+	for i := int64(0); a == nil; i++ {
+		h := tupleHash(Ints(i))
+		if j, ok := seen[h]; ok {
+			a, b = Ints(j), Ints(i)
+		}
+		seen[h] = i
+	}
+	r := NewRelation(NewSchema("R", "x"))
+	if !r.Insert(a) || !r.Insert(b) || r.Insert(a.Clone()) || r.Len() != 2 {
+		t.Fatalf("inserting %v and %v, which share a hash: %v", a, b, r.Tuples())
+	}
+	if !r.Delete(a) || r.Contains(a) || !r.Contains(b) || !r.Delete(b) || r.Len() != 0 {
+		t.Fatalf("deleting %v then %v: %v", a, b, r.Tuples())
+	}
+}
+
+// TestRelationRenumbersOrdinals: once inserts reach the last 32-bit
+// ordinal, the rows are numbered afresh and every lookup still finds its
+// row.
+func TestRelationRenumbersOrdinals(t *testing.T) {
+	r := NewRelation(NewSchema("R", "x"))
+	r.next = math.MaxUint32 - 3
+	for i := int64(0); i < 10; i++ {
+		r.Insert(Ints(i))
+		if i%3 == 0 {
+			r.Delete(Ints(i / 2))
+		}
+	}
+	if r.next >= math.MaxUint32-3 {
+		t.Fatalf("next ordinal %d: no renumbering", r.next)
+	}
+	for _, u := range slices.Clone(r.Tuples()) {
+		if !r.Contains(u) || !r.Delete(u) {
+			t.Fatalf("row %v not found after renumbering", u)
+		}
+	}
+}

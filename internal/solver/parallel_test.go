@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -67,12 +68,12 @@ func firstWitness(leaves []refLeaf, b float64) *refLeaf {
 	return nil
 }
 
-// firstBest is the first leaf of maximal score among those scoring at least
-// 0, the best-set search's floor.
+// firstBest is the first leaf of maximal score, NaN scores left out as the
+// best-set search leaves them out.
 func firstBest(leaves []refLeaf) *refLeaf {
 	var best *refLeaf
 	for i := range leaves {
-		if l := &leaves[i]; l.f >= 0 && (best == nil || l.f > best.f) {
+		if l := &leaves[i]; !math.IsNaN(l.f) && (best == nil || l.f > best.f) {
 			best = l
 		}
 	}

@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"errors"
+	"math"
 	"sort"
 
 	"repro/internal/approx"
@@ -164,7 +165,9 @@ func QRDBestContext(ctx context.Context, in *core.Instance) (QRDResult, error) {
 	if _, err := in.AnswersContext(ctx); err != nil {
 		return res, err
 	}
-	s := newSearch(ctx, in, 0, false, &res.Stats)
+	// The walk starts below every score, since the best set may score
+	// below 0; only a NaN score, which no threshold admits, stays out.
+	s := newSearch(ctx, in, math.Inf(-1), false, &res.Stats)
 	if s.canceled {
 		return res, ctx.Err()
 	}

@@ -45,18 +45,27 @@ func (k Kind) String() string {
 }
 
 // Value is an immutable typed constant. The zero Value is the integer 0.
+//
+// A Value is 32 bytes: the kind, one 8-byte payload word and a string
+// header. An int or a bool (0 or 1) is the word as an int64, a float its
+// IEEE 754 bits (math.Float64bits); a string lives in the header alone.
+// Tuples hold their fields inline, so the word shared by ints and floats
+// puts a three-field tuple in the 96-byte size class instead of 128.
+// Since a float is stored as bits, Values are not comparable with ==:
+// +0 and −0 would differ and NaN equal itself. Equal, Compare and Key are
+// the equalities, and the blank field keeps == from compiling.
 type Value struct {
+	_    [0]func()
 	kind Kind
-	i    int64
-	f    float64
+	bits uint64
 	s    string
 }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, bits: uint64(i)} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, bits: math.Float64bits(f)} }
 
 // Str returns a string value.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
@@ -65,10 +74,16 @@ func Str(s string) Value { return Value{kind: KindString, s: s} }
 func Bool(b bool) Value {
 	v := Value{kind: KindBool}
 	if b {
-		v.i = 1
+		v.bits = 1
 	}
 	return v
 }
+
+// i is the payload word of an int or bool.
+func (v Value) i() int64 { return int64(v.bits) }
+
+// f is the payload word of a float.
+func (v Value) f() float64 { return math.Float64frombits(v.bits) }
 
 // Kind reports the value's runtime type.
 func (v Value) Kind() Kind { return v.kind }
@@ -79,9 +94,9 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) AsInt() int64 {
 	switch v.kind {
 	case KindInt, KindBool:
-		return v.i
+		return v.i()
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.f())
 	default:
 		return 0
 	}
@@ -92,9 +107,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindInt, KindBool:
-		return float64(v.i)
+		return float64(v.i())
 	case KindFloat:
-		return v.f
+		return v.f()
 	default:
 		return math.NaN()
 	}
@@ -113,9 +128,9 @@ func (v Value) AsString() string {
 func (v Value) AsBool() bool {
 	switch v.kind {
 	case KindBool, KindInt:
-		return v.i != 0
+		return v.i() != 0
 	case KindFloat:
-		return v.f != 0
+		return v.f() != 0
 	default:
 		return v.s != ""
 	}
@@ -136,13 +151,13 @@ func Compare(v, w Value) int {
 	if v.IsNumeric() && w.IsNumeric() {
 		switch {
 		case v.kind == KindInt && w.kind == KindInt:
-			return cmp.Compare(v.i, w.i)
+			return cmp.Compare(v.i(), w.i())
 		case v.kind == KindInt:
-			return compareIntFloat(v.i, w.f)
+			return compareIntFloat(v.i(), w.f())
 		case w.kind == KindInt:
-			return -compareIntFloat(w.i, v.f)
+			return -compareIntFloat(w.i(), v.f())
 		default:
-			return compareFloats(v.f, w.f)
+			return compareFloats(v.f(), w.f())
 		}
 	}
 	if v.kind != w.kind {
@@ -151,7 +166,7 @@ func Compare(v, w Value) int {
 	if v.kind == KindString {
 		return strings.Compare(v.s, w.s)
 	}
-	return cmp.Compare(v.i, w.i) // bools: false < true
+	return cmp.Compare(v.i(), w.i()) // bools: false < true
 }
 
 // compareFloats orders floats numerically, with every NaN equal to every
@@ -184,11 +199,12 @@ func Equal(v, w Value) bool {
 	if v.kind == w.kind {
 		switch v.kind {
 		case KindFloat:
-			return v.f == w.f || (math.IsNaN(v.f) && math.IsNaN(w.f))
+			a, b := v.f(), w.f()
+			return a == b || (math.IsNaN(a) && math.IsNaN(b))
 		case KindString:
 			return v.s == w.s
 		default:
-			return v.i == w.i
+			return v.i() == w.i()
 		}
 	}
 	return Compare(v, w) == 0
@@ -201,13 +217,13 @@ func Less(v, w Value) bool { return Compare(v, w) < 0 }
 func (v Value) String() string {
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
-		if v.i != 0 {
+		if v.i() != 0 {
 			return "true"
 		}
 		return "false"
@@ -232,7 +248,7 @@ func (v Value) AppendKey(dst []byte) []byte {
 	}
 	switch v.kind {
 	case KindFloat:
-		return strconv.AppendFloat(append(dst, 'f'), v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), v.f(), 'g', -1, 64)
 	case KindString:
 		// Tuple keys separate fields with 0x1f, so a string writes 0x1e
 		// and 0x1f each behind a 0x1e: an unescaped 0x1f is always a
@@ -247,7 +263,7 @@ func (v Value) AppendKey(dst []byte) []byte {
 		}
 		return append(dst, v.s[start:]...)
 	case KindBool:
-		if v.i != 0 {
+		if v.i() != 0 {
 			return append(dst, "bt"...)
 		}
 		return append(dst, "bf"...)
@@ -261,10 +277,10 @@ func (v Value) AppendKey(dst []byte) []byte {
 func (v Value) intKey() (int64, bool) {
 	switch v.kind {
 	case KindInt:
-		return v.i, true
+		return v.i(), true
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && v.f >= -(1<<63) && v.f < 1<<63 {
-			return int64(v.f), true
+		if f := v.f(); f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+			return int64(f), true
 		}
 	}
 	return 0, false
@@ -279,12 +295,12 @@ func (v Value) KeyHash() uint64 {
 	}
 	switch v.kind {
 	case KindFloat:
-		if math.IsNaN(v.f) {
+		if math.IsNaN(v.f()) {
 			return mix(0, 'n') // every NaN has the key "fNaN"
 		}
 		// Not an int64: equal floats have equal bits, since ±0 take the
 		// int key.
-		return mix(math.Float64bits(v.f), 'f')
+		return mix(v.bits, 'f')
 	case KindString:
 		h := uint64(14695981039346656037) // FNV-1a
 		for i := 0; i < len(v.s); i++ {
@@ -293,7 +309,7 @@ func (v Value) KeyHash() uint64 {
 		}
 		return mix(h, 's')
 	default:
-		return mix(uint64(v.i), 'b')
+		return mix(v.bits, 'b')
 	}
 }
 

@@ -5,7 +5,26 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueSize: a Value is four words, so a three-field tuple fits the
+// 96-byte size class; a float keeps its exact bits in the payload word.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("Value is %d bytes, want 32", got)
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(-1), 0.1, -1e300} {
+		if got := Float(f).AsFloat(); math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("Float(%v) reads back bits %#x, want %#x", f, math.Float64bits(got), math.Float64bits(f))
+		}
+	}
+	for _, i := range []int64{0, -1, math.MinInt64, math.MaxInt64} {
+		if got := Int(i).AsInt(); got != i {
+			t.Errorf("Int(%d) reads back %d", i, got)
+		}
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
