@@ -225,8 +225,8 @@ func MergeCoresets(ctx context.Context, parts []*Coreset, distanceAttr string, e
 	resp := &Response{Problem: ProblemDiversify, Route: "greedy"}
 	var s settings
 	var schema relation.Schema
-	var union []relation.Tuple
-	first, missing, scores := -1, false, make(map[string]float64)
+	var rows []scoredRow
+	first, missing := -1, false
 	for i, cs := range parts {
 		if cs == nil {
 			missing = true
@@ -262,14 +262,7 @@ func MergeCoresets(ctx context.Context, parts []*Coreset, distanceAttr string, e
 			if err != nil {
 				return nil, fmt.Errorf("diversification: shard[%d] coreset row %d %w", i, j, err)
 			}
-			key := t.Key()
-			prev, seen := scores[key]
-			if !seen {
-				union = append(union, t)
-			}
-			if !seen || cs.Scores[j] > prev {
-				scores[key] = cs.Scores[j]
-			}
+			rows = append(rows, scoredRow{t, cs.Scores[j]})
 		}
 		resp.Generation += cs.Generation
 		resp.Degraded = resp.Degraded || cs.Degraded
@@ -278,13 +271,16 @@ func MergeCoresets(ctx context.Context, parts []*Coreset, distanceAttr string, e
 	if first < 0 {
 		return nil, errors.New("diversification: no coreset to merge")
 	}
-	slices.SortFunc(union, relation.Tuple.Compare)
+	union, scores := dedupRows(rows)
 	if missing {
 		resp.Degraded = true
 		s.k = min(s.k, len(union))
 	}
 
-	s.relevance = func(r Row) float64 { return scores[r.tuple.Key()] }
+	s.relevance = func(r Row) float64 {
+		i, _ := relation.Search(union, r.tuple)
+		return scores[i]
+	}
 	if distanceAttr != "" {
 		WithDistance(AttrDistance(distanceAttr))(&s)
 	}
@@ -306,6 +302,32 @@ func MergeCoresets(ctx context.Context, parts []*Coreset, distanceAttr string, e
 			resp.Problem, s.objective, s.lambda, s.k, resp.Route)
 	}
 	return resp, nil
+}
+
+// scoredRow is a coreset row with the score its shard shipped.
+type scoredRow struct {
+	t     relation.Tuple
+	score float64
+}
+
+// dedupRows sorts rows into canonical tuple order and keeps each distinct
+// tuple once: its first copy in rows, scored with the first of its scores
+// that no later one exceeds. Compare's ties are exactly the Key ties, so
+// this is the dedup a map keyed by Tuple.Key would do, without the keys.
+func dedupRows(rows []scoredRow) ([]relation.Tuple, []float64) {
+	slices.SortStableFunc(rows, func(a, b scoredRow) int { return a.t.Compare(b.t) })
+	var union []relation.Tuple
+	var scores []float64
+	for i, r := range rows {
+		if i > 0 && r.t.Compare(rows[i-1].t) == 0 {
+			if last := len(scores) - 1; r.score > scores[last] {
+				scores[last] = r.score
+			}
+			continue
+		}
+		union, scores = append(union, r.t), append(scores, r.score)
+	}
+	return union, scores
 }
 
 // ClusterMetrics is the coordinator's counter block inside Metrics: the

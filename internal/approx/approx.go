@@ -21,9 +21,11 @@
 // the same selection over each category's best answers (category.go).
 // Quality measures their objective ratio against the exact optimum for
 // ablation experiments. Every procedure has a Context variant that polls a
-// cancellation context along its scan loops — the heuristics are
+// cancellation context along its scan loops — the flat loops are
 // polynomial but still quadratic-or-worse in |Q(D)|, so a production
-// caller wants them interruptible too.
+// caller wants them interruptible too. The greedy walk on a category plane
+// is not: a round compares one candidate per category, an answer is scored
+// when it joins its category's frontier, and no state is kept per answer.
 package approx
 
 import (
@@ -55,7 +57,7 @@ func GreedyMaxSum(in *core.Instance) Result {
 // round is one O(n) array scan plus an O(n) gain update against the newly
 // chosen ID. Gains accumulate in chosen order, matching MaxSumDelta
 // bit-for-bit. A category plane with finite relevance runs the same
-// selection over each category's best answers (category.go).
+// selection over each category's frontier of best answers (category.go).
 func GreedyMaxSumContext(ctx context.Context, in *core.Instance) (Result, error) {
 	var res Result
 	p, ok, err := planeFor(ctx, in, in.K)
@@ -64,7 +66,7 @@ func GreedyMaxSumContext(ctx context.Context, in *core.Instance) (Result, error)
 	}
 	c := ctxpoll.New(ctx)
 	if cs := p.Categories(); cs != nil && cs.Finite() {
-		return greedyMaxSumCategory(c, in, p, cs)
+		return greedyCategory(c, in, p, cs)
 	}
 	o := in.Obj
 	n := p.Len()
@@ -147,7 +149,7 @@ func GreedyMaxMinContext(ctx context.Context, in *core.Instance) (Result, error)
 	}
 	c := ctxpoll.New(ctx)
 	if cs := p.Categories(); cs != nil && cs.Finite() {
-		return greedyMaxMinCategory(c, in, p, cs)
+		return greedyCategory(c, in, p, cs)
 	}
 	o := in.Obj
 	n := p.Len()

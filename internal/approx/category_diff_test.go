@@ -2,12 +2,18 @@
 // per-category lists must pick the same answers in the same order, with the
 // same value bits, as the flat loops over the same CategoryDistance hidden
 // behind a function, which the plane serves from the matrix or directly.
+// FuzzCategoryGreedy also holds the walk's step count to the rescanning
+// walk it replaced, kept here as a reference.
 package approx_test
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -166,4 +172,161 @@ func TestCategoryGreedyConcurrentSolves(t *testing.T) {
 	for g := range got {
 		assertSamePicks(t, "concurrent", want[g], got[g])
 	}
+}
+
+// TestCategoryGreedyStopsWhenCancelled runs the walk on a built plane under
+// a cancelled context: the walk's own poll must stop FMS and FMM alike.
+func TestCategoryGreedyStopsWhenCancelled(t *testing.T) {
+	answers := categoryAnswers(rand.New(rand.NewSource(187)), 300, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, kind := range []objective.Kind{objective.MaxSum, objective.MaxMin} {
+		in := categoryInstance(t, answers, kind, 0.5, 10, false)
+		if _, err := GreedyContext(ctx, in); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v under a cancelled context: err %v, want context.Canceled", kind, err)
+		}
+	}
+}
+
+// rescanCategoryGreedy is the category walk before frontiers, kept as the
+// reference for Steps: every round it rescans each category's unpicked
+// answers from the head of its list through the first that scores lower,
+// under a used flag per answer. It returns the picks and the steps counted.
+// The instance must hold a category plane with finite relevance and a k in
+// [1, |Q(D)|].
+func rescanCategoryGreedy(in *core.Instance) (ids []int, steps int) {
+	p := in.Plane()
+	cs := p.Categories()
+	o := in.Obj
+	used := make([]bool, p.Len())
+	picks := make([]int, cs.Count())
+	take := func(id int) {
+		used[id] = true
+		picks[cs.Of(id)]++
+		ids = append(ids, id)
+	}
+	score := func(cat, id int) float64 {
+		minDis := 1.0
+		if picks[cat] > 0 {
+			minDis = 0
+		}
+		return (1-o.Lambda)*p.Rel(id) + o.Lambda*minDis
+	}
+	if o.Kind == objective.MaxSum {
+		scale := float64(in.K-1) * (1 - o.Lambda)
+		score = func(cat, id int) float64 {
+			g := scale * p.Rel(id)
+			for range len(ids) - picks[cat] {
+				g += o.Lambda * 2
+			}
+			return g
+		}
+	} else {
+		seed, seedRel := -1, math.Inf(-1)
+		for cat := range cs.Count() {
+			steps++
+			id := int(cs.List(cat)[0])
+			if r := p.Rel(id); r > seedRel || (r == seedRel && id < seed) {
+				seed, seedRel = id, r
+			}
+		}
+		take(seed)
+	}
+	for len(ids) < in.K {
+		bestIdx, bestScore := -1, math.Inf(-1)
+		for cat := range cs.Count() {
+			cand, first := -1, 0.0
+			for _, id32 := range cs.List(cat) {
+				id := int(id32)
+				if used[id] {
+					continue
+				}
+				steps++
+				s := score(cat, id)
+				if cand < 0 {
+					cand, first = id, s
+					continue
+				}
+				if s != first {
+					break
+				}
+				cand = min(cand, id)
+			}
+			if cand >= 0 && (first > bestScore || (first == bestScore && cand < bestIdx)) {
+				bestIdx, bestScore = cand, first
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		take(bestIdx)
+	}
+	return ids, steps
+}
+
+// fuzzAnswers decodes up to 64 answers (id, cat, rel), two bytes each: the
+// first picks the cell from categoryCells, the second the relevance, from
+// tiedRelevance when even and otherwise as the raw bits of the next eight
+// bytes (NaN and ±Inf included), falling back to tiedRelevance when fewer
+// are left.
+func fuzzAnswers(data []byte) []relation.Tuple {
+	var answers []relation.Tuple
+	for len(data) >= 2 && len(answers) < 64 {
+		cell, sel := categoryCells[int(data[0])%len(categoryCells)], int(data[1])
+		data = data[2:]
+		rel := tiedRelevance[(sel>>1)%len(tiedRelevance)]
+		if sel&1 == 1 && len(data) >= 8 {
+			rel = math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+		}
+		answers = append(answers, relation.Tuple{value.Int(int64(len(answers))), cell, value.Float(rel)})
+	}
+	return answers
+}
+
+// FuzzCategoryGreedy holds greedy FMS and FMM on category lists to the flat
+// loops (picks and value bits) and, when every relevance is finite, to
+// rescanCategoryGreedy (picks and steps), at k from 1 to |Q(D)| + 1 and λ
+// in [0, 1]; a λ outside it is folded in, NaN and ±Inf to 1.
+func FuzzCategoryGreedy(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, kSel uint8, lambda float64, maxMin bool) {
+		answers := fuzzAnswers(data)
+		if len(answers) == 0 {
+			return
+		}
+		k := 1 + int(kSel)%(len(answers)+1)
+		if !(lambda >= 0 && lambda <= 1) {
+			if lambda = math.Abs(math.Mod(lambda, 1)); math.IsNaN(lambda) {
+				lambda = 1
+			}
+		}
+		kind := objective.MaxSum
+		if maxMin {
+			// The flat FMM loop seeds with the first answer whose
+			// relevance beats −∞ and indexes −1 when none does.
+			if !slices.ContainsFunc(answers, func(t relation.Tuple) bool { return t[2].AsFloat() > math.Inf(-1) }) {
+				return
+			}
+			kind = objective.MaxMin
+		}
+		label := fmt.Sprintf("%v k=%d λ=%v", kind, k, lambda)
+		in := categoryInstance(t, answers, kind, lambda, k, false)
+		got := Greedy(in)
+		assertSamePicks(t, label, Greedy(categoryInstance(t, answers, kind, lambda, k, true)), got)
+		if !in.Plane().Categories().Finite() || k > len(answers) {
+			return
+		}
+		ids, steps := rescanCategoryGreedy(in)
+		if len(ids) != len(got.Set) {
+			t.Fatalf("%s: %d picks, the rescanning walk %d", label, len(got.Set), len(ids))
+		}
+		for i, id := range ids {
+			if want := in.Plane().Tuple(id); want.Compare(got.Set[i]) != 0 {
+				t.Fatalf("%s: pick %d is %v, the rescanning walk's %v", label, i, got.Set[i], want)
+			}
+		}
+		if got.Steps != steps {
+			t.Fatalf("%s: %d steps, the rescanning walk %d", label, got.Steps, steps)
+		}
+	})
 }

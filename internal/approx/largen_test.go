@@ -8,6 +8,7 @@ package approx_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -122,5 +123,47 @@ func TestLargeNCategoryPlane(t *testing.T) {
 	}
 	if foot, bound := plane.MemoryFootprint(), int64(64*n); foot > bound {
 		t.Fatalf("category plane footprint %d B exceeds the O(n) envelope %d B", foot, bound)
+	}
+}
+
+// TestCategoryGreedyStateSizedToCategories holds a greedy solve's memory to
+// the categories and k: with m = 200 categories, every one populated (IDs
+// assigned round-robin), and k = 10, FMS and FMM allocate the same bytes
+// per solve over 10⁴ answers as over 10⁵. A used flag per answer alone would
+// add 90 KB at 10⁵. Bytes are TotalAlloc averaged over repeated solves on a
+// built plane; the test must not run in parallel with others.
+func TestCategoryGreedyStateSizedToCategories(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large-n category state test skipped in -short mode")
+	}
+	const m, k, runs = 200, 10, 50
+	perSolve := func(n int, kind objective.Kind) float64 {
+		perm := rand.New(rand.NewSource(int64(n))).Perm(n)
+		answers := make([]relation.Tuple, n)
+		for i := range answers {
+			answers[i] = relation.Tuple{value.Int(int64(i)), value.Int(int64(i % m)), value.Float((float64(perm[i]) + 0.5) / float64(n))}
+		}
+		in := &core.Instance{Obj: objective.New(kind, objective.AttrRelevance(2, 1), objective.CategoryDistance{Col: 1}, 0.5), K: k}
+		in.SetAnswers(answers)
+		if p := in.Plane(); p.Regime() != objective.RegimeCategory || p.Categories().Count() != m {
+			t.Fatalf("n=%d: plane %v with %d categories, want category lists with %d", n, p.Regime(), p.Categories().Count(), m)
+		}
+		if got := Greedy(in); len(got.Set) != k {
+			t.Fatalf("n=%d %v: picked %d of %d", n, kind, len(got.Set), k)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			Greedy(in)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	for _, kind := range []objective.Kind{objective.MaxSum, objective.MaxMin} {
+		small, large := perSolve(10_000, kind), perSolve(100_000, kind)
+		t.Logf("%v: %.0f B per solve at n=10⁴, %.0f B at n=10⁵", kind, small, large)
+		if large > small+256 {
+			t.Errorf("%v: a solve allocates %.0f B at n=10⁵ against %.0f B at n=10⁴; its state grows with |Q(D)|", kind, large, small)
+		}
 	}
 }

@@ -141,11 +141,15 @@ type Plan struct {
 	// snap/plane/refresh/gen are resolved at plan time for materialized
 	// routes; streaming routes leave snap nil and fill refresh/gen only if
 	// execution falls back to a materialized solver.
-	snap      *snapshot
-	plane     *objective.Plane
-	refresh   RefreshInfo
-	gen       uint64
-	planeNote string // Explain's account of the plane decision
+	snap    *snapshot
+	plane   *objective.Plane
+	refresh RefreshInfo
+	gen     uint64
+	// Explain's plane line: the shared plane's footprint when the plan
+	// attached it (its regime and size are fixed at build), or why no
+	// shared plane serves the request.
+	planeBytes int64
+	noPlane    string
 }
 
 // Plan compiles a Request against the handle without executing it: the
@@ -290,7 +294,7 @@ func (p *Prepared) plan(ctx context.Context, req Request) (*Plan, error) {
 			return nil, err
 		}
 	} else {
-		pl.planeNote = "streaming (the online procedures intern their own plane)"
+		pl.noPlane = "streaming (the online procedures intern their own plane)"
 	}
 	if pl.u != nil {
 		if err := pl.checkCandidate(); err != nil {
@@ -341,7 +345,7 @@ func (pl *Plan) materialize(ctx context.Context) error {
 	pl.refresh = info
 	pl.gen = snap.gen
 	if pl.s.dirty != 0 {
-		pl.planeNote = "per-request (a scoring override bypasses the shared plane)"
+		pl.noPlane = "per-request (a scoring override bypasses the shared plane)"
 		return nil
 	}
 	plane, err := pl.p.planeFor(ctx, snap)
@@ -349,8 +353,7 @@ func (pl *Plan) materialize(ctx context.Context) error {
 		return err
 	}
 	pl.plane = plane
-	pl.planeNote = fmt.Sprintf("shared, %s, ~%s (%d ids)",
-		planeRegime(plane), formatBytes(plane.MemoryFootprint()), plane.Len())
+	pl.planeBytes = plane.MemoryFootprint()
 	return nil
 }
 
@@ -648,7 +651,12 @@ func (pl *Plan) Explain() string {
 	} else {
 		fmt.Fprintf(&b, "snapshot:  none (streaming route)\n")
 	}
-	fmt.Fprintf(&b, "plane:     %s\n", pl.planeNote)
+	if pl.plane != nil {
+		fmt.Fprintf(&b, "plane:     shared, %s, ~%s (%d ids)\n",
+			planeRegime(pl.plane), formatBytes(pl.planeBytes), pl.plane.Len())
+	} else {
+		fmt.Fprintf(&b, "plane:     %s\n", pl.noPlane)
+	}
 	fmt.Fprintf(&b, "workers:   %d\n", pl.s.workers())
 	return b.String()
 }
