@@ -813,34 +813,12 @@ func BenchmarkIncrementalRefresh(b *testing.B) {
 }
 
 // benchWriteMixRefresh times one write step plus Refresh on the shape of
-// e2ebench's write-mix workload: 6,000 catalog(item, type, price, stock)
-// rows joined with 24,000 distinct history(item, buyer, rating) rows under
-// rating >= 4, about 4,700 answers scored with AttrDistance("t"). A step
-// inserts an item, inserts a rating-4 purchase of it and deletes a random
-// rating-4 purchase, so |Q(D)| stays level while every step changes it.
+// e2ebench's write-mix workload (writeMixEngine). A step inserts an item,
+// inserts a rating-4 purchase of it and deletes a random rating-4
+// purchase, so |Q(D)| stays level while every step changes it.
 func benchWriteMixRefresh(b *testing.B, mode string) {
 	rng := rand.New(rand.NewSource(1))
-	e := NewEngine()
-	e.MustCreateTable("catalog", "item", "type", "price", "stock")
-	e.MustCreateTable("history", "item", "buyer", "rating")
-	for i := 0; i < 6_000; i++ {
-		e.MustInsert("catalog", fmt.Sprintf("w%05d", i), fmt.Sprintf("t%02d", rng.Intn(40)), 1+rng.Intn(500), rng.Intn(20))
-	}
-	var bought [][2]string // the rating-4 purchases a step may delete
-	seen := map[[3]string]bool{}
-	for len(seen) < 24_000 {
-		item, buyer, rating := fmt.Sprintf("w%05d", rng.Intn(6_000)), fmt.Sprintf("u%03d", rng.Intn(500)), rng.Intn(5)
-		if k := [3]string{item, buyer, strconv.Itoa(rating)}; !seen[k] {
-			seen[k] = true
-			e.MustInsert("history", item, buyer, rating)
-			if rating == 4 {
-				bought = append(bought, [2]string{item, buyer})
-			}
-		}
-	}
-	p := e.MustPrepare("Q(i, t, p, b) :- catalog(i, t, p, s), history(i, b, r), r >= 4",
-		WithK(10), WithObjective(MaxSum), WithAlgorithm(Greedy),
-		WithRelevance(AttrRelevance("p")), WithDistance(AttrDistance("t")))
+	e, p, bought := writeMixEngine(rng)
 	if mode == "rebuild" {
 		p.deltaOK = false
 	}
@@ -866,6 +844,110 @@ func benchWriteMixRefresh(b *testing.B, mode string) {
 		}
 		if info.Mode != mode {
 			b.Fatalf("refresh mode = %q, want %q", info.Mode, mode)
+		}
+	}
+}
+
+// writeMixEngine loads the write-mix shape from rng: 6,000
+// catalog(item, type, price, stock) rows and 24,000 distinct
+// history(item, buyer, rating) rows, and prepares their join under
+// rating >= 4, about 4,700 answers scored with AttrDistance("t"). bought
+// lists the rating-4 purchases, each of which derives one answer.
+func writeMixEngine(rng *rand.Rand) (e *Engine, p *Prepared, bought [][2]string) {
+	e = NewEngine()
+	e.MustCreateTable("catalog", "item", "type", "price", "stock")
+	e.MustCreateTable("history", "item", "buyer", "rating")
+	for i := 0; i < 6_000; i++ {
+		e.MustInsert("catalog", fmt.Sprintf("w%05d", i), fmt.Sprintf("t%02d", rng.Intn(40)), 1+rng.Intn(500), rng.Intn(20))
+	}
+	seen := map[[3]string]bool{}
+	for len(seen) < 24_000 {
+		item, buyer, rating := fmt.Sprintf("w%05d", rng.Intn(6_000)), fmt.Sprintf("u%03d", rng.Intn(500)), rng.Intn(5)
+		if k := [3]string{item, buyer, strconv.Itoa(rating)}; !seen[k] {
+			seen[k] = true
+			e.MustInsert("history", item, buyer, rating)
+			if rating == 4 {
+				bought = append(bought, [2]string{item, buyer})
+			}
+		}
+	}
+	p = e.MustPrepare("Q(i, t, p, b) :- catalog(i, t, p, s), history(i, b, r), r >= 4",
+		WithK(10), WithObjective(MaxSum), WithAlgorithm(Greedy),
+		WithRelevance(AttrRelevance("p")), WithDistance(AttrDistance("t")))
+	return e, p, bought
+}
+
+// BenchmarkDeleteRefresh times the Refresh that follows one Mutate deleting
+// d rows, d from one row to 4,096 (relation.DefaultJournalBound, the
+// largest batch the change journal covers), on two shapes: the write-mix
+// join, deleting d of its rating-4 purchases so each delete removes an
+// answer, and the warm-read identity query over 10^5 items(id, cat, rel)
+// rows. Only the Refresh is timed: the delete batch, and inserting its rows
+// again and refreshing before the next iteration, are not. Every timed
+// Refresh must take the delta path.
+func BenchmarkDeleteRefresh(b *testing.B) {
+	rng := rand.New(rand.NewSource(20))
+	join := func() (*Engine, *Prepared, string, [][]interface{}) {
+		e, p, bought := writeMixEngine(rng)
+		rows := make([][]interface{}, len(bought))
+		for i, j := range rng.Perm(len(bought)) {
+			rows[i] = []interface{}{bought[j][0], bought[j][1], 4}
+		}
+		return e, p, "history", rows
+	}
+	identity := func() (*Engine, *Prepared, string, [][]interface{}) {
+		const n = 100_000
+		zipf := rand.NewZipf(rng, 1.1, 1, 199)
+		rows := make([][]interface{}, n)
+		for i, j := range rng.Perm(n) {
+			rows[i] = []interface{}{int64(i), fmt.Sprintf("c%03d", zipf.Uint64()), (float64(j) + 0.5) / n}
+		}
+		e := NewEngine()
+		e.MustCreateTable("items", "id", "cat", "rel")
+		if _, _, err := e.Mutate("items", rows, false); err != nil {
+			b.Fatal(err)
+		}
+		rng.Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		p := e.MustPrepare("Q(id, cat, rel) :- items(id, cat, rel)",
+			WithK(10), WithObjective(MaxSum), WithAlgorithm(Greedy),
+			WithRelevance(AttrRelevance("rel")), WithDistance(AttrDistance("cat")))
+		return e, p, "items", rows
+	}
+	ctx := context.Background()
+	for _, shape := range []struct {
+		name  string
+		build func() (*Engine, *Prepared, string, [][]interface{})
+	}{{"join", join}, {"identity", identity}} {
+		e, p, table, rows := shape.build()
+		if _, err := p.Diversify(ctx); err != nil { // build the plane a refresh rebases
+			b.Fatal(err)
+		}
+		for _, d := range []int{1, 1000, relation.DefaultJournalBound} {
+			b.Run(fmt.Sprintf("%s/d%d", shape.name, d), func(b *testing.B) {
+				batch := rows[:d]
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if n, _, err := e.Mutate(table, batch, true); err != nil || n != d {
+						b.Fatalf("deleted %d of %d rows: %v", n, d, err)
+					}
+					b.StartTimer()
+					info, err := p.Refresh(ctx)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if info.Mode != "delta" || info.Removed != d {
+						b.Fatalf("refresh %s removed %d answers, want delta removing %d", info.Mode, info.Removed, d)
+					}
+					b.StopTimer()
+					if n, _, err := e.Mutate(table, batch, false); err != nil || n != d {
+						b.Fatalf("inserted %d of %d rows again: %v", n, d, err)
+					}
+					if _, err := p.Refresh(ctx); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+			})
 		}
 	}
 }

@@ -486,3 +486,35 @@ func TestRowString(t *testing.T) {
 		t.Error("row rendering broken")
 	}
 }
+
+// TestMaxMinGreedyWithoutSeed: when no answer's relevance beats −∞ (NaN or
+// −∞ throughout), greedy FMM has no seed. Greedy and local search answer
+// ErrNoCandidate, as FMS does, and exact search, which warm-starts from
+// greedy, does not panic.
+func TestMaxMinGreedyWithoutSeed(t *testing.T) {
+	e := NewEngine()
+	e.MustCreateTable("points", "id")
+	for i := 0; i < 3; i++ {
+		e.MustInsert("points", i)
+	}
+	ctx := context.Background()
+	for _, rel := range []float64{math.NaN(), math.Inf(-1)} {
+		for _, obj := range []Objective{MaxMin, MaxSum} {
+			p := e.MustPrepare("Q(id) :- points(id)", WithK(2), WithObjective(obj),
+				WithRelevance(func(Row) float64 { return rel }))
+			for _, alg := range []Algorithm{Greedy, LocalSearch} {
+				if _, err := p.Diversify(ctx, WithAlgorithm(alg)); !errors.Is(err, ErrNoCandidate) {
+					t.Errorf("%v %v under relevance %v: err %v, want ErrNoCandidate", obj, alg, rel, err)
+				}
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%v exact under relevance %v panicked: %v", obj, rel, r)
+					}
+				}()
+				p.Diversify(ctx, WithAlgorithm(Exact))
+			}()
+		}
+	}
+}

@@ -140,7 +140,8 @@ func GreedyMaxMin(in *core.Instance) Result {
 // maintains each candidate's running min-distance to the chosen set on the
 // score plane, so a round is an O(n) scan plus an O(n) min update against
 // the new member. A category plane runs the same selection as
-// GreedyMaxSumContext describes.
+// GreedyMaxSumContext describes. When no relevance beats −∞ (NaN or −∞
+// throughout) there is no seed, and it returns the empty Result.
 func GreedyMaxMinContext(ctx context.Context, in *core.Instance) (Result, error) {
 	var res Result
 	p, ok, err := planeFor(ctx, in, in.K)
@@ -161,6 +162,9 @@ func GreedyMaxMinContext(ctx context.Context, in *core.Instance) (Result, error)
 		if r := p.Rel(i); r > seedRel {
 			seedRel, seed = r, i
 		}
+	}
+	if seed < 0 {
+		return res, nil // no relevance beats −∞, as no gain does in GreedyMaxSumContext
 	}
 	minDis := make([]float64, n)
 	for i := range minDis {

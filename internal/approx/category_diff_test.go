@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -302,11 +301,6 @@ func FuzzCategoryGreedy(f *testing.F) {
 		}
 		kind := objective.MaxSum
 		if maxMin {
-			// The flat FMM loop seeds with the first answer whose
-			// relevance beats −∞ and indexes −1 when none does.
-			if !slices.ContainsFunc(answers, func(t relation.Tuple) bool { return t[2].AsFloat() > math.Inf(-1) }) {
-				return
-			}
 			kind = objective.MaxMin
 		}
 		label := fmt.Sprintf("%v k=%d λ=%v", kind, k, lambda)

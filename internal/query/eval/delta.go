@@ -163,14 +163,18 @@ type DeltaResult struct {
 // atom to the inserted tuple and joins the rest of the body, so selective
 // queries pay far less than a full re-evaluation, and each answer it
 // derives is looked up in old and Removed by binary search — plus, for
-// deletes, one hashed lookup per cached answer and one membership re-check
-// per suspect answer. An answer is suspect when it agrees with a deleted
-// tuple on every head-variable argument of an atom that could have matched
-// it; an atom with no such argument makes every cached answer suspect. The
-// evaluator never computes the active domain (range-safe queries do not
-// enumerate it), and a bound argument reads a run of the relation's column
-// index, which full evaluation and earlier refreshes have usually built
-// already.
+// deletes, finding the suspect answers and one membership re-check per
+// suspect. An answer is suspect when it agrees with a deleted tuple on
+// every head-variable argument of an atom that could have matched it. When
+// such an atom binds head position 0, the suspects are found by binary
+// search on old, whose canonical order keeps the answers that share field
+// 0 together: O(|deletes| · log |old| + run lengths), not O(|old|). Other
+// atoms cost one scan of old with a hashed lookup per answer, and an atom
+// binding no head variable makes every cached answer suspect (see
+// suspects). The evaluator never computes the active domain (range-safe
+// queries do not enumerate it), and a bound argument reads a run of the
+// relation's column index, which full evaluation and earlier refreshes
+// have usually built already.
 func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes []relation.Change, old []relation.Tuple) (DeltaResult, bool, error) {
 	var res DeltaResult
 	if !DeltaCapable(q) {
@@ -200,10 +204,15 @@ func Delta(ctx context.Context, q *query.Query, db *relation.Database, changes [
 	// Removals: deletes can only shrink a monotone answer set, and only a
 	// suspect answer can have lost its last derivation — re-verify those.
 	if len(deletes) > 0 {
-		suspect := suspects(atomsByRel, deletes)
-		for _, t := range old {
-			if !suspect(t) {
-				continue
+		pos, all := suspects(atomsByRel, deletes, old)
+		n := len(pos)
+		if all {
+			n = len(old)
+		}
+		for j := 0; j < n; j++ {
+			t := old[j]
+			if !all {
+				t = old[pos[j]]
 			}
 			res.Rechecked++
 			if !e.Member(t) {
@@ -326,62 +335,119 @@ func (sc atomScope) canMatch(t relation.Tuple) bool {
 	return true
 }
 
-// suspects returns the filter for cached answers that deletes may have
-// cost their last derivation. Such an answer was derived through a deleted
-// tuple t and an atom over t's relation that matched it, so at each of
-// that atom's head pairs it carries t's value — the same key, since atoms
-// match equal values (value.Equal). The filter files each deleted tuple's
-// pair key under every atom that could have matched it and looks each
-// answer up under every such atom, so it costs O(|deletes| + |old|) per atom
-// and keeps exactly the answers that agree with a deleted tuple.
-func suspects(atomsByRel map[string][]atomScope, deletes []relation.Change) func(relation.Tuple) bool {
+// suspects returns the positions in old, ascending and each once, of the
+// cached answers that deletes may have cost their last derivation, or all =
+// true when every cached answer is suspect. Such an answer was derived
+// through a deleted tuple d and an atom over d's relation that matched it,
+// so at each of that atom's head pairs it carries d's value: an equal one,
+// since atoms match equal values (value.Equal). suspects keeps exactly the
+// answers that agree with a deleted tuple at every pair of such an atom,
+// found one of two ways per atom:
+//
+//   - An atom with a pair at head position 0 reads runs. old is in
+//     canonical order, and Tuple.Compare orders by field 0 first, so the
+//     answers agreeing with d at position 0 form one contiguous run. A binary
+//     search finds it, and value.Equal checks the atom's other pairs inside
+//     it: O(log |old| + run length) per deleted tuple. Every atom of an
+//     identity or a write-mix statement is of this kind.
+//   - Any other atom, such as R(y, z) in Q(x, z) :- R(x, y), R(y, z), files
+//     each deleted tuple under the combined KeyHash of its pair values
+//     (equal values hash alike) and scans old once, checking each hash hit
+//     with value.Equal: O(|old|), building no key.
+//
+// An atom that could have matched a deleted tuple but binds no head
+// variable makes every answer suspect.
+func suspects(atomsByRel map[string][]atomScope, deletes []relation.Change, old []relation.Tuple) (pos []int, all bool) {
 	type filed struct {
 		head [][2]int
-		keys map[string]bool
+		dels []relation.Tuple
 	}
 	byAtom := make(map[*query.Atom]*filed)
 	var atoms []*filed
-	var buf []byte
 	for _, c := range deletes {
 		for _, sc := range atomsByRel[c.Rel] {
 			if !sc.canMatch(c.Tuple) {
 				continue
 			}
 			if len(sc.head) == 0 {
-				return func(relation.Tuple) bool { return true }
+				return nil, true
 			}
 			f := byAtom[sc.atom]
 			if f == nil {
-				f = &filed{head: sc.head, keys: make(map[string]bool)}
+				f = &filed{head: sc.head}
 				byAtom[sc.atom] = f
 				atoms = append(atoms, f)
 			}
-			buf = pairKey(buf[:0], sc.head, c.Tuple, 0)
-			f.keys[string(buf)] = true
+			f.dels = append(f.dels, c.Tuple)
 		}
 	}
-	return func(u relation.Tuple) bool {
-		for _, f := range atoms {
-			buf = pairKey(buf[:0], f.head, u, 1)
-			if f.keys[string(buf)] {
-				return true
-			}
+	for _, f := range atoms {
+		if p := slices.IndexFunc(f.head, func(p [2]int) bool { return p[1] == 0 }); p >= 0 {
+			pos = appendRuns(pos, old, f.head, f.head[p][0], f.dels)
+		} else {
+			pos = appendHashed(pos, old, f.head, f.dels)
 		}
-		return false
 	}
+	slices.Sort(pos)
+	return slices.Compact(pos), false
 }
 
-// pairKey appends the keys of t's fields at one side of the head pairs (0
-// the argument positions, 1 the head positions), separated as in
-// Tuple.Key.
-func pairKey(dst []byte, head [][2]int, t relation.Tuple, side int) []byte {
-	for i, p := range head {
-		if i > 0 {
-			dst = append(dst, 0x1f)
+// appendRuns appends the positions of the answers in old that agree with
+// a deleted tuple at every head pair, searching the run of answers whose
+// field 0 equals the tuple's argument arg.
+func appendRuns(pos []int, old []relation.Tuple, head [][2]int, arg int, dels []relation.Tuple) []int {
+	for _, d := range dels {
+		v := d[arg]
+		i, _ := slices.BinarySearchFunc(old, v, func(u relation.Tuple, v value.Value) int { return value.Compare(u[0], v) })
+		for ; i < len(old) && value.Equal(old[i][0], v); i++ {
+			if agrees(head, d, old[i]) {
+				pos = append(pos, i)
+			}
 		}
-		dst = t[p[side]].AppendKey(dst)
 	}
-	return dst
+	return pos
+}
+
+// appendHashed appends, in ascending order, the positions of the answers in
+// old that agree with a deleted tuple at every head pair, looking each
+// answer's pair values up by their combined KeyHash.
+func appendHashed(pos []int, old []relation.Tuple, head [][2]int, dels []relation.Tuple) []int {
+	byHash := make(map[uint64][]relation.Tuple, len(dels))
+	for _, d := range dels {
+		h := pairHash(head, d, 0)
+		byHash[h] = append(byHash[h], d)
+	}
+	for i, u := range old {
+		for _, d := range byHash[pairHash(head, u, 1)] {
+			if agrees(head, d, u) {
+				pos = append(pos, i)
+				break
+			}
+		}
+	}
+	return pos
+}
+
+// agrees reports whether answer u carries deleted tuple d's value at every
+// head pair.
+func agrees(head [][2]int, d, u relation.Tuple) bool {
+	for _, p := range head {
+		if !value.Equal(d[p[0]], u[p[1]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// pairHash combines the KeyHashes of t's fields at one side of the head
+// pairs (0 the argument positions, 1 the head positions), so a deleted
+// tuple and an answer that agree at every pair hash alike.
+func pairHash(head [][2]int, t relation.Tuple, side int) uint64 {
+	var h uint64
+	for _, p := range head {
+		h = (h ^ t[p[side]].KeyHash()) * 0x9E3779B97F4A7C15
+	}
+	return h
 }
 
 // bindAtom pre-binds the atom's variable arguments to tuple t's fields and

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/query"
 	"repro/internal/query/parse"
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -401,4 +402,173 @@ func TestDeltaCancellation(t *testing.T) {
 	if err != nil && err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled or nil", err)
 	}
+}
+
+// keySuspects is the delete suspect filter as it was before suspects
+// searched runs: it files each deleted tuple's head-pair key string under
+// every atom that could have matched it and looks every cached answer's
+// key up under each such atom. FuzzDeltaDeletes holds Rechecked and Removed
+// to it.
+func keySuspects(atomsByRel map[string][]atomScope, deletes []relation.Change) func(relation.Tuple) bool {
+	type filed struct {
+		head [][2]int
+		keys map[string]bool
+	}
+	byAtom := make(map[*query.Atom]*filed)
+	var atoms []*filed
+	var buf []byte
+	for _, c := range deletes {
+		for _, sc := range atomsByRel[c.Rel] {
+			if !sc.canMatch(c.Tuple) {
+				continue
+			}
+			if len(sc.head) == 0 {
+				return func(relation.Tuple) bool { return true }
+			}
+			f := byAtom[sc.atom]
+			if f == nil {
+				f = &filed{head: sc.head, keys: make(map[string]bool)}
+				byAtom[sc.atom] = f
+				atoms = append(atoms, f)
+			}
+			buf = pairKey(buf[:0], sc.head, c.Tuple, 0)
+			f.keys[string(buf)] = true
+		}
+	}
+	return func(u relation.Tuple) bool {
+		for _, f := range atoms {
+			buf = pairKey(buf[:0], f.head, u, 1)
+			if f.keys[string(buf)] {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// pairKey appends the keys of t's fields at one side of the head pairs (0
+// the argument positions, 1 the head positions), separated as in
+// Tuple.Key.
+func pairKey(dst []byte, head [][2]int, t relation.Tuple, side int) []byte {
+	for i, p := range head {
+		if i > 0 {
+			dst = append(dst, 0x1f)
+		}
+		dst = t[p[side]].AppendKey(dst)
+	}
+	return dst
+}
+
+// deltaFuzzQueries are FuzzDeltaDeletes' statements, one per way suspects
+// finds an atom's suspects: atoms pairing head position 0 (searched by
+// run), R(y, z) and S(x) below pairing only other positions (filed by
+// hash), R(x, x) pairing position 0 twice, a quantified argument, and S(y)
+// binding no head variable (every answer suspect).
+var deltaFuzzQueries = []string{
+	"Q(x, y) :- R(x, y)",
+	"Q(x, z) :- R(x, y), R(y, z)",
+	"Q(x) :- R(x, x)",
+	"Q(x, y) :- R(x, y), exists y (R(y, x))",
+	"Q(x) :- R(x, y), S(y)",
+	"Q(y, x) :- R(x, y), S(x)",
+	"Q(y) :- exists x (R(x, y)) or S(y)",
+	"Q(x, y) :- R(x, y), R(y, x)",
+}
+
+// deltaFuzzValues are the values FuzzDeltaDeletes builds rows from: NaN,
+// ±0 beside Int 0, Int 5 beside Float 5, and strings holding the key
+// separator 0x1f and its escape 0x1e.
+var deltaFuzzValues = []value.Value{
+	value.Int(5), value.Float(5), value.Float(math.NaN()), value.Float(0), value.Float(math.Copysign(0, -1)),
+	value.Int(0), value.Str("a\x1eb"), value.Str("a\x1fb"), value.Str("a"), value.Str("a\x1f"), value.Int(1), value.Float(1.5),
+}
+
+// FuzzDeltaDeletes holds Delta across batches of 1 to 64 deletes (and a
+// few inserts, which may derive a removed answer again) to a full
+// evaluation, step after step, and its Rechecked count and Removed answers
+// to keySuspects, the key-string filter suspects replaced. data builds R
+// and S from deltaFuzzValues and then the steps; shape picks the statement.
+func FuzzDeltaDeletes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, shape uint8) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		val := func() value.Value { return deltaFuzzValues[next()%len(deltaFuzzValues)] }
+		r := relation.NewRelation(relation.NewSchema("R", "x", "y"))
+		s := relation.NewRelation(relation.NewSchema("S", "x"))
+		db := relation.NewDatabase().Add(r).Add(s)
+		for n := 8 + next()%64; n > 0; n-- {
+			r.Insert(relation.Tuple{val(), val()})
+		}
+		for n := next() % 12; n > 0; n-- {
+			s.Insert(relation.Tuple{val()})
+		}
+		src := deltaFuzzQueries[int(shape)%len(deltaFuzzQueries)]
+		q := parse.MustQuery(src)
+		atomsByRel := scopeAtoms(q)
+		old := Evaluate(q, db)
+		for step := 0; step < 4 && len(data) > 0; step++ {
+			gen := db.Generation()
+			for n := 1 + next()%64; n > 0; n-- {
+				b := next()
+				rel := r
+				if b&1 == 1 {
+					rel = s
+				}
+				if ts := rel.Tuples(); len(ts) > 0 {
+					rel.Delete(ts[(b>>1)%len(ts)])
+				}
+			}
+			for n := next() % 4; n > 0; n-- {
+				if next()&1 == 0 {
+					r.Insert(relation.Tuple{val(), val()})
+				} else {
+					s.Insert(relation.Tuple{val()})
+				}
+			}
+			changes, ok := db.ChangesSince(gen)
+			if !ok {
+				t.Fatal("journal does not cover the step")
+			}
+			d, ok, err := Delta(context.Background(), q, db, changes, old)
+			if err != nil || !ok {
+				t.Fatalf("%s step %d: Delta ok %v, err %v", src, step, ok, err)
+			}
+			var deletes []relation.Change
+			for _, c := range changes {
+				if c.Op == relation.OpDelete {
+					deletes = append(deletes, c)
+				}
+			}
+			var rechecked int
+			var removed []relation.Tuple
+			if len(deletes) > 0 {
+				suspect, e := keySuspects(atomsByRel, deletes), New(q, db)
+				for _, u := range old {
+					if suspect(u) {
+						rechecked++
+						if !e.Member(u) {
+							removed = append(removed, u)
+						}
+					}
+				}
+			}
+			if d.Rechecked != rechecked {
+				t.Fatalf("%s step %d: Rechecked %d, the key filter %d", src, step, d.Rechecked, rechecked)
+			}
+			if !sameKeys(d.Removed, removed) {
+				t.Fatalf("%s step %d: Removed %v, the key filter %v", src, step, d.Removed, removed)
+			}
+			got, want := applyDelta(old, d), Evaluate(q, db)
+			if !sameKeys(got, want) {
+				t.Fatalf("%s step %d: delta answers %v, full evaluation %v", src, step, got, want)
+			}
+			old = got
+		}
+	})
 }

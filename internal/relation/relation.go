@@ -85,26 +85,41 @@ func Search(sorted []Tuple, t Tuple) (int, bool) {
 // Merge returns sorted without the positions dead lists, merged with added,
 // in canonical order, and for each merged tuple its position in sorted, or
 // -1 for a tuple of added. sorted and added must be in canonical order,
-// dead ascending, and added disjoint from the tuples that stay. Every
+// dead ascending, and added disjoint from the tuples that stay; an added
+// tuple equal to a dead one goes where the dead one was. Every
 // incrementally maintained answer set merges through it, so the merge
 // order is decided here alone.
+//
+// Cost: one binary search per added tuple, for the first tuple of sorted
+// above it, and the survivors between two such points are copied as one
+// run, so no survivor is compared: O(|added| · log |sorted|) comparisons.
+// What stays linear is the copy, O(|sorted|) moves of slice headers and
+// positions.
 func Merge(sorted []Tuple, dead []int, added []Tuple) (merged []Tuple, from []int) {
 	n := len(sorted) - len(dead) + len(added)
 	merged, from = make([]Tuple, 0, n), make([]int, 0, n)
-	j := 0
-	for i, t := range sorted {
-		if len(dead) > 0 && dead[0] == i {
-			dead = dead[1:]
-			continue
+	i := 0 // sorted[:i] is merged
+	// run appends sorted[i:end] and its positions.
+	run := func(end int) {
+		merged = append(merged, sorted[i:end]...)
+		for ; i < end; i++ {
+			from = append(from, i)
 		}
-		for ; j < len(added) && added[j].Compare(t) < 0; j++ {
-			merged, from = append(merged, added[j]), append(from, -1)
+	}
+	// survivors appends the runs up to end, skipping dead positions.
+	survivors := func(end int) {
+		for ; len(dead) > 0 && dead[0] < end; dead = dead[1:] {
+			run(dead[0])
+			i++
 		}
-		merged, from = append(merged, t), append(from, i)
+		run(end)
 	}
-	for ; j < len(added); j++ {
-		merged, from = append(merged, added[j]), append(from, -1)
+	for _, t := range added {
+		rest := sorted[i:]
+		survivors(i + sort.Search(len(rest), func(p int) bool { return rest[p].Compare(t) > 0 }))
+		merged, from = append(merged, t), append(from, -1)
 	}
+	survivors(len(sorted))
 	return merged, from
 }
 

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -384,6 +385,99 @@ func TestSearchAndMergeModel(t *testing.T) {
 				t.Fatalf("from[%d] = %d for %v", i, o, merged[i])
 			}
 		}
+	}
+}
+
+// mergeElementwise is Merge as it was before it copied runs: every
+// survivor is compared with the next added tuple. It is the reference
+// TestMergeMatchesElementwise holds Merge to.
+func mergeElementwise(sorted []Tuple, dead []int, added []Tuple) (merged []Tuple, from []int) {
+	j := 0
+	for i, t := range sorted {
+		if len(dead) > 0 && dead[0] == i {
+			dead = dead[1:]
+			continue
+		}
+		for ; j < len(added) && added[j].Compare(t) < 0; j++ {
+			merged, from = append(merged, added[j]), append(from, -1)
+		}
+		merged, from = append(merged, t), append(from, i)
+	}
+	for ; j < len(added); j++ {
+		merged, from = append(merged, added[j]), append(from, -1)
+	}
+	return merged, from
+}
+
+// TestMergeMatchesElementwise holds Merge to the elementwise merge it
+// replaced, tuple for tuple (the same stored tuple, not an equal one) and
+// provenance for provenance, over random sorted, dead and added inputs:
+// added tuples equal to dead ones (a delta re-adds an answer it removed),
+// no added tuples, every position dead, and added tuples before the first
+// survivor and after the last.
+func TestMergeMatchesElementwise(t *testing.T) {
+	pool := make([]Tuple, 0, 60)
+	for a := int64(0); a < 20; a++ {
+		for _, b := range []value.Value{value.Int(0), value.Float(0.5), value.Str("s")} {
+			pool = append(pool, Tuple{value.Int(a), b}) // ascending
+		}
+	}
+	check := func(label string, sorted []Tuple, dead []int, added []Tuple) {
+		t.Helper()
+		got, gotFrom := Merge(sorted, dead, added)
+		want, wantFrom := mergeElementwise(sorted, dead, added)
+		if len(got) != len(want) || !slices.Equal(gotFrom, wantFrom) {
+			t.Fatalf("%s: from = %v, want %v", label, gotFrom, wantFrom)
+		}
+		for i := range want {
+			if &got[i][0] != &want[i][0] {
+				t.Fatalf("%s: merged[%d] = %v, want %v", label, i, got[i], want[i])
+			}
+		}
+	}
+	// fresh copies a tuple, so an added tuple equal to a dead one is a
+	// different tuple and the identity check tells them apart.
+	fresh := func(ts ...Tuple) []Tuple {
+		out := make([]Tuple, len(ts))
+		for i, tu := range ts {
+			out[i] = tu.Clone()
+		}
+		return out
+	}
+	mid := pool[20:40]
+	all := make([]int, len(mid))
+	for i := range all {
+		all[i] = i
+	}
+	check("no added", mid, []int{0, 5, 19}, nil)
+	check("nothing dead", mid, nil, fresh(pool[0], pool[59]))
+	check("every position dead", mid, all, fresh(pool[0], mid[3], pool[45]))
+	check("empty sorted", nil, nil, fresh(pool[1], pool[2]))
+	check("around the survivors", mid, []int{1}, fresh(pool[:3]...))
+	check("after the survivors", mid, []int{19}, fresh(mid[19], pool[40], pool[59]))
+	check("re-added dead", mid, []int{0, 7, 8, 19}, fresh(mid[0], mid[8], mid[19]))
+
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 2000; trial++ {
+		pSorted, pDead, pAdded := rng.Float64(), rng.Float64(), rng.Float64()/2
+		var sorted, added []Tuple
+		var dead []int
+		for _, tu := range pool {
+			if rng.Float64() >= pSorted {
+				if rng.Float64() < pAdded {
+					added = append(added, tu.Clone())
+				}
+				continue
+			}
+			if rng.Float64() < pDead {
+				dead = append(dead, len(sorted))
+				if rng.Intn(2) == 0 {
+					added = append(added, tu.Clone())
+				}
+			}
+			sorted = append(sorted, tu)
+		}
+		check(fmt.Sprintf("trial %d", trial), sorted, dead, added)
 	}
 }
 
