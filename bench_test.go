@@ -11,6 +11,8 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/approx"
@@ -896,21 +898,7 @@ func BenchmarkDeleteRefresh(b *testing.B) {
 		return e, p, "history", rows
 	}
 	identity := func() (*Engine, *Prepared, string, [][]interface{}) {
-		const n = 100_000
-		zipf := rand.NewZipf(rng, 1.1, 1, 199)
-		rows := make([][]interface{}, n)
-		for i, j := range rng.Perm(n) {
-			rows[i] = []interface{}{int64(i), fmt.Sprintf("c%03d", zipf.Uint64()), (float64(j) + 0.5) / n}
-		}
-		e := NewEngine()
-		e.MustCreateTable("items", "id", "cat", "rel")
-		if _, _, err := e.Mutate("items", rows, false); err != nil {
-			b.Fatal(err)
-		}
-		rng.Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-		p := e.MustPrepare("Q(id, cat, rel) :- items(id, cat, rel)",
-			WithK(10), WithObjective(MaxSum), WithAlgorithm(Greedy),
-			WithRelevance(AttrRelevance("rel")), WithDistance(AttrDistance("cat")))
+		e, p, rows := identityStatement(b, rng, 100_000)
 		return e, p, "items", rows
 	}
 	ctx := context.Background()
@@ -950,6 +938,70 @@ func BenchmarkDeleteRefresh(b *testing.B) {
 			})
 		}
 	}
+}
+
+// identityStatement builds the warm-read shape: n rows of items(id, cat,
+// rel) over 200 zipfian categories, and the identity query over them solved
+// greedily under FMS with AttrRelevance("rel") and AttrDistance("cat"). It
+// also returns the rows, shuffled, for mutation batches.
+func identityStatement(tb testing.TB, rng *rand.Rand, n int) (*Engine, *Prepared, [][]interface{}) {
+	tb.Helper()
+	zipf := rand.NewZipf(rng, 1.1, 1, 199)
+	rows := make([][]interface{}, n)
+	for i, j := range rng.Perm(n) {
+		rows[i] = []interface{}{int64(i), fmt.Sprintf("c%03d", zipf.Uint64()), (float64(j) + 0.5) / float64(n)}
+	}
+	e := NewEngine()
+	e.MustCreateTable("items", "id", "cat", "rel")
+	if _, _, err := e.Mutate("items", rows, false); err != nil {
+		tb.Fatal(err)
+	}
+	rng.Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	p := e.MustPrepare("Q(id, cat, rel) :- items(id, cat, rel)",
+		WithK(10), WithObjective(MaxSum), WithAlgorithm(Greedy),
+		WithRelevance(AttrRelevance("rel")), WithDistance(AttrDistance("cat")))
+	return e, p, rows
+}
+
+// BenchmarkConcurrentRefresh times 8 goroutines, released together, each
+// calling Refresh on the 10⁵-row identity statement after a Mutate that
+// inserted one row. builds/op counts the callers that applied the delta or
+// rebuilt: one build serves a generation, and the others report warm.
+func BenchmarkConcurrentRefresh(b *testing.B) {
+	const callers = 8
+	const n = 100_000
+	e, p, _ := identityStatement(b, rand.New(rand.NewSource(20)), n)
+	ctx := context.Background()
+	if _, err := p.Refresh(ctx); err != nil {
+		b.Fatal(err)
+	}
+	var builds atomic.Int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, _, err := e.Mutate("items", [][]interface{}{{int64(n + i), "c000", 0.5}}, false); err != nil {
+			b.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(callers)
+		for c := 0; c < callers; c++ {
+			go func() {
+				defer wg.Done()
+				<-start
+				info, err := p.Refresh(ctx)
+				if err != nil {
+					b.Error(err)
+				} else if info.Mode != "warm" {
+					builds.Add(1)
+				}
+			}()
+		}
+		b.StartTimer()
+		close(start)
+		wg.Wait()
+	}
+	b.ReportMetric(float64(builds.Load())/float64(b.N), "builds/op")
 }
 
 // benchTuple is the deterministic row stream the recovery benchmarks

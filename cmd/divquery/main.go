@@ -35,12 +35,11 @@
 //	-health          probe /healthz (prints "ok" or "degraded")
 //	-json            print the raw JSON response instead of a summary
 //	-retries N       max attempts for retryable failures (default 3)
-//	-hedge P         hedge slow idempotent calls at latency percentile P
 //
 // Degraded responses — the server abandoned an exact route under deadline
 // pressure — are flagged on their own output line (and carried in the
-// degraded/degraded_from fields of -json output). Client-side retries and
-// hedges are reported on stderr so stdout stays the pure response.
+// degraded/degraded_from fields of -json output). Client-side retries are
+// reported on stderr so stdout stays the pure response.
 package main
 
 import (
@@ -75,14 +74,12 @@ func main() {
 		doHealth  = flag.Bool("health", false, "probe /healthz")
 		rawJSON   = flag.Bool("json", false, "print the raw JSON response")
 		retries   = flag.Int("retries", 0, "max attempts for retryable failures (0 = client default of 3)")
-		hedge     = flag.Float64("hedge", 0, "hedge slow idempotent calls at this latency percentile in (0,1); 0 = off")
 	)
 	flag.Parse()
 
 	client := &httpapi.Client{
-		BaseURL:         *addr,
-		Retry:           httpapi.RetryPolicy{MaxAttempts: *retries},
-		HedgePercentile: *hedge,
+		BaseURL: *addr,
+		Retry:   httpapi.RetryPolicy{MaxAttempts: *retries},
 	}
 	statsClient = client
 	defer reportStats()
@@ -215,7 +212,7 @@ func printJSON(v interface{}) {
 	fmt.Println(string(out))
 }
 
-// statsClient lets fatalf report retry/hedge counts on the failure path
+// statsClient lets fatalf report retry counts on the failure path
 // too — os.Exit skips main's deferred report.
 var statsClient *httpapi.Client
 
@@ -225,8 +222,8 @@ func reportStats() {
 	if statsClient == nil {
 		return
 	}
-	if st := statsClient.Stats(); st.Retries > 0 || st.Hedges > 0 {
-		fmt.Fprintf(os.Stderr, "divquery: client retries=%d hedges=%d\n", st.Retries, st.Hedges)
+	if st := statsClient.Stats(); st.Retries > 0 {
+		fmt.Fprintf(os.Stderr, "divquery: client retries=%d\n", st.Retries)
 	}
 }
 

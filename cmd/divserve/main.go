@@ -52,9 +52,9 @@
 //	-max-concurrent N   execution slots (0 = GOMAXPROCS)
 //	-max-queue N        admission queue bound (0 = 4×slots, -1 = none)
 //	-timeout D          default per-request deadline, e.g. 5s (0 = none)
-//	-cache              generation-keyed result cache + request coalescing
-//	                    (default on; -cache=false disables)
-//	-cache-entries N    result cache entry bound (0 = default 1024)
+//	-cache-entries N    generation-keyed result cache + request coalescing,
+//	                    bounded to N entries (0 = default 1024; negative
+//	                    disables the cache)
 //	-warm               refresh every statement before serving
 //	-data-dir DIR       durable mode: WAL + snapshots live here
 //	-fsync P            WAL sync policy: always | interval | off
@@ -139,8 +139,7 @@ func main() {
 		maxConc     = flag.Int("max-concurrent", 0, "execution slots (0 = GOMAXPROCS)")
 		maxQueue    = flag.Int("max-queue", 0, "admission queue bound (0 = 4×slots, -1 = none)")
 		timeout     = flag.Duration("timeout", 0, "default per-request deadline (0 = none)")
-		cache       = flag.Bool("cache", true, "generation-keyed result cache + request coalescing")
-		cacheSize   = flag.Int("cache-entries", 0, "result cache entry bound (0 = default 1024)")
+		cacheSize   = flag.Int("cache-entries", 0, "result cache entry bound (0 = default 1024, negative disables the cache)")
 		warm        = flag.Bool("warm", false, "refresh every statement before serving")
 		dataDir     = flag.String("data-dir", "", "durable mode: directory for the WAL and snapshots")
 		fsync       = flag.String("fsync", "always", "WAL sync policy: always | interval | off")
@@ -282,16 +281,12 @@ func main() {
 		opts = append(opts, diversification.WithDistance(diversification.AttrDistance(*disAttr)))
 	}
 
-	cacheEntries := *cacheSize
-	if !*cache {
-		cacheEntries = -1
-	}
 	svc := diversification.NewService(e, diversification.ServiceConfig{
 		MaxConcurrent:  *maxConc,
 		MaxQueue:       *maxQueue,
 		DefaultTimeout: *timeout,
 		ShutdownGrace:  *grace,
-		CacheEntries:   cacheEntries,
+		CacheEntries:   *cacheSize,
 	})
 	for _, spec := range stmts {
 		name, src, ok := strings.Cut(spec, "=")

@@ -200,7 +200,7 @@ func (s *Service) answerCount(ctx context.Context, p *Prepared) (int, uint64, er
 	defer release()
 	p.eng.mu.RLock()
 	defer p.eng.mu.RUnlock()
-	snap, err := p.snapshotFor(ctx)
+	snap, _, err := p.acquire(ctx, false)
 	if err != nil {
 		return 0, 0, err
 	}

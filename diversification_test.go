@@ -3,6 +3,7 @@ package diversification
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"reflect"
@@ -515,6 +516,69 @@ func TestMaxMinGreedyWithoutSeed(t *testing.T) {
 				}()
 				p.Diversify(ctx, WithAlgorithm(Exact))
 			}()
+		}
+	}
+}
+
+// TestNonFiniteRelevance holds every diversify algorithm to one rule: a set
+// valued NaN or −∞ is not a candidate, and a selection has exactly k rows.
+// Over four ids, with all relevance NaN or −∞, or with id 0 alone NaN or
+// −∞, every algorithm agrees on whether a set exists; each selection has k
+// rows and a finite value, and none holds id 0 when a set without it exists.
+func TestNonFiniteRelevance(t *testing.T) {
+	const n = 4
+	e := NewEngine()
+	e.MustCreateTable("points", "id")
+	for i := 0; i < n; i++ {
+		e.MustInsert("points", i)
+	}
+	id := func(r Row) int64 { return r.Get("id").(int64) }
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		bad  float64
+		all  bool
+	}{
+		{"all NaN", math.NaN(), true},
+		{"all -Inf", math.Inf(-1), true},
+		{"one NaN", math.NaN(), false},
+		{"one -Inf", math.Inf(-1), false},
+	} {
+		rel := func(r Row) float64 {
+			if c.all || id(r) == 0 {
+				return c.bad
+			}
+			return 1 + float64(id(r))
+		}
+		for _, k := range []int{2, n} {
+			exists := !c.all && k < n
+			for _, obj := range []Objective{MaxSum, MaxMin} {
+				p := e.MustPrepare("Q(id) :- points(id)", WithK(k), WithObjective(obj), WithLambda(0.5),
+					WithRelevance(rel),
+					WithDistance(func(a, b Row) float64 { return math.Abs(float64(id(a) - id(b))) }))
+				for _, alg := range []Algorithm{Exact, Greedy, LocalSearch, Online} {
+					label := fmt.Sprintf("%s, k=%d, %v, %v", c.name, k, obj, alg)
+					sel, err := p.Diversify(ctx, WithAlgorithm(alg))
+					if !exists {
+						if !errors.Is(err, ErrNoCandidate) {
+							t.Errorf("%s: got %v, %v; want ErrNoCandidate", label, sel, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Errorf("%s: %v, want a selection", label, err)
+						continue
+					}
+					if len(sel.Rows) != k || math.IsNaN(sel.Value) || math.IsInf(sel.Value, 0) {
+						t.Errorf("%s: %d rows valued %v, want %d rows and a finite value", label, len(sel.Rows), sel.Value, k)
+					}
+					for _, r := range sel.Rows {
+						if id(r) == 0 {
+							t.Errorf("%s: selection %v holds id 0, relevance %v", label, sel.Rows, c.bad)
+						}
+					}
+				}
+			}
 		}
 	}
 }

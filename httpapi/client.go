@@ -11,10 +11,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptrace"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -90,10 +88,6 @@ func (p RetryPolicy) delay(attempt int, err error) time.Duration {
 // so a hung server cannot block a caller forever.
 const defaultClientTimeout = 30 * time.Second
 
-// latencyWindow is the ring of observed call latencies feeding the hedge
-// threshold.
-const latencyWindow = 64
-
 // sharedTransport is the transport behind every Client whose HTTPClient is
 // nil. Unlike http.DefaultTransport's 2 idle conns per host, it keeps a
 // fan-out-sized idle pool: a cluster coordinator issues S concurrent calls
@@ -127,9 +121,7 @@ var sharedHTTPClient = &http.Client{Transport: sharedTransport}
 // honoring the server's Retry-After on 429/503. Mutations (Insert, Delete,
 // Snapshot) retry only failures that prove the request was never applied —
 // a refused connection, or a 429/503 rejection — keeping applied-counts
-// exact. Setting HedgePercentile additionally hedges slow idempotent
-// calls: when an attempt outlives that percentile of the observed latency
-// window, a second concurrent attempt races it.
+// exact.
 type Client struct {
 	BaseURL    string
 	HTTPClient *http.Client
@@ -142,23 +134,10 @@ type Client struct {
 	// with 50ms..2s backoff.
 	Retry RetryPolicy
 
-	// HedgePercentile, in (0,1), enables hedging of idempotent calls at
-	// that percentile of the observed latency window (e.g. 0.95). Zero
-	// disables hedging.
-	HedgePercentile float64
-	// HedgeMinDelay floors the hedge threshold, and stands in for it until
-	// the latency window has data (default 50ms).
-	HedgeMinDelay time.Duration
-
 	retries atomic.Int64
-	hedges  atomic.Int64
 
 	connsNew    atomic.Int64
 	connsReused atomic.Int64
-
-	latMu  sync.Mutex
-	lats   []time.Duration
-	latIdx int
 }
 
 // ClientStats counts the resilience machinery's interventions and the
@@ -166,8 +145,6 @@ type Client struct {
 type ClientStats struct {
 	// Retries counts re-issued attempts (not first attempts).
 	Retries int64 `json:"retries"`
-	// Hedges counts hedged second attempts launched.
-	Hedges int64 `json:"hedges"`
 	// ConnsNew counts attempts served over a freshly dialed connection,
 	// ConnsReused over one recycled from the idle pool. A healthy steady
 	// state reuses nearly always; a rising ConnsNew under constant traffic
@@ -177,11 +154,10 @@ type ClientStats struct {
 	ConnsReused int64 `json:"conns_reused"`
 }
 
-// Stats snapshots the retry/hedge and connection-reuse counters.
+// Stats snapshots the retry and connection-reuse counters.
 func (c *Client) Stats() ClientStats {
 	return ClientStats{
 		Retries:     c.retries.Load(),
-		Hedges:      c.hedges.Load(),
 		ConnsNew:    c.connsNew.Load(),
 		ConnsReused: c.connsReused.Load(),
 	}
@@ -210,51 +186,8 @@ func (c *Client) withTimeout(ctx context.Context) (context.Context, context.Canc
 	return context.WithTimeout(ctx, d)
 }
 
-// observeLatency records a completed call in the hedge threshold window.
-func (c *Client) observeLatency(d time.Duration) {
-	c.latMu.Lock()
-	defer c.latMu.Unlock()
-	if len(c.lats) < latencyWindow {
-		c.lats = append(c.lats, d)
-		return
-	}
-	c.lats[c.latIdx] = d
-	c.latIdx = (c.latIdx + 1) % latencyWindow
-}
-
-// hedgeDelay computes when a hedged second attempt fires: the configured
-// percentile of the latency window, floored by HedgeMinDelay.
-func (c *Client) hedgeDelay() time.Duration {
-	min := c.HedgeMinDelay
-	if min <= 0 {
-		min = 50 * time.Millisecond
-	}
-	c.latMu.Lock()
-	defer c.latMu.Unlock()
-	if len(c.lats) == 0 {
-		return min
-	}
-	sorted := append([]time.Duration(nil), c.lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(c.HedgePercentile * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	if d := sorted[idx]; d > min {
-		return d
-	}
-	return min
-}
-
-// rtResult is one transport attempt's outcome.
-type rtResult struct {
-	status int
-	raw    []byte
-	err    error
-}
-
 // roundTrip issues one HTTP request and reads the full (bounded) body.
-func (c *Client) roundTrip(ctx context.Context, method, path string, payload []byte) rtResult {
+func (c *Client) roundTrip(ctx context.Context, method, path string, payload []byte) ([]byte, error) {
 	var reader io.Reader
 	if payload != nil {
 		reader = bytes.NewReader(payload)
@@ -270,14 +203,14 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, payload []b
 	}
 	req, err := http.NewRequestWithContext(httptrace.WithClientTrace(ctx, trace), method, strings.TrimSuffix(c.BaseURL, "/")+path, reader)
 	if err != nil {
-		return rtResult{err: err}
+		return nil, err
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return rtResult{err: err}
+		return nil, err
 	}
 	defer resp.Body.Close()
 	// Responses are not bounded the way request bodies are (a wide
@@ -286,10 +219,10 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, payload []b
 	// decoder.
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
-		return rtResult{err: err}
+		return nil, err
 	}
 	if len(raw) > maxResponseBytes {
-		return rtResult{err: fmt.Errorf("httpapi: response exceeds %d bytes", maxResponseBytes)}
+		return nil, fmt.Errorf("httpapi: response exceeds %d bytes", maxResponseBytes)
 	}
 	if resp.StatusCode/100 != 2 {
 		serr := &StatusError{Code: resp.StatusCode}
@@ -297,9 +230,9 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, payload []b
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
 			serr.RetryAfter = parseRetryAfter(ra, time.Now())
 		}
-		return rtResult{status: resp.StatusCode, err: serr}
+		return nil, serr
 	}
-	return rtResult{status: resp.StatusCode, raw: raw}
+	return raw, nil
 }
 
 // parseRetryAfter parses a Retry-After header value per RFC 9110 §10.2.3:
@@ -321,37 +254,6 @@ func parseRetryAfter(value string, now time.Time) time.Duration {
 		}
 	}
 	return 0
-}
-
-// attempt runs one logical attempt: a plain round trip, or — for
-// idempotent calls with hedging enabled — a round trip raced against a
-// hedged twin launched at the hedge threshold. First completion wins; if
-// the first completion failed while the twin is still in flight, the twin
-// gets to finish and override.
-func (c *Client) attempt(ctx context.Context, method, path string, payload []byte, idempotent bool) rtResult {
-	if !idempotent || c.HedgePercentile <= 0 {
-		return c.roundTrip(ctx, method, path, payload)
-	}
-	results := make(chan rtResult, 2)
-	go func() { results <- c.roundTrip(ctx, method, path, payload) }()
-	timer := time.NewTimer(c.hedgeDelay())
-	defer timer.Stop()
-	select {
-	case r := <-results:
-		return r
-	case <-timer.C:
-	}
-	c.hedges.Add(1)
-	go func() { results <- c.roundTrip(ctx, method, path, payload) }()
-	r := <-results
-	if r.err != nil {
-		// The loser may still succeed; with both attempts failed, report
-		// the first failure.
-		if r2 := <-results; r2.err == nil {
-			return r2
-		}
-	}
-	return r
 }
 
 // retryable reports whether err may be retried for the given call class.
@@ -387,28 +289,26 @@ func (c *Client) do(ctx context.Context, method, path string, body, out interfac
 	ctx, cancel := c.withTimeout(ctx)
 	defer cancel()
 	policy := c.Retry.withDefaults()
-	var res rtResult
+	var raw []byte
 	for attempt := 0; ; attempt++ {
-		start := time.Now()
-		res = c.attempt(ctx, method, path, payload, idempotent)
-		if res.err == nil {
-			c.observeLatency(time.Since(start))
+		var err error
+		if raw, err = c.roundTrip(ctx, method, path, payload); err == nil {
 			break
 		}
-		if attempt+1 >= policy.MaxAttempts || !retryable(res.err, idempotent) || ctx.Err() != nil {
-			return res.err
+		if attempt+1 >= policy.MaxAttempts || !retryable(err, idempotent) || ctx.Err() != nil {
+			return err
 		}
 		select {
-		case <-time.After(policy.delay(attempt, res.err)):
+		case <-time.After(policy.delay(attempt, err)):
 		case <-ctx.Done():
-			return res.err
+			return err
 		}
 		c.retries.Add(1)
 	}
 	if out == nil {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(res.raw))
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber() // integer cells (coreset rows) must not round through float64
 	return dec.Decode(out)
 }

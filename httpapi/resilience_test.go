@@ -173,86 +173,6 @@ func TestClientDefaultTimeout(t *testing.T) {
 	}
 }
 
-func TestHedgedQueryBeatsSlowFirstAttempt(t *testing.T) {
-	// The first attempt stalls well past the hedge threshold; the hedged
-	// twin passes through untouched and must win the race.
-	client, _ := chaosClient(t, func(r *http.Request, n int) Fault {
-		if n == 1 {
-			return Fault{Delay: time.Second}
-		}
-		return Fault{}
-	})
-	client.HedgePercentile = 0.95
-	client.HedgeMinDelay = 10 * time.Millisecond
-	start := time.Now()
-	resp, err := client.Query(context.Background(), "catalog", QueryRequest{})
-	if err != nil {
-		t.Fatalf("hedged query: %v", err)
-	}
-	if resp.Selection == nil {
-		t.Fatal("no selection in hedged response")
-	}
-	if elapsed := time.Since(start); elapsed >= time.Second {
-		t.Fatalf("took %s: the hedge did not overtake the stalled attempt", elapsed)
-	}
-	if got := client.Stats().Hedges; got != 1 {
-		t.Fatalf("Stats().Hedges = %d, want 1", got)
-	}
-}
-
-// TestHedgeSurvivesFailedFirstCompletion exercises the
-// failed-first-waits-for-twin path: the stalled first attempt is dropped
-// (EOF) while the hedge succeeds, and the call must still return the
-// hedge's answer.
-func TestHedgeSurvivesFailedFirstCompletion(t *testing.T) {
-	client, _ := chaosClient(t, func(r *http.Request, n int) Fault {
-		if n == 1 {
-			return Fault{Delay: 100 * time.Millisecond, Drop: true}
-		}
-		return Fault{Delay: 300 * time.Millisecond}
-	})
-	client.Retry = RetryPolicy{MaxAttempts: 1}
-	client.HedgePercentile = 0.95
-	client.HedgeMinDelay = 10 * time.Millisecond
-	resp, err := client.Query(context.Background(), "catalog", QueryRequest{})
-	if err != nil {
-		t.Fatalf("query: %v (the twin's success should have overridden the drop)", err)
-	}
-	if resp.Selection == nil {
-		t.Fatal("no selection in response")
-	}
-}
-
-// TestHedgeDelayTracksLatencyWindow pins the hedge threshold: the floor
-// until the window has data, then the configured percentile of the
-// observed latencies (never below the floor), over a window that keeps
-// only the latest latencyWindow calls.
-func TestHedgeDelayTracksLatencyWindow(t *testing.T) {
-	c := &Client{HedgePercentile: 0.5, HedgeMinDelay: 5 * time.Millisecond}
-	if got := c.hedgeDelay(); got != 5*time.Millisecond {
-		t.Fatalf("empty window: %v, want the 5ms floor", got)
-	}
-	for i := 1; i <= 10; i++ {
-		c.observeLatency(time.Duration(i) * 10 * time.Millisecond)
-	}
-	if got := c.hedgeDelay(); got != 60*time.Millisecond {
-		t.Fatalf("p50 of 10ms..100ms: %v, want 60ms", got)
-	}
-	c.HedgePercentile = 1
-	if got := c.hedgeDelay(); got != 100*time.Millisecond {
-		t.Fatalf("p100: %v, want the slowest call, 100ms", got)
-	}
-	for i := 0; i < latencyWindow; i++ {
-		c.observeLatency(time.Millisecond)
-	}
-	if got := c.hedgeDelay(); got != 5*time.Millisecond {
-		t.Fatalf("window of 1ms calls: %v, want the 5ms floor", got)
-	}
-	if got := (&Client{}).hedgeDelay(); got != 50*time.Millisecond {
-		t.Fatalf("default floor: %v, want 50ms", got)
-	}
-}
-
 func TestHealthReportsDegraded(t *testing.T) {
 	// A handcrafted handler standing in for a degraded server: the client
 	// contract is about parsing, not about how the engine got degraded

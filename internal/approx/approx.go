@@ -56,8 +56,10 @@ func GreedyMaxSum(in *core.Instance) Result {
 // maintains each candidate's running marginal gain on the score plane, so a
 // round is one O(n) array scan plus an O(n) gain update against the newly
 // chosen ID. Gains accumulate in chosen order, matching MaxSumDelta
-// bit-for-bit. A category plane with finite relevance runs the same
-// selection over each category's frontier of best answers (category.go).
+// bit-for-bit. When no gain beats −∞ (NaN or −∞ relevance) before k
+// answers are chosen, it returns the empty Result. A category plane with
+// finite relevance runs the same selection over each category's frontier
+// of best answers (category.go).
 func GreedyMaxSumContext(ctx context.Context, in *core.Instance) (Result, error) {
 	var res Result
 	p, ok, err := planeFor(ctx, in, in.K)
@@ -92,7 +94,7 @@ func GreedyMaxSumContext(ctx context.Context, in *core.Instance) (Result, error)
 			}
 		}
 		if bestIdx < 0 {
-			break
+			return res, nil // no score beats −∞: short of k, no selection
 		}
 		used[bestIdx] = true
 		ids = append(ids, bestIdx)
@@ -140,8 +142,8 @@ func GreedyMaxMin(in *core.Instance) Result {
 // maintains each candidate's running min-distance to the chosen set on the
 // score plane, so a round is an O(n) scan plus an O(n) min update against
 // the new member. A category plane runs the same selection as
-// GreedyMaxSumContext describes. When no relevance beats −∞ (NaN or −∞
-// throughout) there is no seed, and it returns the empty Result.
+// GreedyMaxSumContext describes. When no score beats −∞ (NaN or −∞
+// relevance) before k answers are chosen, it returns the empty Result.
 func GreedyMaxMinContext(ctx context.Context, in *core.Instance) (Result, error) {
 	var res Result
 	p, ok, err := planeFor(ctx, in, in.K)
@@ -199,7 +201,7 @@ func GreedyMaxMinContext(ctx context.Context, in *core.Instance) (Result, error)
 			}
 		}
 		if bestIdx < 0 {
-			break
+			return res, nil // no score beats −∞: short of k, no selection
 		}
 		take(bestIdx)
 	}

@@ -109,7 +109,7 @@ func greedyCategory(c *ctxpoll.Poller, in *core.Instance, p *objective.Plane, cs
 			return w.res, err
 		}
 		if id < 0 {
-			break
+			return w.res, nil // no score beats −∞: short of k, no selection
 		}
 		last = w.take(id)
 	}

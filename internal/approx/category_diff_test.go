@@ -190,7 +190,8 @@ func TestCategoryGreedyStopsWhenCancelled(t *testing.T) {
 // rescanCategoryGreedy is the category walk before frontiers, kept as the
 // reference for Steps: every round it rescans each category's unpicked
 // answers from the head of its list through the first that scores lower,
-// under a used flag per answer. It returns the picks and the steps counted.
+// under a used flag per answer. It returns the picks (none when no score
+// beats −∞ before k are picked) and the steps counted.
 // The instance must hold a category plane with finite relevance and a k in
 // [1, |Q(D)|].
 func rescanCategoryGreedy(in *core.Instance) (ids []int, steps int) {
@@ -256,7 +257,7 @@ func rescanCategoryGreedy(in *core.Instance) (ids []int, steps int) {
 			}
 		}
 		if bestIdx < 0 {
-			break
+			return nil, steps // short of k: no selection, as in the walk
 		}
 		take(bestIdx)
 	}

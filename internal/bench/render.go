@@ -9,9 +9,6 @@ import (
 	"repro/internal/query"
 )
 
-// langs are the columns of Table I's language axis.
-var tableLangs = []query.Language{query.CQ, query.UCQ, query.EFOPlus, query.FO}
-
 // problems in table order.
 var tableProblems = []core.Problem{core.QRD, core.DRP, core.RDC}
 

@@ -275,7 +275,7 @@ func (o *Objective) evalMaxMin(u []relation.Tuple) float64 {
 	}
 	minRel := math.Inf(1)
 	for _, t := range u {
-		if r := o.Rel.Rel(t); r < minRel {
+		if r := o.Rel.Rel(t); r < minRel || math.IsNaN(r) {
 			minRel = r
 		}
 	}

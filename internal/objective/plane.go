@@ -538,7 +538,7 @@ func (o *Objective) EvalIDs(p *Plane, ids []int) float64 {
 		}
 		minRel := infPos()
 		for _, id := range ids {
-			if r := p.rel[id]; r < minRel {
+			if r := p.rel[id]; r < minRel || math.IsNaN(r) {
 				minRel = r
 			}
 		}

@@ -241,7 +241,8 @@ func QRD(ctx context.Context, in *core.Instance, opts Options) (Result, error) {
 // The final set is a locally swap-optimal selection of the full answer
 // stream — the online counterpart of approx.LocalSearchSwap. Seen always
 // equals |Q(D)| (the stream is consumed fully); the point is that a valid
-// selection was available throughout. ctx cancels the streaming evaluation.
+// selection was available throughout. A final set valued NaN or −∞ is no
+// candidate: Exists is false. ctx cancels the streaming evaluation.
 func Diversify(ctx context.Context, in *core.Instance, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -271,7 +272,7 @@ func Diversify(ctx context.Context, in *core.Instance, opts Options) (Result, er
 		w.setCandidate(t)
 		bestIdx, bestVal := -1, w.eval(-1)
 		for i := range set {
-			if v := w.eval(i); v > bestVal {
+			if v := w.eval(i); improves(v, bestVal) {
 				bestIdx, bestVal = i, v
 			}
 		}
@@ -291,10 +292,19 @@ func Diversify(ctx context.Context, in *core.Instance, opts Options) (Result, er
 	if len(set) < in.K {
 		return res, nil // fewer than k answers: no candidate set
 	}
-	res.Exists = true
-	res.Witness = set
-	res.Value = w.eval(-1)
+	if v := w.eval(-1); !math.IsNaN(v) && !math.IsInf(v, -1) {
+		res.Exists = true
+		res.Witness = set
+		res.Value = v
+	}
 	return res, nil
+}
+
+// improves reports whether a swap to a set valued v beats the current set's
+// value cur: a larger value does, and any value does a NaN one, so the
+// anytime set leaves a NaN value (a NaN relevance) as soon as it can.
+func improves(v, cur float64) bool {
+	return v > cur || math.IsNaN(cur) && !math.IsNaN(v)
 }
 
 // swapScorer caches the relevance vector and pairwise distance matrix of
@@ -388,7 +398,7 @@ func (w *swapScorer) eval(replace int) float64 {
 		}
 		minRel := math.Inf(1)
 		for i := 0; i < k; i++ {
-			if r := relAt(i); r < minRel {
+			if r := relAt(i); r < minRel || math.IsNaN(r) {
 				minRel = r
 			}
 		}

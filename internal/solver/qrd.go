@@ -165,9 +165,9 @@ func QRDBestContext(ctx context.Context, in *core.Instance) (QRDResult, error) {
 	if _, err := in.AnswersContext(ctx); err != nil {
 		return res, err
 	}
-	// The walk starts below every score, since the best set may score
-	// below 0; only a NaN score, which no threshold admits, stays out.
-	s := newSearch(ctx, in, math.Inf(-1), false, &res.Stats)
+	// The walk admits any score above −∞, since the best set may score
+	// below 0; a set valued NaN or −∞ is not a candidate.
+	s := newSearch(ctx, in, -math.MaxFloat64, false, &res.Stats)
 	if s.canceled {
 		return res, ctx.Err()
 	}

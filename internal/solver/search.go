@@ -339,7 +339,7 @@ func (s *search) push(i int) savedState {
 	default:
 		r := s.plane.Rel(i)
 		s.relSum += r
-		if r < s.minRel {
+		if r < s.minRel || math.IsNaN(r) {
 			s.minRel = r
 		}
 		for _, j := range s.sel {

@@ -337,7 +337,7 @@ const degradeBudgetFraction = 0.8
 // the wrong functions. Also used by execute when a streaming route's solver
 // refuses the instance and the plan falls back to a materialized one.
 func (pl *Plan) materialize(ctx context.Context) error {
-	snap, info, err := pl.p.snapshotAt(ctx)
+	snap, info, err := pl.p.acquire(ctx, pl.s.dirty == 0)
 	if err != nil {
 		return err
 	}
@@ -348,12 +348,8 @@ func (pl *Plan) materialize(ctx context.Context) error {
 		pl.noPlane = "per-request (a scoring override bypasses the shared plane)"
 		return nil
 	}
-	plane, err := pl.p.planeFor(ctx, snap)
-	if err != nil {
-		return err
-	}
-	pl.plane = plane
-	pl.planeBytes = plane.MemoryFootprint()
+	pl.plane = snap.plane
+	pl.planeBytes = snap.plane.MemoryFootprint()
 	return nil
 }
 
@@ -508,7 +504,10 @@ func (pl *Plan) execDiversify(ctx context.Context, resp *Response) error {
 		// the query evaluation is skipped. Collect the streamed pool
 		// whenever none is captured yet: online Diversify always consumes
 		// the full stream, so the materialized Q(D) is free to keep.
-		pool := p.pooled()
+		var pool []relation.Tuple
+		if snap := p.current(); snap != nil {
+			pool = snap.streamPool
+		}
 		collect := pool == nil
 		res, err := online.Diversify(ctx, in, online.Options{CollectAnswers: collect, Pool: pool, HavePool: pool != nil})
 		if err != nil {

@@ -91,9 +91,7 @@ func TestPreparedPlaneCacheAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.mu.Lock()
-	pl1 := p.snap.plane
-	p.mu.Unlock()
+	pl1 := p.snap.Load().plane
 	if pl1 == nil {
 		t.Fatal("no plane cached after first solve")
 	}
@@ -103,9 +101,7 @@ func TestPreparedPlaneCacheAndInvalidation(t *testing.T) {
 	if _, err := p.Decide(ctx, WithBound(sel1.Value)); err != nil {
 		t.Fatal(err)
 	}
-	p.mu.Lock()
-	pl2 := p.snap.plane
-	p.mu.Unlock()
+	pl2 := p.snap.Load().plane
 	if pl2 != pl1 {
 		t.Fatal("plane rebuilt although the generation did not advance")
 	}
@@ -114,9 +110,7 @@ func TestPreparedPlaneCacheAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.mu.Lock()
-	pl3 := p.snap.plane
-	p.mu.Unlock()
+	pl3 := p.snap.Load().plane
 	if pl3 == pl1 {
 		t.Fatal("plane not invalidated by a database mutation")
 	}

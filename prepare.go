@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/big"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/compat"
@@ -37,6 +36,11 @@ import (
 // may solve against it, and engine mutations (Insert/Delete/CreateTable)
 // serialize against in-flight solves behind the engine's read-write lock,
 // so every response pairs answers and plane from one generation.
+//
+// Every path that acquires a snapshot (Do, Plan, Plan.Execute, Refresh,
+// DiversifyBatch and the coreset count) holds the engine's read lock, and
+// every mutation takes its write lock, so the database generation cannot
+// move while a snapshot is being built.
 type Prepared struct {
 	eng *Engine
 	// id is unique per handle, from a process-wide counter: the Service
@@ -55,47 +59,42 @@ type Prepared struct {
 	// (positive and range-safe; see eval.DeltaCapable).
 	deltaOK bool
 
-	// mu guards snap. All derived state lives in one immutable snapshot
-	// swapped atomically, so a reader can never pair answers from one
-	// generation with a plane from another — the TOCTOU window of
-	// the old per-field generation dance. snap.plane and snap.streamPool
-	// are the two lazily attached fields; both transition nil → non-nil
-	// exactly once, under mu.
-	mu   sync.Mutex
-	snap *snapshot
+	// snap is the latest published snapshot. A reader loads it without a
+	// lock; a snapshot never changes once published, so answers and plane
+	// always come from one generation.
+	snap atomic.Pointer[snapshot]
+	// gate admits one builder of snapshots at a time (a semaphore of one
+	// slot), so each generation is built once and concurrent stale readers
+	// wait and reuse what was published. It is taken only under the engine
+	// read lock, and no engine lock is taken under it: a writer queued on
+	// the engine lock would otherwise deadlock against the gate's waiters.
+	// Building runs the user's scoring functions under the gate.
+	gate chan struct{}
 }
 
 // snapshot is one consistent view of the state derived from the database at
 // a single generation: the canonically sorted answer set (its own index:
-// relation.Search finds an answer), the interned score plane (attached
-// lazily, under the handle's lock) and the stream-order pool an exhausted
-// online evaluation produced (ditto).
-// Snapshots are immutable apart from those two monotonic attachments;
-// refreshing publishes a new snapshot rather than mutating the old one, so
-// in-flight solves keep a coherent view.
+// relation.Search finds an answer), the interned score plane and the
+// stream-order pool an exhausted online evaluation produced. Snapshots are
+// immutable: attaching a plane or a pool publishes a new snapshot of the
+// same generation, so in-flight solves keep a coherent view.
 type snapshot struct {
 	gen     uint64
 	answers []relation.Tuple
 
 	// plane bakes in the Prepare-time δrel/δdis bindings; calls overriding
-	// them per-call bypass it. Guarded by Prepared.mu.
+	// them per-call bypass it.
 	plane *objective.Plane
 	// streamPool is Q(D) in evaluation-stream order, kept when an online
 	// procedure exhausted the stream at this generation: replaying it is
 	// byte-identical to re-streaming the (deterministic) evaluator and
-	// skips the query evaluation entirely. Guarded by Prepared.mu.
+	// skips the query evaluation entirely.
 	streamPool []relation.Tuple
 }
 
 // nextPreparedID issues the process-wide unique handle ids the Service
 // result cache keys on.
 var nextPreparedID atomic.Uint64
-
-// maxRefreshAttempts bounds the evaluate-verify-retry loop of snapshotAt
-// when the database is mutated concurrently with a refresh (which the
-// engine contract already forbids); on exhaustion the freshest result is
-// returned uncached.
-const maxRefreshAttempts = 4
 
 // Prepare compiles a query for repeated solving: it parses src, validates
 // it against the engine's schema, classifies its language, applies the
@@ -134,6 +133,7 @@ func (e *Engine) Prepare(src string, opts ...Option) (*Prepared, error) {
 		base:    s,
 		sigma:   sigma,
 		deltaOK: eval.DeltaCapable(q),
+		gate:    make(chan struct{}, 1),
 	}, nil
 }
 
@@ -226,7 +226,9 @@ type RefreshInfo struct {
 // is (re)built and materialized eagerly, so the next solve pays for the
 // solver alone. Refresh is also implicit: every solve lazily revalidates
 // through the same path — calling Refresh explicitly just moves the cost to
-// a time of the caller's choosing and reports what happened.
+// a time of the caller's choosing and reports what happened. Each
+// generation is built once: callers that arrive while another builds it
+// wait for that build (or for their ctx) and report "warm".
 func (p *Prepared) Refresh(ctx context.Context) (RefreshInfo, error) {
 	p.eng.mu.RLock()
 	defer p.eng.mu.RUnlock()
@@ -235,82 +237,58 @@ func (p *Prepared) Refresh(ctx context.Context) (RefreshInfo, error) {
 
 // refresh is Refresh under an already-held engine read lock: the
 // snapshot-acquisition and eager-plane work shared with the batch warm-up.
+// Online solves never read the shared plane (they stream through their
+// own), so those handles skip its build.
 func (p *Prepared) refresh(ctx context.Context) (RefreshInfo, error) {
-	snap, info, err := p.snapshotAt(ctx)
-	if err != nil {
-		return info, err
-	}
-	// Online solves never read the shared plane (they stream through
-	// their own), so skip the O(n²) materialization for those handles.
-	if p.base.algorithm != Online {
-		if _, err := p.planeFor(ctx, snap); err != nil {
-			return info, err
-		}
-	}
-	info.Answers = len(snap.answers)
-	return info, nil
+	_, info, err := p.acquire(ctx, p.base.algorithm != Online)
+	return info, err
 }
 
 // current returns the published snapshot if it matches the database
 // generation, else nil.
 func (p *Prepared) current() *snapshot {
-	gen := p.eng.db.Generation()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.snap != nil && p.snap.gen == gen {
-		return p.snap
+	if snap := p.snap.Load(); snap != nil && snap.gen == p.eng.db.Generation() {
+		return snap
 	}
 	return nil
 }
 
-// cacheWarm reports whether a snapshot for the current database generation
-// is published.
-func (p *Prepared) cacheWarm() bool { return p.current() != nil }
-
-// snapshotFor returns a snapshot of the derived state consistent with the
-// current database generation, refreshing (incrementally when possible)
-// if the published one is stale.
-func (p *Prepared) snapshotFor(ctx context.Context) (*snapshot, error) {
-	snap, _, err := p.snapshotAt(ctx)
-	return snap, err
-}
-
-// snapshotAt is snapshotFor plus the refresh mode report. The (possibly
-// exponential) evaluation and the (possibly quadratic) plane rebase run
-// outside the lock; the generation is re-read afterwards and the work
-// retried if a mutation interleaved, so a published snapshot is always
-// internally consistent — answers and plane from one generation.
-func (p *Prepared) snapshotAt(ctx context.Context) (*snapshot, RefreshInfo, error) {
-	var last *snapshot
-	for attempt := 0; attempt < maxRefreshAttempts; attempt++ {
-		gen := p.eng.db.Generation()
-		p.mu.Lock()
-		old := p.snap
-		p.mu.Unlock()
-		if old != nil && old.gen == gen {
-			return old, RefreshInfo{Mode: "warm", Answers: len(old.answers)}, nil
+// acquire returns a snapshot for the current database generation, carrying
+// the shared score plane when withPlane is set. A published snapshot that
+// serves is returned without a lock. Otherwise the caller takes the gate
+// (or gives up with ctx), checks again, and builds what is missing: the
+// answers by a journal delta or a rebuild, then the plane, publishing each.
+// A caller that finds the work done reports "warm".
+func (p *Prepared) acquire(ctx context.Context, withPlane bool) (*snapshot, RefreshInfo, error) {
+	gen := p.eng.db.Generation()
+	snap := p.snap.Load()
+	if snap == nil || snap.gen != gen || withPlane && snap.plane == nil {
+		select {
+		case p.gate <- struct{}{}:
+		case <-ctx.Done():
+			return nil, RefreshInfo{}, ctx.Err()
 		}
-		snap, info, err := p.buildSnapshot(ctx, old, gen)
+		defer func() { <-p.gate }()
+		snap = p.snap.Load()
+	}
+	info := RefreshInfo{Mode: "warm"}
+	if snap == nil || snap.gen != gen {
+		var err error
+		if snap, info, err = p.buildSnapshot(ctx, snap, gen); err != nil {
+			return nil, info, err
+		}
+		p.snap.Store(snap)
+	}
+	if withPlane && snap.plane == nil {
+		pl, err := p.newPlane(ctx, snap.answers)
 		if err != nil {
 			return nil, info, err
 		}
-		last = snap
-		if p.eng.db.Generation() != gen {
-			continue // a mutation interleaved: the work may be torn, retry
-		}
-		p.mu.Lock()
-		if p.snap == nil || p.snap.gen < gen {
-			p.snap = snap
-		} else {
-			snap = p.snap // a racing refresh published first
-		}
-		p.mu.Unlock()
-		return snap, info, nil
+		snap = &snapshot{gen: gen, answers: snap.answers, plane: pl, streamPool: snap.streamPool}
+		p.snap.Store(snap)
 	}
-	// The database is being mutated continuously (which the engine
-	// contract forbids during solves): hand back the freshest result
-	// without caching it.
-	return last, RefreshInfo{Mode: "rebuild", Answers: len(last.answers)}, nil
+	info.Answers = len(snap.answers)
+	return snap, info, nil
 }
 
 // buildSnapshot computes the derived state for generation gen, applying
@@ -324,7 +302,7 @@ func (p *Prepared) buildSnapshot(ctx context.Context, old *snapshot, gen uint64)
 				return nil, RefreshInfo{}, err
 			}
 			if ok {
-				snap, err := p.applyDelta(ctx, old, d, gen)
+				snap, err := applyDelta(ctx, old, d, gen)
 				if err != nil {
 					return nil, RefreshInfo{}, err
 				}
@@ -351,7 +329,7 @@ func (p *Prepared) buildSnapshot(ctx context.Context, old *snapshot, gen uint64)
 // order, and the score plane — when the old snapshot had built one — is
 // rebased by each answer's provenance (surviving scores copied, only delta
 // pairs evaluated) instead of rebuilt.
-func (p *Prepared) applyDelta(ctx context.Context, old *snapshot, d eval.DeltaResult, gen uint64) (*snapshot, error) {
+func applyDelta(ctx context.Context, old *snapshot, d eval.DeltaResult, gen uint64) (*snapshot, error) {
 	dead := make([]int, 0, len(d.Removed))
 	for _, t := range d.Removed {
 		if i, ok := relation.Search(old.answers, t); ok {
@@ -360,11 +338,8 @@ func (p *Prepared) applyDelta(ctx context.Context, old *snapshot, d eval.DeltaRe
 	}
 	merged, from := relation.Merge(old.answers, dead, d.Added)
 	snap := &snapshot{gen: gen, answers: merged}
-	p.mu.Lock()
-	oldPlane := old.plane
-	p.mu.Unlock()
-	if oldPlane != nil {
-		pl, err := oldPlane.Rebase(ctx, merged, from)
+	if old.plane != nil {
+		pl, err := old.plane.Rebase(ctx, merged, from)
 		if err != nil {
 			return nil, err
 		}
@@ -373,64 +348,40 @@ func (p *Prepared) applyDelta(ctx context.Context, old *snapshot, d eval.DeltaRe
 	return snap, nil
 }
 
-// storePool installs the stream-order pool an exhausted online evaluation
-// produced at generation gen: as the current snapshot's streamPool when one
-// is already published for gen, or as a fresh snapshot otherwise — the
-// stream already paid for Q(D), so later calls skip re-evaluation. Dropped
-// silently when the database has moved on.
+// storePool keeps the stream-order pool an exhausted online evaluation
+// produced at generation gen (the current one, under the engine read
+// lock): on the published snapshot when it is of gen, or as a fresh
+// snapshot otherwise — the stream already paid for Q(D), so later calls
+// skip re-evaluation. The pool is dropped when another caller holds the
+// gate; it is an optimization, not worth waiting for.
 func (p *Prepared) storePool(pool []relation.Tuple, gen uint64) {
-	if p.eng.db.Generation() != gen {
-		return // the database moved underneath the stream: stale
-	}
-	p.mu.Lock()
-	if p.snap != nil && p.snap.gen == gen {
-		if p.snap.streamPool == nil {
-			p.snap.streamPool = pool
-		}
-		p.mu.Unlock()
+	select {
+	case p.gate <- struct{}{}:
+	default:
 		return
 	}
-	p.mu.Unlock()
+	defer func() { <-p.gate }()
+	if old := p.snap.Load(); old != nil && old.gen == gen {
+		if old.streamPool == nil {
+			p.snap.Store(&snapshot{gen: gen, answers: old.answers, plane: old.plane, streamPool: pool})
+		}
+		return
+	}
 	sorted := slices.Clone(pool)
 	slices.SortFunc(sorted, relation.Tuple.Compare)
-	snap := &snapshot{gen: gen, answers: sorted, streamPool: pool}
-	if p.eng.db.Generation() != gen {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.snap == nil || p.snap.gen < gen {
-		p.snap = snap
-	}
+	p.snap.Store(&snapshot{gen: gen, answers: sorted, streamPool: pool})
 }
 
 // refreshableDelta reports whether the handle holds a stale snapshot the
 // change journal can patch incrementally — in which case re-evaluating the
 // query from scratch (streaming or otherwise) would waste it.
 func (p *Prepared) refreshableDelta() bool {
-	if !p.deltaOK {
-		return false
-	}
-	p.mu.Lock()
-	old := p.snap
-	p.mu.Unlock()
-	if old == nil {
+	old := p.snap.Load()
+	if !p.deltaOK || old == nil {
 		return false
 	}
 	_, ok := p.eng.db.ChangesSince(old.gen)
 	return ok
-}
-
-// pooled returns the stream-order pool for the current generation, if an
-// online evaluation captured one.
-func (p *Prepared) pooled() []relation.Tuple {
-	gen := p.eng.db.Generation()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.snap != nil && p.snap.gen == gen {
-		return p.snap.streamPool
-	}
-	return nil
 }
 
 // objectiveOver builds the bound objective function for answers of schema.
@@ -464,21 +415,11 @@ func (s settings) objectiveOver(schema relation.Schema) *objective.Objective {
 	return objective.New(kind, rel, dis, s.lambda)
 }
 
-// planeFor returns the snapshot's score plane under the Prepare-time
-// δrel/δdis, building and materializing it on first use. The plane holds no
-// λ- or kind-dependent state, so one plane serves every call that keeps
-// those bindings. The (possibly quadratic) build runs outside the lock; a
-// plane is a pure function of the snapshot's answers, so a racing loser's
-// identical plane is simply discarded. Delta refreshes pre-attach a rebased
-// plane, making this a lock-and-load.
-func (p *Prepared) planeFor(ctx context.Context, snap *snapshot) (*objective.Plane, error) {
-	p.mu.Lock()
-	pl := snap.plane
-	p.mu.Unlock()
-	if pl != nil {
-		return pl, nil
-	}
-	pl, err := objective.NewPlaneContext(ctx, p.base.objectiveOver(p.schema), snap.answers, objective.PlaneOptions{})
+// newPlane builds the score plane under the Prepare-time δrel/δdis. The
+// plane holds no λ- or kind-dependent state, so one plane serves every call
+// that keeps those bindings.
+func (p *Prepared) newPlane(ctx context.Context, answers []relation.Tuple) (*objective.Plane, error) {
+	pl, err := objective.NewPlaneContext(ctx, p.base.objectiveOver(p.schema), answers, objective.PlaneOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -488,12 +429,7 @@ func (p *Prepared) planeFor(ctx context.Context, snap *snapshot) (*objective.Pla
 	if _, err := pl.MaterializeContext(ctx); err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if snap.plane == nil {
-		snap.plane = pl
-	}
-	return snap.plane, nil
+	return pl, nil
 }
 
 // planeMetrics reports the score plane cached by the latest published
@@ -501,16 +437,11 @@ func (p *Prepared) planeFor(ctx context.Context, snap *snapshot) (*objective.Pla
 // estimated resident bytes. ok is false while no plane is cached (cold
 // handle, or the snapshot was invalidated).
 func (p *Prepared) planeMetrics() (regime string, bytes int64, ok bool) {
-	p.mu.Lock()
-	var pl *objective.Plane
-	if p.snap != nil {
-		pl = p.snap.plane
-	}
-	p.mu.Unlock()
-	if pl == nil {
+	snap := p.snap.Load()
+	if snap == nil || snap.plane == nil {
 		return "", 0, false
 	}
-	return pl.Regime().String(), pl.MemoryFootprint(), true
+	return snap.plane.Regime().String(), snap.plane.MemoryFootprint(), true
 }
 
 // checkSet validates and converts a caller-provided candidate set: it must

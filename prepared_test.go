@@ -441,7 +441,7 @@ func TestDecideWarmsCacheWhenStreamExhausts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.cacheWarm() {
+	if p.current() != nil {
 		t.Fatal("cache unexpectedly warm before any solve")
 	}
 	// An unreachable bound forces the online stream to exhaust Q(D); the
@@ -453,7 +453,7 @@ func TestDecideWarmsCacheWhenStreamExhausts(t *testing.T) {
 	if ok {
 		t.Fatal("unreachable bound decided true")
 	}
-	if !p.cacheWarm() {
+	if p.current() == nil {
 		t.Error("an exhausted online stream should warm the answer cache")
 	}
 	// The warmed cache serves the same answers as a fresh evaluation.
@@ -571,7 +571,7 @@ func TestOnlineDiversifyWarmsCache(t *testing.T) {
 	if _, err := p.Diversify(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !p.cacheWarm() {
+	if p.current() == nil {
 		t.Error("online Diversify consumes the full stream and must warm the cache")
 	}
 	// The warmed cache must hold the complete, correctly ordered Q(D):
@@ -607,7 +607,7 @@ func TestPreparedEmptyAnswerSetCaches(t *testing.T) {
 	if n.Cmp(big.NewInt(1)) != 0 { // the empty set is the one valid 0-set at B=0
 		t.Errorf("count over empty answers = %v, want 1", n)
 	}
-	if !p.cacheWarm() {
+	if p.current() == nil {
 		t.Error("empty answer set must still warm the cache")
 	}
 	if _, err := p.Diversify(ctx, WithK(1)); err == nil {

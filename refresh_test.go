@@ -2,8 +2,12 @@ package diversification
 
 import (
 	"context"
+	"errors"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/query/eval"
 	"repro/internal/solver"
@@ -352,7 +356,7 @@ func TestRefreshOnlinePoolReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.pooled() == nil {
+	if snap := p.current(); snap == nil || snap.streamPool == nil {
 		t.Fatal("first online solve must capture the stream pool")
 	}
 	replay, err := p.Diversify(ctx)
@@ -364,7 +368,7 @@ func TestRefreshOnlinePoolReplay(t *testing.T) {
 	// A mutation invalidates the pool; the next online solve re-streams
 	// and agrees with a cold handle.
 	e.MustInsert("items", 1000, "f", 15)
-	if p.pooled() != nil {
+	if snap := p.current(); snap != nil && snap.streamPool != nil {
 		t.Fatal("a mutation must invalidate the captured pool")
 	}
 	warmSel, err := p.Diversify(ctx)
@@ -486,4 +490,145 @@ func TestRefreshRepeatedDeltas(t *testing.T) {
 	if len(e.db.Relation("items").Indexed()) == 0 {
 		t.Error("the refreshes probed no index")
 	}
+}
+
+// TestRefreshOncePerGeneration holds a handle to one build per database
+// generation: callers released together onto a stale handle, half through
+// Refresh and half through a Diversify request, see exactly one of them
+// rebuild or apply the delta while the rest report warm, and every caller
+// answers from the same snapshot.
+func TestRefreshOncePerGeneration(t *testing.T) {
+	const callers = 8
+	const n = 5000
+	ctx := context.Background()
+	e, p, rows := identityStatement(t, rand.New(rand.NewSource(30)), n)
+	steps := []func(){
+		func() {}, // cold
+		func() { e.MustInsert("items", int64(n), "c000", 0.25) },
+		func() { e.MustInsert("items", int64(n+1), "c001", 0.75) },
+		func() {
+			if ok, err := e.Delete("items", rows[0]...); err != nil || !ok {
+				t.Fatalf("delete %v: ok=%v err=%v", rows[0], ok, err)
+			}
+		},
+		func() {
+			if ok, err := e.Delete("items", int64(n), "c000", 0.25); err != nil || !ok {
+				t.Fatalf("delete the inserted row: ok=%v err=%v", ok, err)
+			}
+		},
+	}
+	for step, mutate := range steps {
+		mutate()
+		want, err := e.Query(p.Source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		modes := make([]string, callers)
+		answers := make([]int, callers)
+		sels := make([]*Selection, callers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(callers)
+		for i := 0; i < callers; i++ {
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				if i%2 == 0 {
+					info, err := p.Refresh(ctx)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					modes[i], answers[i] = info.Mode, info.Answers
+					return
+				}
+				resp, err := p.Do(ctx, Request{Problem: ProblemDiversify})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				modes[i], answers[i], sels[i] = resp.Refresh.Mode, resp.Refresh.Answers, resp.Selection
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		built := 0
+		for i, mode := range modes {
+			switch mode {
+			case "rebuild", "delta":
+				built++
+			case "warm":
+			default:
+				t.Errorf("step %d: caller %d reported mode %q", step, i, mode)
+			}
+			if answers[i] != want.Len() {
+				t.Errorf("step %d: caller %d saw %d answers, a fresh query %d", step, i, answers[i], want.Len())
+			}
+			if sels[i] != nil {
+				sameSelection(t, "concurrent diversify", sels[i], sels[1])
+			}
+		}
+		if built != 1 {
+			t.Errorf("step %d: %d callers built the snapshot (modes %v), want exactly 1", step, built, modes)
+		}
+	}
+}
+
+// TestRefreshWaiterHonoursDeadline holds one refresh inside the build, on a
+// relevance function that blocks until released: a second caller waiting
+// for that build gives up at its own deadline, and once the first build is
+// released the statement serves normally.
+func TestRefreshWaiterHonoursDeadline(t *testing.T) {
+	e := refreshEngine(t, 40)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enter, unblock sync.Once
+	defer unblock.Do(func() { close(release) })
+	p := e.MustPrepare(refreshQuery, refreshOpts(4, MaxSum, Greedy, WithRelevance(func(r Row) float64 {
+		enter.Do(func() { close(entered) })
+		<-release
+		return 100 - float64(r.Get("price").(int64))
+	}))...)
+	first := make(chan error, 1)
+	go func() {
+		_, err := p.Refresh(context.Background())
+		first <- err
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := p.Refresh(ctx)
+		waiter <- err
+	}()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("waiter returned %v, want %v", err, context.DeadlineExceeded)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("a waiter with a 20ms deadline is still blocked after 2s")
+	}
+
+	unblock.Do(func() { close(release) })
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	info, err := p.Refresh(context.Background())
+	if err != nil || info.Mode != "warm" {
+		t.Fatalf("Refresh after the build = %+v, %v; want warm", info, err)
+	}
+	sel, err := p.Diversify(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := e.MustPrepare(refreshQuery, refreshOpts(4, MaxSum, Greedy)...).Diversify(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSelection(t, "after the held build", sel, cold)
 }

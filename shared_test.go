@@ -25,7 +25,7 @@ func storedRows(e *Engine, table string) map[*value.Value]relation.Tuple {
 func checkShared(t *testing.T, e *Engine, p *Prepared, table string, want int) {
 	t.Helper()
 	stored := storedRows(e, table)
-	answers := p.snap.answers
+	answers := p.snap.Load().answers
 	if len(answers) != want {
 		t.Fatalf("%d answers, want %d", len(answers), want)
 	}
@@ -98,10 +98,10 @@ func TestAnswerKindFollowsFirstBinding(t *testing.T) {
 		if _, err := p.Refresh(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if rs.Len() != 1 || len(p.snap.answers) != 1 {
-			t.Fatalf("%s: %d and %d answers, want 1", c.stmt, rs.Len(), len(p.snap.answers))
+		if rs.Len() != 1 || len(p.snap.Load().answers) != 1 {
+			t.Fatalf("%s: %d and %d answers, want 1", c.stmt, rs.Len(), len(p.snap.Load().answers))
 		}
-		for _, got := range []relation.Tuple{rs.rows[0], p.snap.answers[0]} {
+		for _, got := range []relation.Tuple{rs.rows[0], p.snap.Load().answers[0]} {
 			row := Row{schema: relation.NewSchema("Q", "x", "y"), tuple: got}
 			if s := fmt.Sprintf("%T(%v) %T(%v)", row.Get("x"), got[0], row.Get("y"), got[1]); s != c.want {
 				t.Errorf("%s answers %s, want %s", c.stmt, s, c.want)
