@@ -47,15 +47,11 @@ func (p *Prepared) DiversifyBatch(ctx context.Context, items []BatchItem) ([]Bat
 		return nil, nil
 	}
 	// Warm the shared answer-set and plane caches once, so the concurrent
-	// item solves share one plane instead of racing to build duplicates.
-	// This is the same snapshot + eager-plane acquisition Refresh performs
-	// for the Prepare-time bindings; items whose options override the
-	// scoring bindings plan their own per-instance plane regardless.
+	// item solves share one plane instead of racing to build duplicates;
+	// items whose options override the scoring bindings plan their own
+	// per-instance plane regardless.
 	if p.base.algorithm != Online {
-		p.eng.mu.RLock()
-		_, err := p.refresh(ctx)
-		p.eng.mu.RUnlock()
-		if err != nil {
+		if _, err := p.Refresh(ctx); err != nil {
 			return nil, err
 		}
 	}

@@ -7,6 +7,7 @@ package diversification
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/approx"
 	"repro/internal/bench"
@@ -1075,4 +1077,49 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkWriteDuringExactSolve times a one-row insert into another table
+// while an exact diversify runs on the probe shape of
+// BenchmarkExactDiversifyProbe: exact FMS, λ = ½, k = 10, 10⁴ answers over
+// 200 categories (a solve of about a second on 2 vCPU). Each iteration
+// starts the solve, issues the insert 50 ms in, and cancels the solve once
+// the insert returns. write-ns/op is the insert's own latency; the built-in
+// ns/op is suppressed, since the sleep and the solve dominate the loop.
+func BenchmarkWriteDuringExactSolve(b *testing.B) {
+	const n = 10_000
+	rng := rand.New(rand.NewSource(1))
+	e := NewEngine()
+	e.MustCreateTable("items", "id", "cat", "rel")
+	e.MustCreateTable("other", "x")
+	for id, r := range rng.Perm(n) {
+		e.MustInsert("items", id, rng.Intn(200), (float64(r)+0.5)/float64(n))
+	}
+	p := e.MustPrepare("Q(id, cat, rel) :- items(id, cat, rel)",
+		WithK(10), WithObjective(MaxSum), WithLambda(0.5), WithAlgorithm(Exact),
+		WithRelevance(AttrRelevance("rel")), WithDistance(AttrDistance("cat")))
+	if _, err := p.Refresh(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	var write time.Duration
+	for i := 0; i < b.N; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		solved := make(chan error, 1)
+		go func() {
+			_, err := p.Do(ctx, Request{})
+			solved <- err
+		}()
+		time.Sleep(50 * time.Millisecond)
+		start := time.Now()
+		if err := e.Insert("other", i); err != nil {
+			b.Fatal(err)
+		}
+		write += time.Since(start)
+		cancel()
+		if err := <-solved; err != nil && !errors.Is(err, context.Canceled) {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(0, "ns/op")
+	b.ReportMetric(float64(write.Nanoseconds())/float64(b.N), "write-ns/op")
 }

@@ -14,7 +14,7 @@ import (
 const defaultCacheEntries = 1024
 
 // resultCache is the Service's generation-keyed response cache. Keys embed
-// the database generation (see Service.cacheKey), so a lookup can only ever
+// the database generation (see Prepared.requestKey), so a lookup can only ever
 // find a response computed against the exact database state the caller
 // sees: Engine.Insert/Delete advance the generation and thereby invalidate
 // every prior entry by construction — no heuristic TTLs, no explicit

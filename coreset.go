@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -73,17 +74,13 @@ type CoresetSpec struct {
 	Slack     *int
 }
 
-// coresetAttempts bounds the count-then-solve retry when mutations land
-// between the answer-count read and the solve (the clamped k′ can go stale
-// either way; one re-read almost always settles it).
-const coresetAttempts = 2
-
 // Coreset extracts a shard-local coreset from a registered statement: the
 // greedy heuristic's k′-selection over this engine's answer set, with
 // relevance scores and the effective settings echoed for the coordinator.
-// The solve itself goes through Service.Do, so it is admission-gated,
-// result-cached and coalesced exactly like a query; only the k′ clamp and
-// the score extraction are coreset-specific.
+// It is one Service.Do, so it is admission-gated, result-cached and
+// coalesced exactly like a query: the request asks for k + slack rows
+// (saturating, so no sum overflows), and the plan clamps that to |Q(D)| on
+// the snapshot it pins, so k′ = min(k + slack, |Q(D)|).
 //
 // Mono objectives are refused — Fmono's value depends on all of Q(D), so
 // shard-local solves do not compose — and so are constrained statements
@@ -93,17 +90,8 @@ func (s *Service) Coreset(ctx context.Context, name string, spec CoresetSpec) (*
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownStatement, name)
 	}
-	var opts []Option
-	if spec.K != nil {
-		opts = append(opts, WithK(*spec.K))
-	}
-	if spec.Lambda != nil {
-		opts = append(opts, WithLambda(*spec.Lambda))
-	}
-	if spec.Objective != nil {
-		opts = append(opts, WithObjective(*spec.Objective))
-	}
-	ms, err := p.call(opts)
+	req := Request{Problem: problemCoreset, K: spec.K, Lambda: spec.Lambda, Objective: spec.Objective}
+	ms, err := p.call(req.callOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -120,91 +108,40 @@ func (s *Service) Coreset(ctx context.Context, name string, spec CoresetSpec) (*
 		}
 		slack = *spec.Slack
 	}
+	kp := math.MaxInt // k + slack, saturated: both are non-negative
+	if slack < math.MaxInt-ms.k {
+		kp = ms.k + slack
+	}
+	greedy := Greedy
+	req.K, req.Algorithm = &kp, &greedy
 
-	ctx, cancel := s.withDeadline(ctx)
-	defer cancel()
 	start := time.Now()
-	var lastErr error
-	for attempt := 0; attempt < coresetAttempts; attempt++ {
-		n, gen, err := s.answerCount(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		kp := ms.k + slack
-		if kp > n {
-			kp = n
-		}
-		cs := &Coreset{
-			Schema:     append([]string(nil), p.schema.Attrs...),
-			K:          ms.k,
-			KPrime:     kp,
-			Lambda:     ms.lambda,
-			Objective:  ms.objective.String(),
-			Answers:    n,
-			Generation: gen,
-		}
-		if kp == 0 {
-			// An empty shard contributes an empty coreset, not an error: the
-			// coordinator's union may still satisfy k from other shards.
-			cs.Elapsed = time.Since(start)
-			return cs, nil
-		}
-		greedy := Greedy
-		resp, err := s.Do(ctx, name, Request{
-			Problem:   ProblemDiversify,
-			K:         &kp,
-			Lambda:    spec.Lambda,
-			Objective: spec.Objective,
-			Algorithm: &greedy,
-		})
-		if err != nil {
-			if errors.Is(err, ErrNoCandidate) {
-				// The answer set shrank between the count and the solve:
-				// re-read and retry with a fresh clamp.
-				lastErr = err
-				continue
-			}
-			return nil, err
-		}
-		rel := ms.relevance
-		if rel == nil {
-			rel = func(Row) float64 { return 1 }
-		}
-		cs.Rows = make([][]interface{}, len(resp.Selection.Rows))
-		cs.Scores = make([]float64, len(resp.Selection.Rows))
-		for i, row := range resp.Selection.Rows {
-			cs.Rows[i] = row.Values()
-			cs.Scores[i] = rel(row)
-		}
-		if resp.Stats.Answers > 0 {
-			cs.Answers = resp.Stats.Answers
-		}
-		cs.Generation = resp.Generation
-		cs.Degraded = resp.Degraded
-		cs.DegradedFrom = resp.DegradedFrom
-		cs.Cached = resp.Cached
-		cs.Elapsed = time.Since(start)
-		return cs, nil
-	}
-	return nil, lastErr
-}
-
-// answerCount reports |Q(D)| (and its generation) for a statement,
-// admission-gated: a cold statement pays its rebuild here, which is the
-// same work a query would perform and must respect the concurrency bound.
-func (s *Service) answerCount(ctx context.Context, p *Prepared) (int, uint64, error) {
-	release, err := s.admit(ctx)
+	resp, err := s.do(ctx, p, req)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	defer release()
-	p.eng.mu.RLock()
-	defer p.eng.mu.RUnlock()
-	snap, _, err := p.acquire(ctx, false)
-	if err != nil {
-		return 0, 0, err
+	rel := ms.relevance
+	if rel == nil {
+		rel = func(Row) float64 { return 1 }
 	}
-	return len(snap.answers), snap.gen, nil
+	cs := &Coreset{
+		Schema:       append([]string(nil), p.schema.Attrs...),
+		K:            ms.k,
+		KPrime:       len(resp.Selection.Rows),
+		Lambda:       ms.lambda,
+		Objective:    ms.objective.String(),
+		Answers:      resp.Stats.Answers,
+		Generation:   resp.Generation,
+		Degraded:     resp.Degraded,
+		DegradedFrom: resp.DegradedFrom,
+		Cached:       resp.Cached,
+	}
+	for _, row := range resp.Selection.Rows {
+		cs.Rows = append(cs.Rows, row.Values())
+		cs.Scores = append(cs.Scores, rel(row))
+	}
+	cs.Elapsed = time.Since(start)
+	return cs, nil
 }
 
 // MergeCoresets is the consuming half of Coreset: the greedy procedure run

@@ -255,3 +255,38 @@ func TestMergeCoresetsRejectsMalformed(t *testing.T) {
 		})
 	}
 }
+
+// TestCoresetKPrimeSaturates: k′ = min(k + slack, |Q(D)|) for every
+// non-negative k and slack. A k + slack past the largest int saturates
+// instead of wrapping negative, so both requests below ask for the whole
+// answer set. The coreset of a statement with no answers is empty, not an
+// error: the coordinator's union may still fill k from other shards.
+func TestCoresetKPrimeSaturates(t *testing.T) {
+	const n = 12
+	e := serviceEngine(t, n)
+	svc := NewService(e, ServiceConfig{})
+	if err := svc.Register("s", serviceQuery, serviceOpts(3)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Register("none", serviceQuery+", price > 1000", serviceOpts(3)...); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	huge, five := math.MaxInt, 5
+	for _, spec := range []CoresetSpec{{K: &huge}, {K: &five, Slack: &huge}} {
+		cs, err := svc.Coreset(ctx, "s", spec)
+		if err != nil {
+			t.Fatalf("k=%d slack=%v: %v", *spec.K, spec.Slack, err)
+		}
+		if cs.KPrime != n || len(cs.Rows) != n || len(cs.Scores) != n || cs.Answers != n {
+			t.Errorf("k=%d: k′=%d with %d rows over %d answers, want all %d", *spec.K, cs.KPrime, len(cs.Rows), cs.Answers, n)
+		}
+	}
+	cs, err := svc.Coreset(ctx, "none", CoresetSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.KPrime != 0 || cs.Rows != nil || cs.Answers != 0 {
+		t.Errorf("empty statement: k′=%d rows=%v answers=%d, want an empty coreset", cs.KPrime, cs.Rows, cs.Answers)
+	}
+}

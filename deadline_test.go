@@ -3,9 +3,40 @@ package diversification
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
+
+// deadlineFromGreedy warms p outside any deadline, times five greedy solves
+// on it and returns factor times their median. A test that races a solve
+// against a deadline sizes the deadline this way, to the machine's speed
+// under its current load, rather than by a fixed constant that a loaded
+// machine can overrun.
+func deadlineFromGreedy(t *testing.T, p *Prepared, factor int) time.Duration {
+	t.Helper()
+	ctx := context.Background()
+	if _, err := p.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	greedy := Greedy
+	times := make([]time.Duration, 5)
+	for i := range times {
+		start := time.Now()
+		if _, err := p.Do(ctx, Request{Algorithm: &greedy}); err != nil {
+			t.Fatal(err)
+		}
+		times[i] = time.Since(start)
+	}
+	slices.Sort(times)
+	return time.Duration(factor) * times[len(times)/2]
+}
+
+// incumbentFactor sizes the deadline of an exact diversify that must
+// degrade: the search has to reach its warm-start greedy incumbent before
+// the soft deadline at 80% of it and ship that answer in the last 20%,
+// which at this factor is four thousand greedy solves' worth of time.
+const incumbentFactor = 20_000
 
 // TestDegradedAnswerMatchesGreedy is the differential pin for the
 // mid-solve abort: the flagged approximate answer an exact search ships
@@ -21,7 +52,7 @@ func TestDegradedAnswerMatchesGreedy(t *testing.T) {
 		t.Fatalf("greedy reference solve: %v", err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), deadlineFromGreedy(t, p, incumbentFactor))
 	defer cancel()
 	got, err := p.Do(ctx, Request{Problem: ProblemDiversify})
 	if err != nil {
@@ -51,7 +82,8 @@ func TestDegradedAnswerMatchesGreedy(t *testing.T) {
 // The same distance given as an AttrDistance is served from category lists,
 // where the row sums cost O(n), so the same requests answer inside the
 // deadline: greedy outright, exact with its greedy incumbent when the search
-// cannot finish.
+// cannot finish. The deadline is sized from greedy solves on the category
+// handle; the opaque scan costs thousands of those.
 func TestMonoSolveHonorsDeadline(t *testing.T) {
 	e := NewEngine()
 	e.MustCreateTable("items", "id", "cat")
@@ -71,22 +103,23 @@ func TestMonoSolveHonorsDeadline(t *testing.T) {
 	}
 	opaque := prepare(WithDistance(func(a, b Row) float64 { return AttrDistance("cat").Dis(a, b) }))
 	category := prepare(WithDistance(AttrDistance("cat")))
+	budget := deadlineFromGreedy(t, category, 500)
 	for _, alg := range []Algorithm{Greedy, Exact} {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
 		start := time.Now()
 		_, err := opaque.Do(ctx, Request{Problem: ProblemDiversify, Algorithm: &alg})
 		elapsed := time.Since(start)
 		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) || elapsed > time.Second {
-			t.Errorf("%s mono solve under a 20ms deadline: err %v after %v, want %v within 1s",
-				alg, err, elapsed, context.DeadlineExceeded)
+		if !errors.Is(err, context.DeadlineExceeded) || elapsed > budget+time.Second {
+			t.Errorf("%s mono solve under a %v deadline: err %v after %v, want %v within 1s of it",
+				alg, budget, err, elapsed, context.DeadlineExceeded)
 		}
 
-		ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+		ctx, cancel = context.WithTimeout(context.Background(), budget)
 		resp, err := category.Do(ctx, Request{Problem: ProblemDiversify, Algorithm: &alg})
 		cancel()
 		if err != nil || len(resp.Selection.Rows) != 3 {
-			t.Errorf("%s mono solve on category lists under a 20ms deadline: err %v, want a 3-row selection", alg, err)
+			t.Errorf("%s mono solve on category lists under a %v deadline: err %v, want a 3-row selection", alg, budget, err)
 		}
 	}
 }

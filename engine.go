@@ -23,11 +23,10 @@ var ErrUnknownTable = errors.New("diversification: unknown table")
 // evaluates diversification requests against it.
 //
 // The engine is safe for concurrent use: mutations (CreateTable, Insert,
-// Delete) take the engine's write lock and every solve, refresh and query
-// evaluation runs under its read lock, so a mutation waits for in-flight
-// solves and a solve never observes a half-applied mutation. Long exact
-// searches therefore delay mutations; cancel them via their context if
-// write latency matters more than the answer.
+// Delete) take the engine's write lock, and query evaluation, snapshot
+// builds and the streaming solves run under its read lock, so none of them
+// observes a half-applied mutation. A solve on a pinned snapshot holds no
+// lock, so a mutation does not wait for it.
 //
 // An engine from NewEngine is purely in-memory; one from OpenEngine is
 // durable — every committed mutation streams to a write-ahead log before
@@ -35,11 +34,11 @@ var ErrUnknownTable = errors.New("diversification: unknown table")
 type Engine struct {
 	db *relation.Database
 
-	// mu serializes database mutation against the read paths (solves,
-	// refreshes, Query). The relation layer synchronizes only the column
-	// indexes that concurrent readers build on first probe; tuples, key maps
-	// and index maintenance rely on this lock, which is what makes a
-	// service serving concurrent traffic sound.
+	// mu serializes database mutation against the read paths (snapshot
+	// builds, streaming solves, Query). The relation layer synchronizes
+	// only the column indexes that concurrent readers build on first
+	// probe; tuples, key maps and index maintenance rely on this lock,
+	// which is what makes a service serving concurrent traffic sound.
 	mu sync.RWMutex
 
 	// Durability (nil/zero for in-memory engines). wal receives every

@@ -123,10 +123,12 @@ func (r *Response) TopR() bool { return r.InTopR != nil && *r.InTopR }
 //
 // A materialized-route Plan pins the snapshot it resolved: executing it
 // after further database mutations answers against the plan-time
-// generation. The streaming routes (online diversify, cold-cache decide)
-// have no snapshot to pin — they evaluate the live database at Execute
-// time and report the generation they actually streamed. A Plan is not
-// safe for concurrent use.
+// generation, with no engine lock held, so the response is linearized at
+// the snapshot's acquisition (Response.Generation). The streaming routes
+// (online diversify, cold-cache decide) have no snapshot to pin — they
+// evaluate the live database at Execute time, under the engine read lock,
+// and report the generation they actually streamed. A Plan is not safe for
+// concurrent use.
 type Plan struct {
 	p   *Prepared
 	req Request
@@ -152,58 +154,35 @@ type Plan struct {
 	noPlane    string
 }
 
-// Plan compiles a Request against the handle without executing it: the
-// same resolution Do performs, exposed for observability — inspect the
-// outcome with Explain, run it with Execute.
-func (p *Prepared) Plan(ctx context.Context, req Request) (*Plan, error) {
-	p.eng.mu.RLock()
-	defer p.eng.mu.RUnlock()
-	return p.plan(ctx, req)
-}
-
 // Do answers a Request through the unified pipeline: plan (merge + validate
 // settings, compile σ, resolve snapshot and plane, choose the route), then
 // execute (dispatch the solvers, assemble the Response). Every public solve
 // method is a shim over Do, so this is the one audited execution path.
 func (p *Prepared) Do(ctx context.Context, req Request) (*Response, error) {
 	start := time.Now()
-	p.eng.mu.RLock()
-	defer p.eng.mu.RUnlock()
-	pl, err := p.plan(ctx, req)
+	pl, err := p.Plan(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := pl.execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return pl.execute(ctx, start)
 }
 
 // Execute runs the plan's solvers and assembles the Response. It may be
 // called more than once; each call re-runs the solve against the pinned
 // snapshot.
 func (pl *Plan) Execute(ctx context.Context) (*Response, error) {
-	start := time.Now()
-	pl.p.eng.mu.RLock()
-	defer pl.p.eng.mu.RUnlock()
-	resp, err := pl.execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return pl.execute(ctx, time.Now())
 }
 
 // Route returns the primary solver route the plan chose.
 func (pl *Plan) Route() string { return pl.route }
 
-// plan resolves a Request into a Plan. Callers hold the engine's read
-// lock. The resolution order mirrors the pre-pipeline methods exactly:
+// Plan compiles a Request against the handle without executing it: the
+// same resolution Do performs, exposed for observability — inspect the
+// outcome with Explain, run it with Execute. The resolution order is:
 // settings merge + validation, problem-specific argument checks, σ
 // compilation, then snapshot + plane acquisition for materialized routes.
-func (p *Prepared) plan(ctx context.Context, req Request) (*Plan, error) {
+func (p *Prepared) Plan(ctx context.Context, req Request) (*Plan, error) {
 	if !req.Problem.valid() {
 		return nil, argErrorf("problem", "unknown problem %s", req.Problem)
 	}
@@ -244,7 +223,7 @@ func (p *Prepared) plan(ctx context.Context, req Request) (*Plan, error) {
 	// the cached answer set: everything except the streaming online routes.
 	materialize := true
 	switch req.Problem {
-	case ProblemDiversify:
+	case ProblemDiversify, problemCoreset:
 		switch s.algorithm {
 		case Auto, Exact:
 			pl.route = "exact"
@@ -266,7 +245,7 @@ func (p *Prepared) plan(ctx context.Context, req Request) (*Plan, error) {
 			// The paper's PTIME algorithm when it applies (Theorem 5.4).
 			pl.route = "mono-ptime"
 			pl.fallback = "exact"
-		case p.current() == nil && !p.refreshableDelta():
+		case p.coldCache():
 			// With a cold cache (and no journal delta that would warm it
 			// cheaply), stream the evaluation and stop at the first valid
 			// set — the paper's early termination (Section 1).
@@ -292,6 +271,10 @@ func (p *Prepared) plan(ctx context.Context, req Request) (*Plan, error) {
 	if materialize {
 		if err := pl.materialize(ctx); err != nil {
 			return nil, err
+		}
+		if req.Problem == problemCoreset {
+			// k + slack rows were asked for; k′ is what the snapshot holds.
+			pl.s.k = min(pl.s.k, len(pl.snap.answers))
 		}
 	} else {
 		pl.noPlane = "streaming (the online procedures intern their own plane)"
@@ -383,11 +366,11 @@ func formatBytes(n int64) string {
 
 // newInstance assembles the solver instance from the plan's resolved
 // pieces. Nothing is re-resolved here: settings, σ, snapshot and plane all
-// come from plan time.
+// come from plan time. The instance carries no database: the streaming
+// routes attach the live one under the engine read lock.
 func (pl *Plan) newInstance() *core.Instance {
 	in := &core.Instance{
 		Query: pl.p.q,
-		DB:    pl.p.eng.db,
 		Obj:   pl.s.objectiveOver(pl.p.schema),
 		K:     pl.s.k,
 		B:     pl.s.bound,
@@ -407,9 +390,9 @@ func (pl *Plan) newInstance() *core.Instance {
 	return in
 }
 
-// execute dispatches the plan to its solvers and assembles the Response.
-// Callers hold the engine's read lock.
-func (pl *Plan) execute(ctx context.Context) (*Response, error) {
+// execute dispatches the plan to its solvers and assembles the Response,
+// timed from start.
+func (pl *Plan) execute(ctx context.Context, start time.Time) (*Response, error) {
 	resp := &Response{
 		Problem:    pl.req.Problem,
 		Route:      pl.route,
@@ -418,7 +401,7 @@ func (pl *Plan) execute(ctx context.Context) (*Response, error) {
 	}
 	var err error
 	switch pl.req.Problem {
-	case ProblemDiversify:
+	case ProblemDiversify, problemCoreset:
 		err = pl.execDiversify(ctx, resp)
 	case ProblemDecide:
 		err = pl.execDecide(ctx, resp)
@@ -437,6 +420,7 @@ func (pl *Plan) execute(ctx context.Context) (*Response, error) {
 	if pl.req.Explain {
 		resp.Explain = pl.Explain()
 	}
+	resp.Elapsed = time.Since(start)
 	return resp, nil
 }
 
@@ -478,7 +462,7 @@ func (pl *Plan) execDiversify(ctx context.Context, resp *Response) error {
 			return err
 		}
 		resp.Stats = Stats{Steps: res.Steps, Answers: len(pl.snap.answers)}
-		if len(res.Set) == 0 {
+		if len(res.Set) < pl.s.k {
 			return ErrNoCandidate
 		}
 		resp.Selection = newSelection(p.schema, res.Set, res.Value, "greedy")
@@ -497,6 +481,11 @@ func (pl *Plan) execDiversify(ctx context.Context, resp *Response) error {
 		resp.Stats = Stats{Steps: seed.Steps + res.Steps, Answers: len(pl.snap.answers)}
 		resp.Selection = newSelection(p.schema, res.Set, res.Value, "local-search")
 	case "online":
+		// The stream reads the live relations, which Relation.Delete
+		// rewrites in place: hold the engine read lock for the whole run.
+		p.eng.mu.RLock()
+		defer p.eng.mu.RUnlock()
+		in.DB = p.eng.db
 		gen := p.eng.db.Generation()
 		// Replay a captured stream-order pool when one exists for this
 		// generation: the (deterministic) evaluator would produce the same
@@ -529,7 +518,6 @@ func (pl *Plan) execDiversify(ctx context.Context, resp *Response) error {
 }
 
 func (pl *Plan) execDecide(ctx context.Context, resp *Response) error {
-	p := pl.p
 	switch pl.route {
 	case "mono-ptime":
 		res, err := solver.QRDMonoPTime(pl.newInstance())
@@ -541,25 +529,11 @@ func (pl *Plan) execDecide(ctx context.Context, resp *Response) error {
 		// The shortcut refused the instance: fall back to exact search on
 		// the already-materialized snapshot, as the pre-pipeline path did.
 	case "online-stream":
-		gen := p.eng.db.Generation()
-		res, err := online.QRD(ctx, pl.newInstance(), online.Options{})
-		if err == nil {
-			if res.Exhausted {
-				// The stream materialized all of Q(D) anyway; keep it so
-				// the next request hits the warm-cache exact path instead
-				// of re-evaluating the query.
-				p.storePool(res.Answers, gen)
-			}
-			resp.Exists = &res.Exists
-			resp.Stats = Stats{Seen: res.Seen, Exhausted: res.Exhausted}
-			resp.Generation = gen
-			return nil
-		}
-		// Only "online is inapplicable here" falls through to the exact
-		// solver; cancellation and any other genuine failure surfaces.
-		if !errors.Is(err, online.ErrMono) && !errors.Is(err, online.ErrConstrained) {
+		if done, err := pl.streamDecide(ctx, resp); done || err != nil {
 			return err
 		}
+		// Online refused the instance: the stream's read lock is released,
+		// so acquiring the snapshot takes it afresh.
 		if err := pl.materialize(ctx); err != nil {
 			return err
 		}
@@ -578,6 +552,36 @@ func (pl *Plan) execDecide(ctx context.Context, resp *Response) error {
 	resp.Exists = &res.Exists
 	resp.Stats = searchStats(res.Stats)
 	return nil
+}
+
+// streamDecide answers a cold-cache decide by streaming the live relations
+// under the engine read lock, held for the whole run. done is false when
+// the online procedure refuses the instance (Fmono, constraints) and exact
+// search must decide; cancellation and any other failure surface as err.
+func (pl *Plan) streamDecide(ctx context.Context, resp *Response) (done bool, err error) {
+	p := pl.p
+	p.eng.mu.RLock()
+	defer p.eng.mu.RUnlock()
+	in := pl.newInstance()
+	in.DB = p.eng.db
+	gen := p.eng.db.Generation()
+	res, err := online.QRD(ctx, in, online.Options{})
+	if errors.Is(err, online.ErrMono) || errors.Is(err, online.ErrConstrained) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	if res.Exhausted {
+		// The stream materialized all of Q(D) anyway; keep it so the next
+		// request hits the warm-cache exact path instead of re-evaluating
+		// the query.
+		p.storePool(res.Answers, gen)
+	}
+	resp.Exists = &res.Exists
+	resp.Stats = Stats{Seen: res.Seen, Exhausted: res.Exhausted}
+	resp.Generation = gen
+	return true, nil
 }
 
 func (pl *Plan) execCount(ctx context.Context, resp *Response) error {

@@ -32,15 +32,12 @@ import (
 //	sel, _ := p.Diversify(ctx)                             // k = 3
 //	sel, _ = p.Diversify(ctx, diversification.WithK(5))    // k = 5, once
 //
-// A Prepared handle is safe for concurrent use: any number of goroutines
-// may solve against it, and engine mutations (Insert/Delete/CreateTable)
-// serialize against in-flight solves behind the engine's read-write lock,
-// so every response pairs answers and plane from one generation.
-//
-// Every path that acquires a snapshot (Do, Plan, Plan.Execute, Refresh,
-// DiversifyBatch and the coreset count) holds the engine's read lock, and
-// every mutation takes its write lock, so the database generation cannot
-// move while a snapshot is being built.
+// A Prepared handle is safe for concurrent use. Snapshot acquisition holds
+// the engine's read lock for the generation check and any build, so a
+// snapshot pairs answers and plane from one generation; a solve on the
+// pinned snapshot holds no lock, so mutations never wait for it. The
+// streaming routes (online diversify, the cold-cache decide) read the live
+// relations and hold the read lock for their whole run.
 type Prepared struct {
 	eng *Engine
 	// id is unique per handle, from a process-wide counter: the Service
@@ -228,24 +225,16 @@ type RefreshInfo struct {
 // through the same path — calling Refresh explicitly just moves the cost to
 // a time of the caller's choosing and reports what happened. Each
 // generation is built once: callers that arrive while another builds it
-// wait for that build (or for their ctx) and report "warm".
+// wait for that build (or for their ctx) and report "warm". Online solves
+// never read the shared plane (they stream through their own), so those
+// handles skip its build.
 func (p *Prepared) Refresh(ctx context.Context) (RefreshInfo, error) {
-	p.eng.mu.RLock()
-	defer p.eng.mu.RUnlock()
-	return p.refresh(ctx)
-}
-
-// refresh is Refresh under an already-held engine read lock: the
-// snapshot-acquisition and eager-plane work shared with the batch warm-up.
-// Online solves never read the shared plane (they stream through their
-// own), so those handles skip its build.
-func (p *Prepared) refresh(ctx context.Context) (RefreshInfo, error) {
 	_, info, err := p.acquire(ctx, p.base.algorithm != Online)
 	return info, err
 }
 
 // current returns the published snapshot if it matches the database
-// generation, else nil.
+// generation, else nil. Callers hold the engine read lock.
 func (p *Prepared) current() *snapshot {
 	if snap := p.snap.Load(); snap != nil && snap.gen == p.eng.db.Generation() {
 		return snap
@@ -254,12 +243,18 @@ func (p *Prepared) current() *snapshot {
 }
 
 // acquire returns a snapshot for the current database generation, carrying
-// the shared score plane when withPlane is set. A published snapshot that
-// serves is returned without a lock. Otherwise the caller takes the gate
-// (or gives up with ctx), checks again, and builds what is missing: the
-// answers by a journal delta or a rebuild, then the plane, publishing each.
-// A caller that finds the work done reports "warm".
+// the shared score plane when withPlane is set. It holds the engine read
+// lock for the generation check and any build, and releases it before the
+// caller solves on the snapshot, which needs nothing from the live
+// database. A published snapshot that serves is returned without the gate.
+// Otherwise the caller takes the gate (or gives up with ctx), checks again,
+// and builds what is missing: the answers by a journal delta or a rebuild,
+// then the plane, publishing each. A caller that finds the work done
+// reports "warm". The caller must not hold the read lock: a second RLock
+// deadlocks once a writer queues between the two.
 func (p *Prepared) acquire(ctx context.Context, withPlane bool) (*snapshot, RefreshInfo, error) {
+	p.eng.mu.RLock()
+	defer p.eng.mu.RUnlock()
 	gen := p.eng.db.Generation()
 	snap := p.snap.Load()
 	if snap == nil || snap.gen != gen || withPlane && snap.plane == nil {
@@ -372,16 +367,22 @@ func (p *Prepared) storePool(pool []relation.Tuple, gen uint64) {
 	p.snap.Store(&snapshot{gen: gen, answers: sorted, streamPool: pool})
 }
 
-// refreshableDelta reports whether the handle holds a stale snapshot the
-// change journal can patch incrementally — in which case re-evaluating the
-// query from scratch (streaming or otherwise) would waste it.
-func (p *Prepared) refreshableDelta() bool {
-	old := p.snap.Load()
-	if !p.deltaOK || old == nil {
+// coldCache reports, under the engine read lock, whether the handle holds
+// no snapshot of the current generation and none the change journal can
+// patch incrementally: then Q(D) must be evaluated from scratch anyway, and
+// a decide streams that evaluation to stop at the first valid set.
+func (p *Prepared) coldCache() bool {
+	p.eng.mu.RLock()
+	defer p.eng.mu.RUnlock()
+	if p.current() != nil {
 		return false
 	}
+	old := p.snap.Load()
+	if !p.deltaOK || old == nil {
+		return true
+	}
 	_, ok := p.eng.db.ChangesSince(old.gen)
-	return ok
+	return !ok
 }
 
 // objectiveOver builds the bound objective function for answers of schema.

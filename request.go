@@ -25,6 +25,12 @@ const (
 	ProblemInTopR
 	// ProblemRank computes rank(Set) exactly; the Response carries Rank.
 	ProblemRank
+
+	// problemCoreset is a shard's coreset extraction (Service.Coreset): a
+	// diversify whose k, asked as k + slack, the plan clamps to |Q(D)| on
+	// the snapshot it pins. ParseProblem has no name for it, so the wire
+	// cannot ask for it.
+	problemCoreset ProblemKind = -1
 )
 
 // String returns the conventional lowercase name ("diversify", "decide",
@@ -41,6 +47,8 @@ func (k ProblemKind) String() string {
 		return "in-top-r"
 	case ProblemRank:
 		return "rank"
+	case problemCoreset:
+		return "coreset"
 	default:
 		return fmt.Sprintf("ProblemKind(%d)", int(k))
 	}
@@ -48,7 +56,7 @@ func (k ProblemKind) String() string {
 
 func (k ProblemKind) valid() bool {
 	switch k {
-	case ProblemDiversify, ProblemDecide, ProblemCount, ProblemInTopR, ProblemRank:
+	case ProblemDiversify, ProblemDecide, ProblemCount, ProblemInTopR, ProblemRank, problemCoreset:
 		return true
 	default:
 		return false
@@ -136,19 +144,21 @@ type Request struct {
 }
 
 // requestKey canonicalizes a Request against the statement's Prepare-time
-// bindings into the statement-and-request half of a Service cache key (the
-// Service prepends the database generation). The key derives from the
-// merged settings — the same merge the plan stage performs — not the raw
-// struct, so the two spellings of one request (a typed field vs the
-// equivalent functional option) share an entry, and a request that merely
-// restates a Prepare-time default keys identically to one that omits it.
+// bindings into its Service cache key at database generation gen. The key
+// derives from the merged settings — the same merge the plan stage
+// performs — not the raw struct, so the two spellings of one request (a
+// typed field vs the equivalent functional option) share an entry, and a
+// request that merely restates a Prepare-time default keys identically to
+// one that omits it. A coreset keys by k′ = min(k, |Q(D)|) when the
+// snapshot published at gen fixes |Q(D)|, so the coresets of one
+// generation that clamp alike share an entry.
 //
 // ok is false when the request is not cacheable: an invalid option set
 // (the pipeline will produce the typed error), or a per-call
 // WithRelevance/WithDistance override — function values have no canonical
 // form, so those requests always solve, and so does a per-call
 // AttrDistance, which takes the same override path.
-func (p *Prepared) requestKey(req Request) (key string, ok bool) {
+func (p *Prepared) requestKey(req Request, gen uint64) (key string, ok bool) {
 	if !req.Problem.valid() {
 		return "", false
 	}
@@ -159,12 +169,17 @@ func (p *Prepared) requestKey(req Request) (key string, ok bool) {
 	if s.dirty != 0 {
 		return "", false
 	}
+	if req.Problem == problemCoreset {
+		if snap := p.snap.Load(); snap != nil && snap.gen == gen {
+			s.k = min(s.k, len(snap.answers))
+		}
+	}
 	var b strings.Builder
 	// p.id pins the statement identity: re-registering a name compiles a
 	// new handle (possibly with new scoring bindings), and its id keeps the
 	// old handle's entries unreachable.
-	fmt.Fprintf(&b, "s%d|%s|k%d|l%g|o%s|a%s|b%g|r%d|w%d|x%t",
-		p.id, req.Problem, s.k, s.lambda, s.objective, s.algorithm, s.bound, s.rank,
+	fmt.Fprintf(&b, "g%d|s%d|%s|k%d|l%g|o%s|a%s|b%g|r%d|w%d|x%t",
+		gen, p.id, req.Problem, s.k, s.lambda, s.objective, s.algorithm, s.bound, s.rank,
 		s.workers(), req.Explain)
 	for _, c := range s.constraints {
 		fmt.Fprintf(&b, "|c%q", c)

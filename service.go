@@ -113,8 +113,8 @@ type PlaneMetrics struct {
 // discipline in-process.
 //
 // A Service is safe for concurrent use, including concurrently with
-// Engine mutations: every query runs under the engine's read lock via the
-// Prepared pipeline.
+// Engine mutations: every query answers from a snapshot pinned under the
+// engine's read lock by the Prepared pipeline.
 type Service struct {
 	eng *Engine
 	cfg ServiceConfig
@@ -377,6 +377,11 @@ func (s *Service) Do(ctx context.Context, name string, req Request) (*Response, 
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownStatement, name)
 	}
+	return s.do(ctx, p, req)
+}
+
+// do is Do on a resolved statement handle.
+func (s *Service) do(ctx context.Context, p *Prepared, req Request) (*Response, error) {
 	ctx, cancel := s.withDeadline(ctx)
 	defer cancel()
 	if s.cache == nil || s.closed.Load() {
@@ -384,12 +389,11 @@ func (s *Service) Do(ctx context.Context, name string, req Request) (*Response, 
 		// closed services) handles it.
 		return s.execute(ctx, p, req)
 	}
-	base, cacheable := p.requestKey(req)
+	key, cacheable := p.requestKey(req, s.eng.Generation())
 	if !cacheable {
 		return s.execute(ctx, p, req)
 	}
 	start := time.Now()
-	key := fmt.Sprintf("g%d|%s", s.eng.Generation(), base)
 	if resp, ok := s.cache.get(key); ok {
 		s.requests.Add(1)
 		return markCached(resp, time.Since(start)), nil
@@ -433,11 +437,20 @@ func (s *Service) Do(ctx context.Context, name string, req Request) (*Response, 
 		// the pipeline panics.
 		defer func() {
 			if err == nil && resp != nil && !resp.Degraded && resp.Generation != 0 {
-				// Store under the generation the solve actually ran at (a
-				// mutation may have slipped between key computation and
-				// the engine lock); degraded and deadline-shaped responses
-				// are never stored.
-				s.cache.put(fmt.Sprintf("g%d|%s", resp.Generation, base), resp.Generation, cacheableCopy(resp))
+				// Store under the key of the generation the solve ran at:
+				// its snapshot's, where the response is linearized, and a
+				// coreset under the k′ its plan clamped to. A mutation may
+				// slip in between key computation and acquisition, and
+				// solves finish in any order, so put drops a store older
+				// than the newest it holds. Degraded and deadline-shaped
+				// responses are never stored.
+				if req.Problem == problemCoreset {
+					kp := len(resp.Selection.Rows)
+					req.K = &kp
+				}
+				if key, ok := p.requestKey(req, resp.Generation); ok {
+					s.cache.put(key, resp.Generation, cacheableCopy(resp))
+				}
 			}
 			s.finishFlight(key, fl, resp, err)
 		}()
